@@ -2,9 +2,18 @@
 inequality chain, and exponential-growth fitting.
 
 Discrete geodesics are shortest paths on the parameter grid with a
-32-direction stencil (axis, diagonal, knight and (3,1)/(3,2) moves); the
-worst-case directional overshoot of that stencil is computed exactly and
-every strict inequality is asserted with this error budget subtracted.
+32-direction stencil (axis, diagonal, knight and (3,1)/(3,2) moves).  Every
+strict inequality is asserted with the stencil's worst-case directional
+overshoot subtracted as an error budget.  In 2-D that overshoot is exact
+(from the widest angular gap between stencil directions); in 3-D it is the
+maximum over 8192 sampled directions, an estimate rather than a bound.
+
+An edge weight is the metric length of the edge at its midpoint.  Every
+edge midpoint lies on the 2x-refined half-lattice of the grid, so the
+fundamental data is evaluated once on the half-lattice points off the
+nodes (in chunks of MIDPOINT_CHUNK points), and both the induced metric g
+and the comparison metric g0 = C g + III are indexed out of that one
+evaluation.
 """
 
 from __future__ import annotations
@@ -24,6 +33,8 @@ from .principal import DEFAULT_SEED, comparison_metric
 DEFAULT_RESOLUTION = 257
 _OFFSET_RANGE = 3
 _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
+MIDPOINT_CHUNK = 65536       # edge midpoints per fundamental batch (bounds
+                             # the memory of the full per-point batch)
 
 
 # ---------------------------------------------------------------------------
@@ -106,53 +117,78 @@ def nearest_node(grid, x0):
                  for k, ax in enumerate(grid.axes))
 
 
-def _edge_lists(grid):
-    """Per-offset (src, dst, midpoint) arrays over the whole grid."""
+def _stencil_graph(grid):
+    """Stencil edges of the grid and their midpoints on the half-lattice.
+
+    The half-lattice is the 2x-refined grid: node k sits at refined index
+    2k, and the midpoint of the edge k -> k + o at 2k + o (wrapped mod 2r
+    on a periodic axis of resolution r).  Offsets are primitive, so no
+    midpoint is a node, and every refined point off the nodes is the
+    midpoint of some edge.
+
+    Returns (edges, mids): mids (m, n) holds the chart coordinates of the
+    refined points off the nodes, and edges is a list of per-offset
+    (src, dst, row, disp) with row the index in mids of each edge's
+    midpoint.
+    """
     shape = grid.shape
     ndim = grid.ndim
-    U = grid.points
-    idx = np.indices(shape)
-    offsets = stencil_offsets(ndim)
-    out = []
-    for o in offsets:
-        valid = np.ones(shape, dtype=bool)
-        dst = []
+    half_shape = tuple(2 * r if per else 2 * r - 1
+                       for r, per in zip(shape, grid.periodic))
+    off_node = np.zeros(half_shape, dtype=bool)
+    for k, size in enumerate(half_shape):
+        odd = np.arange(size) % 2 == 1
+        off_node |= odd.reshape((-1,) + (1,) * (ndim - 1 - k))
+    hidx = np.nonzero(off_node)
+    mids = np.stack([ax[0] + 0.5 * h * i for ax, h, i
+                     in zip(grid.axes, grid.spacing, hidx)], axis=-1)
+    row = np.full(half_shape, -1, dtype=np.intp)
+    row[hidx] = np.arange(len(mids))
+
+    node = np.indices(shape).reshape(ndim, -1)      # flat node order
+    edges = []
+    for o in stencil_offsets(ndim):
+        dst = node + o[:, None]
+        half = 2 * node + o[:, None]
+        valid = np.ones(node.shape[1], dtype=bool)
         for k in range(ndim):
-            t = idx[k] + o[k]
             if grid.periodic[k]:
-                t = t % shape[k]
+                dst[k] %= shape[k]
+                half[k] %= half_shape[k]
             else:
-                valid &= (t >= 0) & (t < shape[k])
-                t = np.clip(t, 0, shape[k] - 1)
-            dst.append(t)
-        src_flat = np.ravel_multi_index(tuple(idx), shape)[valid]
-        dst_flat = np.ravel_multi_index(tuple(dst), shape)[valid]
-        disp = o * grid.spacing
-        mid = U[valid] + 0.5 * disp
-        out.append((src_flat, dst_flat, mid, disp))
-    return out
+                valid &= (dst[k] >= 0) & (dst[k] < shape[k])
+        src = np.flatnonzero(valid)
+        dst_flat = np.ravel_multi_index(tuple(dst[:, valid]), shape)
+        edges.append((src, dst_flat, row[tuple(half[:, valid])],
+                      o * grid.spacing))
+    return edges, mids
 
 
-def distance_fields(grid, metric_fns, anchor_index, overshoot=None):
+def distance_fields(grid, metrics_fn, anchor_index, overshoot=None):
     """Dijkstra distance fields for several metrics sharing one grid graph.
 
-    metric_fns : dict label -> callable(points (..., n)) -> (..., n, n)
+    metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
+                 evaluated once per chunk of edge midpoints
     """
-    edges = _edge_lists(grid)
+    edges, mids = _stencil_graph(grid)
     if overshoot is None:
         overshoot = stencil_overshoot(stencil_offsets(grid.ndim))
+    metrics = {}          # filled in place: no second copy of the metrics
+    for s in range(0, len(mids), MIDPOINT_CHUNK):
+        for label, g in metrics_fn(mids[s:s + MIDPOINT_CHUNK]).items():
+            if label not in metrics:
+                metrics[label] = np.empty((len(mids),) + g.shape[1:])
+            metrics[label][s:s + len(g)] = g
     n_nodes = int(np.prod(grid.shape))
     src = np.concatenate([e[0] for e in edges])
     dst = np.concatenate([e[1] for e in edges])
-    mids = [e[2] for e in edges]
+    a = int(np.ravel_multi_index(anchor_index, grid.shape))
     fields = {}
-    for label, fn in metric_fns.items():
-        ws = []
-        for (s, t, mid, disp), g in zip(edges, (fn(m) for m in mids)):
-            ws.append(np.sqrt(np.einsum("i,...ij,j->...", disp, g, disp)))
-        w = np.concatenate(ws)
+    for label, G in metrics.items():
+        w = np.concatenate([
+            np.sqrt(np.einsum("i,...ij,j->...", disp, G[row], disp))
+            for _, _, row, disp in edges])
         graph = sparse.coo_matrix((w, (src, dst)), shape=(n_nodes, n_nodes))
-        a = int(np.ravel_multi_index(anchor_index, grid.shape))
         d, pred = dijkstra(graph.tocsr(), directed=False, indices=a,
                            return_predecessors=True)
         fields[label] = DistanceField(grid, tuple(anchor_index),
@@ -162,7 +198,8 @@ def distance_fields(grid, metric_fns, anchor_index, overshoot=None):
 
 
 def distance_field(grid, metric_fn, anchor_index, label="g"):
-    return distance_fields(grid, {label: metric_fn}, anchor_index)[label]
+    return distance_fields(grid, lambda U: {label: metric_fn(U)},
+                           anchor_index)[label]
 
 
 def induced_metric_fn(chart, engine=None):
@@ -172,23 +209,18 @@ def induced_metric_fn(chart, engine=None):
     return fn
 
 
-def comparison_metric_fn(chart, C=None, engine=None, exploratory=False):
-    def fn(U):
-        fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
-        return comparison_metric(fb, C=C, exploratory=exploratory).g0
-    return fn
+def _metric_pair(fb, C, exploratory=False):
+    """Induced metric g and comparison metric g0 = C g + III of one batch."""
+    return {"g": fb.g,
+            "g0": comparison_metric(fb, C=C, exploratory=exploratory).g0}
 
 
 # ---------------------------------------------------------------------------
 # curve lengths
 
-def curve_length(chart, polyline, metric="g", C=None, engine=None,
-                 samples_per_segment=64, exploratory=False):
-    """Composite midpoint length of a chart polyline, plus the path max of
-    the squared second-fundamental-form norm (the paper's \\hat S).
-
-    metric is "g" (induced) or "g0" (comparison).
-    """
+def _polyline_samples(chart, polyline, engine, samples_per_segment):
+    """Composite-midpoint samples (segments, samples, n) of a chart
+    polyline and the chart step (segments, n) that each sample stands for."""
     P = np.asarray(polyline, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ValueError("polyline needs at least two chart points")
@@ -199,6 +231,23 @@ def curve_length(chart, polyline, metric="g", C=None, engine=None,
     t = (np.arange(samples_per_segment) + 0.5) / samples_per_segment
     A, B = P[:-1], P[1:]
     mids = A[:, None, :] + t[None, :, None] * (B - A)[:, None, :]
+    return mids, (B - A) / samples_per_segment
+
+
+def _polyline_length(seg, gm):
+    """Sum of metric step lengths; gm holds the metric at every sample."""
+    return float(np.sum(np.sqrt(np.einsum("si,smij,sj->sm", seg, gm, seg))))
+
+
+def curve_length(chart, polyline, metric="g", C=None, engine=None,
+                 samples_per_segment=64, exploratory=False):
+    """Composite midpoint length of a chart polyline, plus the path max of
+    the squared second-fundamental-form norm (the paper's \\hat S).
+
+    metric is "g" (induced) or "g0" (comparison).
+    """
+    mids, seg = _polyline_samples(chart, polyline, engine,
+                                  samples_per_segment)
     fb = fundamental_batch(chart, mids, engine=engine, interior_check=False)
     if metric == "g":
         gm = fb.g
@@ -206,10 +255,7 @@ def curve_length(chart, polyline, metric="g", C=None, engine=None,
         gm = comparison_metric(fb, C=C, exploratory=exploratory).g0
     else:
         raise ValueError(f"unknown metric {metric!r}")
-    seg = (B - A) / samples_per_segment
-    ds = np.sqrt(np.einsum("si,smij,sj->sm", seg, gm, seg))
-    s_hat = float(np.max(fb.sff_sq))
-    return float(np.sum(ds)), s_hat
+    return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +356,7 @@ class ChainVerdict:
     margin: float         # worst relative slack of the strict inequality
     error_budget: float   # documented discretization error (relative)
     notes: str = ""
+    compared: int = 0     # number of entries the inequality was tested on
 
     def summary_line(self):
         return (f"{self.name} {self.verdict.upper()} margin={self.margin:.3e} "
@@ -317,18 +364,27 @@ class ChainVerdict:
 
 
 def _strict_verdict(name, lhs, rhs, budget, notes=""):
-    """Relative verdict for strict inequalities lhs < rhs (elementwise)."""
+    """Relative verdict for strict inequalities lhs < rhs (elementwise).
+
+    Only entries with a finite positive rhs are compared.  A non-finite lhs
+    against such an rhs fails; with nothing compared the verdict is
+    indeterminate (margin NaN), never a vacuous pass.
+    """
     lhs, rhs = np.asarray(lhs, float), np.asarray(rhs, float)
-    ok = np.isfinite(lhs) & np.isfinite(rhs) & (rhs > 0)
-    rel = (rhs[ok] - lhs[ok]) / rhs[ok]
-    margin = float(np.min(rel)) if rel.size else math.inf
+    ok = np.isfinite(rhs) & (rhs > 0)
+    compared = int(np.count_nonzero(ok))
+    if compared == 0:
+        return ChainVerdict(name, "indeterminate", math.nan, budget, notes, 0)
+    lo, hi = lhs[ok], rhs[ok]
+    rel = np.where(np.isfinite(lo), (hi - lo) / hi, -math.inf)
+    margin = float(np.min(rel))
     if margin > budget:
         verdict = "pass"
     elif margin < -budget:
         verdict = "fail"
     else:
         verdict = "indeterminate"
-    return ChainVerdict(name, verdict, margin, budget, notes)
+    return ChainVerdict(name, verdict, margin, budget, notes, compared)
 
 
 def check_length_inequality(chart, C=None, engine=None, n_curves=20,
@@ -346,10 +402,13 @@ def check_length_inequality(chart, C=None, engine=None, n_curves=20,
     quad_err = 0.0
     for _ in range(n_curves):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
-        Lg, s_hat = curve_length(chart, P, "g", C=C, engine=engine,
-                                 samples_per_segment=samples_per_segment)
-        L0, _ = curve_length(chart, P, "g0", C=C, engine=engine,
-                             samples_per_segment=samples_per_segment)
+        mids, seg = _polyline_samples(chart, P, engine, samples_per_segment)
+        fb = fundamental_batch(chart, mids, engine=engine,
+                               interior_check=False)
+        metrics = _metric_pair(fb, C)
+        Lg = _polyline_length(seg, metrics["g"])
+        L0 = _polyline_length(seg, metrics["g0"])
+        s_hat = float(np.max(fb.sff_sq))
         L0c, _ = curve_length(chart, P, "g0", C=C, engine=engine,
                               samples_per_segment=2 * samples_per_segment)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
@@ -364,28 +423,28 @@ def check_distance_inequality(df_g, df_g0, sff_sq, C):
     """Strict distance comparison at every grid node against the anchor."""
     s_path = df_g.path_max(sff_sq)
     rhs = np.sqrt(s_path + C) * df_g.d
-    lhs = df_g0.d.copy()
-    lhs[df_g.anchor_index] = np.nan       # the anchor itself is vacuous
+    away = np.ones(df_g.d.shape, dtype=bool)
+    away[df_g.anchor_index] = False       # the anchor itself is vacuous
     budget = df_g.overshoot + df_g0.overshoot
-    return _strict_verdict("distance_comparison", lhs, rhs, budget,
-                           notes=f"{lhs.size - 1} grid nodes")
+    return _strict_verdict("distance_comparison", df_g0.d[away], rhs[away],
+                           budget, notes=f"{int(np.sum(away))} grid nodes")
 
 
 def check_ball_containment(df_g, df_g0, sff_sq, C, r):
     """Every node of the induced-metric ball D_r must lie strictly inside
-    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C)."""
+    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C).
+
+    A ball holding only the anchor compares nothing: indeterminate."""
     S = ball_max_sff(df_g, sff_sq, r)
     psi = r * math.sqrt(S + C)
     mask = (df_g.d <= r)
     mask[df_g.anchor_index] = False
     budget = df_g.overshoot + df_g0.overshoot
-    if not np.any(mask):
-        return ChainVerdict(f"ball_containment(r={r:g})", "pass", math.inf,
-                            budget, notes="singleton ball")
     lhs = df_g0.d[mask]
     return _strict_verdict(f"ball_containment(r={r:g})", lhs,
                            np.full(lhs.shape, psi), budget,
-                           notes=f"{int(np.sum(mask))} ball nodes")
+                           notes=(f"{lhs.size} ball nodes" if lhs.size
+                                  else "singleton ball"))
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +541,11 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     sqrt_det_g = np.sqrt(np.linalg.det(fb.g))
     anchor = nearest_node(grid, x0)
 
-    dfs = distance_fields(
-        grid,
-        {"g": induced_metric_fn(chart, engine),
-         "g0": comparison_metric_fn(chart, C, engine, exploratory)},
-        anchor)
+    def metrics_fn(U):
+        fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
+        return _metric_pair(fb, C, exploratory)
+
+    dfs = distance_fields(grid, metrics_fn, anchor)
     df_g, df_g0 = dfs["g"], dfs["g0"]
 
     warnings = []

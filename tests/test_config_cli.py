@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import flatbundle
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
 from flatbundle.exprchart import parse_chart, parse_expression
@@ -25,9 +26,17 @@ map      = sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1)
 """
 
 
+# absolute, so the subprocess imports this package whatever its cwd
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
+    flatbundle.__file__)))
+
+
 def run_cli(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "flatbundle.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -5,16 +5,24 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 
 from flatbundle import catalog
 from flatbundle.errors import DomainError, HypothesisViolation
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.growth import (ball_max_sff, ball_volume, curve_length,
-                               distance_field, fit_exponential, growth_report,
+from flatbundle.growth import (_stencil_graph, _strict_verdict,
+                               ball_max_sff, ball_volume,
+                               check_ball_containment,
+                               check_distance_inequality,
+                               check_length_inequality, curve_length,
+                               distance_field, distance_fields,
+                               fit_exponential, growth_report,
                                induced_metric_fn, nearest_node,
                                reference_ball_volume, stencil_offsets,
                                stencil_overshoot, unit_ball_volume)
+from flatbundle.principal import comparison_metric
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +105,153 @@ def test_curve_length_constant_metric():
         curve_length(chart, np.array([[0.0, 0.0], [5.0, 0.0]]))
     with pytest.raises(ValueError):
         curve_length(chart, np.array([[0.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# half-lattice edge weights against the per-offset reference
+
+def _per_offset_distances(grid, metric_fns, anchor_index):
+    """Reference: one metric evaluation per stencil offset at the edge
+    midpoints U + o h / 2, as the distance fields were first computed."""
+    shape = grid.shape
+    U = grid.points
+    idx = np.indices(shape)
+    n_nodes = int(np.prod(shape))
+    edges = []
+    for o in stencil_offsets(grid.ndim):
+        valid = np.ones(shape, dtype=bool)
+        dst = []
+        for k in range(grid.ndim):
+            t = idx[k] + o[k]
+            if grid.periodic[k]:
+                t = t % shape[k]
+            else:
+                valid &= (t >= 0) & (t < shape[k])
+                t = np.clip(t, 0, shape[k] - 1)
+            dst.append(t)
+        src_flat = np.ravel_multi_index(tuple(idx), shape)[valid]
+        dst_flat = np.ravel_multi_index(tuple(dst), shape)[valid]
+        disp = o * grid.spacing
+        edges.append((src_flat, dst_flat, U[valid] + 0.5 * disp, disp))
+    src = np.concatenate([e[0] for e in edges])
+    dst = np.concatenate([e[1] for e in edges])
+    a = int(np.ravel_multi_index(anchor_index, shape))
+    out = {}
+    for label, fn in metric_fns.items():
+        w = np.concatenate([
+            np.sqrt(np.einsum("i,...ij,j->...", disp, fn(mid), disp))
+            for _, _, mid, disp in edges])
+        graph = sparse.coo_matrix((w, (src, dst)), shape=(n_nodes, n_nodes))
+        out[label] = dijkstra(graph.tocsr(), directed=False,
+                              indices=a).reshape(shape)
+    return out
+
+
+@pytest.mark.parametrize("name, resolution, x0, with_g0", [
+    ("pseudosphere", 65, (0.88, 3.14), True),        # one periodic axis
+    ("clifford_torus_s3", 33, (1.0, 2.0), False),    # both axes periodic
+    ("dini", 33, (3.1, 0.75), False),                # no periodic axis
+    ("ps3", 17, (1.0, 1.0, 0.0), False),             # n = 3, 85 offsets
+])
+def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, resolution)
+    anchor = nearest_node(grid, x0)
+
+    def g(U):
+        return fundamental_batch(chart, U, interior_check=False).g
+
+    def g0(U):
+        fb = fundamental_batch(chart, U, interior_check=False)
+        return comparison_metric(fb).g0
+
+    def both(U):
+        fb = fundamental_batch(chart, U, interior_check=False)
+        out = {"g": fb.g}
+        if with_g0:
+            out["g0"] = comparison_metric(fb).g0
+        return out
+
+    ref = _per_offset_distances(
+        grid, {"g": g, "g0": g0} if with_g0 else {"g": g}, anchor)
+    got = distance_fields(grid, both, anchor)
+    assert set(got) == set(ref)
+    for label, d in ref.items():
+        assert np.all(np.isfinite(d))
+        np.testing.assert_allclose(got[label].d, d, rtol=1e-12, atol=0.0)
+
+    edges, mids = _stencil_graph(grid)
+    half_shape = [2 * r if per else 2 * r - 1
+                  for r, per in zip(grid.shape, grid.periodic)]
+    assert len(mids) == np.prod(half_shape) - np.prod(grid.shape)
+    assert len(edges) == len(stencil_offsets(grid.ndim))
+    rows = np.concatenate([e[2] for e in edges])
+    assert np.all(rows >= 0)
+    assert np.array_equal(np.unique(rows), np.arange(len(mids)))
+
+
+# ---------------------------------------------------------------------------
+# strict verdicts
+
+def test_strict_verdict_nonfinite_lhs_fails():
+    for bad in (math.inf, math.nan):
+        v = _strict_verdict("x", [0.5, bad], [1.0, 1.0], 1e-12)
+        assert v.verdict == "fail"
+        assert v.compared == 2
+        assert v.margin == -math.inf
+
+
+def test_strict_verdict_nothing_compared_is_indeterminate():
+    for lhs, rhs in (([], []), ([1.0], [0.0]), ([1.0], [math.inf]),
+                     ([math.inf], [math.nan])):
+        v = _strict_verdict("x", lhs, rhs, 1e-12, notes="note")
+        assert v.verdict == "indeterminate"
+        assert v.compared == 0
+        assert v.summary_line() == "x INDETERMINATE margin=nan " \
+            "budget=1.000e-12 note"
+    v = _strict_verdict("x", [0.5, 1.0], [1.0, 0.0], 1e-12)
+    assert (v.verdict, v.compared, v.margin) == ("pass", 1, 0.5)
+
+
+def test_chain_verdicts_exclude_the_anchor(pseudosphere):
+    chart = pseudosphere.chart
+    grid = make_grid(chart, 33)
+    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    anchor = nearest_node(grid, (0.88, 3.14))
+
+    def both(U):
+        fb = fundamental_batch(chart, U, interior_check=False)
+        return {"g": fb.g, "g0": comparison_metric(fb).g0}
+
+    dfs = distance_fields(grid, both, anchor)
+    v = check_distance_inequality(dfs["g"], dfs["g0"], fb.sff_sq, 1.0)
+    assert v.verdict == "pass"
+    assert v.compared == grid.points[..., 0].size - 1
+    assert v.notes == f"{v.compared} grid nodes"
+    tiny = check_ball_containment(dfs["g"], dfs["g0"], fb.sff_sq, 1.0, 1e-3)
+    assert (tiny.verdict, tiny.compared) == ("indeterminate", 0)
+    assert tiny.notes == "singleton ball"
+
+
+def test_length_check_matches_separate_curve_lengths(pseudosphere):
+    chart = pseudosphere.chart
+    got = check_length_inequality(chart, C=1.0, n_curves=3, rng_seed=7)
+    rng = np.random.default_rng(7)
+    box = np.array(chart.usable_domain(None))
+    lhs, rhs, quad_err = [], [], 0.0
+    for _ in range(3):
+        P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
+        Lg, s_hat = curve_length(chart, P, "g", C=1.0)
+        L0, _ = curve_length(chart, P, "g0", C=1.0)
+        L0c, _ = curve_length(chart, P, "g0", C=1.0, samples_per_segment=128)
+        quad_err = max(quad_err, abs(L0 - L0c) / L0)
+        lhs.append(L0)
+        rhs.append(math.sqrt(s_hat + 1.0) * Lg)
+    want = _strict_verdict("length_comparison", lhs, rhs,
+                           max(3.0 * quad_err, 1e-12),
+                           notes="3 random polylines")
+    assert got == want
+    assert got.verdict == "pass" and got.compared == 3
 
 
 # ---------------------------------------------------------------------------
