@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,12 +44,13 @@ class AmbientModel:
     def flat(self):
         return self.kind == EUCLIDEAN
 
-    @property
+    @functools.cached_property
     def signature(self):
-        """Diagonal of the container metric."""
+        """Diagonal of the container metric (built once, read-only)."""
         s = np.ones(self.embedding_dimension)
         if self.kind == HYPERBOLIC:
             s[-1] = -1.0
+        s.flags.writeable = False
         return s
 
     def inner(self, u, v):

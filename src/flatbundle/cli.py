@@ -54,20 +54,38 @@ def _header(cfg, chart, engine, extra=()):
     return lines
 
 
-def _report_csv(report):
-    """Per-point residual table for one identity report."""
-    pts = np.asarray(report.grid_points, dtype=float)
-    res = np.asarray(report.residual_grid, dtype=float)
-    n = pts.shape[-1]
-    lines = [",".join(f"u{k + 1}" for k in range(n)) + ",residual"]
-    flat_p = pts.reshape(-1, n)
-    flat_r = res.reshape(-1)
-    for p, r in zip(flat_p, flat_r):
-        lines.append(",".join(_G % x for x in p) + "," + _G % r)
-    return "\n".join(lines) + "\n"
+def _csv(header, columns):
+    """CSV text: the header, then the (rows, k) column blocks side by side,
+    every value at 17 significant digits."""
+    rows = np.hstack(columns)
+    fmt = ",".join([_G] * rows.shape[1])
+    return "\n".join([",".join(header)]
+                     + [fmt % tuple(r) for r in rows.tolist()]) + "\n"
 
 
-def run_verify(cfg, out_dir, strict=False):
+def _finish(out_dir, name, lines, code):
+    """Write <name>_summary.txt, echo it and return the exit code."""
+    text = "\n".join(lines)
+    _write(os.path.join(out_dir, f"{name}_summary.txt"), text + "\n")
+    print(text)
+    return code
+
+
+def _base_point(cfg, chart, engine):
+    """The configured x0, or the centre of the usable domain."""
+    box = chart.usable_domain(engine)
+    if cfg.x0 is None:
+        return tuple(0.5 * (lo + hi) for lo, hi in box)
+    if len(cfg.x0) != chart.n \
+            or not chart.contains(cfg.x0, engine, interior=True):
+        raise ConfigError(
+            f"x0 = {','.join('%g' % x for x in cfg.x0)} must be {chart.n} "
+            f"coordinates inside the usable domain "
+            f"{', '.join('%g:%g' % b for b in box)} of {chart.name}")
+    return cfg.x0
+
+
+def run_verify(cfg, out_dir):
     chart = cfg.make_chart()
     engine = cfg.engine or chart.engine
     grid = make_grid(chart, cfg.grid_resolution(chart.n), engine=engine)
@@ -103,24 +121,24 @@ def run_verify(cfg, out_dir, strict=False):
                     f"{name} SKIPPED by hypothesis "
                     "(intrinsic curvature unasserted)")
 
+    head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
     for rep in reports:
         lines.append(rep.summary_line())
         if rep.residual_grid is not None and rep.grid_points is not None:
+            pts = np.reshape(rep.grid_points, (-1, chart.n))
+            res = np.reshape(rep.residual_grid, (-1, 1))
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
-                   _report_csv(rep))
+                   _csv(head, (pts, res)))
     lines.extend(skipped)
-    _write(os.path.join(out_dir, "verify_summary.txt"),
-           "\n".join(lines) + "\n")
-    print("\n".join(lines))
     failed = [r for r in reports if not r.passed]
-    return EXIT_FAILED if failed else EXIT_OK
+    return _finish(out_dir, "verify", lines,
+                   EXIT_FAILED if failed else EXIT_OK)
 
 
 def run_growth(cfg, out_dir, strict=False):
     chart = cfg.make_chart()
     engine = cfg.engine or chart.engine
-    x0 = cfg.x0 or tuple(0.5 * (lo + hi)
-                         for lo, hi in chart.usable_domain(engine))
+    x0 = _base_point(cfg, chart, engine)
     lines = _header(cfg, chart, engine,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}"])
     try:
@@ -129,10 +147,7 @@ def run_growth(cfg, out_dir, strict=False):
                             seed=cfg.seed, exploratory=cfg.exploratory)
     except HypothesisViolation as exc:
         lines.append(f"bound_chain SKIPPED by hypothesis ({exc})")
-        _write(os.path.join(out_dir, "growth_summary.txt"),
-               "\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return EXIT_OK
+        return _finish(out_dir, "growth", lines, EXIT_OK)
 
     _write(os.path.join(out_dir, "growth.csv"), rep.to_csv())
     if rep.fit is not None:
@@ -145,34 +160,17 @@ def run_growth(cfg, out_dir, strict=False):
         lines.append(v.summary_line())
     for w in rep.warnings:
         lines.append(f"WARN {w}")
-    _write(os.path.join(out_dir, "growth_summary.txt"),
-           "\n".join(lines) + "\n")
-    print("\n".join(lines))
-
     bad = {"fail"} | ({"indeterminate"} if strict else set())
     failed = [v for v in rep.verdicts if v.verdict in bad]
-    return EXIT_FAILED if failed else EXIT_OK
+    return _finish(out_dir, "growth", lines,
+                   EXIT_FAILED if failed else EXIT_OK)
 
 
-def _flow_csv(fm):
-    n = fm.n
-    head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
-    lines = [",".join(head)]
-    mesh = np.meshgrid(*fm.t_axes, indexing="ij")
-    T = np.stack(mesh, axis=-1).reshape(-1, n)
-    U = fm.points.reshape(-1, n)
-    for t, u in zip(T, U):
-        lines.append(",".join(_G % x for x in t) + ","
-                     + ",".join(_G % x for x in u))
-    return "\n".join(lines) + "\n"
-
-
-def run_coords(cfg, out_dir, strict=False):
+def run_coords(cfg, out_dir):
     chart = cfg.make_chart()
     engine = cfg.engine or chart.engine
     n = chart.n
-    x0 = cfg.x0 or tuple(0.5 * (lo + hi)
-                         for lo, hi in chart.usable_domain(engine))
+    x0 = _base_point(cfg, chart, engine)
     lines = _header(cfg, chart, engine,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}",
                            f"flow_step = {cfg.flow_step:g}"])
@@ -181,15 +179,15 @@ def run_coords(cfg, out_dir, strict=False):
         reason = ("intrinsic curvature unasserted" if C is None
                   else f"curvature gap C = {C:g} <= 0")
         lines.append(f"principal_coordinates SKIPPED by hypothesis ({reason})")
-        _write(os.path.join(out_dir, "coords_summary.txt"),
-               "\n".join(lines) + "\n")
-        print("\n".join(lines))
-        return EXIT_OK
+        return _finish(out_dir, "coords", lines, EXIT_OK)
 
     kw = dict(C=C, step=cfg.flow_step, engine=engine, seed=cfg.seed)
     fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
                         cfg.flow_resolution, **kw)
-    _write(os.path.join(out_dir, "coords.csv"), _flow_csv(fm))
+    T = np.stack(np.meshgrid(*fm.t_axes, indexing="ij"), axis=-1)
+    head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
+    _write(os.path.join(out_dir, "coords.csv"),
+           _csv(head, (T.reshape(-1, n), fm.points.reshape(-1, n))))
     for w in fm.warnings:
         lines.append(f"WARN {w}")
 
@@ -223,11 +221,8 @@ def run_coords(cfg, out_dir, strict=False):
             lines.append(rep.summary_line())
     except HypothesisViolation as exc:
         lines.append(f"principal_frame SKIPPED by hypothesis ({exc})")
-
-    _write(os.path.join(out_dir, "coords_summary.txt"),
-           "\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return EXIT_FAILED if failed else EXIT_OK
+    return _finish(out_dir, "coords", lines,
+                   EXIT_FAILED if failed else EXIT_OK)
 
 
 def run_catalog_list():
@@ -265,7 +260,8 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the run seed")
         p.add_argument("--strict", action="store_true",
-                       help="treat indeterminate verdicts as failures")
+                       help="treat indeterminate verdicts as failures "
+                            "(growth only)")
         return p
 
     add_run("verify", "run the curvature-identity suite")
@@ -289,9 +285,10 @@ def main(argv=None):
             cfg.seed = args.seed
         out_dir = args.out or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
-        runner = {"verify": run_verify, "growth": run_growth,
-                  "coords": run_coords}[args.command]
-        return runner(cfg, out_dir, strict=args.strict)
+        if args.command == "growth":
+            return run_growth(cfg, out_dir, strict=args.strict)
+        runner = {"verify": run_verify, "coords": run_coords}[args.command]
+        return runner(cfg, out_dir)
     except (ConfigError, FileNotFoundError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

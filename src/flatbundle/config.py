@@ -187,8 +187,8 @@ def _validate(cfg):
         raise ConfigError("fit window must be a non-empty interval")
     if cfg.flow_step <= 0:
         raise ConfigError("flow_step must be positive")
-    if cfg.flow_resolution < 1:
-        raise ConfigError("flow_resolution must be at least 1")
+    if cfg.flow_resolution < 2:
+        raise ConfigError("flow_resolution must be at least 2")
     if cfg.pairs < 1:
         raise ConfigError("pairs must be at least 1")
     if not cfg.t_range[0] < cfg.t_range[1]:

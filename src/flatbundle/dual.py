@@ -12,8 +12,6 @@ written with them run unchanged on floats, arrays and hyper-duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -22,12 +20,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class HyperDual:
-    f: object
-    e1: object = 0.0
-    e2: object = 0.0
-    e12: object = 0.0
+    __slots__ = ("f", "e1", "e2", "e12")   # cheap to build: jets make many
+
+    def __init__(self, f, e1=0.0, e2=0.0, e12=0.0):
+        self.f, self.e1, self.e2, self.e12 = f, e1, e2, e12
 
     # -- arithmetic ------------------------------------------------------
 

@@ -34,15 +34,7 @@ _D2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0,
 
 STENCIL_RADIUS = 2
 
-
-def _as_components(out, batch_shape):
-    """Normalize one chart output to (f, e1, e2, e12) float arrays."""
-    if isinstance(out, HyperDual):
-        parts = (out.f, out.e1, out.e2, out.e12)
-    else:
-        parts = (out, 0.0, 0.0, 0.0)
-    return [np.broadcast_to(np.asarray(p, dtype=float), batch_shape)
-            for p in parts]
+AD_CHUNK = 8192          # points per hyper-dual pass
 
 
 def fd_step(domain):
@@ -91,31 +83,39 @@ def jet(chart_map, U, n, engine=AD, h=None):
 
 
 def _jet_ad(chart_map, U, n):
+    """All seed pairs i <= j in one hyper-dual pass (pair p on a leading
+    axis of the perturbation slots), so the value slot is evaluated once;
+    points go in chunks of AD_CHUNK to bound the temporaries."""
     batch = U.shape[:-1]
-    value = None
-    first = {}
-    second = {}
-    for i in range(n):
-        for j in range(i, n):
-            coords = []
-            for k in range(n):
-                coords.append(seed(U[..., k],
-                                   1.0 if k == i else 0.0,
-                                   1.0 if k == j else 0.0))
-            out = chart_map(coords)
-            comps = [_as_components(c, batch) for c in out]
-            if value is None:
-                value = np.stack([c[0] for c in comps], axis=-1)
-            first[i] = np.stack([c[1] for c in comps], axis=-1)
-            first[j] = np.stack([c[2] for c in comps], axis=-1)
-            second[i, j] = np.stack([c[3] for c in comps], axis=-1)
-    N = value.shape[-1]
-    F1 = np.stack([first[i] for i in range(n)], axis=-2)
-    F2 = np.empty(batch + (n, n, N))
-    for i in range(n):
-        for j in range(n):
-            F2[..., i, j, :] = second[(i, j) if i <= j else (j, i)]
-    return Jet(value, F1, F2)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    d1 = np.array([[float(k == i) for i, _ in pairs] for k in range(n)])
+    d2 = np.array([[float(k == j) for _, j in pairs] for k in range(n)])
+    flat = U.reshape(-1, n)
+    m = flat.shape[0]
+    value = first = second = None
+    for lo in range(0, max(m, 1), AD_CHUNK):
+        V = flat[lo:lo + AD_CHUNK]
+        rows = slice(lo, lo + len(V))
+        out = chart_map([seed(V[:, k], d1[k][:, None], d2[k][:, None])
+                         for k in range(n)])
+        if value is None:
+            N = len(out)
+            value = np.empty((m, N))
+            first = np.empty((m, n, N))
+            second = np.empty((m, n, n, N))
+        for c, comp in enumerate(out):
+            if not isinstance(comp, HyperDual):
+                comp = HyperDual(comp)
+            value[rows, c] = comp.f
+            e1, e2, e12 = (np.broadcast_to(e, (len(pairs), len(V)))
+                           for e in (comp.e1, comp.e2, comp.e12))
+            for p, (i, j) in enumerate(pairs):
+                first[rows, i, c] = e1[p]
+                first[rows, j, c] = e2[p]
+                second[rows, i, j, c] = e12[p]
+                second[rows, j, i, c] = e12[p]
+    return Jet(value.reshape(batch + (N,)), first.reshape(batch + (n, N)),
+               second.reshape(batch + (n, n, N)))
 
 
 def _shifted(U, i, di, h):

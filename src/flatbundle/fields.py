@@ -4,10 +4,11 @@ Derived per-point quantities (principal normals, directions, lambdas, the
 comparison metric) only exist after a pointwise eigen-decomposition, so
 their derivatives are always taken by order-4 finite differences on the
 grid, regardless of the chart engine.  This module also fixes the discrete
-gauge: directions are ordered by the continuous eigenvalue order of the
-weighted shape operator and signed coherently along a spanning raster path
-from the grid origin; points where the alignment is ambiguous are masked
-and counted.
+gauge: directions start from the canonical pointwise gauge of
+``principal_batch`` and are relabelled and signed coherently along a
+spanning raster path from the grid origin, so the origin keeps its
+canonical labels; points where the alignment is ambiguous are masked and
+counted.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class PrincipalField:
     chart: object
     grid: Grid
     fb: object               # FundamentalBatch over the grid
-    pb: object               # PrincipalBatch (eigen order, coherent signs)
+    pb: object               # PrincipalBatch (coherent gauge)
     coherent: np.ndarray     # bool mask of gauge-trustworthy points
     n_incoherent: int
     engine: str
@@ -141,20 +142,20 @@ def _signed_permutation(Q):
                            axis=-1)
     else:
         ambiguous = np.zeros(Q.shape[:-2], dtype=bool)
-    P = np.zeros_like(Q)
-    flat = absQ.reshape(Q.shape[:-2] + (n * n,)).copy()
+    # fancy indexing, not *_along_axis: flows call this on many small batches
+    flat = absQ.reshape(-1, n * n)
     Qflat = Q.reshape(flat.shape)
+    P = np.zeros(flat.shape, dtype=Q.dtype)
+    pts = np.arange(flat.shape[0])
+    lane = np.arange(n)
     for _ in range(n):
         idx = np.argmax(flat, axis=-1)
+        sgn = np.sign(Qflat[pts, idx])
+        P[pts, idx] = np.where(sgn == 0, 1.0, sgn)
         k, l = idx // n, idx % n
-        sgn = np.sign(np.take_along_axis(Qflat, idx[..., None], axis=-1)[..., 0])
-        np.put_along_axis(P.reshape(flat.shape), idx[..., None],
-                          np.where(sgn == 0, 1.0, sgn)[..., None], axis=-1)
-        rows = k[..., None] * n + np.arange(n)
-        cols = np.arange(n) * n + l[..., None]
-        np.put_along_axis(flat, rows, -np.inf, axis=-1)
-        np.put_along_axis(flat, cols, -np.inf, axis=-1)
-    return P, ambiguous
+        flat[pts[:, None], k[:, None] * n + lane] = -np.inf
+        flat[pts[:, None], lane * n + l[:, None]] = -np.inf
+    return P.reshape(Q.shape), ambiguous
 
 
 def principal_field(chart, grid, C=None, engine=None, seed=None):
@@ -164,7 +165,7 @@ def principal_field(chart, grid, C=None, engine=None, seed=None):
     seed = DEFAULT_SEED if seed is None else seed
     U = grid.points
     fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
-    pb = principal_batch(fb, C=C, seed=seed, order="raw")
+    pb = principal_batch(fb, C=C, seed=seed)
 
     sig = chart.ambient.signature
     n = chart.n
@@ -185,31 +186,7 @@ def principal_field(chart, grid, C=None, engine=None, seed=None):
             prv = pre + (i - 1,) + pin
             M[cur] = M[prv] @ P[prv]
 
-    pb.X_chart = np.einsum("...kl,...lm->...km", M, pb.X_chart)
-    pb.X_cont = np.einsum("...kl,...lN->...kN", M, pb.X_cont)
-    perm = np.abs(M)                       # permutation part for label data
-    pb.eta = np.einsum("...kl,...la->...ka", perm, pb.eta)
-    pb.eta_cont = np.einsum("...kl,...lN->...kN", perm, pb.eta_cont)
-    pb.eta_sq = np.einsum("...kl,...l->...k", perm, pb.eta_sq)
-    if pb.lambdas is not None:
-        pb.lambdas = np.einsum("...kl,...l->...k", perm, pb.lambdas)
-
-    # relabel globally so the origin follows the canonical norm-descending
-    # order (stable goldens); a global permutation keeps coherence intact
-    origin = (0,) * ndim
-    key = np.argsort(-pb.eta_sq[origin], kind="stable")
-    lead = np.take_along_axis(
-        pb.X_chart[origin][key],
-        np.argmax(np.abs(pb.X_chart[origin][key]), axis=-1)[..., None],
-        axis=-1)[..., 0]
-    flip = np.where(lead < 0, -1.0, 1.0)
-    pb.X_chart = pb.X_chart[..., key, :] * flip[:, None]
-    pb.X_cont = pb.X_cont[..., key, :] * flip[:, None]
-    pb.eta = pb.eta[..., key, :]
-    pb.eta_cont = pb.eta_cont[..., key, :]
-    pb.eta_sq = pb.eta_sq[..., key]
-    if pb.lambdas is not None:
-        pb.lambdas = pb.lambdas[..., key]
+    pb.regauge(M)
 
     # verify the gauge: neighbors must overlap strongly and positively on
     # the diagonal; points adjacent to a seam or an ambiguous alignment are

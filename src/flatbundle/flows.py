@@ -19,37 +19,11 @@ from .fields import Grid, _signed_permutation, grid_deriv, principal_field
 from .fundamental import fundamental_batch
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
-from .verifiers import _report
+from .verifiers import residual_report
 
 DEFAULT_STEP = 0.02
 MAX_BOX_SHRINKS = 8
 BOX_SHRINK = 0.8
-
-
-def _canonical_gauge(pb):
-    """Norm-descending order with positive leading chart component."""
-    key = np.argsort(-pb.eta_sq, axis=-1, kind="stable")
-    _apply_perm_key(pb, key)
-    lead = np.take_along_axis(
-        pb.X_chart, np.argmax(np.abs(pb.X_chart), axis=-1)[..., None],
-        axis=-1)[..., 0]
-    flip = np.where(lead < 0, -1.0, 1.0)
-    _apply_signs(pb, flip)
-
-
-def _apply_perm_key(pb, key):
-    pb.X_chart = np.take_along_axis(pb.X_chart, key[..., None], axis=-2)
-    pb.X_cont = np.take_along_axis(pb.X_cont, key[..., None], axis=-2)
-    pb.eta = np.take_along_axis(pb.eta, key[..., None], axis=-2)
-    pb.eta_cont = np.take_along_axis(pb.eta_cont, key[..., None], axis=-2)
-    pb.eta_sq = np.take_along_axis(pb.eta_sq, key, axis=-1)
-    if pb.lambdas is not None:
-        pb.lambdas = np.take_along_axis(pb.lambdas, key, axis=-1)
-
-
-def _apply_signs(pb, s):
-    pb.X_chart = pb.X_chart * s[..., None]
-    pb.X_cont = pb.X_cont * s[..., None]
 
 
 def aligned_principal(chart, U, C=None, refs=None, engine=None,
@@ -62,21 +36,11 @@ def aligned_principal(chart, U, C=None, refs=None, engine=None,
     if C is None:
         C = chart.C
     fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
-    pb = principal_batch(fb, C=C, seed=seed, order="raw")
-    if refs is None:
-        _canonical_gauge(pb)
-        return pb, fb
-    sig = chart.ambient.signature
-    Q = np.einsum("...kN,...lN->...kl", refs * sig, pb.X_cont)
-    P, _ = _signed_permutation(Q)
-    pb.X_chart = np.einsum("...kl,...lm->...km", P, pb.X_chart)
-    pb.X_cont = np.einsum("...kl,...lN->...kN", P, pb.X_cont)
-    perm = np.abs(P)
-    pb.eta = np.einsum("...kl,...la->...ka", perm, pb.eta)
-    pb.eta_cont = np.einsum("...kl,...lN->...kN", perm, pb.eta_cont)
-    pb.eta_sq = np.einsum("...kl,...l->...k", perm, pb.eta_sq)
-    if pb.lambdas is not None:
-        pb.lambdas = np.einsum("...kl,...l->...k", perm, pb.lambdas)
+    pb = principal_batch(fb, C=C, seed=seed)
+    if refs is not None:
+        Q = np.einsum("...kN,...lN->...kl", refs * chart.ambient.signature,
+                      pb.X_cont)
+        pb.regauge(_signed_permutation(Q)[0])
     return pb, fb
 
 
@@ -277,8 +241,9 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
     from .engines import DEFAULT_TOL
     eng = engine or chart.engine
     tol = 1e-6 if eng == "ad" else DEFAULT_TOL[eng]
-    return _report("flow_group_law", np.concatenate([add, comm]), tol, eng,
-                   notes=f"{n_pairs} random (t, s) pairs in {t_range}")
+    return residual_report("flow_group_law", np.concatenate([add, comm]),
+                           tol, eng,
+                           notes=f"{n_pairs} random (t, s) pairs in {t_range}")
 
 
 def commutator_residual(chart, u0, C=None, h=None, engine=None,
@@ -372,10 +337,10 @@ def verify_principal_frame_property(flow_map, engine=None, seed=DEFAULT_SEED):
     tol_frame = max(1e-3, fd_floor)
     notes = f"grid {U.shape[:-1]}, t-spacing max {hmax:.3g}"
     return {
-        "frame_orthonormality": _report(
+        "frame_orthonormality": residual_report(
             "frame_orthonormality", ortho, tol_frame, eng, notes=notes),
-        "frame_alignment": _report(
+        "frame_alignment": residual_report(
             "frame_alignment", align, tol_frame, eng, notes=notes),
-        "pullback_identity": _report(
+        "pullback_identity": residual_report(
             "pullback_identity", pull, max(1e-3, fd_floor), eng, notes=notes),
     }

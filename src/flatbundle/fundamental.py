@@ -184,15 +184,6 @@ def fundamental_batch(chart, U, engine=None, interior_check=True):
 # ---------------------------------------------------------------------------
 # pointwise convenience API
 
-def first_fundamental_form(chart, u, engine=None):
-    return fundamental_batch(chart, u, engine=engine).g
-
-
-def second_fundamental_form(chart, u, engine=None):
-    """FundamentalBatch at a single point (batch shape ())."""
-    return fundamental_batch(chart, u, engine=engine)
-
-
 def normal_bundle_is_flat(chart, u, engine=None, tol=None):
     """(is_flat, residual) from the shape-operator commutators at u."""
     engine = engine or chart.engine

@@ -90,10 +90,6 @@ class DistanceField:
     metric_label: str
     overshoot: float               # documented stencil error (relative)
 
-    @property
-    def anchor_flat(self):
-        return int(np.ravel_multi_index(self.anchor_index, self.grid.shape))
-
     def path_max(self, values):
         """Running max of a node field along every shortest path.
 

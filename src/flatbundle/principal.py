@@ -3,6 +3,7 @@ comparison metric g0 = C g + III."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,12 +14,14 @@ DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
 
 
+@functools.lru_cache(maxsize=None)
 def _diag_weights(p, seed=DEFAULT_SEED):
-    """Fixed generic weight vector for the simultaneous diagonalization."""
-    if p == 0:
-        return np.zeros(0)
+    """Fixed generic weight vector for the simultaneous diagonalization
+    (cached, hence read-only)."""
     w = np.random.default_rng(seed).standard_normal(p)
-    return w / np.linalg.norm(w)
+    w = w / np.linalg.norm(w)
+    w.flags.writeable = False
+    return w
 
 
 def joint_diagonalize(mats, tol=1e-12, max_sweeps=100):
@@ -82,23 +85,27 @@ class PrincipalBatch:
     offdiag: np.ndarray
     weight_seed: int
 
+    def regauge(self, M):
+        """Apply per-point signed permutations M (..., n, n) in place:
+        directions take M, the label data (eta, eta_cont, eta_sq, lambdas)
+        take the permutation |M|.  Returns self."""
+        self.X_chart = M @ self.X_chart
+        self.X_cont = M @ self.X_cont
+        perm = np.abs(M)
+        self.eta = perm @ self.eta
+        self.eta_cont = perm @ self.eta_cont
+        self.eta_sq = (perm @ self.eta_sq[..., None])[..., 0]
+        if self.lambdas is not None:
+            self.lambdas = (perm @ self.lambdas[..., None])[..., 0]
+        return self
 
-def _canonical_sign(X):
-    """Flip each direction so its largest-magnitude component is positive."""
-    idx = np.argmax(np.abs(X), axis=-1)
-    lead = np.take_along_axis(X, idx[..., None], axis=-1)[..., 0]
-    s = np.where(lead < 0, -1.0, 1.0)
-    return X * s[..., None]
 
-
-def principal_batch(fb, C=None, seed=DEFAULT_SEED, order="norm"):
+def principal_batch(fb, C=None, seed=DEFAULT_SEED):
     """Diagonalize the commuting shape operators of a FundamentalBatch.
 
-    order = "norm" : sort directions by |eta| descending with a canonical
-                     sign gauge (stable pointwise labeling)
-    order = "raw"  : ascending eigenvalue order of the weighted operator,
-                     no sign gauge; field sweeps impose their own coherent
-                     gauge on top
+    Directions come in the canonical pointwise gauge: sorted by |eta|
+    descending (stable), each signed so its largest-magnitude chart
+    component is positive.  Field sweeps and flows regauge on top.
     """
     g, ginv, alpha = fb.g, fb.ginv, fb.alpha
     n, p = fb.n, fb.p
@@ -138,14 +145,6 @@ def principal_batch(fb, C=None, seed=DEFAULT_SEED, order="norm"):
     X_chart = np.swapaxes(Xc, -1, -2)
     eta = np.einsum("...ki,...kj,...ija->...ka", X_chart, X_chart, alpha)
     eta_sq = np.sum(eta * eta, axis=-1)
-
-    if order == "norm":
-        key = np.argsort(-eta_sq, axis=-1, kind="stable")
-        X_chart = np.take_along_axis(X_chart, key[..., None], axis=-2)
-        eta = np.take_along_axis(eta, key[..., None], axis=-2)
-        eta_sq = np.take_along_axis(eta_sq, key, axis=-1)
-        X_chart = _canonical_sign(X_chart)
-
     X_cont = np.einsum("...km,...mN->...kN", X_chart, fb.tangent)
     eta_cont = np.einsum("...ka,...aN->...kN", eta, fb.frame)
 
@@ -162,8 +161,14 @@ def principal_batch(fb, C=None, seed=DEFAULT_SEED, order="norm"):
             raise HypothesisViolation(
                 "|eta|^2 + C <= 0 at some point: lambda_i undefined")
         lambdas = 1.0 / np.sqrt(under)
+
+    key = np.argsort(-eta_sq, axis=-1, kind="stable")
+    lead = np.take_along_axis(
+        X_chart, np.argmax(np.abs(X_chart), axis=-1)[..., None], axis=-1)
+    sign = np.where(lead[..., 0] < 0, -1.0, 1.0)
+    M = np.where(key[..., None] == np.arange(n), sign[..., None, :], 0.0)
     return PrincipalBatch(fb, C, X_chart, X_cont, eta, eta_cont, eta_sq,
-                          lambdas, offdiag, seed)
+                          lambdas, offdiag, seed).regauge(M)
 
 
 @dataclass

@@ -5,13 +5,12 @@ comparison metric g0."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import engines
 from .fields import grid_deriv, principal_field
-from .fundamental import fundamental_batch
 from .principal import CLUSTER_REL_TOL, comparison_metric, third_fundamental_form
 
 G0_FLAT_TOL = 1e-3
@@ -44,7 +43,10 @@ class ResidualReport:
                 f"skipped={self.skipped}")
 
 
-def _report(identity, residuals, tol, engine, grid_points=None, notes=""):
+def residual_report(identity, residuals, tol, engine, grid_points=None,
+                    notes=""):
+    """Summarize per-point residuals over their finite entries; with none
+    finite the report is a vacuous pass."""
     r = np.asarray(residuals, dtype=float)
     finite = r[np.isfinite(r)]
     skipped = int(r.size - finite.size)
@@ -92,15 +94,8 @@ def check_gauss(pf, c, ctilde, tol=None):
         for j in range(i + 1, n):
             ip = np.sum(pf.pb.eta[..., i, :] * pf.pb.eta[..., j, :], axis=-1)
             worst = np.maximum(worst, np.abs(ip - target))
-    return _report("gauss", _masked(worst, mask), tol, pf.engine,
-                   grid_points=pf.grid.points)
-
-
-def _gamma(pf, a, b):
-    """<nabla_{X_a} X_b, X_c> for all c: tangential container derivative."""
-    amb = pf.chart.ambient
-    D = pf.directional(pf.pb.X_cont[..., b, :], pf.pb.X_chart[..., a, :])
-    return [amb.inner(D, pf.pb.X_cont[..., c, :]) for c in range(pf.n)]
+    return residual_report("gauss", _masked(worst, mask), tol,
+                           pf.engine, grid_points=pf.grid.points)
 
 
 def check_codazzi_c1(pf, tol=DERIVED_TOL):
@@ -126,8 +121,8 @@ def check_codazzi_c1(pf, tol=DERIVED_TOL):
             diff = lhs - rhs
             r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
             worst = np.maximum(worst, r)
-    return _report("codazzi_c1", _masked(worst, mask), tol, pf.engine,
-                   grid_points=pf.grid.points)
+    return residual_report("codazzi_c1", _masked(worst, mask), tol,
+                           pf.engine, grid_points=pf.grid.points)
 
 
 def check_codazzi_c2(pf, tol=DERIVED_TOL):
@@ -161,8 +156,8 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
                                         - pf.pb.eta_cont[..., l, :])
                 r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
                 worst = np.maximum(worst, r)
-    return _report("codazzi_c2", _masked(worst, mask), tol, pf.engine,
-                   grid_points=pf.grid.points)
+    return residual_report("codazzi_c2", _masked(worst, mask), tol,
+                           pf.engine, grid_points=pf.grid.points)
 
 
 def check_connection_formula(pf, tol=DERIVED_TOL):
@@ -184,21 +179,8 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
             rhs = lam[..., i] * pf.directional(1.0 / lam[..., i],
                                                pf.pb.X_chart[..., j, :])
             worst = np.maximum(worst, np.abs(lhs - rhs))
-    return _report("connection_nn", _masked(worst, mask), tol, pf.engine,
-                   grid_points=pf.grid.points)
-
-
-def christoffel_principal(pf):
-    """Gamma_{ab}^c = <nabla_{X_a}X_b, X_c> sampled over the grid,
-    shape grid + (n, n, n)."""
-    n = pf.n
-    out = np.zeros(pf.grid.shape + (n, n, n))
-    for a in range(n):
-        for b in range(n):
-            cs = _gamma(pf, a, b)
-            for c in range(n):
-                out[..., a, b, c] = cs[c]
-    return out
+    return residual_report("connection_nn", _masked(worst, mask), tol,
+                           pf.engine, grid_points=pf.grid.points)
 
 
 # ---------------------------------------------------------------------------
@@ -244,31 +226,28 @@ def constant_curvature_residual(G, grid, c):
     return num / scale
 
 
-def check_intrinsic_curvature(chart, grid, engine=None, tol=None):
-    """Sectional curvature of the induced metric equals the asserted c."""
-    engine = engine or chart.engine
+def check_intrinsic_curvature(fb, grid, tol=None):
+    """Sectional curvature of the induced metric (fb over the grid points)
+    equals the asserted c."""
+    chart, engine = fb.chart, fb.engine
     if tol is None:
         tol = max(engines.DEFAULT_TOL[engine], 100.0 * float(
             np.max(grid.spacing)) ** 4)
-    fb = fundamental_batch(chart, grid.points, engine=engine,
-                           interior_check=False)
     if chart.c is None:
         raise ValueError(f"{chart.name} asserts no intrinsic curvature")
     res = constant_curvature_residual(fb.g, grid, chart.c)
-    return _report("intrinsic_curvature", res, tol, engine,
-                   grid_points=grid.points)
+    return residual_report("intrinsic_curvature", res, tol, engine,
+                           grid_points=grid.points)
 
 
-def check_g0_flat(chart, grid, C=None, engine=None, tol=G0_FLAT_TOL,
-                  exploratory=False):
-    """Lemma: g0 = C g + III is flat.  Residual = max normalized |R0_{ijkl}|."""
-    engine = engine or chart.engine
-    fb = fundamental_batch(chart, grid.points, engine=engine,
-                           interior_check=False)
+def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL, exploratory=False):
+    """Lemma: g0 = C g + III (fb over the grid points) is flat.  Residual =
+    max normalized |R0_{ijkl}|."""
     cm = comparison_metric(fb, third_fundamental_form(fb), C,
                            exploratory=exploratory)
     res = constant_curvature_residual(cm.g0, grid, 0.0)
-    return _report("g0_flat", res, tol, engine, grid_points=grid.points)
+    return residual_report("g0_flat", res, tol, fb.engine,
+                           grid_points=grid.points)
 
 
 def verify_chart(chart, grid, C=None, engine=None, seed=None, tols=None):
@@ -281,7 +260,7 @@ def verify_chart(chart, grid, C=None, engine=None, seed=None, tols=None):
     reports = []
     if chart.c is not None:
         reports.append(check_intrinsic_curvature(
-            chart, grid, engine=engine, tol=tols.get("intrinsic")))
+            pf.fb, grid, tol=tols.get("intrinsic")))
         reports.append(check_gauss(pf, chart.c, chart.ambient.curvature,
                                    tol=tols.get("gauss")))
     reports.append(check_codazzi_c1(pf, tol=tols.get("c1", DERIVED_TOL)))
@@ -289,6 +268,6 @@ def verify_chart(chart, grid, C=None, engine=None, seed=None, tols=None):
     if C is not None and C > 0:
         reports.append(check_connection_formula(
             pf, tol=tols.get("nn", DERIVED_TOL)))
-        reports.append(check_g0_flat(chart, grid, C=C, engine=engine,
+        reports.append(check_g0_flat(pf.fb, grid, C=C,
                                      tol=tols.get("g0", G0_FLAT_TOL)))
     return reports

@@ -92,7 +92,8 @@ def test_criterion_3_comparison_metric_flat(capfd, pseudosphere, dini, clifford)
                             (clifford, 33, 1e-8)):
         chart = entry.chart
         grid = make_grid(chart, res)
-        rep = check_g0_flat(chart, grid, C=chart.C, tol=tol)
+        fb = fundamental_batch(chart, grid.points, interior_check=False)
+        rep = check_g0_flat(fb, grid, C=chart.C, tol=tol)
         vals[entry.name] = (rep.max, tol, rep.passed)
     ok = all(p for _, _, p in vals.values())
     detail = ", ".join(f"{k} max={m:.2e} (tol {t:.0e})"
@@ -231,7 +232,7 @@ def test_criterion_8_sine_gordon_surface(capfd):
     grid = make_grid(chart, 65)
     fb = fundamental_batch(chart, grid.points, interior_check=False)
     metric_err = float(np.max(np.abs(fb.g - surf.expected_metric(grid.points))))
-    rep = check_intrinsic_curvature(chart, grid, tol=1e-2)
+    rep = check_intrinsic_curvature(fb, grid, tol=1e-2)
     ok = metric_err <= 1e-3 and rep.passed
     report(capfd, 8, ok,
            f"metric err={metric_err:.2e} (tol 1e-3), "

@@ -253,6 +253,25 @@ def test_cli_usage_errors(workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, text", [
+    # x0 outside the usable domain: used to be clamped to the nearest node
+    ("growth", "[chart]\nname = pseudosphere\n[growth]\nx0 = 9, 1\n"),
+    # x0 with three coordinates on an n = 2 chart: used to be truncated
+    ("growth", "[chart]\nname = pseudosphere\n[growth]\nx0 = 1, 1, 5\n"),
+    # a single flow sample has no spacing: used to raise IndexError
+    ("coords", "[chart]\nname = dini\n[growth]\nflow_resolution = 1\n"),
+    # x0 outside the domain in coords: used to exit 3 as a numerical failure
+    ("coords", "[chart]\nname = dini\n[growth]\nx0 = 99, 0.75\n"),
+])
+def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
+                                                        text):
+    (workdir / "probe.ini").write_text(text)
+    code, out, err = run_cli(command, "--config", "probe.ini",
+                             "--out", "probe", cwd=workdir)
+    assert code == 2, (out, err)
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
 def test_cli_engine_and_seed_overrides(workdir):
     code, out, _ = run_cli("verify", "--config", "ps.ini", "--out", "fd",
                            "--engine", "fd", "--seed", "7", cwd=workdir)

@@ -6,9 +6,9 @@ import pytest
 
 from flatbundle import catalog
 from flatbundle.errors import DomainExitError, HypothesisViolation
-from flatbundle.flows import (build_flow_map, check_flow_identities,
-                              commutator_residual, integrate_flow,
-                              verify_principal_frame_property)
+from flatbundle.flows import (aligned_principal, build_flow_map,
+                              check_flow_identities, commutator_residual,
+                              integrate_flow, verify_principal_frame_property)
 
 DINI_X0 = (3.1, 0.75)
 PS_X0 = (1.2, 1.5)      # away from the |eta_1| = |eta_2| locus sinh(u) = 1
@@ -25,6 +25,16 @@ def test_round_trip_both_axes(pseudosphere, dini):
             y, refs = flow_points(entry.chart, U0, axis, 0.3)
             back, _ = flow_points(entry.chart, y, axis, -0.3, refs=refs)
             assert np.max(np.abs(back[0] - np.asarray(x0))) < 1e-8
+
+
+def test_aligned_principal_to_own_frame_is_canonical(pseudosphere):
+    """Aligning to the canonical frame itself reproduces it exactly."""
+    U = np.array([[0.6, 0.5], [1.3, 2.0], [2.4, 5.0], PS_X0])
+    pb, _ = aligned_principal(pseudosphere.chart, U)
+    again, _ = aligned_principal(pseudosphere.chart, U, refs=pb.X_cont)
+    for f in ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas"):
+        np.testing.assert_array_equal(getattr(again, f), getattr(pb, f),
+                                      err_msg=f)
 
 
 def test_group_law_and_commutation(dini):

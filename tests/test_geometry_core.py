@@ -116,6 +116,40 @@ def test_fd_second_derivatives_symmetric(dini):
                                atol=1e-14)
 
 
+def test_ad_jet_matches_per_pair_seeding(monkeypatch):
+    """The AD jet seeds every pair (i, j) in one pass and takes the points
+    in chunks.  The arithmetic per point is unchanged, so it must equal
+    seeding each pair separately bit for bit, with a constant (non-dual)
+    component and a single point included."""
+    from flatbundle import engines
+
+    def f(u):
+        return (u[0] * dm.exp(u[1]), 2.0,
+                dm.sin(u[2]) / (1.0 + u[0] * u[2]))
+
+    U = np.random.default_rng(5).uniform(0.1, 1.0, (4, 5, 3))
+    for chunk in (engines.AD_CHUNK, 3):
+        monkeypatch.setattr(engines, "AD_CHUNK", chunk)
+        J = engines.jet(f, U, 3)
+        for i in range(3):
+            for j in range(i, 3):
+                out = f([dm.seed(U[..., k], float(k == i), float(k == j))
+                         for k in range(3)])
+                for c, comp in enumerate(out):
+                    if not isinstance(comp, dm.HyperDual):
+                        comp = dm.HyperDual(comp)
+                    for got, want in ((J.value[..., c], comp.f),
+                                      (J.first[..., i, c], comp.e1),
+                                      (J.first[..., j, c], comp.e2),
+                                      (J.second[..., i, j, c], comp.e12),
+                                      (J.second[..., j, i, c], comp.e12)):
+                        np.testing.assert_array_equal(
+                            got, np.broadcast_to(want, U.shape[:-1]))
+    one = engines.jet(f, U[1, 2], 3)
+    assert one.second.shape == (3, 3, 3)
+    np.testing.assert_array_equal(one.second, J.second[1, 2])
+
+
 def test_fd_usable_domain_shrinks(pseudosphere):
     chart = pseudosphere.chart
     full = chart.usable_domain("ad")

@@ -8,6 +8,7 @@ import pytest
 
 from flatbundle import catalog
 from flatbundle.errors import HypothesisViolation
+from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.principal import (comparison_metric, joint_diagonalize,
                                   principal_batch, principal_decomposition,
@@ -31,6 +32,47 @@ def test_pseudosphere_principal_data(pseudosphere):
     dec = principal_decomposition(fundamental_batch(chart, pts[1]), C=1.0)
     assert dec.s == 2
     assert sorted(dec.multiplicities.tolist()) == [1, 1]
+
+
+def _ps_grid_batch(pseudosphere):
+    grid = make_grid(pseudosphere.chart, 9)
+    return principal_batch(fundamental_batch(pseudosphere.chart, grid.points),
+                           C=1.0)
+
+
+def test_principal_batch_canonical_gauge(pseudosphere):
+    """|eta| descending; each direction's largest chart component > 0."""
+    pb = _ps_grid_batch(pseudosphere)
+    assert np.all(np.diff(pb.eta_sq, axis=-1) <= 0)
+    lead = np.take_along_axis(
+        pb.X_chart, np.argmax(np.abs(pb.X_chart), axis=-1)[..., None],
+        axis=-1)
+    assert np.all(lead > 0)
+
+
+def test_regauge_round_trip(pseudosphere, rng):
+    """regauge(M) moves direction perm[k] to slot k with sign s[k] and only
+    permutes the label data; regauge(M^T) restores every field exactly."""
+    pb = _ps_grid_batch(pseudosphere)
+    fields = ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas")
+    before = {f: getattr(pb, f).copy() for f in fields}
+    shape, n = pb.eta_sq.shape[:-1], pb.eta_sq.shape[-1]
+    perm = np.argsort(rng.random(shape + (n,)), axis=-1)
+    sign = rng.choice([-1.0, 1.0], shape + (n,))
+    M = np.where(perm[..., None] == np.arange(n), sign[..., None], 0.0)
+
+    pb.regauge(M)
+    np.testing.assert_array_equal(
+        pb.X_chart, sign[..., None] * np.take_along_axis(
+            before["X_chart"], perm[..., None], axis=-2))
+    np.testing.assert_array_equal(
+        pb.eta, np.take_along_axis(before["eta"], perm[..., None], axis=-2))
+    np.testing.assert_array_equal(
+        pb.lambdas, np.take_along_axis(before["lambdas"], perm, axis=-1))
+
+    pb.regauge(np.swapaxes(M, -1, -2))
+    for f in fields:
+        np.testing.assert_array_equal(getattr(pb, f), before[f], err_msg=f)
 
 
 def test_sphere_umbilic_cluster(sphere_control):
@@ -126,3 +168,15 @@ def test_plane_zero_alpha():
     dec = principal_decomposition(fb)
     assert dec.s == 1
     np.testing.assert_allclose(dec.etas, 0.0, atol=1e-15)
+
+
+def test_signed_permutation_any_memory_layout():
+    """A transposed (non-contiguous) stack of alignment matrices gets the
+    signed permutations of its contiguous copy: one +-1 per row."""
+    from flatbundle.fields import _signed_permutation
+    Q = np.random.default_rng(2).standard_normal((6, 3, 3)).swapaxes(-1, -2)
+    P, ambiguous = _signed_permutation(Q)
+    P_c, ambiguous_c = _signed_permutation(np.ascontiguousarray(Q))
+    assert np.array_equal(P, P_c)
+    assert np.array_equal(ambiguous, ambiguous_c)
+    assert np.array_equal(np.abs(P).sum(axis=-1), np.ones((6, 3)))

@@ -5,6 +5,7 @@ import pytest
 
 from flatbundle import catalog
 from flatbundle.fields import make_grid, principal_field
+from flatbundle.fundamental import fundamental_batch
 from flatbundle.verifiers import (check_codazzi_c1, check_codazzi_c2,
                                   check_connection_formula, check_g0_flat,
                                   check_gauss, check_intrinsic_curvature,
@@ -40,14 +41,16 @@ def test_intrinsic_curvature_detects_wrong_c(pseudosphere):
     import dataclasses
     chart = dataclasses.replace(pseudosphere.chart, c=-2.0)
     grid = make_grid(chart, 33)
-    rep = check_intrinsic_curvature(chart, grid)
+    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    rep = check_intrinsic_curvature(fb, grid)
     assert not rep.passed
 
 
 def test_intrinsic_curvature_hyperbolic_band():
     entry = catalog.get("hyperbolic_plane")
     grid = make_grid(entry.chart, (49, 25), box=((-2.0, 2.0), (-1.0, 1.0)))
-    rep = check_intrinsic_curvature(entry.chart, grid)
+    fb = fundamental_batch(entry.chart, grid.points, interior_check=False)
+    rep = check_intrinsic_curvature(fb, grid)
     assert rep.passed, rep.summary_line()
 
 
@@ -73,7 +76,8 @@ def test_connection_formula_requires_lambdas(ps_field_33, pseudosphere):
 
 def test_g0_flat_clifford_tight(clifford):
     grid = make_grid(clifford.chart, 33)
-    rep = check_g0_flat(clifford.chart, grid, C=1.0, tol=1e-8)
+    fb = fundamental_batch(clifford.chart, grid.points, interior_check=False)
+    rep = check_g0_flat(fb, grid, C=1.0, tol=1e-8)
     assert rep.passed, rep.summary_line()
 
 
