@@ -1,10 +1,10 @@
 """Command-line entry point and report emission.
 
 Exit codes: 0 success or hypothesis-guarded skip, 1 identity failure,
-2 usage/config error, 3 numerical failure.  All emitted CSVs use 17
-significant digits, '.' decimals and LF line endings, and every summary
-records the engine, seed, grid and tolerances, so identical configs and
-seeds produce byte-identical outputs.
+2 usage/config error, 3 numerical failure or any other error.  All emitted
+CSVs use 17 significant digits, '.' decimals and LF line endings, and every
+summary records the engine, seed, grid and tolerances, so identical configs
+and seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -56,11 +56,16 @@ def _header(cfg, chart, engine, extra=()):
 
 def _csv(header, columns):
     """CSV text: the header, then the (rows, k) column blocks side by side,
-    every value at 17 significant digits."""
-    rows = np.hstack(columns)
-    fmt = ",".join([_G] * rows.shape[1])
+    every value at 17 significant digits.  Each column formats each distinct
+    bit pattern once (so 0.0 and -0.0 stay apart); the bytes are unchanged
+    from formatting every row with one '%.17g,...' string."""
+    cols = []
+    for col in np.hstack(columns, dtype=float).T:
+        keys, inv = np.unique(col.view(np.int64), return_inverse=True)
+        text = list(map(_G.__mod__, keys.view(np.float64).tolist()))
+        cols.append(np.array(text, dtype=object)[inv].tolist())
     return "\n".join([",".join(header)]
-                     + [fmt % tuple(r) for r in rows.tolist()]) + "\n"
+                     + list(map(",".join, zip(*cols)))) + "\n"
 
 
 def _finish(out_dir, name, lines, code):
@@ -122,13 +127,12 @@ def run_verify(cfg, out_dir):
                     "(intrinsic curvature unasserted)")
 
     head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
+    pts = grid.points.reshape(-1, chart.n)
     for rep in reports:
         lines.append(rep.summary_line())
-        if rep.residual_grid is not None and rep.grid_points is not None:
-            pts = np.reshape(rep.grid_points, (-1, chart.n))
-            res = np.reshape(rep.residual_grid, (-1, 1))
+        if rep.residual_grid.size == len(pts):     # not a vacuous n < 3 c2
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
-                   _csv(head, (pts, res)))
+                   _csv(head, (pts, rep.residual_grid.reshape(-1, 1))))
     lines.extend(skipped)
     failed = [r for r in reports if not r.passed]
     return _finish(out_dir, "verify", lines,
@@ -297,6 +301,10 @@ def main(argv=None):
         return EXIT_OK
     except (NumericalError, FlatBundleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except Exception as exc:   # exit 1 is reserved for failed identities
+        print(f"internal error: {type(exc).__name__}: "
+              + " ".join(str(exc).split()), file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import integrate, sparse
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DomainError, HypothesisViolation
+from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
 from .fundamental import fundamental_batch
 from .principal import DEFAULT_SEED, comparison_metric
@@ -107,10 +107,18 @@ class DistanceField:
 
 
 def nearest_node(grid, x0):
-    """Grid index tuple of the node closest to chart point x0."""
+    """Grid index tuple of the node closest to chart point x0, measuring
+    distance modulo the period on periodic axes."""
     x0 = np.asarray(x0, dtype=float)
-    return tuple(int(np.argmin(np.abs(ax - x0[k])))
-                 for k, ax in enumerate(grid.axes))
+    index = []
+    for k, ax in enumerate(grid.axes):
+        d = np.abs(ax - x0[k])
+        if grid.periodic[k]:
+            period = ax.size * grid.spacing[k]
+            d = np.mod(d, period)
+            d = np.minimum(d, period - d)
+        index.append(int(np.argmin(d)))
+    return tuple(index)
 
 
 def _stencil_graph(grid):
@@ -307,8 +315,14 @@ def reference_ball_volume(c, n, r):
     if c > 0 and r > math.pi / a:
         raise ValueError("radius exceeds the diameter of the sphere")
     sn = math.sinh if c < 0 else math.sin
-    val, _ = integrate.quad(lambda t: (sn(a * t) / a) ** (n - 1), 0.0, r)
-    return area * val
+    try:
+        vol = area * integrate.quad(
+            lambda t: (sn(a * t) / a) ** (n - 1), 0.0, r)[0]
+    except OverflowError:      # sinh beyond the float range
+        vol = math.inf
+    if math.isinf(vol):
+        raise ConfigError(f"radius {r:g}: reference ball volume overflows")
+    return vol
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +534,9 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
+    # before the grid work, so that an overflowing radius fails at once
+    refs = [reference_ball_volume(chart.c, chart.n, r)
+            if chart.c is not None else math.nan for r in radii]
 
     if resolution is None:
         resolution = DEFAULT_RESOLUTION if chart.n == 2 else 65
@@ -560,7 +577,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
                                      math.nan, "C = 0 (exploratory)"))
 
     budget_vol = 2.0 * df_g.overshoot
-    for r in radii:
+    for r, ref in zip(radii, refs):
         S = ball_max_sff(df_g, sff_sq, r)
         psi = r * math.sqrt(S + C)
         vol, truncated = ball_volume(df_g, sqrt_det_g, r)
@@ -570,8 +587,6 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
                 "lower bound only")
         bound = (r ** n * (1.0 + S / C) ** (n / 2.0) * omega
                  if C > 0 else math.nan)
-        ref = (reference_ball_volume(chart.c, n, r)
-               if chart.c is not None else math.nan)
         rows.append(GrowthRow(r, S, psi, vol, bound, ref, truncated))
         if C > 0:
             verdicts.append(

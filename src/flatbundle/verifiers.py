@@ -32,7 +32,6 @@ class ResidualReport:
     vacuous: bool = False
     notes: str = ""
     residual_grid: object = None   # per-point residuals (NaN where skipped)
-    grid_points: object = None
 
     def summary_line(self):
         verdict = "PASS" if self.passed else "FAIL"
@@ -43,8 +42,7 @@ class ResidualReport:
                 f"skipped={self.skipped}")
 
 
-def residual_report(identity, residuals, tol, engine, grid_points=None,
-                    notes=""):
+def residual_report(identity, residuals, tol, engine, notes=""):
     """Summarize per-point residuals over their finite entries; with none
     finite the report is a vacuous pass."""
     r = np.asarray(residuals, dtype=float)
@@ -53,16 +51,20 @@ def residual_report(identity, residuals, tol, engine, grid_points=None,
     if finite.size == 0:
         return ResidualReport(identity, 0.0, 0.0, 0.0, 0.0, tol, True,
                               0, skipped, engine, vacuous=True, notes=notes,
-                              residual_grid=r, grid_points=grid_points)
+                              residual_grid=r)
     return ResidualReport(
         identity, float(np.max(finite)), float(np.mean(finite)),
         float(np.quantile(finite, 0.5)), float(np.quantile(finite, 0.9)),
         tol, bool(np.max(finite) <= tol), int(finite.size), skipped, engine,
-        notes=notes, residual_grid=r, grid_points=grid_points)
+        notes=notes, residual_grid=r)
 
 
-def _masked(res, mask):
-    return np.where(mask, res, np.nan)
+def _field_report(identity, pf, worst, tol):
+    """Report per-point residuals on the coherent points of pf whose
+    principal normals are pairwise distinct."""
+    mask = pf.coherent & _distinct_mask(pf)
+    return residual_report(identity, np.where(mask, worst, np.nan), tol,
+                           pf.engine)
 
 
 def _distinct_mask(pf):
@@ -88,22 +90,19 @@ def check_gauss(pf, c, ctilde, tol=None):
         tol = engines.DEFAULT_TOL[pf.engine]
     n = pf.n
     target = c - ctilde
-    mask = pf.coherent & _distinct_mask(pf)
-    worst = np.zeros(mask.shape)
+    worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             ip = np.sum(pf.pb.eta[..., i, :] * pf.pb.eta[..., j, :], axis=-1)
             worst = np.maximum(worst, np.abs(ip - target))
-    return residual_report("gauss", _masked(worst, mask), tol,
-                           pf.engine, grid_points=pf.grid.points)
+    return _field_report("gauss", pf, worst, tol)
 
 
 def check_codazzi_c1(pf, tol=DERIVED_TOL):
     """perp-derivative of eta_i along X_j vs <nabla_{X_i}X_i, X_j>(eta_i-eta_j)."""
     amb = pf.chart.ambient
     n = pf.n
-    mask = pf.coherent & _distinct_mask(pf)
-    worst = np.zeros(mask.shape)
+    worst = 0.0
     for i in range(n):
         scale = np.maximum(1.0, pf.pb.eta_sq[..., i])
         for j in range(n):
@@ -121,8 +120,7 @@ def check_codazzi_c1(pf, tol=DERIVED_TOL):
             diff = lhs - rhs
             r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
             worst = np.maximum(worst, r)
-    return residual_report("codazzi_c1", _masked(worst, mask), tol,
-                           pf.engine, grid_points=pf.grid.points)
+    return _field_report("codazzi_c1", pf, worst, tol)
 
 
 def check_codazzi_c2(pf, tol=DERIVED_TOL):
@@ -131,11 +129,9 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
     amb = pf.chart.ambient
     n = pf.n
     if n < 3:
-        return ResidualReport("codazzi_c2", 0.0, 0.0, 0.0, 0.0, tol, True,
-                              0, 0, pf.engine, vacuous=True,
-                              notes="n < 3: no index triples")
-    mask = pf.coherent & _distinct_mask(pf)
-    worst = np.zeros(mask.shape)
+        return residual_report("codazzi_c2", [], tol, pf.engine,
+                               notes="n < 3: no index triples")
+    worst = 0.0
     for i in range(n):
         scale = np.maximum(1.0, pf.pb.eta_sq[..., i])
         for j in range(n):
@@ -156,8 +152,7 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
                                         - pf.pb.eta_cont[..., l, :])
                 r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
                 worst = np.maximum(worst, r)
-    return residual_report("codazzi_c2", _masked(worst, mask), tol,
-                           pf.engine, grid_points=pf.grid.points)
+    return _field_report("codazzi_c2", pf, worst, tol)
 
 
 def check_connection_formula(pf, tol=DERIVED_TOL):
@@ -166,8 +161,7 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
     n = pf.n
     if pf.pb.lambdas is None:
         raise ValueError("connection formula needs lambdas: pass C > 0")
-    mask = pf.coherent & _distinct_mask(pf)
-    worst = np.zeros(mask.shape)
+    worst = 0.0
     lam = pf.pb.lambdas
     for i in range(n):
         gam_ii = pf.directional(pf.pb.X_cont[..., i, :],
@@ -179,24 +173,31 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
             rhs = lam[..., i] * pf.directional(1.0 / lam[..., i],
                                                pf.pb.X_chart[..., j, :])
             worst = np.maximum(worst, np.abs(lhs - rhs))
-    return residual_report("connection_nn", _masked(worst, mask), tol,
-                           pf.engine, grid_points=pf.grid.points)
+    return _field_report("connection_nn", pf, worst, tol)
 
 
 # ---------------------------------------------------------------------------
 # curvature of sampled metric fields
 
+def _contract(a, b):
+    """sum_l a[..., l] * b[..., l], accumulated in place in l order."""
+    out = a[..., 0] * b[..., 0]
+    for l in range(1, a.shape[-1]):
+        out += a[..., l] * b[..., l]
+    return out
+
+
 def christoffel_field(G, grid):
     """Christoffel symbols Gamma^k_{ij} of a sampled metric field."""
-    n = G.shape[-1]
-    Ginv = np.linalg.inv(G)
     dG = np.stack([grid_deriv(G, m, grid.spacing[m], grid.periodic[m])
                    for m in range(grid.ndim)], axis=-3)   # (..., m, i, j)
     # Gamma_{ij,l} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    low = 0.5 * (dG
-                 + np.einsum("...jil->...ijl", dG)
-                 - np.einsum("...lij->...ijl", dG))
-    return np.einsum("...kl,...ijl->...ijk", Ginv, low)
+    low = dG + np.swapaxes(dG, -3, -2)
+    low -= np.moveaxis(dG, -3, -1)
+    low *= 0.5
+    # Gamma^k_{ij} = sum_l g^{kl} Gamma_{ij,l}
+    Ginv = np.linalg.inv(G)
+    return _contract(Ginv[..., None, None, :, :], low[..., :, :, None, :])
 
 
 def riemann_field(G, grid):
@@ -206,22 +207,29 @@ def riemann_field(G, grid):
     dGam = np.stack([grid_deriv(Gam, m, grid.spacing[m], grid.periodic[m])
                      for m in range(grid.ndim)], axis=-4)  # (..., m, i, j, k)
     # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik}
-    term1 = dGam                               # [..., i, j, k, l] = d_i Gamma^l_{jk}
-    term2 = np.swapaxes(dGam, -4, -3)          # d_j Gamma^l_{ik}
-    quad1 = np.einsum("...iml,...jkm->...ijkl", Gam, Gam)
-    quad2 = np.einsum("...jml,...ikm->...ijkl", Gam, Gam)
-    Rup = term1 - term2 + quad1 - quad2        # R^l_{kij} at [..., i, j, k, l]
-    return np.einsum("...lm,...ijkl->...ijkm", G, Rup)
+    #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
+    # stored at [..., i, j, k, l]
+    Rup = dGam - np.swapaxes(dGam, -4, -3)
+    del dGam
+    GamT = np.swapaxes(Gam, -2, -1)           # (..., i, l, m) = Gamma^l_{im}
+    Rup += _contract(GamT[..., :, None, None, :, :],
+                     Gam[..., None, :, :, None, :])
+    Rup -= _contract(GamT[..., None, :, None, :, :],
+                     Gam[..., :, None, :, None, :])
+    # R_{ijkm} = sum_l g_{lm} R^l_{kij}
+    return _contract(np.swapaxes(G, -2, -1)[..., None, None, None, :, :],
+                     Rup[..., :, :, :, None, :])
 
 
 def constant_curvature_residual(G, grid, c):
     """Max |R_{ijkl} - c (g_ik g_jl - g_il g_jk)| / (1 + |g|^2) per point."""
     R = riemann_field(G, grid)
     # <R(X,Y)Z,W> = c(<Y,Z><X,W> - <X,Z><Y,W>)
-    model = c * (np.einsum("...jk,...il->...ijkl", G, G)
-                 - np.einsum("...ik,...jl->...ijkl", G, G))
-    num = np.max(np.abs(R - model), axis=(-4, -3, -2, -1))
+    model = G[..., None, :, :, None] * G[..., :, None, None, :]
+    model -= G[..., :, None, :, None] * G[..., None, :, None, :]
+    model *= c
+    R -= model
+    num = np.max(np.abs(R, out=R), axis=(-4, -3, -2, -1))
     scale = 1.0 + np.sum(G * G, axis=(-2, -1))
     return num / scale
 
@@ -236,8 +244,7 @@ def check_intrinsic_curvature(fb, grid, tol=None):
     if chart.c is None:
         raise ValueError(f"{chart.name} asserts no intrinsic curvature")
     res = constant_curvature_residual(fb.g, grid, chart.c)
-    return residual_report("intrinsic_curvature", res, tol, engine,
-                           grid_points=grid.points)
+    return residual_report("intrinsic_curvature", res, tol, engine)
 
 
 def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL, exploratory=False):
@@ -246,8 +253,7 @@ def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL, exploratory=False):
     cm = comparison_metric(fb, third_fundamental_form(fb), C,
                            exploratory=exploratory)
     res = constant_curvature_residual(cm.g0, grid, 0.0)
-    return residual_report("g0_flat", res, tol, fb.engine,
-                           grid_points=grid.points)
+    return residual_report("g0_flat", res, tol, fb.engine)
 
 
 def verify_chart(chart, grid, C=None, engine=None, seed=None, tols=None):

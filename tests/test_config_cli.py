@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flatbundle
+from flatbundle import cli
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
 from flatbundle.exprchart import parse_chart, parse_expression
@@ -270,6 +271,60 @@ def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
                              "--out", "probe", cwd=workdir)
     assert code == 2, (out, err)
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+def test_cli_radius_overflow_is_config_error(workdir):
+    """sinh overflows in the hyperbolic reference volume: used to raise an
+    uncaught OverflowError, exit 1."""
+    (workdir / "big.ini").write_text(
+        "[chart]\nname = pseudosphere\n"
+        "[growth]\nradii = 1000, 2000\nresolution = 17\n")
+    code, out, err = run_cli("growth", "--config", "big.ini",
+                             "--out", "big", cwd=workdir)
+    assert code == 2, (out, err)
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "radius 1000" in err
+    assert "Traceback" not in err
+
+
+def test_cli_unexpected_exception_exits_3(workdir, monkeypatch, capsys):
+    def boom(cfg, out_dir):
+        raise RuntimeError("unexpected\nbreakage")
+
+    monkeypatch.setattr(cli, "run_verify", boom)
+    code = cli.main(["verify", "--config", str(workdir / "ps.ini"),
+                     "--out", str(workdir / "boom")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL == 3
+    assert err == "internal error: RuntimeError: unexpected breakage\n"
+
+
+def _csv_per_row(header, columns):
+    rows = np.hstack(columns)
+    fmt = ",".join(["%.17g"] * rows.shape[1])
+    return "\n".join([",".join(header)]
+                     + [fmt % tuple(r) for r in rows.tolist()]) + "\n"
+
+
+def test_csv_matches_per_row_formatting():
+    nan_payload = np.array([0x7FF8000000000123], dtype=np.int64).view(float)
+    special = np.array([0.0, -0.0, np.nan, -np.nan, nan_payload[0], np.inf,
+                        -np.inf, 5e-324, -2.5e-310, np.finfo(float).tiny,
+                        np.finfo(float).max, 1.0, 0.1, 1.0 / 3.0])
+    rng = np.random.default_rng(7)
+    repeated = rng.choice(special, size=(200, 2))
+    grid = np.repeat(np.linspace(-1.0, 1.0, 5), 40)[:, None]
+    cases = [
+        (["a", "b", "c"], (repeated, grid)),
+        (["a"], (special[:, None],)),
+        (["x", "y"], (special[None, :1], special[None, 1:2])),   # 1 row
+        (["k%d" % i for i in range(special.size)], (special[None, :],)),
+        (["t", "u"], (grid[:, :1].copy(), -grid)),
+    ]
+    for header, columns in cases:
+        assert cli._csv(header, columns) == _csv_per_row(header, columns)
+    # 0.0 and -0.0 stay distinct
+    assert cli._csv(["z"], (np.array([[0.0], [-0.0]]),)) == "z\n0\n-0\n"
 
 
 def test_cli_engine_and_seed_overrides(workdir):

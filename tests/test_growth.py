@@ -9,7 +9,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
 from flatbundle import catalog
-from flatbundle.errors import DomainError, HypothesisViolation
+from flatbundle.errors import (ConfigError, DomainError,
+                               HypothesisViolation)
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.growth import (_stencil_graph, _strict_verdict,
@@ -92,6 +93,30 @@ def test_path_max_dominates_field(plane_df):
         float(field[df.anchor_index]))
     # far on the negative-x side the path must have crossed larger x
     assert float(pm[0, 80]) > float(field[0, 80])
+
+
+def test_nearest_node_wraps_periodic_axes(clifford):
+    """An x0 beyond a periodic axis's range snaps to the node nearest its
+    wrapped image, not to the edge node."""
+    grid = make_grid(clifford.chart, 65)
+    assert grid.periodic == (True, True)
+    assert nearest_node(grid, (10.0, 3.0)) == (38, 31)
+    assert nearest_node(grid, (10.0 - 2.0 * math.pi, 3.0)) == (38, 31)
+    assert nearest_node(grid, (-2.0 * math.pi, 3.0 + 4.0 * math.pi)) \
+        == (0, 31)
+
+
+def test_nearest_node_just_below_the_period_is_node_zero(clifford,
+                                                         pseudosphere):
+    grid = make_grid(clifford.chart, 65)
+    lo = grid.axes[0][0]
+    period = 65 * grid.spacing[0]
+    below = lo + period - 0.1 * grid.spacing[0]
+    assert nearest_node(grid, (below, below)) == (0, 0)
+    # a non-periodic axis still clamps to its edge node
+    ps = make_grid(pseudosphere.chart, 33)
+    assert ps.periodic == (False, True)
+    assert nearest_node(ps, (ps.axes[0][-1] + 5.0, 0.0)) == (32, 0)
 
 
 def test_curve_length_constant_metric():
@@ -293,6 +318,16 @@ def test_reference_ball_volumes():
         math.pi * (math.sinh(3.0) - 3.0), rel=1e-10)
     with pytest.raises(ValueError):
         reference_ball_volume(1.0, 2, 4.0)   # beyond the sphere's diameter
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_reference_ball_volume_overflow_is_config_error():
+    """sinh(1000) raises OverflowError; at r = 710 sinh is finite but the
+    volume is not.  Both are config errors naming the radius."""
+    for r in (710.0, 1000.0, 2000.0):
+        with pytest.raises(ConfigError, match=f"radius {r:g}"):
+            reference_ball_volume(-1.0, 2, r)
+    assert math.isfinite(reference_ball_volume(-1.0, 2, 700.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog
-from flatbundle.fields import make_grid, principal_field
+from flatbundle.fields import grid_deriv, make_grid, principal_field
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.verifiers import (check_codazzi_c1, check_codazzi_c2,
                                   check_connection_formula, check_g0_flat,
                                   check_gauss, check_intrinsic_curvature,
-                                  verify_chart)
+                                  constant_curvature_residual, verify_chart)
 
 
 def test_identity_suite_pseudosphere(pseudosphere, ps_field_33):
@@ -109,3 +109,45 @@ def test_reports_record_engine_and_counts(dini_field_65):
 def test_gauge_coherence_on_grids(ps_field_33, dini_field_65):
     assert ps_field_33.n_incoherent == 0
     assert dini_field_65.n_incoherent == 0
+
+
+# ---------------------------------------------------------------------------
+# curvature kernel against the einsum formulas it replaced
+
+def _einsum_residual(G, grid, c):
+    def d(A, k):
+        return np.stack([grid_deriv(A, m, grid.spacing[m], grid.periodic[m])
+                         for m in range(grid.ndim)], axis=-k)
+    dG = d(G, 3)
+    low = 0.5 * (dG + np.einsum("...jil->...ijl", dG)
+                 - np.einsum("...lij->...ijl", dG))
+    Gam = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(G), low)
+    dGam = d(Gam, 4)
+    Rup = (dGam - np.swapaxes(dGam, -4, -3)
+           + np.einsum("...iml,...jkm->...ijkl", Gam, Gam)
+           - np.einsum("...jml,...ikm->...ijkl", Gam, Gam))
+    R = np.einsum("...lm,...ijkl->...ijkm", G, Rup)
+    model = c * (np.einsum("...jk,...il->...ijkl", G, G)
+                 - np.einsum("...ik,...jl->...ijkl", G, G))
+    num = np.max(np.abs(R - model), axis=(-4, -3, -2, -1))
+    return num / (1.0 + np.sum(G * G, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("name, res, exact", [
+    ("pseudosphere", 65, True),
+    ("clifford_torus_s3", 33, True),
+    ("ps3", 17, False),
+])
+def test_curvature_residual_matches_einsum_oracle(name, res, exact):
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    G = fundamental_batch(chart, grid.points, interior_check=False).g
+    for c in (-1.0, 0.0, 1.0):
+        new = constant_curvature_residual(G, grid, c)
+        old = _einsum_residual(G, grid, c)
+        assert np.array_equal(np.isnan(new), np.isnan(old))
+        assert np.isfinite(new).any()
+        if exact:
+            assert np.array_equal(new, old, equal_nan=True)
+        else:
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
