@@ -84,6 +84,8 @@ class ImmersionChart:
     ``map`` takes a sequence of n coordinate scalars (floats, arrays or
     hyper-duals) and returns the container coordinates; writing it with the
     :mod:`flatbundle.dual` math functions makes it AD-differentiable.
+    ``engine`` (``ad`` or ``fd``) is how every layer differentiates the
+    chart; ``dataclasses.replace(chart, engine="fd")`` switches it.
     """
 
     name: str
@@ -116,10 +118,9 @@ class ImmersionChart:
     def fd_step(self):
         return engines.fd_step(self.domain)
 
-    def usable_domain(self, engine=None):
+    def usable_domain(self):
         """Declared domain shrunk by the stencil radius on non-periodic axes."""
-        engine = engine or self.engine
-        if engine == engines.AD:
+        if self.engine == engines.AD:
             return tuple(self.domain)
         h = self.fd_step()
         out = []
@@ -131,9 +132,9 @@ class ImmersionChart:
                 out.append((lo + pad, hi - pad))
         return tuple(out)
 
-    def contains(self, u, engine=None, interior=False):
+    def contains(self, u, interior=False):
         u = np.asarray(u, dtype=float)
-        box = self.usable_domain(engine) if interior else self.domain
+        box = self.usable_domain() if interior else self.domain
         ok = np.ones(u.shape[:-1], dtype=bool)
         for k, (lo, hi) in enumerate(box):
             if self.periodic[k]:
@@ -155,11 +156,10 @@ class ImmersionChart:
                     f"{self.name}: model constraint residual {worst:.3e}")
         return x
 
-    def jet(self, u, engine=None, interior_check=True):
-        engine = engine or self.engine
+    def jet(self, u, interior_check=True):
         u = np.asarray(u, dtype=float)
-        if interior_check and not np.all(self.contains(u, engine, interior=True)):
+        if interior_check and not np.all(self.contains(u, interior=True)):
             raise DomainError(
                 f"stencil around {u!r} leaves domain of {self.name}")
-        h = self.fd_step() if engine == engines.FD else None
-        return engines.jet(self.map, u, self.n, engine=engine, h=h)
+        h = self.fd_step() if self.engine == engines.FD else None
+        return engines.jet(self.map, u, self.n, engine=self.engine, h=h)

@@ -23,9 +23,9 @@ from .fields import make_grid
 from .flows import (build_flow_map, check_flow_identities,
                     commutator_residual, flow_points,
                     verify_principal_frame_property)
-from .fundamental import fundamental_batch
+from .fundamental import flatness_verdict, fundamental_batch
 from .growth import growth_report
-from .verifiers import verify_chart
+from .verifiers import gap_violation, verify_chart
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -40,10 +40,10 @@ def _write(path, text):
         fh.write(text)
 
 
-def _header(cfg, chart, engine, extra=()):
+def _header(cfg, chart, extra=()):
     lines = [
         f"chart = {chart.name}",
-        f"engine = {engine}",
+        f"engine = {chart.engine}",
         f"seed = {cfg.seed}",
         f"grid = {','.join(str(r) for r in cfg.grid_resolution(chart.n))}",
         "tolerances = " + (",".join(
@@ -76,13 +76,12 @@ def _finish(out_dir, name, lines, code):
     return code
 
 
-def _base_point(cfg, chart, engine):
+def _base_point(cfg, chart):
     """The configured x0, or the centre of the usable domain."""
-    box = chart.usable_domain(engine)
+    box = chart.usable_domain()
     if cfg.x0 is None:
         return tuple(0.5 * (lo + hi) for lo, hi in box)
-    if len(cfg.x0) != chart.n \
-            or not chart.contains(cfg.x0, engine, interior=True):
+    if len(cfg.x0) != chart.n or not chart.contains(cfg.x0, interior=True):
         raise ConfigError(
             f"x0 = {','.join('%g' % x for x in cfg.x0)} must be {chart.n} "
             f"coordinates inside the usable domain "
@@ -92,40 +91,10 @@ def _base_point(cfg, chart, engine):
 
 def run_verify(cfg, out_dir):
     chart = cfg.make_chart()
-    engine = cfg.engine or chart.engine
-    grid = make_grid(chart, cfg.grid_resolution(chart.n), engine=engine)
-    lines = _header(cfg, chart, engine)
-    reports = []
-    skipped = []
-
-    stride = tuple(max(1, s // 16) for s in grid.shape)
-    sample = grid.points[tuple(slice(None, None, st) for st in stride)]
-    fb = fundamental_batch(chart, sample, engine=engine,
-                           interior_check=False)
-    flat_res = float(np.max(fb.flatness_residual()))
-    flat_tol = 10.0 * engines.DEFAULT_TOL[engine]
-
-    if flat_res > flat_tol:
-        for name in ("gauss", "codazzi_c1", "codazzi_c2",
-                     "connection_nn", "g0_flat"):
-            skipped.append(
-                f"{name} SKIPPED by hypothesis (normal bundle not flat, "
-                f"residual {flat_res:.3e})")
-    else:
-        reports = verify_chart(chart, grid, engine=engine, seed=cfg.seed,
-                               tols=cfg.tolerances)
-        C = chart.C
-        if C is None or C <= 0:
-            reason = ("intrinsic curvature unasserted" if C is None
-                      else f"curvature gap C = {C:g} <= 0")
-            for name in ("connection_nn", "g0_flat"):
-                skipped.append(f"{name} SKIPPED by hypothesis ({reason})")
-        if chart.c is None:
-            for name in ("intrinsic_curvature", "gauss"):
-                skipped.append(
-                    f"{name} SKIPPED by hypothesis "
-                    "(intrinsic curvature unasserted)")
-
+    grid = make_grid(chart, cfg.grid_resolution(chart.n))
+    reports, skipped = verify_chart(chart, grid, seed=cfg.seed,
+                                    tols=cfg.tolerances)
+    lines = _header(cfg, chart)
     head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
     pts = grid.points.reshape(-1, chart.n)
     for rep in reports:
@@ -133,7 +102,8 @@ def run_verify(cfg, out_dir):
         if rep.residual_grid.size == len(pts):     # not a vacuous n < 3 c2
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
                    _csv(head, (pts, rep.residual_grid.reshape(-1, 1))))
-    lines.extend(skipped)
+    lines.extend(f"{name} SKIPPED by hypothesis ({why})"
+                 for name, why in skipped.items())
     failed = [r for r in reports if not r.passed]
     return _finish(out_dir, "verify", lines,
                    EXIT_FAILED if failed else EXIT_OK)
@@ -141,19 +111,21 @@ def run_verify(cfg, out_dir):
 
 def run_growth(cfg, out_dir, strict=False):
     chart = cfg.make_chart()
-    engine = cfg.engine or chart.engine
-    x0 = _base_point(cfg, chart, engine)
-    lines = _header(cfg, chart, engine,
+    x0 = _base_point(cfg, chart)
+    lines = _header(cfg, chart,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}"])
     try:
         rep = growth_report(chart, x0, cfg.radii, window=cfg.window,
-                            resolution=cfg.growth_resolution, engine=engine,
-                            seed=cfg.seed, exploratory=cfg.exploratory)
+                            resolution=cfg.growth_resolution, seed=cfg.seed,
+                            exploratory=cfg.exploratory)
     except HypothesisViolation as exc:
         lines.append(f"bound_chain SKIPPED by hypothesis ({exc})")
         return _finish(out_dir, "growth", lines, EXIT_OK)
 
-    _write(os.path.join(out_dir, "growth.csv"), rep.to_csv())
+    _write(os.path.join(out_dir, "growth.csv"),
+           _csv(["r", "S", "psi", "vol", "bound", "ref_vol"],
+                ([[row.r, row.S, row.psi, row.vol, row.bound, row.ref_vol]
+                  for row in rep.rows],)))
     if rep.fit is not None:
         k, ell, r2 = rep.fit
         lines.append("fit S(r): k=%s ell=%s r2=%s window=%g:%g"
@@ -172,20 +144,23 @@ def run_growth(cfg, out_dir, strict=False):
 
 def run_coords(cfg, out_dir):
     chart = cfg.make_chart()
-    engine = cfg.engine or chart.engine
     n = chart.n
-    x0 = _base_point(cfg, chart, engine)
-    lines = _header(cfg, chart, engine,
+    x0 = _base_point(cfg, chart)
+    lines = _header(cfg, chart,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}",
                            f"flow_step = {cfg.flow_step:g}"])
     C = chart.C
-    if C is None or C <= 0:
-        reason = ("intrinsic curvature unasserted" if C is None
-                  else f"curvature gap C = {C:g} <= 0")
+    reason = gap_violation(C)
+    if reason is None:      # the flows need commuting shape operators
+        flat, res, tol = flatness_verdict(fundamental_batch(chart, x0))
+        if not flat:
+            reason = (f"normal bundle not flat at x0, residual {res:.3e} "
+                      f"> {tol:.1e}")
+    if reason is not None:
         lines.append(f"principal_coordinates SKIPPED by hypothesis ({reason})")
         return _finish(out_dir, "coords", lines, EXIT_OK)
 
-    kw = dict(C=C, step=cfg.flow_step, engine=engine, seed=cfg.seed)
+    kw = dict(C=C, step=cfg.flow_step, seed=cfg.seed)
     fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
                         cfg.flow_resolution, **kw)
     T = np.stack(np.meshgrid(*fm.t_axes, indexing="ij"), axis=-1)
@@ -196,7 +171,7 @@ def run_coords(cfg, out_dir):
         lines.append(f"WARN {w}")
 
     failed = False
-    comm = commutator_residual(chart, x0, C=C, engine=engine, seed=cfg.seed)
+    comm = commutator_residual(chart, x0, C=C, seed=cfg.seed)
     comm_tol = 1e-4
     ok = comm <= comm_tol
     failed |= not ok
@@ -212,15 +187,15 @@ def run_coords(cfg, out_dir):
     y, refs = flow_points(chart, np.asarray(x0, float)[None, :], 0, t1, **kw)
     back, _ = flow_points(chart, y, 0, -t1, refs=refs, **kw)
     rt = float(np.max(np.abs(back[0] - np.asarray(x0))))
-    rt_tol = 1e-8 if engine == engines.AD else engines.DEFAULT_TOL[engine]
+    rt_tol = (1e-8 if chart.engine == engines.AD
+              else engines.DEFAULT_TOL[chart.engine])
     ok = rt <= rt_tol
     failed |= not ok
     lines.append(f"flow_round_trip {'PASS' if ok else 'FAIL'} max={rt:.3e} "
                  f"tol={rt_tol:.1e}")
 
     try:
-        for rep in verify_principal_frame_property(fm, engine=engine,
-                                                   seed=cfg.seed).values():
+        for rep in verify_principal_frame_property(fm, seed=cfg.seed).values():
             failed |= not rep.passed
             lines.append(rep.summary_line())
     except HypothesisViolation as exc:

@@ -5,7 +5,7 @@ has a default so a minimal config only names a chart."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import catalog, engines, exprchart
 from .errors import ConfigError
@@ -45,12 +45,18 @@ class RunConfig:
     seed: int = 12345
 
     def make_chart(self):
+        """The configured chart, differentiated by the configured engine
+        (the chart's own when none is set)."""
         if self.expression_path is not None:
-            return exprchart.load_chart(self.expression_path)
-        try:
-            return catalog.get(self.chart_name, **self.chart_params).chart
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad chart request: {exc}") from None
+            chart = exprchart.load_chart(self.expression_path)
+        else:
+            try:
+                chart = catalog.get(self.chart_name, **self.chart_params).chart
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad chart request: {exc}") from None
+        if self.engine is not None:
+            chart = replace(chart, engine=self.engine)
+        return chart
 
     def grid_resolution(self, n):
         res = self.resolution

@@ -47,14 +47,14 @@ class Grid:
         return float(np.prod(self.spacing))
 
 
-def make_grid(chart, resolution, engine=None, box=None):
+def make_grid(chart, resolution, box=None):
     """Uniform grid over the chart's usable domain (or a given sub-box).
 
     Periodic axes sample [lo, hi) without the duplicate endpoint.
     """
     if np.isscalar(resolution):
         resolution = (int(resolution),) * chart.n
-    box = tuple(box) if box is not None else chart.usable_domain(engine)
+    box = tuple(box) if box is not None else chart.usable_domain()
     axes, spacing = [], []
     for k, ((lo, hi), r) in enumerate(zip(box, resolution)):
         if chart.periodic[k]:
@@ -96,7 +96,6 @@ class PrincipalField:
     pb: object               # PrincipalBatch (coherent gauge)
     coherent: np.ndarray     # bool mask of gauge-trustworthy points
     n_incoherent: int
-    engine: str
 
     @property
     def n(self):
@@ -158,13 +157,12 @@ def _signed_permutation(Q):
     return P.reshape(Q.shape), ambiguous
 
 
-def principal_field(chart, grid, C=None, engine=None, seed=None):
+def principal_field(chart, grid, C=None, seed=None):
     """Sample fundamental + principal data on the grid with a coherent gauge."""
     from .principal import DEFAULT_SEED
-    engine = engine or chart.engine
     seed = DEFAULT_SEED if seed is None else seed
     U = grid.points
-    fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
+    fb = fundamental_batch(chart, U, interior_check=False)
     pb = principal_batch(fb, C=C, seed=seed)
 
     sig = chart.ambient.signature
@@ -205,4 +203,4 @@ def principal_field(chart, grid, C=None, engine=None, seed=None):
         coherent &= ~np.roll(bad, 1, axis=ax)
 
     return PrincipalField(chart, grid, fb, pb, coherent,
-                          int(np.sum(~coherent)), engine)
+                          int(np.sum(~coherent)))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engines import AD, DEFAULT_TOL
 from .errors import CoherenceError, DomainExitError, HypothesisViolation
 from .fields import Grid, _signed_permutation, grid_deriv, principal_field
 from .fundamental import fundamental_batch
@@ -26,8 +27,7 @@ MAX_BOX_SHRINKS = 8
 BOX_SHRINK = 0.8
 
 
-def aligned_principal(chart, U, C=None, refs=None, engine=None,
-                      seed=DEFAULT_SEED):
+def aligned_principal(chart, U, C=None, refs=None, seed=DEFAULT_SEED):
     """Principal decomposition at U, gauge-aligned to reference frames.
 
     refs : (..., n, N) container direction frames to match (label and sign
@@ -35,13 +35,13 @@ def aligned_principal(chart, U, C=None, refs=None, engine=None,
     """
     if C is None:
         C = chart.C
-    fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
+    fb = fundamental_batch(chart, U, interior_check=False)
     pb = principal_batch(fb, C=C, seed=seed)
     if refs is not None:
         Q = np.einsum("...kN,...lN->...kl", refs * chart.ambient.signature,
                       pb.X_cont)
         pb.regauge(_signed_permutation(Q)[0])
-    return pb, fb
+    return pb
 
 
 def _velocity(pb, i):
@@ -55,7 +55,7 @@ def _velocity(pb, i):
 
 
 def flow_points(chart, U0, i, t, C=None, refs=None, step=DEFAULT_STEP,
-                engine=None, seed=DEFAULT_SEED):
+                seed=DEFAULT_SEED):
     """Advance each point of U0 (M, n) by its own parameter time t along
     the i-th scaled principal direction field.
 
@@ -73,39 +73,35 @@ def flow_points(chart, U0, i, t, C=None, refs=None, step=DEFAULT_STEP,
     i = i if np.isscalar(i) else np.asarray(i)
 
     def decompose(V, ref):
-        if not np.all(chart.contains(V, engine, interior=True)):
-            bad = ~chart.contains(V, engine, interior=True)
+        if not np.all(chart.contains(V, interior=True)):
+            bad = ~chart.contains(V, interior=True)
             k = int(np.argmax(bad))
             raise DomainExitError(
                 f"flow left the usable domain of {chart.name}",
                 exit_time=float(elapsed[k]), last_point=U[k].copy())
-        return aligned_principal(chart, V, C=C, refs=ref, engine=engine,
-                                 seed=seed)
+        return aligned_principal(chart, V, C=C, refs=ref, seed=seed)
 
-    pb, _ = decompose(U, refs)
+    pb = decompose(U, refs)
     refs = pb.X_cont
     while np.any(remaining != 0.0):
         dt = np.clip(remaining, -step, step)[:, None]
         k1 = _velocity(pb, i)
-        p2, _ = decompose(U + 0.5 * dt * k1, refs)
-        k2 = _velocity(p2, i)
-        p3, _ = decompose(U + 0.5 * dt * k2, refs)
-        k3 = _velocity(p3, i)
-        p4, _ = decompose(U + dt * k3, refs)
-        k4 = _velocity(p4, i)
+        k2 = _velocity(decompose(U + 0.5 * dt * k1, refs), i)
+        k3 = _velocity(decompose(U + 0.5 * dt * k2, refs), i)
+        k4 = _velocity(decompose(U + dt * k3, refs), i)
         U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         elapsed += dt[:, 0]
         remaining -= dt[:, 0]
-        pb, _ = decompose(U, refs)
+        pb = decompose(U, refs)
         refs = pb.X_cont
     return U, refs
 
 
-def integrate_flow(chart, x0, i, t, C=None, step=DEFAULT_STEP, engine=None,
+def integrate_flow(chart, x0, i, t, C=None, step=DEFAULT_STEP,
                    seed=DEFAULT_SEED):
     """Single-trajectory convenience wrapper; returns the endpoint."""
     U1, _ = flow_points(chart, np.asarray(x0, dtype=float)[None, :], i, t,
-                        C=C, step=step, engine=engine, seed=seed)
+                        C=C, step=step, seed=seed)
     return U1[0]
 
 
@@ -132,7 +128,7 @@ class FlowMap:
         return np.array([ax[1] - ax[0] for ax in self.t_axes])
 
 
-def _march_axis(chart, A, refs, ax, t_vals, C, step, engine, seed):
+def _march_axis(chart, A, refs, ax, t_vals, C, step, seed):
     """From each point in A (M, n), record the axis-``ax`` flow at every
     parameter time in t_vals.  Returns points (T, M, n), refs (T, M, n, N)."""
     M = A.shape[0]
@@ -148,14 +144,14 @@ def _march_axis(chart, A, refs, ax, t_vals, C, step, engine, seed):
             dt = t_vals[k] - t_prev
             if dt != 0.0:
                 U, R = flow_points(chart, U, ax, dt, C=C, refs=R, step=step,
-                                   engine=engine, seed=seed)
+                                   seed=seed)
             out[k], outref[k] = U, R
             t_prev = t_vals[k]
     return out, outref
 
 
 def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
-                   engine=None, seed=DEFAULT_SEED):
+                   seed=DEFAULT_SEED):
     """Sample F(t_1, ..., t_n) on a parameter-time grid.
 
     ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
@@ -176,13 +172,12 @@ def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
                        for (lo, hi), r in zip(t_box, resolution))
         try:
             A = x0[None, :]
-            pb, _ = aligned_principal(chart, A, C=C, engine=engine, seed=seed)
-            refs = pb.X_cont
+            refs = aligned_principal(chart, A, C=C, seed=seed).X_cont
             dims = ()
             for ax in range(n):
                 M = A.shape[0]
                 out, outref = _march_axis(chart, A, refs, ax, t_axes[ax],
-                                          C, step, engine, seed)
+                                          C, step, seed)
                 dims = dims + (len(t_axes[ax]),)
                 A = np.moveaxis(out.reshape((len(t_axes[ax]),) + dims[:-1]
                                             + (n,)), 0, ax).reshape(-1, n)
@@ -203,8 +198,7 @@ def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
 
 
 def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
-                          step=DEFAULT_STEP, engine=None, seed=DEFAULT_SEED,
-                          rng_seed=None):
+                          step=DEFAULT_STEP, seed=DEFAULT_SEED, rng_seed=None):
     """One-parameter group law and pairwise commutation of the flows.
 
     For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
@@ -226,7 +220,7 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
     j = (i + rng.integers(1, n, n_pairs)) % n if n > 1 else i
 
     U0 = np.broadcast_to(x0, (n_pairs, n)).copy()
-    kw = dict(C=C, step=step, engine=engine, seed=seed)
+    kw = dict(C=C, step=step, seed=seed)
 
     Ut, Rt = flow_points(chart, U0, i, t, **kw)
     Uts, _ = flow_points(chart, Ut, i, s, refs=Rt, **kw)
@@ -238,16 +232,13 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
     Uji, _ = flow_points(chart, Us, i, t, refs=Rs, **kw)
     comm = np.max(np.abs(Uij - Uji), axis=-1)
 
-    from .engines import DEFAULT_TOL
-    eng = engine or chart.engine
-    tol = 1e-6 if eng == "ad" else DEFAULT_TOL[eng]
+    tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]
     return residual_report("flow_group_law", np.concatenate([add, comm]),
-                           tol, eng,
+                           tol, chart,
                            notes=f"{n_pairs} random (t, s) pairs in {t_range}")
 
 
-def commutator_residual(chart, u0, C=None, h=None, engine=None,
-                        seed=DEFAULT_SEED):
+def commutator_residual(chart, u0, C=None, h=None, seed=DEFAULT_SEED):
     """Max g-norm of [Y_i, Y_j] at u0 from a local finite-difference stencil,
     relative to max(1, |alpha|)."""
     if C is None:
@@ -258,7 +249,7 @@ def commutator_residual(chart, u0, C=None, h=None, engine=None,
         h = 1e-2 * min(hi - lo for lo, hi in chart.domain)
     axes = tuple(u0[k] + h * np.arange(-2, 3) for k in range(n))
     grid = Grid(axes, np.full(n, h), (False,) * n)
-    pf = principal_field(chart, grid, C=C, engine=engine, seed=seed)
+    pf = principal_field(chart, grid, C=C, seed=seed)
     if not np.all(pf.coherent):
         raise CoherenceError(
             f"principal gauge incoherent on the local stencil at {u0}")
@@ -277,7 +268,7 @@ def commutator_residual(chart, u0, C=None, h=None, engine=None,
     return worst
 
 
-def verify_principal_frame_property(flow_map, engine=None, seed=DEFAULT_SEED):
+def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     """Check that the flow map is a principal-coordinate chart.
 
     The parameter-time Jacobian columns J_ax (grid finite differences of
@@ -293,11 +284,9 @@ def verify_principal_frame_property(flow_map, engine=None, seed=DEFAULT_SEED):
     """
     chart = flow_map.chart
     C = flow_map.C
-    eng = engine or chart.engine
     n = chart.n
 
-    fb0 = fundamental_batch(chart, flow_map.x0, engine=eng,
-                            interior_check=False)
+    fb0 = fundamental_batch(chart, flow_map.x0, interior_check=False)
     dec = principal_decomposition(fb0, C=C, seed=seed)
     if dec.s < n:
         raise HypothesisViolation(
@@ -309,7 +298,8 @@ def verify_principal_frame_property(flow_map, engine=None, seed=DEFAULT_SEED):
     J = np.stack([grid_deriv(U, ax, ht[ax], periodic=False)
                   for ax in range(n)], axis=-2)            # grid + (ax, k)
 
-    pb, fb = aligned_principal(chart, U, C=C, engine=eng, seed=seed)
+    pb = aligned_principal(chart, U, C=C, seed=seed)
+    fb = pb.fb
     g = fb.g
     JgJ = np.einsum("...ak,...kl,...bl->...ab", J, g, J)
     norms = np.sqrt(np.einsum("...aa->...a", JgJ))
@@ -330,17 +320,16 @@ def verify_principal_frame_property(flow_map, engine=None, seed=DEFAULT_SEED):
     P = np.einsum("...ak,...kl,...bl->...ab", J, g0, J)
     pull = np.max(np.abs(P - np.eye(n)), axis=(-2, -1))
 
-    from .engines import DEFAULT_TOL
-    base = DEFAULT_TOL[eng]
     hmax = float(np.max(ht))
     fd_floor = 100.0 * hmax ** 4
     tol_frame = max(1e-3, fd_floor)
     notes = f"grid {U.shape[:-1]}, t-spacing max {hmax:.3g}"
     return {
         "frame_orthonormality": residual_report(
-            "frame_orthonormality", ortho, tol_frame, eng, notes=notes),
+            "frame_orthonormality", ortho, tol_frame, chart, notes=notes),
         "frame_alignment": residual_report(
-            "frame_alignment", align, tol_frame, eng, notes=notes),
+            "frame_alignment", align, tol_frame, chart, notes=notes),
         "pullback_identity": residual_report(
-            "pullback_identity", pull, max(1e-3, fd_floor), eng, notes=notes),
+            "pullback_identity", pull, max(1e-3, fd_floor), chart,
+            notes=notes),
     }

@@ -49,7 +49,6 @@ class FundamentalBatch:
     sff_sq: np.ndarray
     obasis: np.ndarray
     obasis_sq: np.ndarray
-    engine: str
 
     @property
     def n(self):
@@ -92,11 +91,10 @@ class FundamentalBatch:
         return res / np.maximum(1.0, self.sff_sq)
 
 
-def fundamental_batch(chart, U, engine=None, interior_check=True):
+def fundamental_batch(chart, U, interior_check=True):
     """Compute fundamental data at points U of shape (..., n)."""
-    engine = engine or chart.engine
     U = np.asarray(U, dtype=float)
-    J = chart.jet(U, engine=engine, interior_check=interior_check)
+    J = chart.jet(U, interior_check=interior_check)
     amb = chart.ambient
     inner = amb.inner
     n = chart.n
@@ -178,17 +176,22 @@ def fundamental_batch(chart, U, engine=None, interior_check=True):
     sff_sq = np.einsum("...ik,...jl,...ija,...kla->...",
                        ginv, ginv, alpha, alpha)
     return FundamentalBatch(chart, U, J.value, T, g, ginv, alpha_cont,
-                            frame, alpha, sff_sq, obasis, obasis_sq, engine)
+                            frame, alpha, sff_sq, obasis, obasis_sq)
 
 
 # ---------------------------------------------------------------------------
-# pointwise convenience API
+# the flat-normal-bundle hypothesis
 
-def normal_bundle_is_flat(chart, u, engine=None, tol=None):
+def flatness_verdict(fb):
+    """(is_flat, residual, tol) over a batch: the normal bundle counts as
+    flat when the largest shape-operator commutator residual is at most
+    ten times the default residual tolerance of the chart's engine."""
+    res = float(np.max(fb.flatness_residual()))
+    tol = 10.0 * engines.DEFAULT_TOL[fb.chart.engine]
+    return res <= tol, res, tol
+
+
+def normal_bundle_is_flat(chart, u):
     """(is_flat, residual) from the shape-operator commutators at u."""
-    engine = engine or chart.engine
-    if tol is None:
-        tol = engines.DEFAULT_TOL[engine] * 10
-    fd = fundamental_batch(chart, u, engine=engine)
-    res = float(np.max(fd.flatness_residual()))
-    return res <= tol, res
+    flat, res, _ = flatness_verdict(fundamental_batch(chart, u))
+    return flat, res

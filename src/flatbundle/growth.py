@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
-from .fundamental import fundamental_batch
+from .fundamental import flatness_verdict, fundamental_batch
 from .principal import DEFAULT_SEED, comparison_metric
 
 DEFAULT_RESOLUTION = 257
@@ -206,10 +206,9 @@ def distance_field(grid, metric_fn, anchor_index, label="g"):
                            anchor_index)[label]
 
 
-def induced_metric_fn(chart, engine=None):
+def induced_metric_fn(chart):
     def fn(U):
-        return fundamental_batch(chart, U, engine=engine,
-                                 interior_check=False).g
+        return fundamental_batch(chart, U, interior_check=False).g
     return fn
 
 
@@ -222,14 +221,14 @@ def _metric_pair(fb, C, exploratory=False):
 # ---------------------------------------------------------------------------
 # curve lengths
 
-def _polyline_samples(chart, polyline, engine, samples_per_segment):
+def _polyline_samples(chart, polyline, samples_per_segment):
     """Composite-midpoint samples (segments, samples, n) of a chart
     polyline and the chart step (segments, n) that each sample stands for."""
     P = np.asarray(polyline, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ValueError("polyline needs at least two chart points")
-    if not np.all(chart.contains(P, engine)):
-        bad = np.argwhere(~chart.contains(P, engine))[0, 0]
+    if not np.all(chart.contains(P)):
+        bad = np.argwhere(~chart.contains(P))[0, 0]
         raise DomainError(
             f"polyline vertex {bad} leaves the domain of {chart.name}")
     t = (np.arange(samples_per_segment) + 0.5) / samples_per_segment
@@ -243,20 +242,18 @@ def _polyline_length(seg, gm):
     return float(np.sum(np.sqrt(np.einsum("si,smij,sj->sm", seg, gm, seg))))
 
 
-def curve_length(chart, polyline, metric="g", C=None, engine=None,
-                 samples_per_segment=64, exploratory=False):
+def curve_length(chart, polyline, metric="g", C=None, samples_per_segment=64):
     """Composite midpoint length of a chart polyline, plus the path max of
     the squared second-fundamental-form norm (the paper's \\hat S).
 
     metric is "g" (induced) or "g0" (comparison).
     """
-    mids, seg = _polyline_samples(chart, polyline, engine,
-                                  samples_per_segment)
-    fb = fundamental_batch(chart, mids, engine=engine, interior_check=False)
+    mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
+    fb = fundamental_batch(chart, mids, interior_check=False)
     if metric == "g":
         gm = fb.g
     elif metric == "g0":
-        gm = comparison_metric(fb, C=C, exploratory=exploratory).g0
+        gm = comparison_metric(fb, C=C).g0
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
@@ -397,7 +394,7 @@ def _strict_verdict(name, lhs, rhs, budget, notes=""):
     return ChainVerdict(name, verdict, margin, budget, notes, compared)
 
 
-def check_length_inequality(chart, C=None, engine=None, n_curves=20,
+def check_length_inequality(chart, C=None, n_curves=20,
                             rng_seed=DEFAULT_SEED, samples_per_segment=64):
     """Strict length comparison on random polylines: the comparison-metric
     length must stay below sqrt(path max |alpha|^2 + C) times the induced
@@ -407,19 +404,18 @@ def check_length_inequality(chart, C=None, engine=None, n_curves=20,
     if C is None or C <= 0:
         raise HypothesisViolation("length comparison needs C > 0")
     rng = np.random.default_rng(rng_seed)
-    box = np.array(chart.usable_domain(engine))
+    box = np.array(chart.usable_domain())
     lhs, rhs = [], []
     quad_err = 0.0
     for _ in range(n_curves):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
-        mids, seg = _polyline_samples(chart, P, engine, samples_per_segment)
-        fb = fundamental_batch(chart, mids, engine=engine,
-                               interior_check=False)
+        mids, seg = _polyline_samples(chart, P, samples_per_segment)
+        fb = fundamental_batch(chart, mids, interior_check=False)
         metrics = _metric_pair(fb, C)
         Lg = _polyline_length(seg, metrics["g"])
         L0 = _polyline_length(seg, metrics["g0"])
         s_hat = float(np.max(fb.sff_sq))
-        L0c, _ = curve_length(chart, P, "g0", C=C, engine=engine,
+        L0c, _ = curve_length(chart, P, "g0", C=C,
                               samples_per_segment=2 * samples_per_segment)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
         lhs.append(L0)
@@ -489,16 +485,6 @@ class GrowthReport:
     warnings: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    CSV_HEADER = "r,S,psi,vol,bound,ref_vol"
-
-    def to_csv(self):
-        lines = [self.CSV_HEADER]
-        for row in self.rows:
-            lines.append(",".join(
-                "%.17g" % v for v in (row.r, row.S, row.psi, row.vol,
-                                      row.bound, row.ref_vol)))
-        return "\n".join(lines) + "\n"
-
     @property
     def chain_holds(self):
         return all(v.verdict == "pass" for v in self.verdicts)
@@ -512,16 +498,13 @@ def default_fit_window(radii):
 
 
 def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
-                  engine=None, seed=DEFAULT_SEED, exploratory=False,
-                  n_test_curves=20):
+                  seed=DEFAULT_SEED, exploratory=False, n_test_curves=20):
     """Assemble the full growth table and inequality-chain verdicts.
 
     Requires the theorem hypotheses C > 0 and flat normal bundle; violations
     raise :class:`HypothesisViolation` (C = 0 is admitted in exploratory
     mode with the bound column left undefined).
     """
-    from . import engines as _eng
-    engine = engine or chart.engine
     if C is None:
         C = chart.C
     if C is None:
@@ -540,12 +523,10 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
 
     if resolution is None:
         resolution = DEFAULT_RESOLUTION if chart.n == 2 else 65
-    grid = make_grid(chart, resolution, engine=engine)
-    fb = fundamental_batch(chart, grid.points, engine=engine,
-                           interior_check=False)
-    flat_res = float(np.max(fb.flatness_residual()))
-    flat_tol = 10.0 * _eng.DEFAULT_TOL[engine]
-    if flat_res > flat_tol:
+    grid = make_grid(chart, resolution)
+    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    flat, flat_res, flat_tol = flatness_verdict(fb)
+    if not flat:
         raise HypothesisViolation(
             f"{chart.name}: normal bundle not flat "
             f"(residual {flat_res:.3e} > {flat_tol:.1e})")
@@ -555,7 +536,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     anchor = nearest_node(grid, x0)
 
     def metrics_fn(U):
-        fb = fundamental_batch(chart, U, engine=engine, interior_check=False)
+        fb = fundamental_batch(chart, U, interior_check=False)
         return _metric_pair(fb, C, exploratory)
 
     dfs = distance_fields(grid, metrics_fn, anchor)
@@ -568,7 +549,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     verdicts = []
     if C > 0:
         verdicts.append(check_length_inequality(
-            chart, C=C, engine=engine, n_curves=n_test_curves, rng_seed=seed))
+            chart, C=C, n_curves=n_test_curves, rng_seed=seed))
         verdicts.append(check_distance_inequality(df_g, df_g0, sff_sq, C))
     else:
         verdicts.append(ChainVerdict("length_comparison", "skip", math.nan,
@@ -602,7 +583,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     except ValueError as exc:
         warnings.append(f"exponential fit skipped: {exc}")
 
-    meta = dict(engine=engine, seed=seed, resolution=resolution,
+    meta = dict(engine=chart.engine, seed=seed, resolution=resolution,
                 anchor=tuple(anchor), C=C,
                 stencil_overshoot=df_g.overshoot,
                 flatness_residual=flat_res,

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import engines
 from .fields import grid_deriv, principal_field
+from .fundamental import flatness_verdict, fundamental_batch
 from .principal import CLUSTER_REL_TOL, comparison_metric, third_fundamental_form
 
 G0_FLAT_TOL = 1e-3
@@ -42,21 +43,21 @@ class ResidualReport:
                 f"skipped={self.skipped}")
 
 
-def residual_report(identity, residuals, tol, engine, notes=""):
-    """Summarize per-point residuals over their finite entries; with none
-    finite the report is a vacuous pass."""
+def residual_report(identity, residuals, tol, chart, notes=""):
+    """Summarize per-point residuals of a chart over their finite entries;
+    with none finite the report is a vacuous pass."""
     r = np.asarray(residuals, dtype=float)
     finite = r[np.isfinite(r)]
     skipped = int(r.size - finite.size)
     if finite.size == 0:
         return ResidualReport(identity, 0.0, 0.0, 0.0, 0.0, tol, True,
-                              0, skipped, engine, vacuous=True, notes=notes,
-                              residual_grid=r)
+                              0, skipped, chart.engine, vacuous=True,
+                              notes=notes, residual_grid=r)
     return ResidualReport(
         identity, float(np.max(finite)), float(np.mean(finite)),
         float(np.quantile(finite, 0.5)), float(np.quantile(finite, 0.9)),
-        tol, bool(np.max(finite) <= tol), int(finite.size), skipped, engine,
-        notes=notes, residual_grid=r)
+        tol, bool(np.max(finite) <= tol), int(finite.size), skipped,
+        chart.engine, notes=notes, residual_grid=r)
 
 
 def _field_report(identity, pf, worst, tol):
@@ -64,7 +65,7 @@ def _field_report(identity, pf, worst, tol):
     principal normals are pairwise distinct."""
     mask = pf.coherent & _distinct_mask(pf)
     return residual_report(identity, np.where(mask, worst, np.nan), tol,
-                           pf.engine)
+                           pf.chart)
 
 
 def _distinct_mask(pf):
@@ -87,7 +88,7 @@ def check_gauss(pf, c, ctilde, tol=None):
     the pseudosphere (k1 k2 = -1 = c - ctilde); see the repo notes.
     """
     if tol is None:
-        tol = engines.DEFAULT_TOL[pf.engine]
+        tol = engines.DEFAULT_TOL[pf.chart.engine]
     n = pf.n
     target = c - ctilde
     worst = 0.0
@@ -129,7 +130,7 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
     amb = pf.chart.ambient
     n = pf.n
     if n < 3:
-        return residual_report("codazzi_c2", [], tol, pf.engine,
+        return residual_report("codazzi_c2", [], tol, pf.chart,
                                notes="n < 3: no index triples")
     worst = 0.0
     for i in range(n):
@@ -237,43 +238,81 @@ def constant_curvature_residual(G, grid, c):
 def check_intrinsic_curvature(fb, grid, tol=None):
     """Sectional curvature of the induced metric (fb over the grid points)
     equals the asserted c."""
-    chart, engine = fb.chart, fb.engine
+    chart = fb.chart
     if tol is None:
-        tol = max(engines.DEFAULT_TOL[engine], 100.0 * float(
+        tol = max(engines.DEFAULT_TOL[chart.engine], 100.0 * float(
             np.max(grid.spacing)) ** 4)
     if chart.c is None:
         raise ValueError(f"{chart.name} asserts no intrinsic curvature")
     res = constant_curvature_residual(fb.g, grid, chart.c)
-    return residual_report("intrinsic_curvature", res, tol, engine)
+    return residual_report("intrinsic_curvature", res, tol, chart)
 
 
-def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL, exploratory=False):
+def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL):
     """Lemma: g0 = C g + III (fb over the grid points) is flat.  Residual =
     max normalized |R0_{ijkl}|."""
-    cm = comparison_metric(fb, third_fundamental_form(fb), C,
-                           exploratory=exploratory)
+    cm = comparison_metric(fb, third_fundamental_form(fb), C)
     res = constant_curvature_residual(cm.g0, grid, 0.0)
-    return residual_report("g0_flat", res, tol, fb.engine)
+    return residual_report("g0_flat", res, tol, fb.chart)
 
 
-def verify_chart(chart, grid, C=None, engine=None, seed=None, tols=None):
-    """Run the full identity suite on a chart; returns a list of reports."""
-    engine = engine or chart.engine
+# ---------------------------------------------------------------------------
+# the suite and its hypotheses
+
+IDENTITIES = ("intrinsic_curvature", "gauss", "codazzi_c1", "codazzi_c2",
+              "connection_nn", "g0_flat")
+
+
+def gap_violation(C):
+    """Why a curvature gap C fails the theorem's C > 0, or None."""
+    if C is None:
+        return "intrinsic curvature unasserted"
+    if C <= 0:
+        return f"curvature gap C = {C:g} <= 0"
+    return None
+
+
+def verify_chart(chart, grid, seed=None, tols=None):
+    """Run the identity suite on a chart under the theorem's hypotheses.
+
+    Returns (reports, skipped): a report for each identity that ran, in
+    IDENTITIES order, and a dict identity -> reason for each identity whose
+    hypothesis fails; together they name every identity once.  The normal
+    bundle's flatness is tested on a subsample of the grid first, since
+    the principal decomposition needs it.
+    """
     tols = tols or {}
-    C = C if C is not None else chart.C
-    pf = principal_field(chart, grid, C=C if (C is not None and C > 0)
-                         else None, engine=engine, seed=seed)
-    reports = []
-    if chart.c is not None:
-        reports.append(check_intrinsic_curvature(
-            pf.fb, grid, tol=tols.get("intrinsic")))
-        reports.append(check_gauss(pf, chart.c, chart.ambient.curvature,
-                                   tol=tols.get("gauss")))
-    reports.append(check_codazzi_c1(pf, tol=tols.get("c1", DERIVED_TOL)))
-    reports.append(check_codazzi_c2(pf, tol=tols.get("c2", DERIVED_TOL)))
-    if C is not None and C > 0:
-        reports.append(check_connection_formula(
-            pf, tol=tols.get("nn", DERIVED_TOL)))
-        reports.append(check_g0_flat(pf.fb, grid, C=C,
-                                     tol=tols.get("g0", G0_FLAT_TOL)))
-    return reports
+    stride = tuple(max(1, s // 16) for s in grid.shape)
+    sample = grid.points[tuple(slice(None, None, st) for st in stride)]
+    flat, res, _ = flatness_verdict(
+        fundamental_batch(chart, sample, interior_check=False))
+    if not flat:
+        why = f"normal bundle not flat, residual {res:.3e}"
+        return [], dict.fromkeys(IDENTITIES, why)
+
+    C = chart.C
+    skipped = {}
+    gap = gap_violation(C)
+    if gap is not None:
+        skipped.update(connection_nn=gap, g0_flat=gap)
+    if chart.c is None:
+        skipped.update(intrinsic_curvature="intrinsic curvature unasserted",
+                       gauss="intrinsic curvature unasserted")
+    pf = principal_field(chart, grid, C=None if gap else C, seed=seed)
+    checks = {
+        "intrinsic_curvature": lambda: check_intrinsic_curvature(
+            pf.fb, grid, tol=tols.get("intrinsic")),
+        "gauss": lambda: check_gauss(pf, chart.c, chart.ambient.curvature,
+                                     tol=tols.get("gauss")),
+        "codazzi_c1": lambda: check_codazzi_c1(
+            pf, tol=tols.get("c1", DERIVED_TOL)),
+        "codazzi_c2": lambda: check_codazzi_c2(
+            pf, tol=tols.get("c2", DERIVED_TOL)),
+        "connection_nn": lambda: check_connection_formula(
+            pf, tol=tols.get("nn", DERIVED_TOL)),
+        "g0_flat": lambda: check_g0_flat(pf.fb, grid, C=C,
+                                         tol=tols.get("g0", G0_FLAT_TOL)),
+    }
+    reports = [check() for name, check in checks.items()
+               if name not in skipped]
+    return reports, skipped

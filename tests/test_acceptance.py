@@ -5,7 +5,9 @@ Tolerances in this file are contractual; loosening one to make a run green
 defeats the point of the gate.
 """
 
+import dataclasses
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import flatbundle
 from flatbundle import catalog
 from flatbundle.errors import HypothesisViolation
 from flatbundle.fields import make_grid, principal_field
@@ -46,11 +49,13 @@ def test_criterion_1_gauss_identity_at_scale(capfd, pseudosphere):
     FD residual <= 1e-4, both inside 10 seconds."""
     chart = pseudosphere.chart
     t0 = time.perf_counter()
-    grid_ad = make_grid(chart, 257, engine="ad")
-    pf_ad = principal_field(chart, grid_ad, engine="ad")
+    chart_ad = dataclasses.replace(chart, engine="ad")
+    grid_ad = make_grid(chart_ad, 257)
+    pf_ad = principal_field(chart_ad, grid_ad)
     rep_ad = check_gauss(pf_ad, -1.0, 0.0, tol=1e-8)
-    grid_fd = make_grid(chart, 257, engine="fd")
-    pf_fd = principal_field(chart, grid_fd, engine="fd")
+    chart_fd = dataclasses.replace(chart, engine="fd")
+    grid_fd = make_grid(chart_fd, 257)
+    pf_fd = principal_field(chart_fd, grid_fd)
     rep_fd = check_gauss(pf_fd, -1.0, 0.0, tol=1e-4)
     elapsed = time.perf_counter() - t0
     ok = rep_ad.passed and rep_fd.passed and elapsed <= 10.0
@@ -248,13 +253,19 @@ def test_criterion_9_deterministic_outputs(capfd, tmp_path):
         "[chart]\nname = pseudosphere\n[grid]\nresolution = 33\n"
         "[growth]\nx0 = %.17g, %.17g\nradii = 0.4, 0.8\nresolution = 65\n"
         % PS_X0)
+    # an absolute package path, so the subprocess imports this checkout
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        flatbundle.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     blobs = []
     for sub in ("a", "b"):
         for cmd in ("growth", "verify"):
             proc = subprocess.run(
                 [sys.executable, "-m", "flatbundle.cli", cmd,
                  "--config", str(cfg), "--out", str(tmp_path / sub)],
-                capture_output=True, text=True)
+                capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
         blobs.append(tuple(
             (tmp_path / sub / f).read_bytes()

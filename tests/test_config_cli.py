@@ -1,6 +1,7 @@
 """Config parsing, user expression charts, and the command-line interface
 (exercised through subprocesses, the way users run it)."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -119,7 +120,7 @@ def test_expression_chart_matches_catalog(pseudosphere):
     np.testing.assert_allclose(chart.evaluate(pts),
                                pseudosphere.chart.evaluate(pts), atol=1e-15)
     # AD works through the compiled closures
-    fb = fundamental_batch(chart, pts, engine="ad")
+    fb = fundamental_batch(dataclasses.replace(chart, engine="ad"), pts)
     fb_ref = fundamental_batch(pseudosphere.chart, pts)
     np.testing.assert_allclose(fb.g, fb_ref.g, atol=1e-14)
     np.testing.assert_allclose(fb.sff_sq, fb_ref.sff_sq, atol=1e-12)
@@ -204,7 +205,10 @@ def test_cli_growth_deterministic(workdir):
     a = (workdir / "g1" / "growth.csv").read_bytes()
     b = (workdir / "g2" / "growth.csv").read_bytes()
     assert a == b
-    assert a.decode().splitlines()[0] == "r,S,psi,vol,bound,ref_vol"
+    lines = a.decode().splitlines()
+    assert lines[0] == "r,S,psi,vol,bound,ref_vol"
+    assert len(lines) == 1 + 3                      # one row per radius
+    assert b"\r" not in a
     summary = (workdir / "g1" / "growth_summary.txt").read_text()
     assert "length_comparison PASS" in summary
     assert "distance_comparison PASS" in summary
@@ -230,6 +234,51 @@ def test_cli_sphere_control_skips(workdir):
                                  "--out", f"s_{cmd}", cwd=workdir)
         assert code == 0, err
         assert "SKIPPED by hypothesis" in out
+
+
+# The Veronese surface in S^4: C = 1 - 1/3 > 0, but its normal bundle is
+# not flat, so the machinery that needs that hypothesis must not run.
+VERONESE_EXPR = """
+name    = veronese_expr
+n       = 2
+ambient = sphere 1 4
+c       = 0.3333333333333333
+domain  = 0.2 : 1.2, 0.2 : 1.0
+map     = """ + ", ".join([
+    "sqrt(3)*cos(u1)*cos(u2)*sin(u1)*cos(u2)",
+    "sqrt(3)*cos(u1)*cos(u2)*sin(u2)",
+    "sqrt(3)*sin(u1)*cos(u2)*sin(u2)",
+    "sqrt(3)*((cos(u1)*cos(u2))**2 - (sin(u1)*cos(u2))**2)/2",
+    "((cos(u1)*cos(u2))**2 + (sin(u1)*cos(u2))**2 - 2*sin(u2)**2)/2"]) + "\n"
+
+
+def test_cli_coords_guards_flat_normal_bundle(tmp_path):
+    (tmp_path / "ver.chart").write_text(VERONESE_EXPR)
+    (tmp_path / "ver.ini").write_text(
+        "[chart]\nexpression = ver.chart\n[grid]\nresolution = 17\n")
+    code, out, err = run_cli("coords", "--config", "ver.ini", "--out", "c",
+                             cwd=tmp_path)
+    assert code == 0, err
+    summary = (tmp_path / "c" / "coords_summary.txt").read_text()
+    assert summary.splitlines()[-1].startswith(
+        "principal_coordinates SKIPPED by hypothesis (normal bundle not "
+        "flat at x0")
+    assert not (tmp_path / "c" / "coords.csv").exists()
+
+
+def test_cli_verify_names_each_identity_once(tmp_path):
+    (tmp_path / "v.ini").write_text(
+        "[chart]\nname = veronese_r5\n[grid]\nresolution = 17\n")
+    code, out, err = run_cli("verify", "--config", "v.ini", "--out", "v",
+                             cwd=tmp_path)
+    assert code == 0, err
+    lines = (tmp_path / "v" / "verify_summary.txt").read_text().splitlines()
+    for ident in ("intrinsic_curvature", "gauss", "codazzi_c1",
+                  "codazzi_c2", "connection_nn", "g0_flat"):
+        named = [ln for ln in lines if ln.split(" ")[0] == ident]
+        assert len(named) == 1, (ident, named)
+        assert named[0].startswith(
+            f"{ident} SKIPPED by hypothesis (normal bundle not flat")
 
 
 def test_cli_expression_chart(workdir):

@@ -30,8 +30,8 @@ def test_round_trip_both_axes(pseudosphere, dini):
 def test_aligned_principal_to_own_frame_is_canonical(pseudosphere):
     """Aligning to the canonical frame itself reproduces it exactly."""
     U = np.array([[0.6, 0.5], [1.3, 2.0], [2.4, 5.0], PS_X0])
-    pb, _ = aligned_principal(pseudosphere.chart, U)
-    again, _ = aligned_principal(pseudosphere.chart, U, refs=pb.X_cont)
+    pb = aligned_principal(pseudosphere.chart, U)
+    again = aligned_principal(pseudosphere.chart, U, refs=pb.X_cont)
     for f in ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas"):
         np.testing.assert_array_equal(getattr(again, f), getattr(pb, f),
                                       err_msg=f)

@@ -1,5 +1,6 @@
 """Fundamental forms and engines against symbolic (sympy) oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -103,15 +104,15 @@ def test_second_fundamental_form_sphere():
 def test_ad_fd_jets_agree(pseudosphere):
     chart = pseudosphere.chart
     pts = np.array([[1.0, 1.0], [1.8, 3.0]])
-    ja = chart.jet(pts, engine="ad")
-    jf = chart.jet(pts, engine="fd")
+    ja = dataclasses.replace(chart, engine="ad").jet(pts)
+    jf = dataclasses.replace(chart, engine="fd").jet(pts)
     np.testing.assert_allclose(ja.value, jf.value, atol=1e-12)
     np.testing.assert_allclose(ja.first, jf.first, atol=1e-7)
     np.testing.assert_allclose(ja.second, jf.second, atol=1e-6)
 
 
 def test_fd_second_derivatives_symmetric(dini):
-    j = dini.chart.jet(np.array([2.0, 0.7]), engine="fd")
+    j = dataclasses.replace(dini.chart, engine="fd").jet(np.array([2.0, 0.7]))
     np.testing.assert_allclose(j.second, np.swapaxes(j.second, -3, -2),
                                atol=1e-14)
 
@@ -152,8 +153,8 @@ def test_ad_jet_matches_per_pair_seeding(monkeypatch):
 
 def test_fd_usable_domain_shrinks(pseudosphere):
     chart = pseudosphere.chart
-    full = chart.usable_domain("ad")
-    shrunk = chart.usable_domain("fd")
+    full = dataclasses.replace(chart, engine="ad").usable_domain()
+    shrunk = dataclasses.replace(chart, engine="fd").usable_domain()
     assert full == tuple(chart.domain)
     (lo_f, hi_f), (lo_s, hi_s) = full[0], shrunk[0]
     assert lo_s > lo_f and hi_s < hi_f
@@ -164,7 +165,7 @@ def test_fd_stencil_domain_guard(pseudosphere):
     chart = pseudosphere.chart
     lo = chart.domain[0][0]
     with pytest.raises(DomainError):
-        chart.jet(np.array([lo + 1e-6, 1.0]), engine="fd")
+        dataclasses.replace(chart, engine="fd").jet(np.array([lo + 1e-6, 1.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_length_check_matches_separate_curve_lengths(pseudosphere):
     chart = pseudosphere.chart
     got = check_length_inequality(chart, C=1.0, n_curves=3, rng_seed=7)
     rng = np.random.default_rng(7)
-    box = np.array(chart.usable_domain(None))
+    box = np.array(chart.usable_domain())
     lhs, rhs, quad_err = [], [], 0.0
     for _ in range(3):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
@@ -374,11 +374,6 @@ def test_growth_report_pseudosphere(pseudosphere):
     assert rep.fit is not None
     k, ell, r2 = rep.fit
     assert ell > 0 and 0.9 < r2 <= 1.0
-    csv = rep.to_csv()
-    lines = csv.splitlines()
-    assert lines[0] == "r,S,psi,vol,bound,ref_vol"
-    assert len(lines) == 1 + len(rep.rows)
-    assert "\r" not in csv
 
 
 def test_ball_max_sff_matches_anchor(pseudosphere):

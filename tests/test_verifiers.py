@@ -6,16 +6,17 @@ import pytest
 from flatbundle import catalog
 from flatbundle.fields import grid_deriv, make_grid, principal_field
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.verifiers import (check_codazzi_c1, check_codazzi_c2,
-                                  check_connection_formula, check_g0_flat,
-                                  check_gauss, check_intrinsic_curvature,
+from flatbundle.verifiers import (IDENTITIES, check_codazzi_c1,
+                                  check_codazzi_c2, check_connection_formula,
+                                  check_g0_flat, check_gauss,
+                                  check_intrinsic_curvature,
                                   constant_curvature_residual, verify_chart)
 
 
 def test_identity_suite_pseudosphere(pseudosphere, ps_field_33):
     chart = pseudosphere.chart
     grid = ps_field_33.grid
-    reports = {r.identity: r for r in verify_chart(chart, grid)}
+    reports = {r.identity: r for r in verify_chart(chart, grid)[0]}
     assert set(reports) == {"intrinsic_curvature", "gauss", "codazzi_c1",
                             "codazzi_c2", "connection_nn", "g0_flat"}
     for r in reports.values():
@@ -25,9 +26,24 @@ def test_identity_suite_pseudosphere(pseudosphere, ps_field_33):
 
 
 def test_identity_suite_dini(dini, dini_field_65):
-    reports = verify_chart(dini.chart, dini_field_65.grid)
+    reports, _ = verify_chart(dini.chart, dini_field_65.grid)
     for r in reports:
         assert r.passed, r.summary_line()
+
+
+@pytest.mark.parametrize("name, res, skipped", [
+    ("product_torus_r4", 17, {"connection_nn", "g0_flat"}),     # C = 0
+    ("ps3", (17, 17, 9), {"intrinsic_curvature", "gauss",      # c unasserted
+                          "connection_nn", "g0_flat"}),
+    ("veronese_r5", 17, set(IDENTITIES)),                      # not flat
+])
+def test_verify_chart_names_each_identity_once(name, res, skipped):
+    chart = catalog.get(name).chart
+    reports, why = verify_chart(chart, make_grid(chart, res))
+    ran = [r.identity for r in reports]
+    assert set(why) == skipped
+    assert sorted(ran + list(why)) == sorted(IDENTITIES)
+    assert ran == [i for i in IDENTITIES if i not in skipped]
 
 
 def test_gauss_identity_detects_wrong_curvature(ps_field_33):
