@@ -85,7 +85,8 @@ class ImmersionChart:
     hyper-duals) and returns the container coordinates; writing it with the
     :mod:`flatbundle.dual` math functions makes it AD-differentiable.
     ``engine`` (``ad`` or ``fd``) is how every layer differentiates the
-    chart; ``dataclasses.replace(chart, engine="fd")`` switches it.
+    chart; ``dataclasses.replace(chart, engine="fd")`` switches it among
+    ``supported_engines``, the engines that can differentiate ``map``.
     """
 
     name: str
@@ -96,12 +97,17 @@ class ImmersionChart:
     domain: tuple        # per-axis (lo, hi)
     periodic: tuple = None
     engine: str = engines.AD
+    supported_engines: tuple = engines.ENGINES
 
     def __post_init__(self):
         if self.periodic is None:
             object.__setattr__(self, "periodic", (False,) * self.n)
         if len(self.domain) != self.n or len(self.periodic) != self.n:
             raise ValueError("domain/periodic length must equal n")
+        if self.engine not in self.supported_engines:
+            raise ValueError(
+                f"engine {self.engine!r} cannot differentiate {self.name}; "
+                f"supported: {', '.join(self.supported_engines)}")
 
     @property
     def C(self):

@@ -23,9 +23,8 @@ from .fields import make_grid
 from .flows import (build_flow_map, check_flow_identities,
                     commutator_residual, flow_points,
                     verify_principal_frame_property)
-from .fundamental import flatness_verdict, fundamental_batch
-from .growth import growth_report
-from .verifiers import gap_violation, verify_chart
+from .growth import default_resolution, growth_report
+from .verifiers import verify_chart
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -40,12 +39,13 @@ def _write(path, text):
         fh.write(text)
 
 
-def _header(cfg, chart, extra=()):
+def _header(cfg, chart, grid, extra=()):
+    """Summary header; grid is the per-axis resolution the run used."""
     lines = [
         f"chart = {chart.name}",
         f"engine = {chart.engine}",
         f"seed = {cfg.seed}",
-        f"grid = {','.join(str(r) for r in cfg.grid_resolution(chart.n))}",
+        f"grid = {','.join(str(r) for r in grid)}",
         "tolerances = " + (",".join(
             f"{k}={cfg.tolerances[k]:g}" for k in sorted(cfg.tolerances))
             or "defaults"),
@@ -94,7 +94,7 @@ def run_verify(cfg, out_dir):
     grid = make_grid(chart, cfg.grid_resolution(chart.n))
     reports, skipped = verify_chart(chart, grid, seed=cfg.seed,
                                     tols=cfg.tolerances)
-    lines = _header(cfg, chart)
+    lines = _header(cfg, chart, grid.shape)
     head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
     pts = grid.points.reshape(-1, chart.n)
     for rep in reports:
@@ -112,11 +112,12 @@ def run_verify(cfg, out_dir):
 def run_growth(cfg, out_dir, strict=False):
     chart = cfg.make_chart()
     x0 = _base_point(cfg, chart)
-    lines = _header(cfg, chart,
+    res = cfg.growth_resolution or default_resolution(chart.n)
+    lines = _header(cfg, chart, (res,) * chart.n,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}"])
     try:
         rep = growth_report(chart, x0, cfg.radii, window=cfg.window,
-                            resolution=cfg.growth_resolution, seed=cfg.seed,
+                            resolution=res, seed=cfg.seed,
                             exploratory=cfg.exploratory)
     except HypothesisViolation as exc:
         lines.append(f"bound_chain SKIPPED by hypothesis ({exc})")
@@ -146,23 +147,16 @@ def run_coords(cfg, out_dir):
     chart = cfg.make_chart()
     n = chart.n
     x0 = _base_point(cfg, chart)
-    lines = _header(cfg, chart,
+    lines = _header(cfg, chart, (cfg.flow_resolution,) * n,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}",
                            f"flow_step = {cfg.flow_step:g}"])
-    C = chart.C
-    reason = gap_violation(C)
-    if reason is None:      # the flows need commuting shape operators
-        flat, res, tol = flatness_verdict(fundamental_batch(chart, x0))
-        if not flat:
-            reason = (f"normal bundle not flat at x0, residual {res:.3e} "
-                      f"> {tol:.1e}")
-    if reason is not None:
-        lines.append(f"principal_coordinates SKIPPED by hypothesis ({reason})")
+    kw = dict(step=cfg.flow_step, seed=cfg.seed)
+    try:
+        fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
+                            cfg.flow_resolution, **kw)
+    except HypothesisViolation as exc:
+        lines.append(f"principal_coordinates SKIPPED by hypothesis ({exc})")
         return _finish(out_dir, "coords", lines, EXIT_OK)
-
-    kw = dict(C=C, step=cfg.flow_step, seed=cfg.seed)
-    fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
-                        cfg.flow_resolution, **kw)
     T = np.stack(np.meshgrid(*fm.t_axes, indexing="ij"), axis=-1)
     head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
     _write(os.path.join(out_dir, "coords.csv"),
@@ -171,7 +165,7 @@ def run_coords(cfg, out_dir):
         lines.append(f"WARN {w}")
 
     failed = False
-    comm = commutator_residual(chart, x0, C=C, seed=cfg.seed)
+    comm = commutator_residual(chart, x0, seed=cfg.seed)
     comm_tol = 1e-4
     ok = comm <= comm_tol
     failed |= not ok

@@ -46,7 +46,8 @@ class RunConfig:
 
     def make_chart(self):
         """The configured chart, differentiated by the configured engine
-        (the chart's own when none is set)."""
+        (the chart's own when none is set; one it cannot use is a
+        ConfigError)."""
         if self.expression_path is not None:
             chart = exprchart.load_chart(self.expression_path)
         else:
@@ -55,7 +56,10 @@ class RunConfig:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad chart request: {exc}") from None
         if self.engine is not None:
-            chart = replace(chart, engine=self.engine)
+            try:
+                chart = replace(chart, engine=self.engine)
+            except ValueError as exc:       # an engine the chart refuses
+                raise ConfigError(str(exc)) from None
         return chart
 
     def grid_resolution(self, n):

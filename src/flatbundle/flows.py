@@ -17,7 +17,7 @@ import numpy as np
 from .engines import AD, DEFAULT_TOL
 from .errors import CoherenceError, DomainExitError, HypothesisViolation
 from .fields import Grid, _signed_permutation, grid_deriv, principal_field
-from .fundamental import fundamental_batch
+from .fundamental import flatness_verdict, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
 from .verifiers import residual_report
@@ -27,16 +27,28 @@ MAX_BOX_SHRINKS = 8
 BOX_SHRINK = 0.8
 
 
-def aligned_principal(chart, U, C=None, refs=None, seed=DEFAULT_SEED):
+def _require_hypotheses(fb):
+    """Raise :class:`HypothesisViolation` unless the flow fields exist on
+    the batch: the chart's gap C > 0 first, then a flat normal bundle."""
+    reason = gap_violation(fb.chart)
+    if reason is None:
+        flat, res, tol = flatness_verdict(fb)
+        if not flat:
+            reason = f"normal bundle not flat, residual {res:.3e} > {tol:.1e}"
+    if reason is not None:
+        raise HypothesisViolation(reason)
+
+
+def aligned_principal(chart, U, refs=None, seed=DEFAULT_SEED):
     """Principal decomposition at U, gauge-aligned to reference frames.
+    Raises :class:`HypothesisViolation` where the flow fields do not exist.
 
     refs : (..., n, N) container direction frames to match (label and sign
            by maximal overlap), or None for the canonical pointwise gauge.
     """
-    if C is None:
-        C = chart.C
     fb = fundamental_batch(chart, U, interior_check=False)
-    pb = principal_batch(fb, C=C, seed=seed)
+    _require_hypotheses(fb)
+    pb = principal_batch(fb, seed=seed)
     if refs is not None:
         Q = np.einsum("...kN,...lN->...kl", refs * chart.ambient.signature,
                       pb.X_cont)
@@ -46,15 +58,13 @@ def aligned_principal(chart, U, C=None, refs=None, seed=DEFAULT_SEED):
 
 def _velocity(pb, i):
     """Chart components of Y_i = lambda_i X_i; i is a scalar or (...,) array."""
-    if pb.lambdas is None:
-        raise HypothesisViolation("flow fields need a known curvature gap C")
     Y = pb.lambdas[..., None] * pb.X_chart      # (..., n, n)
     if np.isscalar(i):
         return Y[..., i, :]
     return np.take_along_axis(Y, i[..., None, None], axis=-2)[..., 0, :]
 
 
-def flow_points(chart, U0, i, t, C=None, refs=None, step=DEFAULT_STEP,
+def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
                 seed=DEFAULT_SEED):
     """Advance each point of U0 (M, n) by its own parameter time t along
     the i-th scaled principal direction field.
@@ -79,7 +89,7 @@ def flow_points(chart, U0, i, t, C=None, refs=None, step=DEFAULT_STEP,
             raise DomainExitError(
                 f"flow left the usable domain of {chart.name}",
                 exit_time=float(elapsed[k]), last_point=U[k].copy())
-        return aligned_principal(chart, V, C=C, refs=ref, seed=seed)
+        return aligned_principal(chart, V, refs=ref, seed=seed)
 
     pb = decompose(U, refs)
     refs = pb.X_cont
@@ -97,11 +107,10 @@ def flow_points(chart, U0, i, t, C=None, refs=None, step=DEFAULT_STEP,
     return U, refs
 
 
-def integrate_flow(chart, x0, i, t, C=None, step=DEFAULT_STEP,
-                   seed=DEFAULT_SEED):
+def integrate_flow(chart, x0, i, t, step=DEFAULT_STEP, seed=DEFAULT_SEED):
     """Single-trajectory convenience wrapper; returns the endpoint."""
     U1, _ = flow_points(chart, np.asarray(x0, dtype=float)[None, :], i, t,
-                        C=C, step=step, seed=seed)
+                        step=step, seed=seed)
     return U1[0]
 
 
@@ -114,7 +123,6 @@ class FlowMap:
     x0: np.ndarray
     t_axes: tuple               # per-axis 1d parameter-time arrays
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
-    C: float
     step: float
     seed: int
     warnings: list = field(default_factory=list)
@@ -128,7 +136,7 @@ class FlowMap:
         return np.array([ax[1] - ax[0] for ax in self.t_axes])
 
 
-def _march_axis(chart, A, refs, ax, t_vals, C, step, seed):
+def _march_axis(chart, A, refs, ax, t_vals, step, seed):
     """From each point in A (M, n), record the axis-``ax`` flow at every
     parameter time in t_vals.  Returns points (T, M, n), refs (T, M, n, N)."""
     M = A.shape[0]
@@ -143,24 +151,23 @@ def _march_axis(chart, A, refs, ax, t_vals, C, step, seed):
         for k in chain:
             dt = t_vals[k] - t_prev
             if dt != 0.0:
-                U, R = flow_points(chart, U, ax, dt, C=C, refs=R, step=step,
+                U, R = flow_points(chart, U, ax, dt, refs=R, step=step,
                                    seed=seed)
             out[k], outref[k] = U, R
             t_prev = t_vals[k]
     return out, outref
 
 
-def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
+def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
                    seed=DEFAULT_SEED):
     """Sample F(t_1, ..., t_n) on a parameter-time grid.
 
     ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
     number of samples per axis.  If a flow exits the chart's usable domain
     the whole box is shrunk toward zero and the construction retried; the
-    shrink is recorded as a warning.
+    shrink is recorded as a warning.  A chart without the flows'
+    hypotheses raises :class:`HypothesisViolation`.
     """
-    if C is None:
-        C = chart.C
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
     if np.isscalar(resolution):
@@ -172,12 +179,12 @@ def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
                        for (lo, hi), r in zip(t_box, resolution))
         try:
             A = x0[None, :]
-            refs = aligned_principal(chart, A, C=C, seed=seed).X_cont
+            refs = aligned_principal(chart, A, seed=seed).X_cont
             dims = ()
             for ax in range(n):
                 M = A.shape[0]
                 out, outref = _march_axis(chart, A, refs, ax, t_axes[ax],
-                                          C, step, seed)
+                                          step, seed)
                 dims = dims + (len(t_axes[ax]),)
                 A = np.moveaxis(out.reshape((len(t_axes[ax]),) + dims[:-1]
                                             + (n,)), 0, ax).reshape(-1, n)
@@ -186,7 +193,7 @@ def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
                                    + outref.shape[2:]), 0, ax
                 ).reshape((-1,) + outref.shape[2:])
             points = A.reshape(dims + (n,))
-            return FlowMap(chart, x0, t_axes, points, C, step, seed, warnings)
+            return FlowMap(chart, x0, t_axes, points, step, seed, warnings)
         except DomainExitError as exc:
             warnings.append(
                 f"axis box {t_box} exits the domain at t={exc.exit_time:.3g}; "
@@ -197,8 +204,8 @@ def build_flow_map(chart, x0, t_box, resolution, C=None, step=DEFAULT_STEP,
         f"{MAX_BOX_SHRINKS} shrinks", exit_time=None, last_point=None)
 
 
-def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
-                          step=DEFAULT_STEP, seed=DEFAULT_SEED, rng_seed=None):
+def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
+                          seed=DEFAULT_SEED, rng_seed=None):
     """One-parameter group law and pairwise commutation of the flows.
 
     For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
@@ -209,8 +216,6 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
 
     Returns a ResidualReport over both families.
     """
-    if C is None:
-        C = chart.C
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
     rng = np.random.default_rng(seed if rng_seed is None else rng_seed)
@@ -220,7 +225,7 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
     j = (i + rng.integers(1, n, n_pairs)) % n if n > 1 else i
 
     U0 = np.broadcast_to(x0, (n_pairs, n)).copy()
-    kw = dict(C=C, step=step, seed=seed)
+    kw = dict(step=step, seed=seed)
 
     Ut, Rt = flow_points(chart, U0, i, t, **kw)
     Uts, _ = flow_points(chart, Ut, i, s, refs=Rt, **kw)
@@ -238,18 +243,17 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, C=None,
                            notes=f"{n_pairs} random (t, s) pairs in {t_range}")
 
 
-def commutator_residual(chart, u0, C=None, h=None, seed=DEFAULT_SEED):
+def commutator_residual(chart, u0, h=None, seed=DEFAULT_SEED):
     """Max g-norm of [Y_i, Y_j] at u0 from a local finite-difference stencil,
     relative to max(1, |alpha|)."""
-    if C is None:
-        C = chart.C
     u0 = np.asarray(u0, dtype=float)
     n = chart.n
     if h is None:
         h = 1e-2 * min(hi - lo for lo, hi in chart.domain)
     axes = tuple(u0[k] + h * np.arange(-2, 3) for k in range(n))
     grid = Grid(axes, np.full(n, h), (False,) * n)
-    pf = principal_field(chart, grid, C=C, seed=seed)
+    pf = principal_field(chart, grid, seed=seed)
+    _require_hypotheses(pf.fb)
     if not np.all(pf.coherent):
         raise CoherenceError(
             f"principal gauge incoherent on the local stencil at {u0}")
@@ -283,11 +287,10 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     ResidualReports keyed by check name.
     """
     chart = flow_map.chart
-    C = flow_map.C
     n = chart.n
 
     fb0 = fundamental_batch(chart, flow_map.x0, interior_check=False)
-    dec = principal_decomposition(fb0, C=C, seed=seed)
+    dec = principal_decomposition(fb0, seed=seed)
     if dec.s < n:
         raise HypothesisViolation(
             f"only {dec.s} distinct principal normals at the base point "
@@ -298,7 +301,7 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     J = np.stack([grid_deriv(U, ax, ht[ax], periodic=False)
                   for ax in range(n)], axis=-2)            # grid + (ax, k)
 
-    pb = aligned_principal(chart, U, C=C, seed=seed)
+    pb = aligned_principal(chart, U, seed=seed)
     fb = pb.fb
     g = fb.g
     JgJ = np.einsum("...ak,...kl,...bl->...ab", J, g, J)
@@ -312,11 +315,11 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     align = np.max(align, axis=-1)
 
     eta_sq = np.take_along_axis(pb.eta_sq, match, axis=-1)
-    scale = np.sqrt(eta_sq + C)
+    scale = np.sqrt(eta_sq + chart.C)
     Mmat = scale[..., :, None] * scale[..., None, :] * JgJ
     ortho = np.max(np.abs(Mmat - np.eye(n)), axis=(-2, -1))
 
-    g0 = comparison_metric(fb, C=C).g0
+    g0 = comparison_metric(fb).g0
     P = np.einsum("...ak,...kl,...bl->...ab", J, g0, J)
     pull = np.max(np.abs(P - np.eye(n)), axis=(-2, -1))
 

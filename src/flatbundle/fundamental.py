@@ -180,7 +180,18 @@ def fundamental_batch(chart, U, interior_check=True):
 
 
 # ---------------------------------------------------------------------------
-# the flat-normal-bundle hypothesis
+# the theorem's hypotheses: a positive curvature gap and a flat normal bundle
+
+def gap_violation(chart, exploratory=False):
+    """Why the chart's curvature gap C fails the theorem's C > 0, or None.
+    The exploratory mode admits C = 0."""
+    C = chart.C
+    if C is None:
+        return "intrinsic curvature unasserted"
+    if C < 0 or (C == 0 and not exploratory):
+        return f"curvature gap C = {C:g} <= 0"
+    return None
+
 
 def flatness_verdict(fb):
     """(is_flat, residual, tol) over a batch: the normal bundle counts as

@@ -4,9 +4,9 @@ inequality chain, and exponential-growth fitting.
 Discrete geodesics are shortest paths on the parameter grid with a
 32-direction stencil (axis, diagonal, knight and (3,1)/(3,2) moves).  Every
 strict inequality is asserted with the stencil's worst-case directional
-overshoot subtracted as an error budget.  In 2-D that overshoot is exact
-(from the widest angular gap between stencil directions); in 3-D it is the
-maximum over 8192 sampled directions, an estimate rather than a bound.
+overshoot subtracted as an error budget.  That overshoot is exact in every
+dimension: 1/inradius - 1 of the convex hull of the unit stencil
+directions.
 
 An edge weight is the metric length of the edge at its midpoint.  Every
 edge midpoint lies on the 2x-refined half-lattice of the grid, so the
@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, sparse
+from scipy import integrate, sparse, spatial
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
-from .fundamental import flatness_verdict, fundamental_batch
+from .fundamental import flatness_verdict, fundamental_batch, gap_violation
 from .principal import DEFAULT_SEED, comparison_metric
 
 DEFAULT_RESOLUTION = 257
@@ -60,20 +60,13 @@ def stencil_offsets(ndim):
 
 
 def stencil_overshoot(offsets):
-    """Worst relative excess of the best stencil direction over a straight
-    segment: max over unit directions of sec(angle to nearest offset) - 1."""
+    """Worst relative excess of the shortest stencil path over a straight
+    segment.  The stencil path length of a displacement is the gauge of the
+    convex hull of the +-unit stencil directions, so the excess is at most
+    1/inradius - 1 of that hull, with equality along its nearest facet."""
     dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-    ndim = offsets.shape[1]
-    if ndim == 2:
-        ang = np.sort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), np.pi))
-        ang = np.concatenate([ang, [ang[0] + np.pi]])
-        half_gap = 0.5 * np.max(np.diff(ang))
-        return 1.0 / math.cos(half_gap) - 1.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((8192, ndim))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    best = np.max(np.abs(v @ dirs.T), axis=1)
-    return float(np.max(1.0 / best) - 1.0)
+    hull = spatial.ConvexHull(np.concatenate([dirs, -dirs]))
+    return float(1.0 / np.min(-hull.equations[:, -1]) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +205,10 @@ def induced_metric_fn(chart):
     return fn
 
 
-def _metric_pair(fb, C, exploratory=False):
+def _metric_pair(fb, exploratory=False):
     """Induced metric g and comparison metric g0 = C g + III of one batch."""
     return {"g": fb.g,
-            "g0": comparison_metric(fb, C=C, exploratory=exploratory).g0}
+            "g0": comparison_metric(fb, exploratory=exploratory).g0}
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +235,7 @@ def _polyline_length(seg, gm):
     return float(np.sum(np.sqrt(np.einsum("si,smij,sj->sm", seg, gm, seg))))
 
 
-def curve_length(chart, polyline, metric="g", C=None, samples_per_segment=64):
+def curve_length(chart, polyline, metric="g", samples_per_segment=64):
     """Composite midpoint length of a chart polyline, plus the path max of
     the squared second-fundamental-form norm (the paper's \\hat S).
 
@@ -253,7 +246,7 @@ def curve_length(chart, polyline, metric="g", C=None, samples_per_segment=64):
     if metric == "g":
         gm = fb.g
     elif metric == "g0":
-        gm = comparison_metric(fb, C=C).g0
+        gm = comparison_metric(fb).g0
     else:
         raise ValueError(f"unknown metric {metric!r}")
     return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
@@ -394,15 +387,15 @@ def _strict_verdict(name, lhs, rhs, budget, notes=""):
     return ChainVerdict(name, verdict, margin, budget, notes, compared)
 
 
-def check_length_inequality(chart, C=None, n_curves=20,
-                            rng_seed=DEFAULT_SEED, samples_per_segment=64):
+def check_length_inequality(chart, n_curves=20, rng_seed=DEFAULT_SEED,
+                            samples_per_segment=64):
     """Strict length comparison on random polylines: the comparison-metric
     length must stay below sqrt(path max |alpha|^2 + C) times the induced
     length."""
-    if C is None:
-        C = chart.C
-    if C is None or C <= 0:
-        raise HypothesisViolation("length comparison needs C > 0")
+    reason = gap_violation(chart)
+    if reason is not None:
+        raise HypothesisViolation(f"length comparison needs C > 0: {reason}")
+    C = chart.C
     rng = np.random.default_rng(rng_seed)
     box = np.array(chart.usable_domain())
     lhs, rhs = [], []
@@ -411,11 +404,11 @@ def check_length_inequality(chart, C=None, n_curves=20,
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
         mids, seg = _polyline_samples(chart, P, samples_per_segment)
         fb = fundamental_batch(chart, mids, interior_check=False)
-        metrics = _metric_pair(fb, C)
+        metrics = _metric_pair(fb)
         Lg = _polyline_length(seg, metrics["g"])
         L0 = _polyline_length(seg, metrics["g0"])
         s_hat = float(np.max(fb.sff_sq))
-        L0c, _ = curve_length(chart, P, "g0", C=C,
+        L0c, _ = curve_length(chart, P, "g0",
                               samples_per_segment=2 * samples_per_segment)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
         lhs.append(L0)
@@ -425,10 +418,11 @@ def check_length_inequality(chart, C=None, n_curves=20,
                            notes=f"{n_curves} random polylines")
 
 
-def check_distance_inequality(df_g, df_g0, sff_sq, C):
-    """Strict distance comparison at every grid node against the anchor."""
-    s_path = df_g.path_max(sff_sq)
-    rhs = np.sqrt(s_path + C) * df_g.d
+def check_distance_inequality(df_g, df_g0, fb):
+    """Strict distance comparison at every grid node against the anchor;
+    fb is the fundamental batch over the grid nodes."""
+    s_path = df_g.path_max(fb.sff_sq)
+    rhs = np.sqrt(s_path + fb.chart.C) * df_g.d
     away = np.ones(df_g.d.shape, dtype=bool)
     away[df_g.anchor_index] = False       # the anchor itself is vacuous
     budget = df_g.overshoot + df_g0.overshoot
@@ -436,13 +430,14 @@ def check_distance_inequality(df_g, df_g0, sff_sq, C):
                            budget, notes=f"{int(np.sum(away))} grid nodes")
 
 
-def check_ball_containment(df_g, df_g0, sff_sq, C, r):
+def check_ball_containment(df_g, df_g0, fb, r):
     """Every node of the induced-metric ball D_r must lie strictly inside
-    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C).
+    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C); fb is
+    the fundamental batch over the grid nodes.
 
     A ball holding only the anchor compares nothing: indeterminate."""
-    S = ball_max_sff(df_g, sff_sq, r)
-    psi = r * math.sqrt(S + C)
+    S = ball_max_sff(df_g, fb.sff_sq, r)
+    psi = r * math.sqrt(S + fb.chart.C)
     mask = (df_g.d <= r)
     mask[df_g.anchor_index] = False
     budget = df_g.overshoot + df_g0.overshoot
@@ -490,6 +485,11 @@ class GrowthReport:
         return all(v.verdict == "pass" for v in self.verdicts)
 
 
+def default_resolution(n):
+    """Growth grid points per axis when none is configured."""
+    return DEFAULT_RESOLUTION if n == 2 else 65
+
+
 def default_fit_window(radii):
     """Skip the smallest 20% of radii (the asymptotic regime is existential)."""
     radii = sorted(radii)
@@ -497,7 +497,7 @@ def default_fit_window(radii):
     return (lo, radii[-1])
 
 
-def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
+def growth_report(chart, x0, radii, window=None, resolution=None,
                   seed=DEFAULT_SEED, exploratory=False, n_test_curves=20):
     """Assemble the full growth table and inequality-chain verdicts.
 
@@ -505,15 +505,12 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     raise :class:`HypothesisViolation` (C = 0 is admitted in exploratory
     mode with the bound column left undefined).
     """
-    if C is None:
-        C = chart.C
-    if C is None:
+    C = chart.C
+    reason = gap_violation(chart, exploratory)
+    if reason is not None:
         raise HypothesisViolation(
-            f"{chart.name}: intrinsic curvature unasserted, no curvature gap")
-    if C < 0 or (C == 0 and not exploratory):
-        raise HypothesisViolation(
-            f"{chart.name}: curvature gap C = {C:g} violates C > 0"
-            + ("" if C < 0 else " (pass exploratory=True for C = 0)"))
+            f"{chart.name}: {reason}"
+            + (" (pass exploratory=True for C = 0)" if C == 0 else ""))
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
@@ -522,7 +519,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
             if chart.c is not None else math.nan for r in radii]
 
     if resolution is None:
-        resolution = DEFAULT_RESOLUTION if chart.n == 2 else 65
+        resolution = default_resolution(chart.n)
     grid = make_grid(chart, resolution)
     fb = fundamental_batch(chart, grid.points, interior_check=False)
     flat, flat_res, flat_tol = flatness_verdict(fb)
@@ -537,7 +534,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
 
     def metrics_fn(U):
         fb = fundamental_batch(chart, U, interior_check=False)
-        return _metric_pair(fb, C, exploratory)
+        return _metric_pair(fb, exploratory)
 
     dfs = distance_fields(grid, metrics_fn, anchor)
     df_g, df_g0 = dfs["g"], dfs["g0"]
@@ -549,8 +546,8 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
     verdicts = []
     if C > 0:
         verdicts.append(check_length_inequality(
-            chart, C=C, n_curves=n_test_curves, rng_seed=seed))
-        verdicts.append(check_distance_inequality(df_g, df_g0, sff_sq, C))
+            chart, n_curves=n_test_curves, rng_seed=seed))
+        verdicts.append(check_distance_inequality(df_g, df_g0, fb))
     else:
         verdicts.append(ChainVerdict("length_comparison", "skip", math.nan,
                                      math.nan, "C = 0 (exploratory)"))
@@ -570,8 +567,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None, C=None,
                  if C > 0 else math.nan)
         rows.append(GrowthRow(r, S, psi, vol, bound, ref, truncated))
         if C > 0:
-            verdicts.append(
-                check_ball_containment(df_g, df_g0, sff_sq, C, r))
+            verdicts.append(check_ball_containment(df_g, df_g0, fb, r))
             verdicts.append(_strict_verdict(
                 f"volume_bound(r={r:g})", [vol], [bound], budget_vol,
                 notes="truncated ball (lower bound)" if truncated else ""))

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
+from .fundamental import gap_violation
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
@@ -70,12 +71,11 @@ class PrincipalBatch:
     eta      : (..., n, p)  alpha(X_k, X_k) in the normal frame
     eta_cont : (..., n, N)  container-valued principal normals
     eta_sq   : (..., n)
-    lambdas  : (..., n) or None when C is unknown
+    lambdas  : (..., n), or None when the chart's gap C is not positive
     offdiag  : (...,) residual max |alpha(X_k, X_l)|, k != l (relative)
     """
 
     fb: object
-    C: object
     X_chart: np.ndarray
     X_cont: np.ndarray
     eta: np.ndarray
@@ -100,7 +100,14 @@ class PrincipalBatch:
         return self
 
 
-def principal_batch(fb, C=None, seed=DEFAULT_SEED):
+def _lambdas(chart, eta_sq):
+    """(|eta|^2 + C)^(-1/2) where the chart's gap passes C > 0, else None."""
+    if gap_violation(chart) is not None:
+        return None
+    return 1.0 / np.sqrt(eta_sq + chart.C)
+
+
+def principal_batch(fb, seed=DEFAULT_SEED):
     """Diagonalize the commuting shape operators of a FundamentalBatch.
 
     Directions come in the canonical pointwise gauge: sorted by |eta|
@@ -154,20 +161,14 @@ def principal_batch(fb, C=None, seed=DEFAULT_SEED):
         if p > 0 else np.zeros(batch)
     offdiag = offdiag / np.maximum(1.0, np.sqrt(fb.sff_sq))
 
-    lambdas = None
-    if C is not None:
-        under = eta_sq + C
-        if np.any(under <= 0):
-            raise HypothesisViolation(
-                "|eta|^2 + C <= 0 at some point: lambda_i undefined")
-        lambdas = 1.0 / np.sqrt(under)
+    lambdas = _lambdas(fb.chart, eta_sq)
 
     key = np.argsort(-eta_sq, axis=-1, kind="stable")
     lead = np.take_along_axis(
         X_chart, np.argmax(np.abs(X_chart), axis=-1)[..., None], axis=-1)
     sign = np.where(lead[..., 0] < 0, -1.0, 1.0)
     M = np.where(key[..., None] == np.arange(n), sign[..., None, :], 0.0)
-    return PrincipalBatch(fb, C, X_chart, X_cont, eta, eta_cont, eta_sq,
+    return PrincipalBatch(fb, X_chart, X_cont, eta, eta_cont, eta_sq,
                           lambdas, offdiag, seed).regauge(M)
 
 
@@ -182,14 +183,13 @@ class PrincipalDecomposition:
     multiplicities: np.ndarray
     lambdas: object            # (s,) or None
     s: int
-    C: object
     offdiag_residual: float
 
 
-def principal_decomposition(fb, C=None, seed=DEFAULT_SEED,
+def principal_decomposition(fb, seed=DEFAULT_SEED,
                             cluster_tol=CLUSTER_REL_TOL):
     """Spec operation: principal normals with clustering at one point."""
-    pb = principal_batch(fb, C=None, seed=seed)
+    pb = principal_batch(fb, seed=seed)
     eta = np.asarray(pb.eta, dtype=float).reshape(fb.n, fb.p)
     eta_cont = np.asarray(pb.eta_cont, dtype=float).reshape(fb.n, -1)
     X = np.asarray(pb.X_chart, dtype=float).reshape(fb.n, fb.n)
@@ -212,15 +212,9 @@ def principal_decomposition(fb, C=None, seed=DEFAULT_SEED,
         if fb.p > 0 else np.zeros((s, 0))
     etas_cont = np.stack([eta_cont[labels == ci].mean(axis=0)
                           for ci in range(s)])
-    lambdas = None
-    if C is not None:
-        under = np.sum(etas * etas, axis=-1) + C
-        if np.any(under <= 0):
-            raise HypothesisViolation(
-                "|eta_i|^2 + C <= 0: cannot form lambda_i")
-        lambdas = 1.0 / np.sqrt(under)
+    lambdas = _lambdas(fb.chart, np.sum(etas * etas, axis=-1))
     return PrincipalDecomposition(etas, etas_cont, X, labels, mult, lambdas,
-                                  s, C, float(pb.offdiag))
+                                  s, float(pb.offdiag))
 
 
 def third_fundamental_form(fb):
@@ -235,17 +229,14 @@ class ComparisonMetric:
     positive_definite: bool
 
 
-def comparison_metric(fb, III=None, C=None, exploratory=False):
-    """g0 = C g + III; requires C > 0 unless exploratory mode is requested."""
-    if C is None:
-        C = fb.chart.C
-    if C is None or (C <= 0 and not exploratory):
-        raise HypothesisViolation(
-            f"comparison metric needs C > 0 (got {C}); pass exploratory=True "
-            "to override")
-    if III is None:
-        III = third_fundamental_form(fb)
-    g0 = C * fb.g + III
+def comparison_metric(fb, exploratory=False):
+    """g0 = C g + III with the chart's gap C; requires C > 0 (exploratory
+    mode admits C = 0)."""
+    reason = gap_violation(fb.chart, exploratory)
+    if reason is not None:
+        raise HypothesisViolation(f"comparison metric needs C > 0: {reason}")
+    C = fb.chart.C
+    g0 = third_fundamental_form(fb) + C * fb.g
     try:
         np.linalg.cholesky(g0)
         pd = True

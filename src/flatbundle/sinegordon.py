@@ -166,7 +166,8 @@ class SineGordonSurface:
             return tuple(sp.ev(x, y) for sp in splines)
 
         return ImmersionChart("sine_gordon_surface", f, 2, euclidean(3),
-                              -1.0, self.domain, engine="fd")
+                              -1.0, self.domain, engine="fd",
+                              supported_engines=("fd",))
 
 
 def integrate_surface(phi, domain=DEFAULT_DOMAIN, resolution=161,

@@ -11,8 +11,8 @@ import numpy as np
 
 from . import engines
 from .fields import grid_deriv, principal_field
-from .fundamental import flatness_verdict, fundamental_batch
-from .principal import CLUSTER_REL_TOL, comparison_metric, third_fundamental_form
+from .fundamental import flatness_verdict, fundamental_batch, gap_violation
+from .principal import CLUSTER_REL_TOL, DEFAULT_SEED, comparison_metric
 
 G0_FLAT_TOL = 1e-3
 DERIVED_TOL = 1e-4   # identities that differentiate eigen-derived fields
@@ -161,7 +161,8 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
     amb = pf.chart.ambient
     n = pf.n
     if pf.pb.lambdas is None:
-        raise ValueError("connection formula needs lambdas: pass C > 0")
+        raise ValueError("connection formula needs lambdas: "
+                         + gap_violation(pf.chart))
     worst = 0.0
     lam = pf.pb.lambdas
     for i in range(n):
@@ -248,10 +249,10 @@ def check_intrinsic_curvature(fb, grid, tol=None):
     return residual_report("intrinsic_curvature", res, tol, chart)
 
 
-def check_g0_flat(fb, grid, C=None, tol=G0_FLAT_TOL):
+def check_g0_flat(fb, grid, tol=G0_FLAT_TOL):
     """Lemma: g0 = C g + III (fb over the grid points) is flat.  Residual =
     max normalized |R0_{ijkl}|."""
-    cm = comparison_metric(fb, third_fundamental_form(fb), C)
+    cm = comparison_metric(fb)
     res = constant_curvature_residual(cm.g0, grid, 0.0)
     return residual_report("g0_flat", res, tol, fb.chart)
 
@@ -263,16 +264,7 @@ IDENTITIES = ("intrinsic_curvature", "gauss", "codazzi_c1", "codazzi_c2",
               "connection_nn", "g0_flat")
 
 
-def gap_violation(C):
-    """Why a curvature gap C fails the theorem's C > 0, or None."""
-    if C is None:
-        return "intrinsic curvature unasserted"
-    if C <= 0:
-        return f"curvature gap C = {C:g} <= 0"
-    return None
-
-
-def verify_chart(chart, grid, seed=None, tols=None):
+def verify_chart(chart, grid, seed=DEFAULT_SEED, tols=None):
     """Run the identity suite on a chart under the theorem's hypotheses.
 
     Returns (reports, skipped): a report for each identity that ran, in
@@ -290,15 +282,14 @@ def verify_chart(chart, grid, seed=None, tols=None):
         why = f"normal bundle not flat, residual {res:.3e}"
         return [], dict.fromkeys(IDENTITIES, why)
 
-    C = chart.C
     skipped = {}
-    gap = gap_violation(C)
+    gap = gap_violation(chart)
     if gap is not None:
         skipped.update(connection_nn=gap, g0_flat=gap)
     if chart.c is None:
         skipped.update(intrinsic_curvature="intrinsic curvature unasserted",
                        gauss="intrinsic curvature unasserted")
-    pf = principal_field(chart, grid, C=None if gap else C, seed=seed)
+    pf = principal_field(chart, grid, seed=seed)
     checks = {
         "intrinsic_curvature": lambda: check_intrinsic_curvature(
             pf.fb, grid, tol=tols.get("intrinsic")),
@@ -310,7 +301,7 @@ def verify_chart(chart, grid, seed=None, tols=None):
             pf, tol=tols.get("c2", DERIVED_TOL)),
         "connection_nn": lambda: check_connection_formula(
             pf, tol=tols.get("nn", DERIVED_TOL)),
-        "g0_flat": lambda: check_g0_flat(pf.fb, grid, C=C,
+        "g0_flat": lambda: check_g0_flat(pf.fb, grid,
                                          tol=tols.get("g0", G0_FLAT_TOL)),
     }
     reports = [check() for name, check in checks.items()

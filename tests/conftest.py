@@ -31,14 +31,14 @@ def sphere_control():
 def ps_field_33(pseudosphere):
     chart = pseudosphere.chart
     grid = make_grid(chart, 33)
-    return principal_field(chart, grid, C=chart.C)
+    return principal_field(chart, grid)
 
 
 @pytest.fixture(scope="session")
 def dini_field_65(dini):
     chart = dini.chart
     grid = make_grid(chart, 65)
-    return principal_field(chart, grid, C=chart.C)
+    return principal_field(chart, grid)
 
 
 @pytest.fixture(scope="session")

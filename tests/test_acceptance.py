@@ -74,7 +74,7 @@ def test_criterion_2_codazzi_and_connection(capfd, pseudosphere, dini):
         res_by_h = {}
         for res in (65, 129):
             grid = make_grid(chart, res)
-            pf = principal_field(chart, grid, C=chart.C)
+            pf = principal_field(chart, grid)
             c1 = check_codazzi_c1(pf).max
             nn = check_connection_formula(pf).max
             res_by_h[res] = (float(np.max(grid.spacing)), c1, nn)
@@ -98,7 +98,7 @@ def test_criterion_3_comparison_metric_flat(capfd, pseudosphere, dini, clifford)
         chart = entry.chart
         grid = make_grid(chart, res)
         fb = fundamental_batch(chart, grid.points, interior_check=False)
-        rep = check_g0_flat(fb, grid, C=chart.C, tol=tol)
+        rep = check_g0_flat(fb, grid, tol=tol)
         vals[entry.name] = (rep.max, tol, rep.passed)
     ok = all(p for _, _, p in vals.values())
     detail = ", ".join(f"{k} max={m:.2e} (tol {t:.0e})"
@@ -205,8 +205,9 @@ def test_criterion_7_hypothesis_guards(capfd, sphere_control):
         fundamental_batch(sphere_control.chart, np.array([0.5, 0.2])))
     checks.append(("umbilic multiplicity guard", dec.s == 1))
     try:
-        fm = build_flow_map(sphere_control.chart, (0.5, 0.2),
-                            ((-0.1, 0.1),) * 2, 5, C=1.0)
+        # asserting c = -1 gives the sphere the gap C = 1 the flows need
+        fm = build_flow_map(dataclasses.replace(sphere_control.chart, c=-1.0),
+                            (0.5, 0.2), ((-0.1, 0.1),) * 2, 5)
         verify_principal_frame_property(fm)
         checks.append(("umbilic frame check refused", False))
     except HypothesisViolation:

@@ -262,7 +262,7 @@ def test_cli_coords_guards_flat_normal_bundle(tmp_path):
     summary = (tmp_path / "c" / "coords_summary.txt").read_text()
     assert summary.splitlines()[-1].startswith(
         "principal_coordinates SKIPPED by hypothesis (normal bundle not "
-        "flat at x0")
+        "flat, residual")
     assert not (tmp_path / "c" / "coords.csv").exists()
 
 
@@ -279,6 +279,34 @@ def test_cli_verify_names_each_identity_once(tmp_path):
         assert len(named) == 1, (ident, named)
         assert named[0].startswith(
             f"{ident} SKIPPED by hypothesis (normal bundle not flat")
+
+
+def test_cli_summaries_print_the_grid_they_used(tmp_path):
+    """growth used to print the verify grid ([grid] resolution, 17,17
+    here) whatever its own resolution, and coords printed it too, though
+    it samples the flow grid."""
+    (tmp_path / "g.ini").write_text(
+        "[chart]\nname = pseudosphere\n[grid]\nresolution = 17\n"
+        "[growth]\nradii = 0.4, 0.8\nresolution = 33\nflow_resolution = 5\n"
+        "flow_box = -0.2 : 0.2\nt_range = -0.2 : 0.2\npairs = 4\n")
+    for cmd, grid in (("growth", "33,33"), ("coords", "5,5")):
+        code, out, err = run_cli(cmd, "--config", "g.ini", "--out", cmd,
+                                 cwd=tmp_path)
+        assert code == 0, err
+        summary = (tmp_path / cmd / f"{cmd}_summary.txt").read_text()
+        assert f"grid = {grid}" in summary.splitlines(), (cmd, summary)
+
+
+def test_cli_refuses_an_engine_the_chart_cannot_use(tmp_path):
+    """The sine-Gordon chart is a spline that only FD can differentiate:
+    --engine ad used to exit 3 with a TypeError about HyperDual."""
+    (tmp_path / "sg.ini").write_text(
+        "[chart]\nname = sine_gordon_surface\n[grid]\nresolution = 17\n")
+    code, out, err = run_cli("verify", "--config", "sg.ini", "--out", "sg",
+                             "--engine", "ad", cwd=tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "sine_gordon_surface" in err and "supported: fd" in err
 
 
 def test_cli_expression_chart(workdir):

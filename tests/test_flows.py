@@ -1,6 +1,8 @@
 """Flows of the scaled principal directions: group law, commutation,
 round trips, the flow-map coordinates and their guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,10 +63,38 @@ def test_flow_map_is_principal_coordinates(dini):
 
 
 def test_flow_map_refuses_umbilic_base(sphere_control):
-    fm = build_flow_map(sphere_control.chart, (0.5, 0.2),
-                        ((-0.1, 0.1),) * 2, 5, C=1.0)
+    # asserting c = -1 gives the sphere the gap C = 1 the flows need
+    fm = build_flow_map(dataclasses.replace(sphere_control.chart, c=-1.0),
+                        (0.5, 0.2), ((-0.1, 0.1),) * 2, 5)
     with pytest.raises(HypothesisViolation):
         verify_principal_frame_property(fm)
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("product_torus_r4", (3.0, 3.0)),                        # C = 0
+    # C = -1, and |eta|^2 + C rounds to +4e-16 here
+    ("sphere_negative_control", (0.1, 0.5897435897435896)),
+])
+def test_flows_refuse_nonpositive_gap(name, x0):
+    """The flows need C > 0 as a rule on the chart, not |eta|^2 + C > 0
+    point by point: the sphere used to get lambdas near 1e7 here and end
+    in a DomainExitError, and the C = 0 torus used to flow."""
+    chart = catalog.get(name).chart
+    with pytest.raises(HypothesisViolation, match="curvature gap C"):
+        build_flow_map(chart, x0, ((-0.1, 0.1),) * 2, 5)
+    with pytest.raises(HypothesisViolation, match="curvature gap C"):
+        check_flow_identities(chart, x0, (-0.1, 0.1), n_pairs=4)
+    with pytest.raises(HypothesisViolation, match="curvature gap C"):
+        commutator_residual(chart, x0)
+
+
+def test_flow_map_refuses_non_flat_normal_bundle():
+    """Asserting c = -1 gives veronese_r5 the gap C = 1, but its shape
+    operators do not commute: the flows raise HypothesisViolation before
+    the joint diagonalization, which used to fail with NumericalError."""
+    chart = dataclasses.replace(catalog.get("veronese_r5").chart, c=-1.0)
+    with pytest.raises(HypothesisViolation, match="normal bundle not flat"):
+        build_flow_map(chart, (1.0, 0.0), ((-0.1, 0.1),) * 2, 5)
 
 
 def test_domain_exit_raises(pseudosphere):

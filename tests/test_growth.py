@@ -1,12 +1,14 @@
 """Distances, balls, volumes, the inequality chain and the exponential fit,
 checked against flat and hyperbolic closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import ConvexHull
 
 from flatbundle import catalog
 from flatbundle.errors import (ConfigError, DomainError,
@@ -46,12 +48,28 @@ def test_stencil_overshoot_2d():
     # sec of half the largest angular gap between stencil directions
     assert over == pytest.approx(0.0131, abs=5e-4)
     assert over < 0.02
+    assert over == 0.013081457233190097       # the growth outputs' budget
 
 
-def test_stencil_overshoot_3d_sampled():
+def test_stencil_overshoot_3d():
     offs = stencil_offsets(3)
     over = stencil_overshoot(offs)
     assert 0.0 < over < 0.15
+
+
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_stencil_overshoot_bounds_every_hull_facet(ndim):
+    """Along a facet normal v of the hull of the +-unit stencil directions
+    the shortest stencil path has length 1/max_k |v . d_k|; the overshoot
+    must cover every such direction (8192 sampled directions in 3-D
+    missed the worst one)."""
+    offs = stencil_offsets(ndim)
+    dirs = offs / np.linalg.norm(offs, axis=1, keepdims=True)
+    normals = ConvexHull(np.concatenate([dirs, -dirs])).equations[:, :-1]
+    excess = 1.0 / np.max(np.abs(normals @ dirs.T), axis=1) - 1.0
+    over = stencil_overshoot(offs)
+    assert np.max(excess) <= over * (1.0 + 1e-12)
+    assert np.max(excess) >= over * (1.0 - 1e-12)   # attained: exact
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +267,26 @@ def test_chain_verdicts_exclude_the_anchor(pseudosphere):
         return {"g": fb.g, "g0": comparison_metric(fb).g0}
 
     dfs = distance_fields(grid, both, anchor)
-    v = check_distance_inequality(dfs["g"], dfs["g0"], fb.sff_sq, 1.0)
+    v = check_distance_inequality(dfs["g"], dfs["g0"], fb)
     assert v.verdict == "pass"
     assert v.compared == grid.points[..., 0].size - 1
     assert v.notes == f"{v.compared} grid nodes"
-    tiny = check_ball_containment(dfs["g"], dfs["g0"], fb.sff_sq, 1.0, 1e-3)
+    tiny = check_ball_containment(dfs["g"], dfs["g0"], fb, 1e-3)
     assert (tiny.verdict, tiny.compared) == ("indeterminate", 0)
     assert tiny.notes == "singleton ball"
 
 
 def test_length_check_matches_separate_curve_lengths(pseudosphere):
     chart = pseudosphere.chart
-    got = check_length_inequality(chart, C=1.0, n_curves=3, rng_seed=7)
+    got = check_length_inequality(chart, n_curves=3, rng_seed=7)
     rng = np.random.default_rng(7)
     box = np.array(chart.usable_domain())
     lhs, rhs, quad_err = [], [], 0.0
     for _ in range(3):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
-        Lg, s_hat = curve_length(chart, P, "g", C=1.0)
-        L0, _ = curve_length(chart, P, "g0", C=1.0)
-        L0c, _ = curve_length(chart, P, "g0", C=1.0, samples_per_segment=128)
+        Lg, s_hat = curve_length(chart, P, "g")
+        L0, _ = curve_length(chart, P, "g0")
+        L0c, _ = curve_length(chart, P, "g0", samples_per_segment=128)
         quad_err = max(quad_err, abs(L0 - L0c) / L0)
         lhs.append(L0)
         rhs.append(math.sqrt(s_hat + 1.0) * Lg)
@@ -398,8 +416,9 @@ def test_growth_guards():
         growth_report(ps3.chart, (1.0, 1.0, 0.0), (0.3,), resolution=17)
     veronese = catalog.get("veronese_r5")
     with pytest.raises(HypothesisViolation):       # normal bundle not flat
-        growth_report(veronese.chart, (1.0, 0.0), (0.3,), C=1.0,
-                      resolution=33)
+        # asserting c = -1 gives it the gap C = 1, so flatness is reached
+        growth_report(dataclasses.replace(veronese.chart, c=-1.0),
+                      (1.0, 0.0), (0.3,), resolution=33)
 
 
 def test_growth_c0_exploratory_only():

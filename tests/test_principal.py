@@ -19,7 +19,7 @@ def test_pseudosphere_principal_data(pseudosphere):
     chart = pseudosphere.chart
     pts = np.array([[0.6, 0.5], [1.3, 2.0], [2.4, 5.0]])
     fb = fundamental_batch(chart, pts)
-    pb = principal_batch(fb, C=1.0)
+    pb = principal_batch(fb)
     assert float(np.max(pb.offdiag)) < 1e-12
     for k, (u, _) in enumerate(pts):
         want = np.sort([math.sinh(u) ** 2, 1.0 / math.sinh(u) ** 2])
@@ -29,15 +29,14 @@ def test_pseudosphere_principal_data(pseudosphere):
         # X_i are g-orthonormal
         X = pb.X_chart[k]
         np.testing.assert_allclose(X @ fb.g[k] @ X.T, np.eye(2), atol=1e-12)
-    dec = principal_decomposition(fundamental_batch(chart, pts[1]), C=1.0)
+    dec = principal_decomposition(fundamental_batch(chart, pts[1]))
     assert dec.s == 2
     assert sorted(dec.multiplicities.tolist()) == [1, 1]
 
 
 def _ps_grid_batch(pseudosphere):
     grid = make_grid(pseudosphere.chart, 9)
-    return principal_batch(fundamental_batch(pseudosphere.chart, grid.points),
-                           C=1.0)
+    return principal_batch(fundamental_batch(pseudosphere.chart, grid.points))
 
 
 def test_principal_batch_canonical_gauge(pseudosphere):
@@ -104,12 +103,12 @@ def test_clifford_curvatures_and_g0(clifford):
     chart = clifford.chart
     pts = np.array([[0.3, 1.0], [4.0, 2.0]])
     fb = fundamental_batch(chart, pts)
-    pb = principal_batch(fb, C=1.0)
+    pb = principal_batch(fb)
     # <eta_1, eta_2> = c - c~ = -1 and eta_sq = 1 for both at t = pi/4
     np.testing.assert_allclose(pb.eta_sq, 1.0, atol=1e-13)
     ip = np.sum(pb.eta[..., 0, :] * pb.eta[..., 1, :], axis=-1)
     np.testing.assert_allclose(ip, -1.0, atol=1e-13)
-    cm = comparison_metric(fb, C=1.0)
+    cm = comparison_metric(fb)
     assert cm.positive_definite
     np.testing.assert_allclose(cm.g0,
                                np.broadcast_to(np.eye(2), cm.g0.shape),
@@ -141,10 +140,17 @@ def test_comparison_metric_guards():
 
 
 def test_lambda_guard_fires_when_gap_negative(sphere_control):
-    """C = c~ - c = -1 on the unit sphere: |eta|^2 + C = 0, no lambdas."""
-    fb = fundamental_batch(sphere_control.chart, np.array([0.4, -0.2]))
-    with pytest.raises(HypothesisViolation):
-        principal_decomposition(fb, C=-1.0)
+    """C = c~ - c = -1 on the unit sphere: no lambdas anywhere, although
+    |eta|^2 + C = 0 rounds to a positive number at some points."""
+    chart = sphere_control.chart
+    grid = make_grid(chart, 40)
+    pb = principal_batch(fundamental_batch(chart, grid.points,
+                                           interior_check=False))
+    assert chart.C == -1.0 and np.any(pb.eta_sq + chart.C > 0)
+    assert pb.lambdas is None
+    dec = principal_decomposition(fundamental_batch(chart,
+                                                    np.array([0.4, -0.2])))
+    assert dec.s == 1 and dec.lambdas is None
 
 
 def test_joint_diagonalize_commuting_family(rng):

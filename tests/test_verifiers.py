@@ -1,5 +1,7 @@
 """The curvature-identity suite on positive examples and negative controls."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,9 @@ def test_c2_nonvacuous_for_three_principal_normals():
 
 def test_connection_formula_requires_lambdas(ps_field_33, pseudosphere):
     grid = ps_field_33.grid
-    pf = principal_field(pseudosphere.chart, grid, C=None)
+    # without an asserted c there is no gap C, hence no lambdas
+    pf = principal_field(dataclasses.replace(pseudosphere.chart, c=None),
+                         grid)
     with pytest.raises(ValueError):
         check_connection_formula(pf)
 
@@ -93,7 +97,7 @@ def test_connection_formula_requires_lambdas(ps_field_33, pseudosphere):
 def test_g0_flat_clifford_tight(clifford):
     grid = make_grid(clifford.chart, 33)
     fb = fundamental_batch(clifford.chart, grid.points, interior_check=False)
-    rep = check_g0_flat(fb, grid, C=1.0, tol=1e-8)
+    rep = check_g0_flat(fb, grid, tol=1e-8)
     assert rep.passed, rep.summary_line()
 
 
@@ -103,7 +107,7 @@ def test_residual_convergence_order(pseudosphere):
     data = {}
     for res in (17, 33):
         grid = make_grid(chart, res)
-        pf = principal_field(chart, grid, C=chart.C)
+        pf = principal_field(chart, grid)
         data[res] = (float(np.max(grid.spacing)),
                      check_codazzi_c1(pf).max,
                      check_connection_formula(pf).max)
