@@ -14,8 +14,8 @@ from .fields import Grid, make_grid, principal_field
 from .flows import (build_flow_map, check_flow_identities,
                     commutator_residual, integrate_flow,
                     verify_principal_frame_property)
-from .fundamental import (FundamentalBatch, fundamental_batch,
-                          normal_bundle_is_flat)
+from .fundamental import (FundamentalBatch, MetricBatch, fundamental_batch,
+                          metric_batch, normal_bundle_is_flat)
 from .growth import (ball_max_sff, ball_volume, check_ball_containment,
                      check_distance_inequality, check_length_inequality,
                      curve_length, distance_field, fit_exponential,

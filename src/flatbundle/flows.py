@@ -17,7 +17,7 @@ import numpy as np
 from .engines import AD, DEFAULT_TOL
 from .errors import CoherenceError, DomainExitError, HypothesisViolation
 from .fields import Grid, _signed_permutation, grid_deriv, principal_field
-from .fundamental import flatness_verdict, fundamental_batch, gap_violation
+from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
 from .verifiers import residual_report
@@ -30,11 +30,7 @@ BOX_SHRINK = 0.8
 def _require_hypotheses(fb):
     """Raise :class:`HypothesisViolation` unless the flow fields exist on
     the batch: the chart's gap C > 0 first, then a flat normal bundle."""
-    reason = gap_violation(fb.chart)
-    if reason is None:
-        flat, res, tol = flatness_verdict(fb)
-        if not flat:
-            reason = f"normal bundle not flat, residual {res:.3e} > {tol:.1e}"
+    reason = gap_violation(fb.chart) or flatness_violation(fb)
     if reason is not None:
         raise HypothesisViolation(reason)
 

@@ -1,5 +1,22 @@
-"""First/second fundamental forms, normal frames, and the flat-normal-bundle
-test, computed in batch over arbitrary point sets."""
+"""First/second/third fundamental forms, normal frames, and the
+flat-normal-bundle test, computed in batch over arbitrary point sets.
+
+One kernel serves every batch.  It takes the chart's 2-jet to the induced
+metric g, its inverse, the container-valued second fundamental form alpha
+(the second derivatives projected off the tangent space, and off the
+position vector in a curved ambient), the third fundamental form
+III_ij = g^{kl} <alpha_ik, alpha_jl> and |alpha|^2 = tr(g^{-1} III).  None
+of these needs a normal frame: the inner products are taken in the
+container, so ``metric_batch`` stops there.  ``fundamental_batch`` adds the
+normal frame and alpha in frame components for the consumers that need
+them (principal data, the flatness test, normal projections).
+
+The kernel works component-major: each index component is one contiguous
+array over the flattened points (points on the last axis), and the small
+index loops are plain multiply-adds over those arrays, so no per-point
+matrix routine and no ``einsum`` runs.  Batches hand their results back
+point-major, shape (..., n, n) and so on.
+"""
 
 from __future__ import annotations
 
@@ -13,46 +30,210 @@ from .errors import DegenerateMetricError, FrameError
 _FRAME_TOL = 1e-10
 
 
-def _gram_schmidt_append(basis, sqnorms, v, inner):
-    """Project v off the stored (orthogonal, unnormalized) basis vectors."""
-    w = v
+# ---------------------------------------------------------------------------
+# component-major helpers: index axes first, flattened points last
+
+def _components(a, k):
+    """Component-major copy of a point-major array whose last k axes are
+    index axes."""
+    flat = a.reshape((-1,) + a.shape[a.ndim - k:])
+    return np.ascontiguousarray(flat.transpose(tuple(range(1, k + 1)) + (0,)))
+
+
+def _point_major(a, batch):
+    """Point-major copy, shape batch + index axes, of a component-major
+    array."""
+    axes = (a.ndim - 1,) + tuple(range(a.ndim - 1))
+    return np.ascontiguousarray(a.transpose(axes)).reshape(batch + a.shape[:-1])
+
+
+def _signs(ambient):
+    """The container signature as an (N, 1) column, or None when it is all
+    plus (every Riemannian container)."""
+    sig = ambient.signature
+    return sig[:, None] if (sig < 0).any() else None
+
+
+def _dot(u, v, signs=None):
+    """sum_k signs[k] u[..., k, :] v[..., k, :], accumulated in k order:
+    the container inner product of component-major vectors."""
+    prod = u * v
+    if signs is not None:
+        prod *= signs
+    return prod.sum(axis=-2)
+
+
+def _project_off(v, basis, sqnorms, signs):
+    """v minus its components along the orthogonal basis vectors, taken off
+    in order.  v is (..., N, m), each basis vector (N, m) with signed
+    square norm (m,)."""
     for b, q in zip(basis, sqnorms):
-        w = w - (inner(w, b) / q)[..., None] * b
-    return w
+        v = v - (_dot(v, b, signs) / q)[..., None, :] * b
+    return v
+
+
+def _cholesky(G):
+    """Lower Cholesky factor of component-major symmetric matrices G
+    (n, n, m), or None when some matrix is not positive definite (a pivot
+    not > 0, NaN included)."""
+    n = len(G)
+    L = np.zeros_like(G)
+    for j in range(n):
+        d = G[j, j] - sum(L[j, k] * L[j, k] for k in range(j))
+        if not (d > 0).all():
+            return None
+        L[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            L[i, j] = (G[i, j] - sum(L[i, k] * L[j, k] for k in range(j))) \
+                / L[j, j]
+    return L
+
+
+def _inverse(L):
+    """G^{-1} = L^{-T} L^{-1} from the component-major Cholesky factor."""
+    n = len(L)
+    M = np.zeros_like(L)                 # L^{-1}, lower triangular
+    for i in range(n):
+        M[i, i] = 1.0 / L[i, i]
+        for j in range(i):
+            M[i, j] = -sum(L[i, k] * M[k, j] for k in range(j, i)) * M[i, i]
+    Ginv = np.empty_like(L)
+    for i in range(n):
+        for j in range(i, n):
+            Ginv[i, j] = Ginv[j, i] = sum(M[k, i] * M[k, j]
+                                          for k in range(j, n))
+    return Ginv
+
+
+def positive_definite(G):
+    """Whether every matrix of the symmetric stack G (..., n, n) is
+    positive definite."""
+    n = G.shape[-1]
+    return _cholesky(np.moveaxis(G, (-2, -1), (0, 1)).reshape(n, n, -1)) \
+        is not None
+
+
+# ---------------------------------------------------------------------------
+# the kernel and the two batches
+
+@dataclass
+class _Kernel:
+    """Component-major kernel output over m flattened points."""
+
+    g: np.ndarray            # (n, n, m)
+    ginv: np.ndarray         # (n, n, m)
+    alpha_cont: np.ndarray   # (n, n, N, m)
+    III: np.ndarray          # (n, n, m)
+    sff_sq: np.ndarray       # (m,)
+    obasis: np.ndarray       # (K, N, m)
+    obasis_sq: np.ndarray    # (K, m)
+
+
+def _kernel(chart, J):
+    """Metric data of the jet J, with the guards every batch runs: g must
+    be positive definite and the normal projection finite."""
+    amb = chart.ambient
+    sig = _signs(amb)
+    n = chart.n
+    T = _components(J.first, 2)                      # (n, N, m)
+    g = _dot(T[:, None], T[None, :], sig)            # (n, n, m)
+    L = _cholesky(g)
+    if L is None:
+        raise DegenerateMetricError(
+            f"{chart.name}: first fundamental form not positive definite")
+    ginv = _inverse(L)
+
+    # orthogonalized span to project off: position (non-flat) then tangents
+    vecs = list(T) if amb.flat else [_components(J.value, 1)] + list(T)
+    obasis, obasis_sq = [], []
+    for v in vecs:
+        w = _project_off(v, obasis, obasis_sq, sig)
+        obasis.append(w)
+        obasis_sq.append(_dot(w, w, sig))
+
+    # alpha = normal component of the container second derivatives; the
+    # normal space is {0} in codimension 0
+    H = _components(J.second, 3)
+    if chart.codimension == 0:
+        alpha = np.zeros_like(H)
+    else:
+        alpha = _project_off(H, obasis, obasis_sq, sig)
+    if not np.isfinite(alpha).all():
+        raise FrameError(f"{chart.name}: normal projection not finite")
+
+    # III_ij = sum_l <beta_il, alpha_jl> with beta_il = g^{lk} alpha_ik
+    beta = ginv[None, :, 0, None] * alpha[:, None, 0]
+    for k in range(1, n):
+        beta += ginv[None, :, k, None] * alpha[:, None, k]
+    III = _dot(beta[:, None], alpha[None, :], sig).sum(axis=2)
+    III = 0.5 * (III + np.swapaxes(III, 0, 1))
+    sff_sq = (ginv * III).sum(axis=(0, 1))
+    return _Kernel(g, ginv, alpha, III, sff_sq, np.stack(obasis),
+                   np.stack(obasis_sq))
 
 
 @dataclass
-class FundamentalBatch:
-    """Per-point fundamental data over a batch of shape ``batch``.
+class MetricBatch:
+    """Frame-free metric data over a batch of shape ``batch``.
 
-    g          : (..., n, n)   first fundamental form
-    ginv       : (..., n, n)
-    tangent    : (..., n, N)   container tangent vectors dF/du_i
-    position   : (..., N)      image points
-    alpha_cont : (..., n, n, N) second fundamental form, container valued
-    frame      : (..., p, N)   orthonormal normal frame
-    alpha      : (..., n, n, p) components of alpha in the frame
-    sff_sq     : (...,)        |alpha|^2
-    obasis / obasis_sq : orthogonalized span of tangent (+ position) used
-                         for normal projections, with signed square norms
+    g      : (..., n, n) first fundamental form
+    ginv   : (..., n, n)
+    III    : (..., n, n) third fundamental form g^{kl} <alpha_ik, alpha_jl>
+    sff_sq : (...,)      |alpha|^2 = tr(g^{-1} III)
     """
 
     chart: object
     points: np.ndarray
-    position: np.ndarray
-    tangent: np.ndarray
     g: np.ndarray
     ginv: np.ndarray
-    alpha_cont: np.ndarray
-    frame: np.ndarray
-    alpha: np.ndarray
+    III: np.ndarray
     sff_sq: np.ndarray
-    obasis: np.ndarray
-    obasis_sq: np.ndarray
 
     @property
     def n(self):
         return self.g.shape[-1]
+
+
+def _jet_kernel(chart, U, interior_check):
+    U = np.asarray(U, dtype=float)
+    J = chart.jet(U, interior_check=interior_check)
+    return U, J, _kernel(chart, J)
+
+
+def _metric_fields(chart, U, K):
+    batch = U.shape[:-1]
+    return dict(chart=chart, points=U, g=_point_major(K.g, batch),
+                ginv=_point_major(K.ginv, batch),
+                III=_point_major(K.III, batch),
+                sff_sq=K.sff_sq.reshape(batch))
+
+
+def metric_batch(chart, U, interior_check=True):
+    """g, g^{-1}, III and |alpha|^2 at points U of shape (..., n), without
+    a normal frame."""
+    U, _, K = _jet_kernel(chart, U, interior_check)
+    return MetricBatch(**_metric_fields(chart, U, K))
+
+
+@dataclass
+class FundamentalBatch(MetricBatch):
+    """A MetricBatch plus the frame data over the same batch.
+
+    position : (..., N)       image points
+    tangent  : (..., n, N)    container tangent vectors dF/du_i
+    frame    : (..., p, N)    orthonormal normal frame
+    alpha    : (..., n, n, p) components of alpha in the frame
+    obasis / obasis_sq : component-major (K, N, m) / (K, m) orthogonalized
+                         span of tangent (+ position) over the m flattened
+                         points, projected off for normal projections
+    """
+
+    position: np.ndarray
+    tangent: np.ndarray
+    frame: np.ndarray
+    alpha: np.ndarray
+    obasis: np.ndarray
+    obasis_sq: np.ndarray
 
     @property
     def p(self):
@@ -60,18 +241,16 @@ class FundamentalBatch:
 
     def normal_project(self, v):
         """Project container vectors (..., N) onto the normal space."""
-        inner = self.chart.ambient.inner
-        w = v
-        for k in range(self.obasis.shape[-2]):
-            b = self.obasis[..., k, :]
-            q = self.obasis_sq[..., k]
-            w = w - (inner(w, b) / q)[..., None] * b
-        return w
+        batch = self.sff_sq.shape
+        v = np.broadcast_to(v, batch + self.position.shape[-1:])
+        w = _project_off(_components(v, 1), self.obasis, self.obasis_sq,
+                         _signs(self.chart.ambient))
+        return _point_major(w, batch)
 
     def shape_operators(self):
         """g-self-adjoint shape operators A_a = g^{-1} B_a, shape (..., p, n, n)."""
-        B = np.einsum("...ija->...aij", self.alpha)
-        return np.einsum("...ik,...akj->...aij", self.ginv, B)
+        B = np.moveaxis(self.alpha, -1, -3)
+        return self.ginv[..., None, :, :] @ B
 
     def flatness_residual(self):
         """Max commutator norm of the shape operators, relative to the
@@ -91,92 +270,45 @@ class FundamentalBatch:
         return res / np.maximum(1.0, self.sff_sq)
 
 
+def _normal_frame(chart, obasis, obasis_sq):
+    """Deterministic orthonormal normal frame (p, N, m): the standard basis
+    vectors projected off the span and the accepted normals, in order."""
+    sig = _signs(chart.ambient)
+    p = chart.codimension
+    N = chart.ambient.embedding_dimension
+    m = obasis.shape[-1]
+    frame = np.zeros((p, N, m))
+    if p == 0 or m == 0:
+        return frame
+    count = np.zeros(m, dtype=int)
+    for k in range(N):
+        w = _project_off(np.eye(N)[:, k, None], obasis, obasis_sq, sig)
+        prev = frame[:count.max()]        # slots some point has filled
+        qq = _dot(prev, prev, sig)
+        w = _project_off(w, prev, np.where(qq > 0, qq, 1.0), sig)
+        nrm2 = _dot(w, w, sig)
+        accept = (nrm2 > _FRAME_TOL) & (count < p)
+        if np.any(accept):
+            wn = w / np.sqrt(np.where(accept, nrm2, 1.0))
+            for a in range(p):
+                frame[a] = np.where(accept & (count == a), wn, frame[a])
+            count += accept
+        if np.all(count == p):
+            return frame
+    raise FrameError(f"{chart.name}: could not build {p} independent normals")
+
+
 def fundamental_batch(chart, U, interior_check=True):
     """Compute fundamental data at points U of shape (..., n)."""
-    U = np.asarray(U, dtype=float)
-    J = chart.jet(U, interior_check=interior_check)
-    amb = chart.ambient
-    inner = amb.inner
-    n = chart.n
-    N = amb.embedding_dimension
-
-    T = J.first                              # (..., n, N)
-    sigT = T * amb.signature
-    g = np.einsum("...ik,...jk->...ij", sigT, J.first)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError(
-            f"{chart.name}: first fundamental form not positive definite")
-    ginv = np.linalg.inv(g)
-
-    # orthogonalized span to project off: position (non-flat) then tangents
+    U, J, K = _jet_kernel(chart, U, interior_check)
     batch = U.shape[:-1]
-    vecs = []
-    if not amb.flat:
-        vecs.append(J.value)
-    for i in range(n):
-        vecs.append(T[..., i, :])
-    obasis, obasis_sq = [], []
-    for v in vecs:
-        w = _gram_schmidt_append(obasis, obasis_sq, v, inner)
-        obasis.append(w)
-        obasis_sq.append(inner(w, w))
-    obasis = np.stack(obasis, axis=-2)
-    obasis_sq = np.stack(obasis_sq, axis=-1)
-
-    # alpha = normal component of the container second derivatives
-    H = J.second                             # (..., n, n, N)
-    alpha_cont = H.copy()
-    for k in range(obasis.shape[-2]):
-        b = obasis[..., k, :]
-        q = obasis_sq[..., k]
-        coef = np.einsum("...ijk,...k->...ij", alpha_cont * amb.signature, b)
-        alpha_cont = alpha_cont - (coef / q[..., None, None])[..., None] \
-            * b[..., None, None, :]
-    alpha_cont = 0.5 * (alpha_cont + np.swapaxes(alpha_cont, -3, -2))
-
-    # deterministic normal frame: standard basis vectors projected in order
-    p = chart.codimension
-    frame = np.zeros(batch + (p, N))
-    if p > 0:
-        count = np.zeros(batch, dtype=int)
-        for k in range(N):
-            e = np.zeros(N)
-            e[k] = 1.0
-            w = np.broadcast_to(e, batch + (N,)).copy()
-            for m in range(obasis.shape[-2]):
-                b = obasis[..., m, :]
-                q = obasis_sq[..., m]
-                w = w - (inner(w, b) / q)[..., None] * b
-            for a in range(p):
-                prev = frame[..., a, :]
-                qq = inner(prev, prev)
-                coef = np.where(qq > 0, inner(w, prev) / np.where(qq > 0, qq, 1.0), 0.0)
-                w = w - coef[..., None] * prev
-            nrm2 = inner(w, w)
-            accept = (nrm2 > _FRAME_TOL) & (count < p)
-            if np.any(accept):
-                wn = w / np.sqrt(np.where(accept, nrm2, 1.0))[..., None]
-                idx = np.where(accept, count, 0)
-                put = np.zeros_like(frame)
-                np.put_along_axis(
-                    put, idx[..., None, None],
-                    np.where(accept[..., None], wn, 0.0)[..., None, :], axis=-2)
-                frame = frame + put
-                count = count + accept.astype(int)
-            if np.all(count == p):
-                break
-        if not np.all(count == p):
-            raise FrameError(
-                f"{chart.name}: could not build {p} independent normals")
-
-    alpha = np.einsum("...ijk,...ak->...ija", alpha_cont * amb.signature, frame)
-    sff_sq = np.einsum("...ik,...jl,...ija,...kla->...",
-                       ginv, ginv, alpha, alpha)
-    return FundamentalBatch(chart, U, J.value, T, g, ginv, alpha_cont,
-                            frame, alpha, sff_sq, obasis, obasis_sq)
+    frame = _normal_frame(chart, K.obasis, K.obasis_sq)
+    alpha = _dot(K.alpha_cont[:, :, None], frame,
+                 _signs(chart.ambient))                     # (n, n, p, m)
+    return FundamentalBatch(
+        **_metric_fields(chart, U, K), position=J.value, tangent=J.first,
+        frame=_point_major(frame, batch), alpha=_point_major(alpha, batch),
+        obasis=K.obasis, obasis_sq=K.obasis_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +332,14 @@ def flatness_verdict(fb):
     res = float(np.max(fb.flatness_residual()))
     tol = 10.0 * engines.DEFAULT_TOL[fb.chart.engine]
     return res <= tol, res, tol
+
+
+def flatness_violation(fb):
+    """Why the normal bundle over the batch fails to be flat, or None."""
+    flat, res, tol = flatness_verdict(fb)
+    if flat:
+        return None
+    return f"normal bundle not flat, residual {res:.3e} > {tol:.1e}"
 
 
 def normal_bundle_is_flat(chart, u):

@@ -10,10 +10,15 @@ directions.
 
 An edge weight is the metric length of the edge at its midpoint.  Every
 edge midpoint lies on the 2x-refined half-lattice of the grid, so the
-fundamental data is evaluated once on the half-lattice points off the
-nodes (in chunks of MIDPOINT_CHUNK points), and both the induced metric g
-and the comparison metric g0 = C g + III are indexed out of that one
-evaluation.
+metrics are evaluated once on the half-lattice points off the nodes, in
+chunks of MIDPOINT_CHUNK points, and each edge indexes its weight out of
+that one evaluation.  A chunk needs only the induced metric g and the
+comparison metric g0 = C g + III: it takes them from the frame-free
+``metric_batch`` (which still refuses a degenerate g or a non-finite
+normal projection), and ``comparison_metric`` checks the gap and that g0
+is positive definite.  The random polylines of the length check take the
+same pair.  Only the grid nodes get the full ``fundamental_batch``, where
+the normal frame is built and the flatness hypothesis is tested.
 """
 
 from __future__ import annotations
@@ -27,14 +32,16 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
-from .fundamental import flatness_verdict, fundamental_batch, gap_violation
+from .fundamental import (flatness_violation, fundamental_batch,
+                          gap_violation, metric_batch)
 from .principal import DEFAULT_SEED, comparison_metric
 
 DEFAULT_RESOLUTION = 257
 _OFFSET_RANGE = 3
 _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
-MIDPOINT_CHUNK = 65536       # edge midpoints per fundamental batch (bounds
-                             # the memory of the full per-point batch)
+MIDPOINT_CHUNK = 16384       # edge midpoints per metric batch: the kernel's
+                             # component arrays then stay in cache (65536
+                             # took half again as long per point)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +94,19 @@ class DistanceField:
         """Running max of a node field along every shortest path.
 
         Returns, per node y, max of ``values`` over the discrete geodesic
-        from the anchor to y (the paper's path quantity \\hat S)."""
-        flat_d = self.d.ravel()
-        flat_v = np.asarray(values, dtype=float).ravel().copy()
-        order = np.argsort(flat_d)
-        pred = self.predecessors
-        for node in order:
-            p = pred[node]
-            if p >= 0:
-                flat_v[node] = max(flat_v[node], flat_v[p])
-        return flat_v.reshape(self.d.shape)
+        from the anchor to y (the paper's path quantity \\hat S).  Pointer
+        doubling over the predecessor tree: after round k, v[y] is the max
+        over the 2^k nodes of the path up to y and p[y] its 2^k-th
+        ancestor, until every pointer has passed a root (negative)."""
+        v = np.asarray(values, dtype=float).ravel().copy()
+        p = self.predecessors.copy()
+        live = np.flatnonzero(p >= 0)
+        while live.size:
+            up = p[live]
+            v[live] = np.maximum(v[live], v[up])
+            p[live] = p[up]
+            live = live[p[live] >= 0]
+        return v.reshape(self.d.shape)
 
 
 def nearest_node(grid, x0):
@@ -182,9 +192,9 @@ def distance_fields(grid, metrics_fn, anchor_index, overshoot=None):
     a = int(np.ravel_multi_index(anchor_index, grid.shape))
     fields = {}
     for label, G in metrics.items():
-        w = np.concatenate([
-            np.sqrt(np.einsum("i,...ij,j->...", disp, G[row], disp))
-            for _, _, row, disp in edges])
+        w = np.concatenate([_quadratic_form(G[row], disp)
+                            for _, _, row, disp in edges])
+        np.sqrt(w, out=w)
         graph = sparse.coo_matrix((w, (src, dst)), shape=(n_nodes, n_nodes))
         d, pred = dijkstra(graph.tocsr(), directed=False, indices=a,
                            return_predecessors=True)
@@ -194,6 +204,17 @@ def distance_fields(grid, metrics_fn, anchor_index, overshoot=None):
     return fields
 
 
+def _quadratic_form(G, x):
+    """x_i G_ij x_j per matrix of the stack G (m, n, n), for one vector x."""
+    n = len(x)
+    q = (x[0] * x[0]) * G[:, 0, 0]
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                q += (x[i] * x[j]) * G[:, i, j]
+    return q
+
+
 def distance_field(grid, metric_fn, anchor_index, label="g"):
     return distance_fields(grid, lambda U: {label: metric_fn(U)},
                            anchor_index)[label]
@@ -201,14 +222,15 @@ def distance_field(grid, metric_fn, anchor_index, label="g"):
 
 def induced_metric_fn(chart):
     def fn(U):
-        return fundamental_batch(chart, U, interior_check=False).g
+        return metric_batch(chart, U, interior_check=False).g
     return fn
 
 
-def _metric_pair(fb, exploratory=False):
-    """Induced metric g and comparison metric g0 = C g + III of one batch."""
-    return {"g": fb.g,
-            "g0": comparison_metric(fb, exploratory=exploratory).g0}
+def _metric_pair(chart, U, exploratory=False):
+    """The frame-free metric batch at points U (induced metric g and
+    |alpha|^2) and its comparison metric g0 = C g + III."""
+    mb = metric_batch(chart, U, interior_check=False)
+    return mb, comparison_metric(mb, exploratory=exploratory).g0
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +253,10 @@ def _polyline_samples(chart, polyline, samples_per_segment):
 
 
 def _polyline_length(seg, gm):
-    """Sum of metric step lengths; gm holds the metric at every sample."""
-    return float(np.sum(np.sqrt(np.einsum("si,smij,sj->sm", seg, gm, seg))))
+    """Sum of metric step lengths; gm (segments, samples, n, n) holds the
+    metric at every sample."""
+    q = np.stack([_quadratic_form(G, x) for G, x in zip(gm, seg)])
+    return float(np.sum(np.sqrt(q)))
 
 
 def curve_length(chart, polyline, metric="g", samples_per_segment=64):
@@ -241,15 +265,12 @@ def curve_length(chart, polyline, metric="g", samples_per_segment=64):
 
     metric is "g" (induced) or "g0" (comparison).
     """
-    mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
-    fb = fundamental_batch(chart, mids, interior_check=False)
-    if metric == "g":
-        gm = fb.g
-    elif metric == "g0":
-        gm = comparison_metric(fb).g0
-    else:
+    if metric not in ("g", "g0"):
         raise ValueError(f"unknown metric {metric!r}")
-    return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
+    mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
+    mb = metric_batch(chart, mids, interior_check=False)
+    gm = mb.g if metric == "g" else comparison_metric(mb).g0
+    return _polyline_length(seg, gm), float(np.max(mb.sff_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +424,10 @@ def check_length_inequality(chart, n_curves=20, rng_seed=DEFAULT_SEED,
     for _ in range(n_curves):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
         mids, seg = _polyline_samples(chart, P, samples_per_segment)
-        fb = fundamental_batch(chart, mids, interior_check=False)
-        metrics = _metric_pair(fb)
-        Lg = _polyline_length(seg, metrics["g"])
-        L0 = _polyline_length(seg, metrics["g0"])
-        s_hat = float(np.max(fb.sff_sq))
+        mb, g0 = _metric_pair(chart, mids)
+        Lg = _polyline_length(seg, mb.g)
+        L0 = _polyline_length(seg, g0)
+        s_hat = float(np.max(mb.sff_sq))
         L0c, _ = curve_length(chart, P, "g0",
                               samples_per_segment=2 * samples_per_segment)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
@@ -522,19 +542,17 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
         resolution = default_resolution(chart.n)
     grid = make_grid(chart, resolution)
     fb = fundamental_batch(chart, grid.points, interior_check=False)
-    flat, flat_res, flat_tol = flatness_verdict(fb)
-    if not flat:
-        raise HypothesisViolation(
-            f"{chart.name}: normal bundle not flat "
-            f"(residual {flat_res:.3e} > {flat_tol:.1e})")
+    reason = flatness_violation(fb)
+    if reason is not None:
+        raise HypothesisViolation(f"{chart.name}: {reason}")
 
     sff_sq = fb.sff_sq
     sqrt_det_g = np.sqrt(np.linalg.det(fb.g))
     anchor = nearest_node(grid, x0)
 
     def metrics_fn(U):
-        fb = fundamental_batch(chart, U, interior_check=False)
-        return _metric_pair(fb, exploratory)
+        mb, g0 = _metric_pair(chart, U, exploratory)
+        return {"g": mb.g, "g0": g0}
 
     dfs = distance_fields(grid, metrics_fn, anchor)
     df_g, df_g0 = dfs["g"], dfs["g0"]
@@ -582,7 +600,6 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     meta = dict(engine=chart.engine, seed=seed, resolution=resolution,
                 anchor=tuple(anchor), C=C,
                 stencil_overshoot=df_g.overshoot,
-                flatness_residual=flat_res,
                 cell_volume=grid.cell_volume())
     return GrowthReport(chart.name, np.asarray(x0, dtype=float), C, rows,
                         verdicts, fit, fit_window, warnings, meta)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
-from .fundamental import gap_violation
+from .fundamental import gap_violation, positive_definite
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
@@ -218,8 +218,9 @@ def principal_decomposition(fb, seed=DEFAULT_SEED,
 
 
 def third_fundamental_form(fb):
-    """III(d_i, d_j) = trace over a g-orthonormal slot of <alpha_i., alpha_j.>."""
-    return np.einsum("...kl,...ika,...jla->...ij", fb.ginv, fb.alpha, fb.alpha)
+    """III(d_i, d_j) = trace over a g-orthonormal slot of <alpha_i., alpha_j.>,
+    as computed by the batch's kernel."""
+    return fb.III
 
 
 @dataclass
@@ -230,16 +231,11 @@ class ComparisonMetric:
 
 
 def comparison_metric(fb, exploratory=False):
-    """g0 = C g + III with the chart's gap C; requires C > 0 (exploratory
-    mode admits C = 0)."""
+    """g0 = C g + III with the chart's gap C, from a MetricBatch or a
+    FundamentalBatch; requires C > 0 (exploratory mode admits C = 0)."""
     reason = gap_violation(fb.chart, exploratory)
     if reason is not None:
         raise HypothesisViolation(f"comparison metric needs C > 0: {reason}")
     C = fb.chart.C
-    g0 = third_fundamental_form(fb) + C * fb.g
-    try:
-        np.linalg.cholesky(g0)
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
-    return ComparisonMetric(g0, C, pd)
+    g0 = fb.III + C * fb.g
+    return ComparisonMetric(g0, C, positive_definite(g0))

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import engines
 from .fields import grid_deriv, principal_field
-from .fundamental import flatness_verdict, fundamental_batch, gap_violation
+from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import CLUSTER_REL_TOL, DEFAULT_SEED, comparison_metric
 
 G0_FLAT_TOL = 1e-3
@@ -276,10 +276,9 @@ def verify_chart(chart, grid, seed=DEFAULT_SEED, tols=None):
     tols = tols or {}
     stride = tuple(max(1, s // 16) for s in grid.shape)
     sample = grid.points[tuple(slice(None, None, st) for st in stride)]
-    flat, res, _ = flatness_verdict(
+    why = flatness_violation(
         fundamental_batch(chart, sample, interior_check=False))
-    if not flat:
-        why = f"normal bundle not flat, residual {res:.3e}"
+    if why is not None:
         return [], dict.fromkeys(IDENTITIES, why)
 
     skipped = {}

@@ -4,7 +4,9 @@ chart, so no function takes them as arguments (the jet, which dispatches
 on the engine, is the one exception)."""
 
 import importlib
+import importlib.util
 import inspect
+import pathlib
 import pkgutil
 
 import flatbundle
@@ -46,3 +48,24 @@ def test_no_function_takes_a_curvature_gap():
 
 def test_only_the_jet_takes_an_engine():
     assert _taking("engine") == ["engines.jet"]
+
+
+def test_every_tracer_target_resolves():
+    """The benchmark's tracer (perfbench/tracer.py) binds package functions
+    by name.  Loaded read-only here, without installing it, each of its
+    targets must resolve, so renaming a traced function fails this test
+    and not only the benchmark."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+        / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TARGETS) > 0
+    missing = []
+    for _, mod_name, attr, *_ in tracer.TARGETS:
+        owner = importlib.import_module(f"flatbundle.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from flatbundle import catalog
 from flatbundle import dual as dm
 from flatbundle.charts import (AmbientModel, ImmersionChart, euclidean,
                                hyperbolic, sphere)
 from flatbundle.errors import (DegenerateMetricError, DomainError,
-                               ModelConsistencyError)
-from flatbundle.fundamental import fundamental_batch, normal_bundle_is_flat
+                               FrameError, ModelConsistencyError)
+from flatbundle.fields import make_grid
+from flatbundle.fundamental import (fundamental_batch, gap_violation,
+                                    metric_batch, normal_bundle_is_flat)
+from flatbundle.growth import (curve_length, distance_field,
+                               induced_metric_fn, nearest_node)
+from flatbundle.principal import comparison_metric
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +239,75 @@ def test_veronese_normal_bundle_not_flat():
     flat, res = normal_bundle_is_flat(entry.chart, np.array([0.7, 0.4]))
     assert not flat
     assert res > 0.05
+
+
+# ---------------------------------------------------------------------------
+# the frame-free metric kernel against the frame-based formulas
+
+def _assert_rel(got, want, rel=1e-13):
+    """|got - want| <= rel * max |want| (exact equality when want is 0)."""
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", [
+    "pseudosphere", "dini",
+    "clifford_torus_s3",          # sphere ambient, p = 2
+    "veronese_r5",                # p = 3
+    "ps3",                        # n = 3
+    "hyperbolic_plane",           # Lorentzian container, p = 0
+])
+def test_metric_kernel_matches_frame_formulas(name):
+    chart = catalog.get(name).chart
+    if gap_violation(chart) is not None:      # g0 needs a gap: take C = 1
+        chart = dataclasses.replace(chart, c=chart.ambient.curvature - 1.0)
+    grid = make_grid(chart, 9 if chart.n == 2 else 5)
+    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    ginv, alpha = fb.ginv, fb.alpha
+    III = np.einsum("...kl,...ika,...jla->...ij", ginv, alpha, alpha)
+    sff = np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, alpha,
+                    alpha)
+    mb = metric_batch(chart, grid.points, interior_check=False)
+    for batch in (fb, mb):
+        _assert_rel(batch.III, III)
+        _assert_rel(batch.sff_sq, sff)
+        _assert_rel(comparison_metric(batch).g0, III + chart.C * fb.g)
+    # one kernel: the frame-free batch is the full batch without the frame
+    for field in ("g", "ginv", "III", "sff_sq"):
+        assert np.array_equal(getattr(mb, field), getattr(fb, field))
+
+
+def _nan_second_derivatives(u):
+    """A plane in R^3 whose second derivatives are NaN (the tangents and
+    the metric stay finite)."""
+    return (u[0], u[1], 0.0 * u[0] + dm.HyperDual(0.0, 0.0, 0.0, np.nan))
+
+
+def _nan_position(u):
+    """Finite tangents in S^3, but a NaN image point to project off."""
+    return (u[0], u[1], 0.0 * u[0] + dm.HyperDual(np.nan), 0.0 * u[0] + 1.0)
+
+
+def test_metric_kernel_guards():
+    folded = ImmersionChart("folded",
+                            lambda u: (u[0], u[0], 0.0 * u[1]),
+                            2, euclidean(3), None,
+                            ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(DegenerateMetricError):
+        metric_batch(folded, np.array([0.1, 0.2]))
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    for chart in (
+            ImmersionChart("nan_hessian", _nan_second_derivatives, 2,
+                           euclidean(3), -1.0, box),
+            ImmersionChart("nan_position", _nan_position, 2, sphere(1.0, 3),
+                           0.0, box)):
+        U = np.array([[0.1, 0.2], [0.3, 0.4]])
+        for batch in (metric_batch, fundamental_batch):
+            with pytest.raises(FrameError, match="not finite"):
+                batch(chart, U)
+        # the growth metrics raise instead of weighting edges with NaN
+        grid = make_grid(chart, 9)
+        with pytest.raises(FrameError):
+            distance_field(grid, induced_metric_fn(chart),
+                           nearest_node(grid, (0.0, 0.0)))
+        with pytest.raises(FrameError):
+            curve_length(chart, U, "g")

@@ -15,8 +15,8 @@ from flatbundle.errors import (ConfigError, DomainError,
                                HypothesisViolation)
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.growth import (_stencil_graph, _strict_verdict,
-                               ball_max_sff, ball_volume,
+from flatbundle.growth import (DistanceField, _stencil_graph,
+                               _strict_verdict, ball_max_sff, ball_volume,
                                check_ball_containment,
                                check_distance_inequality,
                                check_length_inequality, curve_length,
@@ -81,6 +81,41 @@ def plane_df():
     grid = make_grid(chart, 161)
     anchor = nearest_node(grid, (0.0, 0.0))
     return grid, distance_field(grid, induced_metric_fn(chart), anchor)
+
+
+def _path_max_by_node_loop(df, values):
+    """Oracle: relax each node from its predecessor in distance order."""
+    v = np.asarray(values, dtype=float).ravel().copy()
+    for node in np.argsort(df.d.ravel()):
+        p = df.predecessors[node]
+        if p >= 0:
+            v[node] = max(v[node], v[p])
+    return v.reshape(df.d.shape)
+
+
+def test_path_max_matches_the_node_loop(plane_df):
+    grid, df = plane_df
+    values = np.random.default_rng(5).random(grid.shape)
+    assert np.array_equal(df.path_max(values),
+                          _path_max_by_node_loop(df, values))
+
+
+def test_path_max_on_a_forest_with_unreachable_nodes():
+    # anchor 0 with the path 0-1-2-3 and the branch 1-4-5; nodes 6 and 7
+    # are unreachable (scipy's -9999 predecessor, infinite distance), and
+    # so is 8, hung below 6
+    pred = np.array([-9999, 0, 1, 2, 1, 4, -9999, -9999, 6])
+    d = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 3.0, np.inf, np.inf, np.inf])
+    values = np.array([1.0, 0.5, 4.0, 2.0, 3.0, 0.0, 7.0, 1.0, 6.0])
+    df = DistanceField(None, (0,), d, pred, "g", 0.0)
+    want = np.array([1.0, 1.0, 4.0, 4.0, 3.0, 3.0, 7.0, 1.0, 7.0])
+    assert np.array_equal(df.path_max(values), want)
+    assert np.array_equal(_path_max_by_node_loop(df, values), want)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        values = rng.standard_normal(d.shape)
+        assert np.array_equal(df.path_max(values),
+                              _path_max_by_node_loop(df, values))
 
 
 def test_plane_distances_match_euclidean(plane_df):
