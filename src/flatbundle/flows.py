@@ -5,7 +5,11 @@ The vector fields only exist after a pointwise eigen-decomposition, so each
 integration step re-decomposes and aligns the frame to the trajectory's
 running gauge (signed permutation of maximal container overlap).  All
 trajectory work is batched: one RK4 step advances every live trajectory at
-once.
+once, and only those: a trajectory that has reached its parameter time is
+not decomposed again, so each one gets the arithmetic of a flow on its own.
+Independent flows share a batch: the group-law check runs its six flows as
+two calls, and the flow map marches the chains on both sides of t = 0
+together.
 """
 
 from __future__ import annotations
@@ -53,22 +57,24 @@ def aligned_principal(chart, U, refs=None, seed=DEFAULT_SEED):
 
 
 def _velocity(pb, i):
-    """Chart components of Y_i = lambda_i X_i; i is a scalar or (...,) array."""
-    Y = pb.lambdas[..., None] * pb.X_chart      # (..., n, n)
-    if np.isscalar(i):
-        return Y[..., i, :]
-    return np.take_along_axis(Y, i[..., None, None], axis=-2)[..., 0, :]
+    """Chart components of Y_i = lambda_i X_i, one axis i per row."""
+    Y = pb.lambdas[..., None] * pb.X_chart      # (M, n, n)
+    return np.take_along_axis(Y, i[:, None, None], axis=-2)[:, 0, :]
 
 
 def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
                 seed=DEFAULT_SEED):
     """Advance each point of U0 (M, n) by its own parameter time t along
-    the i-th scaled principal direction field.
+    its own axis i (scalars broadcast) of the scaled principal direction
+    fields.
 
     Every trajectory carries its own frame gauge: RK4 stage decompositions
     are aligned to the frame at the step's start point, and the gauge is
-    refreshed after each accepted step.  Leaving the chart's usable domain
-    raises :class:`DomainExitError` with the elapsed time and last point.
+    refreshed after each accepted step.  A step advances only the live
+    trajectories, those with parameter time left, so each row gets the
+    arithmetic of a call on that row alone.  Leaving the chart's usable
+    domain raises :class:`DomainExitError` with that trajectory's elapsed
+    time and last point.
 
     Returns (U1, refs1).
     """
@@ -76,30 +82,33 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
     M = U.shape[0]
     remaining = np.broadcast_to(np.asarray(t, dtype=float), (M,)).copy()
     elapsed = np.zeros(M)
-    i = i if np.isscalar(i) else np.asarray(i)
+    i = np.broadcast_to(np.asarray(i), (M,))
 
-    def decompose(V, ref):
-        if not np.all(chart.contains(V, interior=True)):
-            bad = ~chart.contains(V, interior=True)
-            k = int(np.argmax(bad))
+    def decompose(V, ref, rows):
+        inside = chart.contains(V, interior=True)
+        if not np.all(inside):
+            k = rows[int(np.argmin(inside))]
             raise DomainExitError(
                 f"flow left the usable domain of {chart.name}",
                 exit_time=float(elapsed[k]), last_point=U[k].copy())
         return aligned_principal(chart, V, refs=ref, seed=seed)
 
-    pb = decompose(U, refs)
-    refs = pb.X_cont
-    while np.any(remaining != 0.0):
-        dt = np.clip(remaining, -step, step)[:, None]
-        k1 = _velocity(pb, i)
-        k2 = _velocity(decompose(U + 0.5 * dt * k1, refs), i)
-        k3 = _velocity(decompose(U + 0.5 * dt * k2, refs), i)
-        k4 = _velocity(decompose(U + dt * k3, refs), i)
-        U = U + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        elapsed += dt[:, 0]
-        remaining -= dt[:, 0]
-        pb = decompose(U, refs)
-        refs = pb.X_cont
+    pb = decompose(U, refs, np.arange(M))
+    refs, vel = pb.X_cont, _velocity(pb, i)
+    live = np.flatnonzero(remaining)
+    while live.size:
+        X, R, il = U[live], refs[live], i[live]
+        dt = np.clip(remaining[live], -step, step)[:, None]
+        k1 = vel[live]
+        k2 = _velocity(decompose(X + 0.5 * dt * k1, R, live), il)
+        k3 = _velocity(decompose(X + 0.5 * dt * k2, R, live), il)
+        k4 = _velocity(decompose(X + dt * k3, R, live), il)
+        U[live] = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        elapsed[live] += dt[:, 0]
+        remaining[live] -= dt[:, 0]
+        pb = decompose(U[live], R, live)
+        refs[live], vel[live] = pb.X_cont, _velocity(pb, il)
+        live = np.flatnonzero(remaining)
     return U, refs
 
 
@@ -134,24 +143,36 @@ class FlowMap:
 
 def _march_axis(chart, A, refs, ax, t_vals, step, seed):
     """From each point in A (M, n), record the axis-``ax`` flow at every
-    parameter time in t_vals.  Returns points (T, M, n), refs (T, M, n, N)."""
+    parameter time in t_vals.  Two chains leave t = 0, one through the
+    times >= 0 in increasing order and one through the times < 0 in
+    decreasing order; each hop to a chain's next time is one segment, and
+    the chains advance their segments together, one ``flow_points`` call
+    per step of the march.  Returns points (T, M, n), refs (T, M, n, N)."""
     M = A.shape[0]
     T = len(t_vals)
     out = np.empty((T, M, A.shape[1]))
     outref = np.empty((T, M) + refs.shape[1:])
     order = np.argsort(t_vals)
-    neg = [k for k in order if t_vals[k] < 0][::-1]
-    pos = [k for k in order if t_vals[k] >= 0]
-    for chain in (pos, neg):
-        U, R, t_prev = A, refs, 0.0
-        for k in chain:
-            dt = t_vals[k] - t_prev
-            if dt != 0.0:
-                U, R = flow_points(chart, U, ax, dt, refs=R, step=step,
-                                   seed=seed)
-            out[k], outref[k] = U, R
-            t_prev = t_vals[k]
-    return out, outref
+    chains = [[k for k in order if t_vals[k] >= 0],
+              [k for k in order if t_vals[k] < 0][::-1]]
+    state = [(A, refs, 0.0)] * 2              # (points, refs, time) per chain
+    while True:
+        for c, chain in enumerate(chains):    # record what the chain reached
+            U, R, t_at = state[c]
+            while chain and t_vals[chain[0]] == t_at:
+                k = chain.pop(0)
+                out[k], outref[k] = U, R
+        live = [c for c, chain in enumerate(chains) if chain]
+        if not live:
+            return out, outref
+        U, R = flow_points(
+            chart, np.concatenate([state[c][0] for c in live]), ax,
+            np.repeat([t_vals[chains[c][0]] - state[c][2] for c in live], M),
+            refs=np.concatenate([state[c][1] for c in live]), step=step,
+            seed=seed)
+        for c, U_c, R_c in zip(live, np.split(U, len(live)),
+                               np.split(R, len(live))):
+            state[c] = (U_c, R_c, t_vals[chains[c][0]])
 
 
 def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
@@ -220,17 +241,19 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     i = rng.integers(0, n, n_pairs)
     j = (i + rng.integers(1, n, n_pairs)) % n if n > 1 else i
 
-    U0 = np.broadcast_to(x0, (n_pairs, n)).copy()
+    # flow_i(t), flow_i(t + s) and flow_j(s) from x0 in one batch, then
+    # flow_i(s) and flow_j(s) after flow_i(t) and flow_i(t) after flow_j(s)
     kw = dict(step=step, seed=seed)
-
-    Ut, Rt = flow_points(chart, U0, i, t, **kw)
-    Uts, _ = flow_points(chart, Ut, i, s, refs=Rt, **kw)
-    Usum, _ = flow_points(chart, U0, i, t + s, **kw)
+    U1, R1 = flow_points(chart, np.broadcast_to(x0, (3 * n_pairs, n)),
+                         np.concatenate([i, i, j]),
+                         np.concatenate([t, t + s, s]), **kw)
+    Ut, Usum, Us = np.split(U1, 3)
+    Rt, _, Rs = np.split(R1, 3)
+    U2, _ = flow_points(chart, np.concatenate([Ut, Ut, Us]),
+                        np.concatenate([i, j, i]), np.concatenate([s, s, t]),
+                        refs=np.concatenate([Rt, Rt, Rs]), **kw)
+    Uts, Uij, Uji = np.split(U2, 3)
     add = np.max(np.abs(Uts - Usum), axis=-1)
-
-    Uij, _ = flow_points(chart, Ut, j, s, refs=Rt, **kw)
-    Us, Rs = flow_points(chart, U0, j, s, **kw)
-    Uji, _ = flow_points(chart, Us, i, t, refs=Rs, **kw)
     comm = np.max(np.abs(Uij - Uji), axis=-1)
 
     tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]

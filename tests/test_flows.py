@@ -6,11 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flatbundle import catalog
+from flatbundle import catalog, flows
 from flatbundle.errors import DomainExitError, HypothesisViolation
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
-                              integrate_flow, verify_principal_frame_property)
+                              flow_points, integrate_flow,
+                              verify_principal_frame_property)
 
 DINI_X0 = (3.1, 0.75)
 PS_X0 = (1.2, 1.5)      # away from the |eta_1| = |eta_2| locus sinh(u) = 1
@@ -20,7 +21,6 @@ def test_round_trip_both_axes(pseudosphere, dini):
     """Forward/backward flow returns to the start.  The return leg reuses
     the forward trajectory's frame gauge so paths crossing the locus where
     two principal-normal norms tie stay on the same direction label."""
-    from flatbundle.flows import flow_points
     for entry, x0 in ((pseudosphere, PS_X0), (dini, DINI_X0)):
         for axis in range(2):
             U0 = np.asarray(x0, float)[None, :]
@@ -125,3 +125,126 @@ def test_pseudosphere_chart_is_already_principal(pseudosphere):
     y = integrate_flow(pseudosphere.chart, PS_X0, 0, 0.25)
     assert abs(y[0] - PS_X0[0]) < 1e-12
     assert y[1] != PS_X0[1]
+
+
+# ---------------------------------------------------------------------------
+# batching: a batch of flows gives each trajectory the arithmetic of a flow
+# on its own, bit for bit
+
+def test_flow_points_batch_equals_single_trajectories(dini):
+    """A mixed batch: a t = 0 row, rows of different lengths and signs,
+    per-row axes and given reference frames."""
+    chart = dini.chart
+    U0 = np.array([DINI_X0, (3.0, 0.7), (3.2, 0.8), (2.9, 0.75),
+                   (3.1, 0.72)])
+    axes = np.array([0, 1, 0, 1, 1])
+    t = np.array([0.0, 0.13, -0.05, 0.3, -0.021])
+    refs = aligned_principal(chart, U0 + 0.01).X_cont
+    U1, R1 = flow_points(chart, U0, axes, t, refs=refs)
+    for k in range(len(U0)):
+        u, r = flow_points(chart, U0[k:k + 1], axes[k], t[k],
+                           refs=refs[k:k + 1])
+        np.testing.assert_array_equal(U1[k], u[0], err_msg=f"row {k}")
+        np.testing.assert_array_equal(R1[k], r[0], err_msg=f"row {k}")
+
+
+def _six_flow_group_law(chart, x0, t_range, n_pairs, seed):
+    """The group-law residuals as six separate flows (the draws of
+    check_flow_identities)."""
+    n = chart.n
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(t_range[0], t_range[1], n_pairs)
+    s = rng.uniform(t_range[0], t_range[1], n_pairs)
+    i = rng.integers(0, n, n_pairs)
+    j = (i + rng.integers(1, n, n_pairs)) % n
+    U0 = np.broadcast_to(np.asarray(x0, float), (n_pairs, n))
+    kw = dict(seed=seed)
+    Ut, Rt = flow_points(chart, U0, i, t, **kw)
+    Uts, _ = flow_points(chart, Ut, i, s, refs=Rt, **kw)
+    Usum, _ = flow_points(chart, U0, i, t + s, **kw)
+    Uij, _ = flow_points(chart, Ut, j, s, refs=Rt, **kw)
+    Us, Rs = flow_points(chart, U0, j, s, **kw)
+    Uji, _ = flow_points(chart, Us, i, t, refs=Rs, **kw)
+    return np.concatenate([np.max(np.abs(Uts - Usum), axis=-1),
+                           np.max(np.abs(Uij - Uji), axis=-1)])
+
+
+def test_flow_identities_equal_six_separate_flows(dini):
+    rep = check_flow_identities(dini.chart, DINI_X0, (-0.2, 0.2),
+                                n_pairs=12, seed=7)
+    want = _six_flow_group_law(dini.chart, DINI_X0, (-0.2, 0.2), 12, 7)
+    np.testing.assert_array_equal(rep.residual_grid, want)
+
+
+def _sequential_march(chart, A, refs, ax, t_vals, step, seed):
+    """The flow-map march as two chains, one flow_points call per hop."""
+    out = np.empty((len(t_vals),) + A.shape)
+    outref = np.empty((len(t_vals),) + refs.shape)
+    order = np.argsort(t_vals)
+    for chain in ([k for k in order if t_vals[k] >= 0],
+                  [k for k in order if t_vals[k] < 0][::-1]):
+        U, R, t_prev = A, refs, 0.0
+        for k in chain:
+            if t_vals[k] != t_prev:
+                U, R = flow_points(chart, U, ax, t_vals[k] - t_prev, refs=R,
+                                   step=step, seed=seed)
+            out[k], outref[k] = U, R
+            t_prev = t_vals[k]
+    return out, outref
+
+
+@pytest.mark.parametrize("box", [(-0.25, 0.25), (-0.1, 0.25), (0.05, 0.2)])
+def test_flow_map_equals_sequential_chains(dini, monkeypatch, box):
+    """The chains on both sides of t = 0 march together; an asymmetric box
+    has one chain longer than the other, and a box off t = 0 has one."""
+    fm = build_flow_map(dini.chart, DINI_X0, (box,) * 2, 7)
+    monkeypatch.setattr(flows, "_march_axis", _sequential_march)
+    want = build_flow_map(dini.chart, DINI_X0, (box,) * 2, 7)
+    np.testing.assert_array_equal(fm.points, want.points)
+
+
+def test_domain_exit_in_a_mixed_batch(pseudosphere):
+    """The exiting trajectory sits beside ones that finish early: the
+    error reports its own elapsed time and last point."""
+    chart = pseudosphere.chart
+    with pytest.raises(DomainExitError) as alone:
+        flow_points(chart, np.array([[2.5, 1.0]]), 1, 50.0)
+    U0 = np.array([PS_X0, (2.5, 1.0), (1.0, 2.0)])
+    with pytest.raises(DomainExitError) as mixed:
+        flow_points(chart, U0, np.array([0, 1, 1]),
+                    np.array([0.05, 50.0, -0.1]))
+    assert mixed.value.exit_time == alone.value.exit_time > 0.1
+    np.testing.assert_array_equal(mixed.value.last_point,
+                                  alone.value.last_point)
+
+
+# Dini at DINI_X0.  The group law at seed 1 (100 pairs in t_range +-0.2):
+# 81 decompositions for the longest first flow (20 RK4 steps), 41 for the
+# second.  The 9 x 9 flow map: 4 hops of 4 steps per axis, 1 + 4 * 17 = 69
+# decompositions for axis 0 and 68 for axis 1.  Six separate flows and two
+# separate chains took 286 and 273.
+IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14052
+MAP_DECOMPOSITIONS, MAP_POINTS = 137, 1361
+
+
+def test_decomposition_counts_stay_batched(dini, monkeypatch):
+    """Batched flows decompose once per RK4 stage of the longest flow in
+    each call, and only the live rows: pinned so that running the flows
+    one by one again fails here."""
+    calls, points = [], []
+
+    def counting(chart, U, refs=None, seed=flows.DEFAULT_SEED):
+        calls.append(1)
+        points.append(len(U))
+        return aligned(chart, U, refs=refs, seed=seed)
+
+    aligned = flows.aligned_principal
+    monkeypatch.setattr(flows, "aligned_principal", counting)
+    check_flow_identities(dini.chart, DINI_X0, (-0.2, 0.2), n_pairs=100,
+                          seed=1)
+    assert (len(calls), sum(points)) == (IDENTITY_DECOMPOSITIONS,
+                                         IDENTITY_POINTS)
+    calls.clear()
+    points.clear()
+    build_flow_map(dini.chart, DINI_X0, ((-0.25, 0.25),) * 2, 9)
+    assert (len(calls), sum(points)) == (MAP_DECOMPOSITIONS, MAP_POINTS)
