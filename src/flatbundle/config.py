@@ -5,6 +5,7 @@ has a default so a minimal config only names a chart."""
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 
 from . import catalog, engines, exprchart
@@ -21,6 +22,9 @@ _ALLOWED = {
 }
 
 MIN_RESOLUTION = 17
+# the order-4 frame checks leave out two nodes at each end of a time axis,
+# so a flow grid needs 5 samples per axis for one interior node
+MIN_FLOW_RESOLUTION = 5
 
 
 @dataclass
@@ -189,20 +193,25 @@ def _validate(cfg):
         if not v > 0:
             raise ConfigError(f"tolerance {k} must be positive, got {v}")
     radii = cfg.radii
-    if not radii or any(r <= 0 for r in radii) \
+    if not radii or not all(0 < r < math.inf for r in radii) \
             or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(
-            "radii must be positive and strictly increasing")
+            "radii must be finite, positive and strictly increasing")
     if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
         raise ConfigError("fit window must be a non-empty interval")
-    if cfg.flow_step <= 0:
-        raise ConfigError("flow_step must be positive")
-    if cfg.flow_resolution < 2:
-        raise ConfigError("flow_resolution must be at least 2")
+    if not 0 < cfg.flow_step < math.inf:
+        raise ConfigError("flow_step must be finite and positive")
+    for lo, hi in cfg.flow_box:
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError(
+                "each flow_box interval must be finite and non-empty")
+    if cfg.flow_resolution < MIN_FLOW_RESOLUTION:
+        raise ConfigError(
+            f"flow_resolution must be at least {MIN_FLOW_RESOLUTION}")
     if cfg.pairs < 1:
         raise ConfigError("pairs must be at least 1")
-    if not cfg.t_range[0] < cfg.t_range[1]:
-        raise ConfigError("t_range must be a non-empty interval")
+    if not -math.inf < cfg.t_range[0] < cfg.t_range[1] < math.inf:
+        raise ConfigError("t_range must be a finite, non-empty interval")
 
 
 def load_config(path):

@@ -20,6 +20,7 @@ point-major, shape (..., n, n) and so on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,8 @@ _FRAME_TOL = 1e-10
 def _components(a, k):
     """Component-major copy of a point-major array whose last k axes are
     index axes."""
-    flat = a.reshape((-1,) + a.shape[a.ndim - k:])
+    lead = a.ndim - k
+    flat = a.reshape((math.prod(a.shape[:lead]),) + a.shape[lead:])
     return np.ascontiguousarray(flat.transpose(tuple(range(1, k + 1)) + (0,)))
 
 
@@ -89,15 +91,21 @@ def _cholesky(G):
     return L
 
 
-def _inverse(L):
-    """G^{-1} = L^{-T} L^{-1} from the component-major Cholesky factor."""
+def _lower_inverse(L):
+    """L^{-1}, lower triangular, of component-major Cholesky factors."""
     n = len(L)
-    M = np.zeros_like(L)                 # L^{-1}, lower triangular
+    M = np.zeros_like(L)
     for i in range(n):
         M[i, i] = 1.0 / L[i, i]
         for j in range(i):
             M[i, j] = -sum(L[i, k] * M[k, j] for k in range(j, i)) * M[i, i]
-    Ginv = np.empty_like(L)
+    return M
+
+
+def _inverse(M):
+    """G^{-1} = L^{-T} L^{-1} from the component-major M = L^{-1}."""
+    n = len(M)
+    Ginv = np.empty_like(M)
     for i in range(n):
         for j in range(i, n):
             Ginv[i, j] = Ginv[j, i] = sum(M[k, i] * M[k, j]
@@ -121,6 +129,7 @@ class _Kernel:
     """Component-major kernel output over m flattened points."""
 
     g: np.ndarray            # (n, n, m)
+    chol_inv: np.ndarray     # (n, n, m) L^{-1}, g = L L^T
     ginv: np.ndarray         # (n, n, m)
     alpha_cont: np.ndarray   # (n, n, N, m)
     III: np.ndarray          # (n, n, m)
@@ -141,7 +150,8 @@ def _kernel(chart, J):
     if L is None:
         raise DegenerateMetricError(
             f"{chart.name}: first fundamental form not positive definite")
-    ginv = _inverse(L)
+    chol_inv = _lower_inverse(L)
+    ginv = _inverse(chol_inv)
 
     # orthogonalized span to project off: position (non-flat) then tangents
     vecs = list(T) if amb.flat else [_components(J.value, 1)] + list(T)
@@ -168,7 +178,7 @@ def _kernel(chart, J):
     III = _dot(beta[:, None], alpha[None, :], sig).sum(axis=2)
     III = 0.5 * (III + np.swapaxes(III, 0, 1))
     sff_sq = (ginv * III).sum(axis=(0, 1))
-    return _Kernel(g, ginv, alpha, III, sff_sq, np.stack(obasis),
+    return _Kernel(g, chol_inv, ginv, alpha, III, sff_sq, np.stack(obasis),
                    np.stack(obasis_sq))
 
 
@@ -223,6 +233,8 @@ class FundamentalBatch(MetricBatch):
     tangent  : (..., n, N)    container tangent vectors dF/du_i
     frame    : (..., p, N)    orthonormal normal frame
     alpha    : (..., n, n, p) components of alpha in the frame
+    chol_inv : component-major (n, n, m) inverse Cholesky factor L^{-1} of
+               g = L L^T over the m flattened points (lower triangular)
     obasis / obasis_sq : component-major (K, N, m) / (K, m) orthogonalized
                          span of tangent (+ position) over the m flattened
                          points, projected off for normal projections
@@ -232,6 +244,7 @@ class FundamentalBatch(MetricBatch):
     tangent: np.ndarray
     frame: np.ndarray
     alpha: np.ndarray
+    chol_inv: np.ndarray
     obasis: np.ndarray
     obasis_sq: np.ndarray
 
@@ -308,7 +321,7 @@ def fundamental_batch(chart, U, interior_check=True):
     return FundamentalBatch(
         **_metric_fields(chart, U, K), position=J.value, tangent=J.first,
         frame=_point_major(frame, batch), alpha=_point_major(alpha, batch),
-        obasis=K.obasis, obasis_sq=K.obasis_sq)
+        chol_inv=K.chol_inv, obasis=K.obasis, obasis_sq=K.obasis_sq)
 
 
 # ---------------------------------------------------------------------------

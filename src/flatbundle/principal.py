@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
-from .fundamental import gap_violation, positive_definite
+from .fundamental import (_components, _point_major, gap_violation,
+                          positive_definite)
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
@@ -107,69 +108,84 @@ def _lambdas(chart, eta_sq):
     return 1.0 / np.sqrt(eta_sq + chart.C)
 
 
+def _matmul(A, B):
+    """Component-major matrix product C[i, j...] = sum_k A[i, k] B[k, j...]
+    of A (r, s, m) and B (s, ..., m), accumulated in k order."""
+    shape = (A.shape[0],) + (1,) * (B.ndim - 2) + A.shape[-1:]
+    C = np.zeros((A.shape[0],) + B.shape[1:])
+    for k in range(A.shape[1]):
+        C += A[:, k].reshape(shape) * B[k]
+    return C
+
+
+def _congruence(A, B):
+    """Component-major A B A^T for B (n, n, ..., m) symmetric in its first
+    two axes."""
+    return _matmul(A, _matmul(A, B).swapaxes(0, 1))
+
+
+def _rotated(V, Atil):
+    """D_a = V^T Atil_a V (n, n, p, m) and its largest off-diagonal
+    magnitude per point (m,), component-major."""
+    D = _congruence(V.swapaxes(0, 1), Atil)
+    off = np.abs(D) * (1.0 - np.eye(len(V)))[:, :, None, None]
+    return D, np.max(off, axis=(0, 1, 2), initial=0.0)
+
+
 def principal_batch(fb, seed=DEFAULT_SEED):
     """Diagonalize the commuting shape operators of a FundamentalBatch.
+
+    The batch's inverse Cholesky factor L^{-1} (g = L L^T) takes each
+    alpha_a to its symmetric representative Atil_a = L^{-1} B_a L^{-T} in a
+    g-orthonormal gauge.  The eigenvectors V of a generic combination of
+    the Atil_a (a joint diagonalization where that combination fails to
+    diagonalize them all) give the directions X = V^T L^{-1}, and
+    D_a = V^T Atil_a V holds alpha_a(X_k, X_l): eta on its diagonal, the
+    residual off it.  Computed component-major, like the fundamental
+    kernel.
 
     Directions come in the canonical pointwise gauge: sorted by |eta|
     descending (stable), each signed so its largest-magnitude chart
     component is positive.  Field sweeps and flows regauge on top.
     """
-    g, ginv, alpha = fb.g, fb.ginv, fb.alpha
     n, p = fb.n, fb.p
     batch = fb.sff_sq.shape
-    L = np.linalg.cholesky(g)
-
-    if p > 0:
-        B = np.einsum("...ija->...aij", alpha)
-        # symmetric representatives in a g-orthonormal gauge
-        Atil = np.linalg.solve(L[..., None, :, :], B)
-        Atil = np.swapaxes(np.linalg.solve(
-            L[..., None, :, :], np.swapaxes(Atil, -1, -2)), -1, -2)
-        Atil = 0.5 * (Atil + np.swapaxes(Atil, -1, -2))
-        w = _diag_weights(p, seed)
-        Aw = np.einsum("a,...aij->...ij", w, Atil)
-    else:
-        Atil = np.zeros(batch + (0, n, n))
-        Aw = np.zeros(batch + (n, n))
-
-    _, vecs = np.linalg.eigh(Aw)
+    Linv = fb.chol_inv                                   # (n, n, m)
+    S = _congruence(Linv, _components(fb.alpha, 3))      # (n, n, p, m)
+    Atil = 0.5 * (S + S.swapaxes(0, 1))
+    Aw = (_diag_weights(p, seed)[:, None] * Atil).sum(axis=2)
+    V = np.linalg.eigh(Aw.transpose(2, 0, 1))[1].transpose(1, 2, 0)
+    D, offdiag = _rotated(V, Atil)
 
     # refine points where the generic combination failed to diagonalize all
-    if p > 1:
-        D = np.einsum("...ki,...akl,...lj->...aij", vecs, Atil, vecs)
-        off = D - D * np.eye(n)
-        scale = np.maximum(1.0, np.sqrt(fb.sff_sq))
-        bad = np.max(np.abs(off), axis=(-3, -2, -1)) > 1e-9 * scale
-        if np.any(bad):
-            flat_idx = np.argwhere(bad)
-            for idx in flat_idx:
-                t = tuple(idx)
-                V = joint_diagonalize([Atil[t][a] for a in range(p)])
-                vecs[t] = V
+    scale = np.maximum(1.0, np.sqrt(fb.sff_sq.reshape(-1)))
+    bad = np.flatnonzero(offdiag > 1e-9 * scale) if p > 1 else ()
+    if len(bad):
+        for t in bad:
+            V[..., t] = joint_diagonalize([Atil[:, :, a, t]
+                                           for a in range(p)])
+        D, offdiag = _rotated(V, Atil)
+    diag = np.arange(n)
+    eta = D[diag, diag]                                  # (n, p, m)
+    eta_sq = (eta * eta).sum(axis=1)                     # (n, m)
+    X = _matmul(V.swapaxes(0, 1), Linv)                  # rows: directions
 
-    # back to chart components; rows of X_chart are directions
-    Xc = np.linalg.solve(np.swapaxes(L, -1, -2), vecs)
-    X_chart = np.swapaxes(Xc, -1, -2)
-    eta = np.einsum("...ki,...kj,...ija->...ka", X_chart, X_chart, alpha)
-    eta_sq = np.sum(eta * eta, axis=-1)
-    X_cont = np.einsum("...km,...mN->...kN", X_chart, fb.tangent)
-    eta_cont = np.einsum("...ka,...aN->...kN", eta, fb.frame)
+    # canonical gauge: a gather by |eta| descending, then the signs
+    key = np.argsort(-eta_sq, axis=0, kind="stable")
+    X = np.take_along_axis(X, key[:, None], axis=0)
+    eta = np.take_along_axis(eta, key[:, None], axis=0)
+    eta_sq = np.take_along_axis(eta_sq, key, axis=0)
+    lead = np.take_along_axis(X, np.argmax(np.abs(X), axis=1)[:, None],
+                              axis=1)
+    X = np.where(lead < 0, -X, X)
 
-    cross = np.einsum("...ki,...lj,...ija->...kla", X_chart, X_chart, alpha)
-    mask = 1.0 - np.eye(n)
-    offdiag = np.max(np.abs(cross) * mask[..., None], axis=(-3, -2, -1)) \
-        if p > 0 else np.zeros(batch)
-    offdiag = offdiag / np.maximum(1.0, np.sqrt(fb.sff_sq))
-
-    lambdas = _lambdas(fb.chart, eta_sq)
-
-    key = np.argsort(-eta_sq, axis=-1, kind="stable")
-    lead = np.take_along_axis(
-        X_chart, np.argmax(np.abs(X_chart), axis=-1)[..., None], axis=-1)
-    sign = np.where(lead[..., 0] < 0, -1.0, 1.0)
-    M = np.where(key[..., None] == np.arange(n), sign[..., None, :], 0.0)
-    return PrincipalBatch(fb, X_chart, X_cont, eta, eta_cont, eta_sq,
-                          lambdas, offdiag, seed).regauge(M)
+    X_cont = _matmul(X, _components(fb.tangent, 2))
+    eta_cont = _matmul(eta, _components(fb.frame, 2))
+    eta_sq = _point_major(eta_sq, batch)
+    return PrincipalBatch(
+        fb, _point_major(X, batch), _point_major(X_cont, batch),
+        _point_major(eta, batch), _point_major(eta_cont, batch), eta_sq,
+        _lambdas(fb.chart, eta_sq), (offdiag / scale).reshape(batch), seed)
 
 
 @dataclass

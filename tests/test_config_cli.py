@@ -97,6 +97,17 @@ dir = results
     "[chart]\nname = pseudosphere\n[growth]\nradii = 1.0, 0.5\n",
     "[chart]\nname = pseudosphere\n[growth]\nwindow = 2 : 1\n",
     "[chart]\nname = pseudosphere\n[growth]\nflow_step = 0\n",
+    # non-finite flow and growth inputs: each used to exit 3
+    "[chart]\nname = dini\n[growth]\nflow_step = nan\n",
+    "[chart]\nname = dini\n[growth]\nflow_step = inf\n",
+    "[chart]\nname = dini\n[growth]\nflow_box = nan : nan\n",
+    "[chart]\nname = dini\n[growth]\nflow_box = -inf : inf\n",
+    "[chart]\nname = dini\n[growth]\nflow_box = -0.2 : 0.2, 0.1 : nan\n",
+    "[chart]\nname = dini\n[growth]\nflow_box = 0 : 0\n",
+    "[chart]\nname = dini\n[growth]\nt_range = -inf : 0.2\n",
+    "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, nan\n",
+    "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, inf\n",
+    "[chart]\nname = dini\n[growth]\nflow_resolution = 4\n",
 ])
 def test_config_rejections(text):
     with pytest.raises(ConfigError):
@@ -338,6 +349,13 @@ def test_cli_usage_errors(workdir):
     ("growth", "[chart]\nname = pseudosphere\n[growth]\nx0 = 1, 1, 5\n"),
     # a single flow sample has no spacing: used to raise IndexError
     ("coords", "[chart]\nname = dini\n[growth]\nflow_resolution = 1\n"),
+    # four samples leave the frame checks no interior node: they used to
+    # pass vacuously with points=0
+    ("coords", "[chart]\nname = dini\n[growth]\nflow_resolution = 4\n"),
+    # a NaN step used to run the flows into 8 box shrinks, exit 3
+    ("coords", "[chart]\nname = dini\n[growth]\nflow_step = nan\n"),
+    # a NaN radius used to reach the anchor search, exit 3
+    ("growth", "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, nan\n"),
     # x0 outside the domain in coords: used to exit 3 as a numerical failure
     ("coords", "[chart]\nname = dini\n[growth]\nx0 = 99, 0.75\n"),
 ])

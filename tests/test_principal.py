@@ -1,16 +1,18 @@
 """Principal normals, clustering, joint diagonalization and the comparison
 metric, checked against the catalog's closed-form ground truth."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from flatbundle import catalog
+from flatbundle import catalog, principal
 from flatbundle.errors import HypothesisViolation
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.principal import (comparison_metric, joint_diagonalize,
+from flatbundle.principal import (PrincipalBatch, _diag_weights, _lambdas,
+                                  comparison_metric, joint_diagonalize,
                                   principal_batch, principal_decomposition,
                                   third_fundamental_form)
 
@@ -186,3 +188,114 @@ def test_signed_permutation_any_memory_layout():
     assert np.array_equal(P, P_c)
     assert np.array_equal(ambiguous, ambiguous_c)
     assert np.array_equal(np.abs(P).sum(axis=-1), np.ones((6, 3)))
+
+
+# ---------------------------------------------------------------------------
+# principal_batch against the point-major solve/einsum formulation
+
+def _principal_oracle(fb, seed=principal.DEFAULT_SEED):
+    """Principal data from a fresh Cholesky factor of g, triangular solves
+    and einsum contractions, point by point."""
+    g, alpha = fb.g, fb.alpha
+    n, p = fb.n, fb.p
+    batch = fb.sff_sq.shape
+    L = np.linalg.cholesky(g)
+    if p > 0:
+        B = np.einsum("...ija->...aij", alpha)
+        Atil = np.linalg.solve(L[..., None, :, :], B)
+        Atil = np.swapaxes(np.linalg.solve(
+            L[..., None, :, :], np.swapaxes(Atil, -1, -2)), -1, -2)
+        Atil = 0.5 * (Atil + np.swapaxes(Atil, -1, -2))
+        Aw = np.einsum("a,...aij->...ij", _diag_weights(p, seed), Atil)
+    else:
+        Atil = np.zeros(batch + (0, n, n))
+        Aw = np.zeros(batch + (n, n))
+    _, vecs = np.linalg.eigh(Aw)
+    if p > 1:
+        D = np.einsum("...ki,...akl,...lj->...aij", vecs, Atil, vecs)
+        off = D - D * np.eye(n)
+        scale = np.maximum(1.0, np.sqrt(fb.sff_sq))
+        bad = np.max(np.abs(off), axis=(-3, -2, -1)) > 1e-9 * scale
+        for idx in np.argwhere(bad):
+            t = tuple(idx)
+            vecs[t] = joint_diagonalize([Atil[t][a] for a in range(p)])
+    X_chart = np.swapaxes(np.linalg.solve(np.swapaxes(L, -1, -2), vecs),
+                          -1, -2)
+    eta = np.einsum("...ki,...kj,...ija->...ka", X_chart, X_chart, alpha)
+    eta_sq = np.sum(eta * eta, axis=-1)
+    X_cont = np.einsum("...km,...mN->...kN", X_chart, fb.tangent)
+    eta_cont = np.einsum("...ka,...aN->...kN", eta, fb.frame)
+    cross = np.einsum("...ki,...lj,...ija->...kla", X_chart, X_chart, alpha)
+    offdiag = np.max(np.abs(cross) * (1.0 - np.eye(n))[..., None],
+                     axis=(-3, -2, -1)) if p > 0 else np.zeros(batch)
+    offdiag = offdiag / np.maximum(1.0, np.sqrt(fb.sff_sq))
+    key = np.argsort(-eta_sq, axis=-1, kind="stable")
+    lead = np.take_along_axis(
+        X_chart, np.argmax(np.abs(X_chart), axis=-1)[..., None], axis=-1)
+    sign = np.where(lead[..., 0] < 0, -1.0, 1.0)
+    M = np.where(key[..., None] == np.arange(n), sign[..., None, :], 0.0)
+    return PrincipalBatch(fb, X_chart, X_cont, eta, eta_cont, eta_sq,
+                          _lambdas(fb.chart, eta_sq), offdiag,
+                          seed).regauge(M)
+
+
+def _assert_matches_oracle(pb, want):
+    for f in ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas"):
+        got, ref = getattr(pb, f), getattr(want, f)
+        if ref is None:
+            assert got is None, f
+            continue
+        assert got.shape == ref.shape, f
+        scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * scale,
+                                   err_msg=f)
+    # offdiag is relative to the curvature scale already
+    np.testing.assert_allclose(pb.offdiag, want.offdiag, rtol=0, atol=1e-13)
+
+
+def _points(chart, count, seed):
+    """Random interior points of the chart."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(chart.domain).T
+    return lo + (hi - lo) * (0.05 + 0.9 * rng.random((count, chart.n)))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pseudosphere", {}), ("dini", {}), ("clifford_torus_s3", {"t": 0.6}),
+    ("ps3", {}),                                 # n = 3
+    ("hyperbolic_plane", {}),                    # p = 0
+    ("product_torus_r4", {}),                    # p = 2, lambdas None
+])
+def test_principal_batch_matches_solve_oracle(name, params):
+    chart = catalog.get(name, **params).chart
+    fb = fundamental_batch(chart, _points(chart, 64, 3).reshape(8, 8, -1))
+    _assert_matches_oracle(principal_batch(fb), _principal_oracle(fb))
+    one = fundamental_batch(chart, _points(chart, 1, 4)[0])
+    _assert_matches_oracle(principal_batch(one), _principal_oracle(one))
+
+
+def test_principal_batch_joint_diagonalize_fallback(monkeypatch):
+    """Commuting second fundamental forms whose generic combination is a
+    multiple of the identity: eigh returns an arbitrary basis, and the
+    Jacobi joint diagonalization has to recover the common one."""
+    chart = catalog.get("product_torus_r4").chart
+    fb = fundamental_batch(chart, _points(chart, 6, 5))
+    w = _diag_weights(2)
+    rng = np.random.default_rng(6)
+    alpha = np.empty(fb.alpha.shape)
+    for k in range(len(alpha)):
+        Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        L = np.linalg.cholesky(fb.g[k])
+        d0 = rng.uniform(1.0, 2.0, 2)
+        d1 = 0.7 - w[0] * d0 / w[1]          # w . (d0, d1) is constant
+        for a, d in enumerate((d0, d1)):
+            alpha[k, :, :, a] = L @ Q @ np.diag(d) @ Q.T @ L.T
+    fb = dataclasses.replace(fb, alpha=alpha)
+    calls = []
+    jd = principal.joint_diagonalize
+    monkeypatch.setattr(principal, "joint_diagonalize",
+                        lambda mats: calls.append(1) or jd(mats))
+    pb = principal_batch(fb)
+    assert calls, "the generic combination diagonalized every point"
+    assert float(np.max(pb.offdiag)) < 1e-12
+    _assert_matches_oracle(pb, _principal_oracle(fb))
