@@ -5,13 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 from flatbundle import catalog
+from flatbundle import dual as dm
 from flatbundle.errors import DomainError, ModelConsistencyError
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch, normal_bundle_is_flat
 from flatbundle.principal import principal_decomposition
-from flatbundle.sinegordon import (SampledAngle, integrate_surface,
+from flatbundle.sinegordon import (DEFAULT_DOMAIN, SampledAngle,
+                                   integrate_surface, lattice_ev,
                                    one_soliton, sine_gordon_residual)
 from flatbundle.verifiers import check_intrinsic_curvature
 
@@ -135,7 +138,6 @@ def test_sampled_angle_matches_callable():
     us = np.linspace(-1.6, -0.4, 61)
     vs = np.linspace(-1.6, -0.4, 61)
     U, V = np.meshgrid(us, vs, indexing="ij")
-    from flatbundle import dual as dm
     vals = 4.0 * np.arctan(np.exp(U + V))
     sampled = SampledAngle(us, vs, vals)
     f, fu, fv, fuv = sampled.jet(-1.0, -0.9)
@@ -146,3 +148,196 @@ def test_sampled_angle_matches_callable():
     assert float(fuv) == pytest.approx(float(out.e12), abs=1e-5)
     res, _ = sine_gordon_residual(sampled, ((-1.5, -0.5), (-1.5, -0.5)))
     assert res < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# lattice spline evaluation: the same bits as `ev`, whatever the points
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def quintic():
+    rng = np.random.default_rng(3)
+    xa, ya = np.linspace(-1.6, -0.4, 21), np.linspace(0.0, 2.0, 17)
+    return RectBivariateSpline(xa, ya, rng.normal(size=(21, 17)), kx=5, ky=5)
+
+
+# the (dx, dy) orders SampledAngle.jet asks for
+ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _check_like_ev(sp, x, y):
+    got = lattice_ev(x, y, [(sp, dx, dy) for dx, dy in ORDERS])
+    for (dx, dy), g in zip(ORDERS, got):
+        assert _same_bits(g, sp.ev(x, y, dx=dx, dy=dy)), (dx, dy)
+
+
+def test_lattice_ev_on_meshgrids_and_fd_shifts(quintic):
+    """A grid and every finite-difference stencil shift of it, as the FD
+    engine sends them; the grid reaches the domain edges exactly."""
+    xa, ya = np.linspace(-1.6, -0.4, 29), np.linspace(0.0, 2.0, 23)
+    X, Y = np.meshgrid(xa, ya, indexing="ij")
+    h = (1.2e-3, 2e-3)
+    for di in (-2, -1, 0, 1, 2):
+        for dj in (-2, -1, 0, 1, 2):
+            _check_like_ev(quintic, X + di * h[0], Y + dj * h[1])
+    _check_like_ev(quintic, X.ravel(), Y.ravel())            # flattened
+    _check_like_ev(quintic, xa[:, None], ya[None, :])         # broadcast
+
+
+def test_lattice_ev_on_domain_edges(quintic):
+    xs = np.array([-1.6, -1.6, -0.4, -0.4, -1.0])
+    ys = np.array([0.0, 2.0, 0.0, 2.0, 2.0])
+    _check_like_ev(quintic, xs, ys)
+    X, Y = np.meshgrid([-1.6, -0.4], [0.0, 2.0], indexing="ij")
+    _check_like_ev(quintic, X, Y)
+
+
+def test_lattice_ev_scattered_and_degenerate_points(quintic):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.6, -0.4, 300)                        # ev fallback
+    y = rng.uniform(0.0, 2.0, 300)
+    _check_like_ev(quintic, x, y)
+    _check_like_ev(quintic, -1.0, 0.5)                      # 0-d scalar
+    _check_like_ev(quintic, np.array([-1.0]), np.array([0.5]))
+    _check_like_ev(quintic, np.zeros(0), np.zeros(0))       # empty batch
+    _check_like_ev(quintic, np.array([np.nan, -1.0]),       # non-finite
+                   np.array([0.5, np.inf]))
+
+
+# ---------------------------------------------------------------------------
+# integrate_surface against the sequential RK4 march it replaced: one phi
+# evaluation per RK4 stage, point set by point set, with `ev` splines
+
+def _seq_jet(phi, u, v):
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    if isinstance(phi, SampledAngle):
+        ev = phi._spline.ev
+        return (ev(u, v), ev(u, v, dx=1), ev(u, v, dy=1),
+                ev(u, v, dx=1, dy=1))
+    out = phi(dm.seed(u, 1.0, 0.0), dm.seed(v, 0.0, 1.0))
+    return (np.asarray(out.f, float), np.asarray(out.e1, float),
+            np.asarray(out.e2, float), np.asarray(out.e12, float))
+
+
+def _seq_deriv_u(state, u, v, phi):
+    F, Fu, Fv, N = state
+    f, fu, _, _ = _seq_jet(phi, u, v)
+    s, c = np.sin(f), np.cos(f)
+    cot, inv = (c / s)[..., None], (1.0 / s)[..., None]
+    return (Fu,
+            fu[..., None] * (cot * Fu - inv * Fv),
+            s[..., None] * N,
+            cot * Fu - inv * Fv)
+
+
+def _seq_deriv_v(state, u, v, phi):
+    F, Fu, Fv, N = state
+    f, _, fv, _ = _seq_jet(phi, u, v)
+    s, c = np.sin(f), np.cos(f)
+    cot, inv = (c / s)[..., None], (1.0 / s)[..., None]
+    return (Fv,
+            s[..., None] * N,
+            fv[..., None] * (cot * Fv - inv * Fu),
+            cot * Fv - inv * Fu)
+
+
+def _seq_rk4_march(state, fixed, t0, t1, nsteps, deriv, phi, along_u):
+    h = (t1 - t0) / nsteps
+    t = t0
+
+    def rhs(st, tt):
+        return deriv(st, tt if along_u else fixed,
+                     fixed if along_u else tt, phi)
+
+    for _ in range(nsteps):
+        k1 = rhs(state, t)
+        k2 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k1)),
+                 t + 0.5 * h)
+        k3 = rhs(tuple(y + 0.5 * h * k for y, k in zip(state, k2)),
+                 t + 0.5 * h)
+        k4 = rhs(tuple(y + h * k for y, k in zip(state, k3)), t + h)
+        state = tuple(y + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                      for y, a, b, c, d in zip(state, k1, k2, k3, k4))
+        t += h
+    return state
+
+
+def _seq_integrate(phi, domain, resolution, substeps):
+    (u0, u1), (v0, v1) = domain
+    u_axis = np.linspace(u0, u1, resolution[0])
+    v_axis = np.linspace(v0, v1, resolution[1])
+    f0 = float(np.asarray(_seq_jet(phi, u0, v0)[0]))
+    column = [(np.zeros(3), np.array([1.0, 0.0, 0.0]),
+               np.array([math.cos(f0), math.sin(f0), 0.0]),
+               np.array([0.0, 0.0, 1.0]))]
+    for k in range(len(v_axis) - 1):
+        column.append(_seq_rk4_march(column[-1], u0, v_axis[k],
+                                     v_axis[k + 1], substeps, _seq_deriv_v,
+                                     phi, along_u=False))
+    rows = [tuple(np.stack([st[j] for st in column]) for j in range(4))]
+    for k in range(len(u_axis) - 1):
+        rows.append(_seq_rk4_march(rows[-1], v_axis, u_axis[k],
+                                   u_axis[k + 1], substeps, _seq_deriv_u,
+                                   phi, along_u=True))
+    out = tuple(np.stack([st[j] for st in rows]) for j in range(4))
+    check = [tuple(arr[-1, 0] for arr in out)]
+    for k in range(len(v_axis) - 1):
+        check.append(_seq_rk4_march(check[-1], u1, v_axis[k], v_axis[k + 1],
+                                    substeps, _seq_deriv_v, phi,
+                                    along_u=False))
+    mono = max(float(np.max(np.abs(np.stack([st[j] for st in check])
+                                   - arr[-1])))
+               for j, arr in enumerate(out))
+    return out, mono
+
+
+def _sampled_soliton():
+    axis = np.linspace(-1.7, -0.3, 41)
+    U, V = np.meshgrid(axis, axis, indexing="ij")
+    return SampledAngle(axis, axis, 4.0 * np.arctan(np.exp(U + V)))
+
+
+def _constant_angle(u, v):
+    return 0.0 * u + 0.0 * v + math.pi / 2.0
+
+
+@pytest.mark.parametrize("phi, resolution, substeps, residual_tol", [
+    (one_soliton, 33, 4, 1e-6),
+    (one_soliton, 33, 1, 1e-6),
+    (one_soliton, (17, 23), 1, 1e-6),
+    (one_soliton, (17, 23), 4, 1e-6),
+    (_sampled_soliton(), (21, 19), 4, 1e-4),
+    (_constant_angle, 17, 4, math.inf),
+], ids=["soliton-33-s4", "soliton-33-s1", "soliton-17x23-s1",
+        "soliton-17x23-s4", "sampled-21x19", "constant-angle"])
+def test_integrate_surface_matches_sequential_march(phi, resolution,
+                                                    substeps, residual_tol):
+    surf = integrate_surface(phi, resolution=resolution, substeps=substeps,
+                             residual_tol=residual_tol)
+    res = (resolution,) * 2 if np.isscalar(resolution) else resolution
+    want, mono = _seq_integrate(phi, DEFAULT_DOMAIN, res, substeps)
+    for got, ref in zip((surf.F, surf.Fu, surf.Fv, surf.N), want):
+        assert _same_bits(got, ref)
+    assert surf.monodromy_residual == mono
+    if residual_tol == math.inf:
+        assert mono > 1e-3                  # the non-solution is reported
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(resolution=33.5), "resolution"),
+    (dict(resolution=5), "resolution"),
+    (dict(resolution=(33, 4)), "resolution"),
+    (dict(substeps=0), "substeps"),
+    (dict(substeps=1.5), "substeps"),
+    (dict(residual_tol=-1.0), "residual_tol"),
+    (dict(residual_tol=0.0), "residual_tol"),
+    (dict(residual_tol=math.nan), "residual_tol"),
+])
+def test_integrate_surface_rejects_bad_grid_parameters(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        integrate_surface(one_soliton, **kwargs)

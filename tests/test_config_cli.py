@@ -320,6 +320,39 @@ def test_cli_refuses_an_engine_the_chart_cannot_use(tmp_path):
     assert "sine_gordon_surface" in err and "supported: fd" in err
 
 
+def _sine_gordon_ini(tmp_path, chart_lines):
+    (tmp_path / "sg.ini").write_text(
+        "[chart]\nname = sine_gordon_surface\n" + chart_lines
+        + "\n[grid]\nresolution = 17\n")
+
+
+def test_cli_sine_gordon_integer_parameters(tmp_path):
+    """[chart] values arrive as floats: substeps = 4 used to exit 2 with
+    "'float' object cannot be interpreted as an integer"."""
+    _sine_gordon_ini(tmp_path, "resolution = 33\nsubsteps = 4")
+    code, out, err = run_cli("verify", "--config", "sg.ini", "--out", "sg",
+                             cwd=tmp_path)
+    assert code == 0, err
+    assert "gauss PASS" in out
+
+
+@pytest.mark.parametrize("line, key", [
+    ("resolution = 161.7", "resolution"),   # was truncated to 161
+    ("resolution = 5", "resolution"),       # no quintic spline: exit 3
+    ("substeps = 0", "substeps"),           # divide-by-zero warning
+    ("substeps = 2.5", "substeps"),
+    ("residual_tol = -1", "residual_tol"),  # exit 3
+    ("residual_tol = nan", "residual_tol"),  # both guards off, exit 0
+])
+def test_cli_rejects_bad_sine_gordon_parameters(tmp_path, line, key):
+    _sine_gordon_ini(tmp_path, line)
+    code, out, err = run_cli("verify", "--config", "sg.ini", "--out", "sg",
+                             cwd=tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert key in err
+
+
 def test_cli_expression_chart(workdir):
     code, out, err = run_cli("verify", "--config", "expr.ini",
                              "--out", "e", cwd=workdir)

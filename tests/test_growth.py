@@ -373,6 +373,19 @@ def test_reference_ball_volumes():
         reference_ball_volume(1.0, 2, 4.0)   # beyond the sphere's diameter
 
 
+@pytest.mark.parametrize("c, n, closed_form, r_max", [
+    (-1.0, 2, lambda r: 2.0 * math.pi * (math.cosh(r) - 1.0), 4.0),
+    (1.0, 2, lambda r: 2.0 * math.pi * (1.0 - math.cos(r)), math.pi),
+    (-1.0, 3, lambda r: math.pi * (math.sinh(2.0 * r) - 2.0 * r), 4.0),
+])
+def test_reference_ball_volume_closed_forms(c, n, closed_form, r_max):
+    """The quadrature against the model-ball closed forms from r = 0.2 to
+    4 (to the antipode on the unit sphere)."""
+    for r in np.linspace(0.2, r_max, 20):
+        assert reference_ball_volume(c, n, r) == pytest.approx(
+            closed_form(r), rel=1e-12), r
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_reference_ball_volume_overflow_is_config_error():
     """sinh(1000) raises OverflowError; at r = 710 sinh is finite but the
