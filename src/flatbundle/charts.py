@@ -141,7 +141,7 @@ class ImmersionChart:
     def contains(self, u, interior=False):
         u = np.asarray(u, dtype=float)
         box = self.usable_domain() if interior else self.domain
-        ok = np.ones(u.shape[:-1], dtype=bool)
+        ok = np.isfinite(u).all(axis=-1)      # NaN or inf: outside, any axis
         for k, (lo, hi) in enumerate(box):
             if self.periodic[k]:
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundamental import fundamental_batch
-from .principal import DEFAULT_SEED, principal_batch
+from .principal import principal_batch
 
 ALIGN_AMBIGUOUS = 1e-3   # two alignment candidates closer than this: flag
 ALIGN_MIN = 0.7          # below this diagonal overlap the gauge is incoherent
@@ -157,11 +157,11 @@ def _signed_permutation(Q):
     return P.reshape(Q.shape), ambiguous
 
 
-def principal_field(chart, grid, seed=DEFAULT_SEED):
+def principal_field(chart, grid):
     """Sample fundamental + principal data on the grid with a coherent gauge."""
     U = grid.points
     fb = fundamental_batch(chart, U, interior_check=False)
-    pb = principal_batch(fb, seed=seed)
+    pb = principal_batch(fb)
 
     sig = chart.ambient.signature
     n = chart.n

@@ -39,7 +39,7 @@ def _require_hypotheses(fb):
         raise HypothesisViolation(reason)
 
 
-def aligned_principal(chart, U, refs=None, seed=DEFAULT_SEED):
+def aligned_principal(chart, U, refs=None):
     """Principal decomposition at U, gauge-aligned to reference frames.
     Raises :class:`HypothesisViolation` where the flow fields do not exist.
 
@@ -48,7 +48,7 @@ def aligned_principal(chart, U, refs=None, seed=DEFAULT_SEED):
     """
     fb = fundamental_batch(chart, U, interior_check=False)
     _require_hypotheses(fb)
-    pb = principal_batch(fb, seed=seed)
+    pb = principal_batch(fb)
     if refs is not None:
         Q = np.einsum("...kN,...lN->...kl", refs * chart.ambient.signature,
                       pb.X_cont)
@@ -62,8 +62,7 @@ def _velocity(pb, i):
     return np.take_along_axis(Y, i[:, None, None], axis=-2)[:, 0, :]
 
 
-def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
-                seed=DEFAULT_SEED):
+def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
     """Advance each point of U0 (M, n) by its own parameter time t along
     its own axis i (scalars broadcast) of the scaled principal direction
     fields.
@@ -91,7 +90,7 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
             raise DomainExitError(
                 f"flow left the usable domain of {chart.name}",
                 exit_time=float(elapsed[k]), last_point=U[k].copy())
-        return aligned_principal(chart, V, refs=ref, seed=seed)
+        return aligned_principal(chart, V, refs=ref)
 
     pb = decompose(U, refs, np.arange(M))
     refs, vel = pb.X_cont, _velocity(pb, i)
@@ -112,10 +111,10 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP,
     return U, refs
 
 
-def integrate_flow(chart, x0, i, t, step=DEFAULT_STEP, seed=DEFAULT_SEED):
+def integrate_flow(chart, x0, i, t, step=DEFAULT_STEP):
     """Single-trajectory convenience wrapper; returns the endpoint."""
     U1, _ = flow_points(chart, np.asarray(x0, dtype=float)[None, :], i, t,
-                        step=step, seed=seed)
+                        step=step)
     return U1[0]
 
 
@@ -129,7 +128,6 @@ class FlowMap:
     t_axes: tuple               # per-axis 1d parameter-time arrays
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
     step: float
-    seed: int
     warnings: list = field(default_factory=list)
 
     @property
@@ -141,7 +139,7 @@ class FlowMap:
         return np.array([ax[1] - ax[0] for ax in self.t_axes])
 
 
-def _march_axis(chart, A, refs, ax, t_vals, step, seed):
+def _march_axis(chart, A, refs, ax, t_vals, step):
     """From each point in A (M, n), record the axis-``ax`` flow at every
     parameter time in t_vals.  Two chains leave t = 0, one through the
     times >= 0 in increasing order and one through the times < 0 in
@@ -168,15 +166,13 @@ def _march_axis(chart, A, refs, ax, t_vals, step, seed):
         U, R = flow_points(
             chart, np.concatenate([state[c][0] for c in live]), ax,
             np.repeat([t_vals[chains[c][0]] - state[c][2] for c in live], M),
-            refs=np.concatenate([state[c][1] for c in live]), step=step,
-            seed=seed)
+            refs=np.concatenate([state[c][1] for c in live]), step=step)
         for c, U_c, R_c in zip(live, np.split(U, len(live)),
                                np.split(R, len(live))):
             state[c] = (U_c, R_c, t_vals[chains[c][0]])
 
 
-def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
-                   seed=DEFAULT_SEED):
+def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
     """Sample F(t_1, ..., t_n) on a parameter-time grid.
 
     ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
@@ -196,12 +192,10 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
                        for (lo, hi), r in zip(t_box, resolution))
         try:
             A = x0[None, :]
-            refs = aligned_principal(chart, A, seed=seed).X_cont
+            refs = aligned_principal(chart, A).X_cont
             dims = ()
             for ax in range(n):
-                M = A.shape[0]
-                out, outref = _march_axis(chart, A, refs, ax, t_axes[ax],
-                                          step, seed)
+                out, outref = _march_axis(chart, A, refs, ax, t_axes[ax], step)
                 dims = dims + (len(t_axes[ax]),)
                 A = np.moveaxis(out.reshape((len(t_axes[ax]),) + dims[:-1]
                                             + (n,)), 0, ax).reshape(-1, n)
@@ -210,7 +204,7 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
                                    + outref.shape[2:]), 0, ax
                 ).reshape((-1,) + outref.shape[2:])
             points = A.reshape(dims + (n,))
-            return FlowMap(chart, x0, t_axes, points, step, seed, warnings)
+            return FlowMap(chart, x0, t_axes, points, step, warnings)
         except DomainExitError as exc:
             warnings.append(
                 f"axis box {t_box} exits the domain at t={exc.exit_time:.3g}; "
@@ -222,11 +216,11 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
 
 
 def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
-                          seed=DEFAULT_SEED, rng_seed=None):
+                          seed=DEFAULT_SEED):
     """One-parameter group law and pairwise commutation of the flows.
 
     For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
-    pairs (i, j), compares in chart coordinates:
+    pairs (i, j), all drawn from ``seed``, compares in chart coordinates:
 
     * additivity: flow_i(t) then flow_i(s)  vs  flow_i(t + s)
     * commutation: flow_i(t) then flow_j(s)  vs  flow_j(s) then flow_i(t)
@@ -235,7 +229,7 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     """
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
-    rng = np.random.default_rng(seed if rng_seed is None else rng_seed)
+    rng = np.random.default_rng(seed)
     t = rng.uniform(t_range[0], t_range[1], n_pairs)
     s = rng.uniform(t_range[0], t_range[1], n_pairs)
     i = rng.integers(0, n, n_pairs)
@@ -243,15 +237,14 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
 
     # flow_i(t), flow_i(t + s) and flow_j(s) from x0 in one batch, then
     # flow_i(s) and flow_j(s) after flow_i(t) and flow_i(t) after flow_j(s)
-    kw = dict(step=step, seed=seed)
     U1, R1 = flow_points(chart, np.broadcast_to(x0, (3 * n_pairs, n)),
                          np.concatenate([i, i, j]),
-                         np.concatenate([t, t + s, s]), **kw)
+                         np.concatenate([t, t + s, s]), step=step)
     Ut, Usum, Us = np.split(U1, 3)
     Rt, _, Rs = np.split(R1, 3)
     U2, _ = flow_points(chart, np.concatenate([Ut, Ut, Us]),
                         np.concatenate([i, j, i]), np.concatenate([s, s, t]),
-                        refs=np.concatenate([Rt, Rt, Rs]), **kw)
+                        refs=np.concatenate([Rt, Rt, Rs]), step=step)
     Uts, Uij, Uji = np.split(U2, 3)
     add = np.max(np.abs(Uts - Usum), axis=-1)
     comm = np.max(np.abs(Uij - Uji), axis=-1)
@@ -262,16 +255,15 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
                            notes=f"{n_pairs} random (t, s) pairs in {t_range}")
 
 
-def commutator_residual(chart, u0, h=None, seed=DEFAULT_SEED):
+def commutator_residual(chart, u0):
     """Max g-norm of [Y_i, Y_j] at u0 from a local finite-difference stencil,
     relative to max(1, |alpha|)."""
     u0 = np.asarray(u0, dtype=float)
     n = chart.n
-    if h is None:
-        h = 1e-2 * min(hi - lo for lo, hi in chart.domain)
+    h = 1e-2 * min(hi - lo for lo, hi in chart.domain)
     axes = tuple(u0[k] + h * np.arange(-2, 3) for k in range(n))
     grid = Grid(axes, np.full(n, h), (False,) * n)
-    pf = principal_field(chart, grid, seed=seed)
+    pf = principal_field(chart, grid)
     _require_hypotheses(pf.fb)
     if not np.all(pf.coherent):
         raise CoherenceError(
@@ -291,7 +283,7 @@ def commutator_residual(chart, u0, h=None, seed=DEFAULT_SEED):
     return worst
 
 
-def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
+def verify_principal_frame_property(flow_map):
     """Check that the flow map is a principal-coordinate chart.
 
     The parameter-time Jacobian columns J_ax (grid finite differences of
@@ -309,7 +301,7 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     n = chart.n
 
     fb0 = fundamental_batch(chart, flow_map.x0, interior_check=False)
-    dec = principal_decomposition(fb0, seed=seed)
+    dec = principal_decomposition(fb0)
     if dec.s < n:
         raise HypothesisViolation(
             f"only {dec.s} distinct principal normals at the base point "
@@ -320,7 +312,7 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     J = np.stack([grid_deriv(U, ax, ht[ax], periodic=False)
                   for ax in range(n)], axis=-2)            # grid + (ax, k)
 
-    pb = aligned_principal(chart, U, seed=seed)
+    pb = aligned_principal(chart, U)
     fb = pb.fb
     g = fb.g
     JgJ = np.einsum("...ak,...kl,...bl->...ab", J, g, J)
@@ -338,7 +330,7 @@ def verify_principal_frame_property(flow_map, seed=DEFAULT_SEED):
     Mmat = scale[..., :, None] * scale[..., None, :] * JgJ
     ortho = np.max(np.abs(Mmat - np.eye(n)), axis=(-2, -1))
 
-    g0 = comparison_metric(fb).g0
+    g0 = comparison_metric(fb)
     P = np.einsum("...ak,...kl,...bl->...ab", J, g0, J)
     pull = np.max(np.abs(P - np.eye(n)), axis=(-2, -1))
 

@@ -113,14 +113,6 @@ def _inverse(M):
     return Ginv
 
 
-def positive_definite(G):
-    """Whether every matrix of the symmetric stack G (..., n, n) is
-    positive definite."""
-    n = G.shape[-1]
-    return _cholesky(np.moveaxis(G, (-2, -1), (0, 1)).reshape(n, n, -1)) \
-        is not None
-
-
 # ---------------------------------------------------------------------------
 # the kernel and the two batches
 

@@ -15,10 +15,11 @@ chunks of MIDPOINT_CHUNK points, and each edge indexes its weight out of
 that one evaluation.  A chunk needs only the induced metric g and the
 comparison metric g0 = C g + III: it takes them from the frame-free
 ``metric_batch`` (which still refuses a degenerate g or a non-finite
-normal projection), and ``comparison_metric`` checks the gap and that g0
-is positive definite.  The random polylines of the length check take the
-same pair.  Only the grid nodes get the full ``fundamental_batch``, where
-the normal frame is built and the flatness hypothesis is tested.
+normal projection), and ``comparison_metric`` checks the gap (g0 is then
+positive definite, since III is a Gram matrix).  The random polylines of
+the length check take the same pair.  Only the grid nodes get the full
+``fundamental_batch``, where the normal frame is built and the flatness
+hypothesis is tested.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
 MIDPOINT_CHUNK = 16384       # edge midpoints per metric batch: the kernel's
                              # component arrays then stay in cache (65536
                              # took half again as long per point)
+LENGTH_SAMPLES = 64          # midpoint samples per polyline segment
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +173,14 @@ def _stencil_graph(grid):
     return edges, mids
 
 
-def distance_fields(grid, metrics_fn, anchor_index, overshoot=None):
+def distance_fields(grid, metrics_fn, anchor_index):
     """Dijkstra distance fields for several metrics sharing one grid graph.
 
     metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
                  evaluated once per chunk of edge midpoints
     """
     edges, mids = _stencil_graph(grid)
-    if overshoot is None:
-        overshoot = stencil_overshoot(stencil_offsets(grid.ndim))
+    overshoot = stencil_overshoot(stencil_offsets(grid.ndim))
     metrics = {}          # filled in place: no second copy of the metrics
     for s in range(0, len(mids), MIDPOINT_CHUNK):
         for label, g in metrics_fn(mids[s:s + MIDPOINT_CHUNK]).items():
@@ -215,9 +216,9 @@ def _quadratic_form(G, x):
     return q
 
 
-def distance_field(grid, metric_fn, anchor_index, label="g"):
-    return distance_fields(grid, lambda U: {label: metric_fn(U)},
-                           anchor_index)[label]
+def distance_field(grid, metric_fn, anchor_index):
+    return distance_fields(grid, lambda U: {"g": metric_fn(U)},
+                           anchor_index)["g"]
 
 
 def induced_metric_fn(chart):
@@ -230,7 +231,7 @@ def _metric_pair(chart, U, exploratory=False):
     """The frame-free metric batch at points U (induced metric g and
     |alpha|^2) and its comparison metric g0 = C g + III."""
     mb = metric_batch(chart, U, interior_check=False)
-    return mb, comparison_metric(mb, exploratory=exploratory).g0
+    return mb, comparison_metric(mb, exploratory=exploratory)
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,18 @@ def _metric_pair(chart, U, exploratory=False):
 
 def _polyline_samples(chart, polyline, samples_per_segment):
     """Composite-midpoint samples (segments, samples, n) of a chart
-    polyline and the chart step (segments, n) that each sample stands for."""
+    polyline and the chart step (segments, n) that each sample stands for.
+    Every vertex must lie in the chart's usable domain, where the engine's
+    stencil stays inside the declared one."""
     P = np.asarray(polyline, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ValueError("polyline needs at least two chart points")
-    if not np.all(chart.contains(P)):
-        bad = np.argwhere(~chart.contains(P))[0, 0]
+    inside = chart.contains(P, interior=True)
+    if not np.all(inside):
+        bad = int(np.argmin(inside))
         raise DomainError(
-            f"polyline vertex {bad} leaves the domain of {chart.name}")
+            f"polyline vertex {bad} at {P[bad].tolist()} leaves the usable "
+            f"domain of {chart.name}")
     t = (np.arange(samples_per_segment) + 0.5) / samples_per_segment
     A, B = P[:-1], P[1:]
     mids = A[:, None, :] + t[None, :, None] * (B - A)[:, None, :]
@@ -259,7 +264,8 @@ def _polyline_length(seg, gm):
     return float(np.sum(np.sqrt(q)))
 
 
-def curve_length(chart, polyline, metric="g", samples_per_segment=64):
+def curve_length(chart, polyline, metric="g",
+                 samples_per_segment=LENGTH_SAMPLES):
     """Composite midpoint length of a chart polyline, plus the path max of
     the squared second-fundamental-form norm (the paper's \\hat S).
 
@@ -269,7 +275,7 @@ def curve_length(chart, polyline, metric="g", samples_per_segment=64):
         raise ValueError(f"unknown metric {metric!r}")
     mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
     mb = metric_batch(chart, mids, interior_check=False)
-    gm = mb.g if metric == "g" else comparison_metric(mb).g0
+    gm = mb.g if metric == "g" else comparison_metric(mb)
     return _polyline_length(seg, gm), float(np.max(mb.sff_sq))
 
 
@@ -408,28 +414,27 @@ def _strict_verdict(name, lhs, rhs, budget, notes=""):
     return ChainVerdict(name, verdict, margin, budget, notes, compared)
 
 
-def check_length_inequality(chart, n_curves=20, rng_seed=DEFAULT_SEED,
-                            samples_per_segment=64):
-    """Strict length comparison on random polylines: the comparison-metric
-    length must stay below sqrt(path max |alpha|^2 + C) times the induced
-    length."""
+def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
+    """Strict length comparison on random polylines drawn from ``seed``:
+    the comparison-metric length must stay below sqrt(path max |alpha|^2
+    + C) times the induced length."""
     reason = gap_violation(chart)
     if reason is not None:
         raise HypothesisViolation(f"length comparison needs C > 0: {reason}")
     C = chart.C
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     box = np.array(chart.usable_domain())
     lhs, rhs = [], []
     quad_err = 0.0
     for _ in range(n_curves):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
-        mids, seg = _polyline_samples(chart, P, samples_per_segment)
+        mids, seg = _polyline_samples(chart, P, LENGTH_SAMPLES)
         mb, g0 = _metric_pair(chart, mids)
         Lg = _polyline_length(seg, mb.g)
         L0 = _polyline_length(seg, g0)
         s_hat = float(np.max(mb.sff_sq))
         L0c, _ = curve_length(chart, P, "g0",
-                              samples_per_segment=2 * samples_per_segment)
+                              samples_per_segment=2 * LENGTH_SAMPLES)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
         lhs.append(L0)
         rhs.append(math.sqrt(s_hat + C) * Lg)
@@ -518,12 +523,14 @@ def default_fit_window(radii):
 
 
 def growth_report(chart, x0, radii, window=None, resolution=None,
-                  seed=DEFAULT_SEED, exploratory=False, n_test_curves=20):
-    """Assemble the full growth table and inequality-chain verdicts.
+                  seed=DEFAULT_SEED, exploratory=False):
+    """Assemble the full growth table and inequality-chain verdicts;
+    ``seed`` draws the polylines of the length check.
 
     Requires the theorem hypotheses C > 0 and flat normal bundle; violations
     raise :class:`HypothesisViolation` (C = 0 is admitted in exploratory
-    mode with the bound column left undefined).
+    mode with the bound column left undefined).  An x0 outside the chart's
+    usable domain raises :class:`DomainError`.
     """
     C = chart.C
     reason = gap_violation(chart, exploratory)
@@ -534,6 +541,10 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (chart.n,) or not chart.contains(x0, interior=True):
+        raise DomainError(f"x0 = {x0.tolist()} is not a point of the usable "
+                          f"domain of {chart.name}")
     # before the grid work, so that an overflowing radius fails at once
     refs = [reference_ball_volume(chart.c, chart.n, r)
             if chart.c is not None else math.nan for r in radii]
@@ -563,8 +574,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     rows = []
     verdicts = []
     if C > 0:
-        verdicts.append(check_length_inequality(
-            chart, n_curves=n_test_curves, rng_seed=seed))
+        verdicts.append(check_length_inequality(chart, seed=seed))
         verdicts.append(check_distance_inequality(df_g, df_g0, fb))
     else:
         verdicts.append(ChainVerdict("length_comparison", "skip", math.nan,
@@ -601,5 +611,5 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
                 anchor=tuple(anchor), C=C,
                 stencil_overshoot=df_g.overshoot,
                 cell_volume=grid.cell_volume())
-    return GrowthReport(chart.name, np.asarray(x0, dtype=float), C, rows,
-                        verdicts, fit, fit_window, warnings, meta)
+    return GrowthReport(chart.name, x0, C, rows, verdicts, fit, fit_window,
+                        warnings, meta)

@@ -9,24 +9,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
-from .fundamental import (_components, _point_major, gap_violation,
-                          positive_definite)
+from .fundamental import _components, _point_major, gap_violation
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
+JACOBI_TOL = 1e-12           # rotation sine below which a pair is diagonal
+JACOBI_MAX_SWEEPS = 100
 
 
 @functools.lru_cache(maxsize=None)
-def _diag_weights(p, seed=DEFAULT_SEED):
-    """Fixed generic weight vector for the simultaneous diagonalization
-    (cached, hence read-only)."""
-    w = np.random.default_rng(seed).standard_normal(p)
+def _diag_weights(p):
+    """Fixed generic weight vector for the simultaneous diagonalization,
+    drawn once from DEFAULT_SEED (cached, hence read-only); the run seed
+    only draws samples and does not reach it."""
+    w = np.random.default_rng(DEFAULT_SEED).standard_normal(p)
     w = w / np.linalg.norm(w)
     w.flags.writeable = False
     return w
 
 
-def joint_diagonalize(mats, tol=1e-12, max_sweeps=100):
+def joint_diagonalize(mats):
     """Jacobi-style joint diagonalization of commuting symmetric matrices.
 
     Returns an orthogonal V such that V.T @ M @ V is (near) diagonal for
@@ -35,7 +37,7 @@ def joint_diagonalize(mats, tol=1e-12, max_sweeps=100):
     mats = [m.copy() for m in mats]
     n = mats[0].shape[0]
     V = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -48,7 +50,7 @@ def joint_diagonalize(mats, tol=1e-12, max_sweeps=100):
                     x, y = -x, -y
                 c = np.sqrt((x + 1.0) / 2.0)
                 s = y / np.sqrt(2.0 * (x + 1.0))
-                if abs(s) > tol:
+                if abs(s) > JACOBI_TOL:
                     rotated = True
                     for m in mats:
                         mi, mj = m[:, i].copy(), m[:, j].copy()
@@ -84,7 +86,6 @@ class PrincipalBatch:
     eta_sq: np.ndarray
     lambdas: object
     offdiag: np.ndarray
-    weight_seed: int
 
     def regauge(self, M):
         """Apply per-point signed permutations M (..., n, n) in place:
@@ -132,7 +133,7 @@ def _rotated(V, Atil):
     return D, np.max(off, axis=(0, 1, 2), initial=0.0)
 
 
-def principal_batch(fb, seed=DEFAULT_SEED):
+def principal_batch(fb):
     """Diagonalize the commuting shape operators of a FundamentalBatch.
 
     The batch's inverse Cholesky factor L^{-1} (g = L L^T) takes each
@@ -153,7 +154,7 @@ def principal_batch(fb, seed=DEFAULT_SEED):
     Linv = fb.chol_inv                                   # (n, n, m)
     S = _congruence(Linv, _components(fb.alpha, 3))      # (n, n, p, m)
     Atil = 0.5 * (S + S.swapaxes(0, 1))
-    Aw = (_diag_weights(p, seed)[:, None] * Atil).sum(axis=2)
+    Aw = (_diag_weights(p)[:, None] * Atil).sum(axis=2)
     V = np.linalg.eigh(Aw.transpose(2, 0, 1))[1].transpose(1, 2, 0)
     D, offdiag = _rotated(V, Atil)
 
@@ -185,7 +186,7 @@ def principal_batch(fb, seed=DEFAULT_SEED):
     return PrincipalBatch(
         fb, _point_major(X, batch), _point_major(X_cont, batch),
         _point_major(eta, batch), _point_major(eta_cont, batch), eta_sq,
-        _lambdas(fb.chart, eta_sq), (offdiag / scale).reshape(batch), seed)
+        _lambdas(fb.chart, eta_sq), (offdiag / scale).reshape(batch))
 
 
 @dataclass
@@ -202,15 +203,14 @@ class PrincipalDecomposition:
     offdiag_residual: float
 
 
-def principal_decomposition(fb, seed=DEFAULT_SEED,
-                            cluster_tol=CLUSTER_REL_TOL):
+def principal_decomposition(fb):
     """Spec operation: principal normals with clustering at one point."""
-    pb = principal_batch(fb, seed=seed)
+    pb = principal_batch(fb)
     eta = np.asarray(pb.eta, dtype=float).reshape(fb.n, fb.p)
     eta_cont = np.asarray(pb.eta_cont, dtype=float).reshape(fb.n, -1)
     X = np.asarray(pb.X_chart, dtype=float).reshape(fb.n, fb.n)
     n = fb.n
-    thresh = cluster_tol * max(1.0, float(np.sqrt(fb.sff_sq)))
+    thresh = CLUSTER_REL_TOL * max(1.0, float(np.sqrt(fb.sff_sq)))
 
     labels = -np.ones(n, dtype=int)
     reps = []
@@ -239,19 +239,11 @@ def third_fundamental_form(fb):
     return fb.III
 
 
-@dataclass
-class ComparisonMetric:
-    g0: np.ndarray
-    C: float
-    positive_definite: bool
-
-
 def comparison_metric(fb, exploratory=False):
     """g0 = C g + III with the chart's gap C, from a MetricBatch or a
-    FundamentalBatch; requires C > 0 (exploratory mode admits C = 0)."""
+    FundamentalBatch; requires C > 0 (exploratory mode admits C = 0).
+    For C > 0 it is positive definite, since III is a Gram matrix."""
     reason = gap_violation(fb.chart, exploratory)
     if reason is not None:
         raise HypothesisViolation(f"comparison metric needs C > 0: {reason}")
-    C = fb.chart.C
-    g0 = fb.III + C * fb.g
-    return ComparisonMetric(g0, C, positive_definite(g0))
+    return fb.III + fb.chart.C * fb.g

@@ -12,7 +12,7 @@ import numpy as np
 from . import engines
 from .fields import grid_deriv, principal_field
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
-from .principal import CLUSTER_REL_TOL, DEFAULT_SEED, comparison_metric
+from .principal import CLUSTER_REL_TOL, comparison_metric
 
 G0_FLAT_TOL = 1e-3
 DERIVED_TOL = 1e-4   # identities that differentiate eigen-derived fields
@@ -252,8 +252,7 @@ def check_intrinsic_curvature(fb, grid, tol=None):
 def check_g0_flat(fb, grid, tol=G0_FLAT_TOL):
     """Lemma: g0 = C g + III (fb over the grid points) is flat.  Residual =
     max normalized |R0_{ijkl}|."""
-    cm = comparison_metric(fb)
-    res = constant_curvature_residual(cm.g0, grid, 0.0)
+    res = constant_curvature_residual(comparison_metric(fb), grid, 0.0)
     return residual_report("g0_flat", res, tol, fb.chart)
 
 
@@ -264,7 +263,7 @@ IDENTITIES = ("intrinsic_curvature", "gauss", "codazzi_c1", "codazzi_c2",
               "connection_nn", "g0_flat")
 
 
-def verify_chart(chart, grid, seed=DEFAULT_SEED, tols=None):
+def verify_chart(chart, grid, tols=None):
     """Run the identity suite on a chart under the theorem's hypotheses.
 
     Returns (reports, skipped): a report for each identity that ran, in
@@ -288,7 +287,7 @@ def verify_chart(chart, grid, seed=DEFAULT_SEED, tols=None):
     if chart.c is None:
         skipped.update(intrinsic_curvature="intrinsic curvature unasserted",
                        gauss="intrinsic curvature unasserted")
-    pf = principal_field(chart, grid, seed=seed)
+    pf = principal_field(chart, grid)
     checks = {
         "intrinsic_curvature": lambda: check_intrinsic_curvature(
             pf.fb, grid, tol=tols.get("intrinsic")),

@@ -1,7 +1,10 @@
 """Package-wide API decisions, checked on every function signature: the
 curvature gap C and the differentiation engine are properties of the
 chart, so no function takes them as arguments (the jet, which dispatches
-on the engine, is the one exception)."""
+on the engine, is the one exception).  The run seed only draws random
+samples, so only the two sampled checks and the growth report that runs
+one take it; the weights of the principal diagonalization are fixed.
+Options that no caller sets are module constants, not parameters."""
 
 import importlib
 import importlib.util
@@ -48,6 +51,27 @@ def test_no_function_takes_a_curvature_gap():
 
 def test_only_the_jet_takes_an_engine():
     assert _taking("engine") == ["engines.jet"]
+
+
+def test_only_the_sampled_checks_take_a_seed():
+    assert _taking("seed") == ["flows.check_flow_identities",
+                               "growth.check_length_inequality",
+                               "growth.growth_report"]
+    assert _taking("rng_seed") == []
+
+
+def test_no_option_that_no_caller_sets():
+    names = dict(_functions())
+    for name, param in (("growth.distance_fields", "overshoot"),
+                        ("growth.distance_field", "label"),
+                        ("growth.growth_report", "n_test_curves"),
+                        ("growth.check_length_inequality",
+                         "samples_per_segment"),
+                        ("principal.principal_decomposition", "cluster_tol"),
+                        ("principal.joint_diagonalize", "tol"),
+                        ("principal.joint_diagonalize", "max_sweeps"),
+                        ("flows.commutator_residual", "h")):
+        assert param not in inspect.signature(names[name]).parameters, name
 
 
 def test_every_tracer_target_resolves():

@@ -391,6 +391,11 @@ def test_cli_usage_errors(workdir):
     ("growth", "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, nan\n"),
     # x0 outside the domain in coords: used to exit 3 as a numerical failure
     ("coords", "[chart]\nname = dini\n[growth]\nx0 = 99, 0.75\n"),
+    # NaN on the periodic axis: used to snap to node 0 and exit 0
+    ("growth", "[chart]\nname = pseudosphere\n[growth]\nx0 = 1.85, nan\n"
+               "resolution = 17\n"),
+    # inf on the periodic axis: used to exit 3 (metric not positive definite)
+    ("coords", "[chart]\nname = pseudosphere\n[growth]\nx0 = 1.85, inf\n"),
 ])
 def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
                                                         text):

@@ -158,13 +158,12 @@ def _six_flow_group_law(chart, x0, t_range, n_pairs, seed):
     i = rng.integers(0, n, n_pairs)
     j = (i + rng.integers(1, n, n_pairs)) % n
     U0 = np.broadcast_to(np.asarray(x0, float), (n_pairs, n))
-    kw = dict(seed=seed)
-    Ut, Rt = flow_points(chart, U0, i, t, **kw)
-    Uts, _ = flow_points(chart, Ut, i, s, refs=Rt, **kw)
-    Usum, _ = flow_points(chart, U0, i, t + s, **kw)
-    Uij, _ = flow_points(chart, Ut, j, s, refs=Rt, **kw)
-    Us, Rs = flow_points(chart, U0, j, s, **kw)
-    Uji, _ = flow_points(chart, Us, i, t, refs=Rs, **kw)
+    Ut, Rt = flow_points(chart, U0, i, t)
+    Uts, _ = flow_points(chart, Ut, i, s, refs=Rt)
+    Usum, _ = flow_points(chart, U0, i, t + s)
+    Uij, _ = flow_points(chart, Ut, j, s, refs=Rt)
+    Us, Rs = flow_points(chart, U0, j, s)
+    Uji, _ = flow_points(chart, Us, i, t, refs=Rs)
     return np.concatenate([np.max(np.abs(Uts - Usum), axis=-1),
                            np.max(np.abs(Uij - Uji), axis=-1)])
 
@@ -176,7 +175,7 @@ def test_flow_identities_equal_six_separate_flows(dini):
     np.testing.assert_array_equal(rep.residual_grid, want)
 
 
-def _sequential_march(chart, A, refs, ax, t_vals, step, seed):
+def _sequential_march(chart, A, refs, ax, t_vals, step):
     """The flow-map march as two chains, one flow_points call per hop."""
     out = np.empty((len(t_vals),) + A.shape)
     outref = np.empty((len(t_vals),) + refs.shape)
@@ -187,7 +186,7 @@ def _sequential_march(chart, A, refs, ax, t_vals, step, seed):
         for k in chain:
             if t_vals[k] != t_prev:
                 U, R = flow_points(chart, U, ax, t_vals[k] - t_prev, refs=R,
-                                   step=step, seed=seed)
+                                   step=step)
             out[k], outref[k] = U, R
             t_prev = t_vals[k]
     return out, outref
@@ -233,10 +232,10 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch):
     one by one again fails here."""
     calls, points = [], []
 
-    def counting(chart, U, refs=None, seed=flows.DEFAULT_SEED):
+    def counting(chart, U, refs=None):
         calls.append(1)
         points.append(len(U))
-        return aligned(chart, U, refs=refs, seed=seed)
+        return aligned(chart, U, refs=refs)
 
     aligned = flows.aligned_principal
     monkeypatch.setattr(flows, "aligned_principal", counting)

@@ -220,8 +220,21 @@ def test_domain_membership(pseudosphere):
     chart = pseudosphere.chart
     with pytest.raises(DomainError):
         chart.evaluate(np.array([5.0, 1.0]))
-    # the periodic axis never rejects
+    # the periodic axis never rejects a finite value
     assert chart.contains(np.array([1.0, 97.3]))
+
+
+def test_non_finite_coordinates_are_outside_on_every_axis(pseudosphere):
+    """NaN and inf are outside on the periodic axis too: they used to pass
+    there, so growth snapped x0 = (1.85, nan) to node 0."""
+    chart = pseudosphere.chart
+    for bad in (math.nan, math.inf, -math.inf):
+        for u in ((1.85, bad), (bad, 1.0)):
+            assert not chart.contains(np.array(u))
+            assert not chart.contains(np.array(u), interior=True)
+    np.testing.assert_array_equal(
+        chart.contains(np.array([[1.0, 2.0], [1.0, math.nan], [9.0, 2.0]])),
+        [True, False, False])
 
 
 def test_degenerate_metric_rejected():
@@ -270,7 +283,7 @@ def test_metric_kernel_matches_frame_formulas(name):
     for batch in (fb, mb):
         _assert_rel(batch.III, III)
         _assert_rel(batch.sff_sq, sff)
-        _assert_rel(comparison_metric(batch).g0, III + chart.C * fb.g)
+        _assert_rel(comparison_metric(batch), III + chart.C * fb.g)
     # one kernel: the frame-free batch is the full batch without the frame
     for field in ("g", "ginv", "III", "sff_sq"):
         assert np.array_equal(getattr(mb, field), getattr(fb, field))

@@ -185,6 +185,21 @@ def test_curve_length_constant_metric():
         curve_length(chart, np.array([[0.0, 0.0]]))
 
 
+def test_curve_length_keeps_the_fd_stencil_in_the_domain(pseudosphere):
+    """A vertex inside the declared domain but within the FD stencil's
+    reach of its edge used to be measured: the map was evaluated outside
+    the domain (on the sine-Gordon chart, on an extrapolated spline)."""
+    fd = dataclasses.replace(pseudosphere.chart, engine="fd")
+    with pytest.raises(DomainError, match=r"vertex 0 at \[0.3005, 1.0\]"):
+        curve_length(fd, np.array([[0.3005, 1.0], [1.0, 1.0]]))
+    sg = catalog.get("sine_gordon_surface").chart
+    with pytest.raises(DomainError, match="vertex 1"):
+        curve_length(sg, np.array([[-1.0, -1.0], [-1.6, -1.6]]))
+    lo = fd.usable_domain()[0][0]
+    L, _ = curve_length(fd, np.array([[lo, 1.0], [1.0, 1.0]]))
+    assert L > 0
+
+
 # ---------------------------------------------------------------------------
 # half-lattice edge weights against the per-offset reference
 
@@ -241,13 +256,13 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
 
     def g0(U):
         fb = fundamental_batch(chart, U, interior_check=False)
-        return comparison_metric(fb).g0
+        return comparison_metric(fb)
 
     def both(U):
         fb = fundamental_batch(chart, U, interior_check=False)
         out = {"g": fb.g}
         if with_g0:
-            out["g0"] = comparison_metric(fb).g0
+            out["g0"] = comparison_metric(fb)
         return out
 
     ref = _per_offset_distances(
@@ -299,7 +314,7 @@ def test_chain_verdicts_exclude_the_anchor(pseudosphere):
 
     def both(U):
         fb = fundamental_batch(chart, U, interior_check=False)
-        return {"g": fb.g, "g0": comparison_metric(fb).g0}
+        return {"g": fb.g, "g0": comparison_metric(fb)}
 
     dfs = distance_fields(grid, both, anchor)
     v = check_distance_inequality(dfs["g"], dfs["g0"], fb)
@@ -313,7 +328,7 @@ def test_chain_verdicts_exclude_the_anchor(pseudosphere):
 
 def test_length_check_matches_separate_curve_lengths(pseudosphere):
     chart = pseudosphere.chart
-    got = check_length_inequality(chart, n_curves=3, rng_seed=7)
+    got = check_length_inequality(chart, n_curves=3, seed=7)
     rng = np.random.default_rng(7)
     box = np.array(chart.usable_domain())
     lhs, rhs, quad_err = [], [], 0.0
@@ -467,6 +482,18 @@ def test_growth_guards():
         # asserting c = -1 gives it the gap C = 1, so flatness is reached
         growth_report(dataclasses.replace(veronese.chart, c=-1.0),
                       (1.0, 0.0), (0.3,), resolution=33)
+
+
+def test_growth_report_refuses_an_x0_outside_the_chart(pseudosphere):
+    """The library applies the CLI's x0 rule (inside the usable domain,
+    one coordinate per axis): these used to snap to the nearest node."""
+    chart = pseudosphere.chart
+    fd = dataclasses.replace(chart, engine="fd")
+    for ch, x0 in ((chart, (1.85, math.nan)), (chart, (1.85, math.inf)),
+                   (chart, (9.0, 1.0)), (chart, (1.0, 1.0, 0.0)),
+                   (fd, (0.3005, 1.0))):
+        with pytest.raises(DomainError, match="x0"):
+            growth_report(ch, x0, (0.3,), resolution=17)
 
 
 def test_growth_c0_exploratory_only():
