@@ -200,13 +200,20 @@ def plane_r3():
 
 def sine_gordon_surface(phi=None, domain=None, resolution=161,
                         residual_tol=1e-6, substeps=4):
-    """K = -1 surface from a sine-Gordon solution; see
-    :mod:`flatbundle.sinegordon`."""
-    from .sinegordon import build_sine_gordon_entry
-    return build_sine_gordon_entry(phi=phi, domain=domain,
-                                   resolution=resolution,
-                                   residual_tol=residual_tol,
-                                   substeps=substeps)
+    """K = -1 surface from a sine-Gordon solution (by default the one
+    soliton over the default domain); see :mod:`flatbundle.sinegordon`."""
+    from .sinegordon import DEFAULT_DOMAIN, integrate_surface, one_soliton
+    surf = integrate_surface(one_soliton if phi is None else phi,
+                             DEFAULT_DOMAIN if domain is None else domain,
+                             resolution, residual_tol, substeps)
+    return CatalogEntry(
+        "sine_gordon_surface", surf.chart(),
+        expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
+        notes="integrated from an asymptotic-coordinate angle field; "
+              "metric du^2 + 2 cos(phi) du dv + dv^2",
+        params=dict(surface=surf, sg_residual=surf.sg_residual,
+                    monodromy_residual=surf.monodromy_residual,
+                    resolution=resolution, substeps=substeps))
 
 
 _REGISTRY = {

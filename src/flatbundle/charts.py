@@ -58,11 +58,12 @@ class AmbientModel:
         return np.einsum("...k,...k->...", u * self.signature, v)
 
     def constraint_residual(self, x):
-        """|<x,x> - 1/c~|, scaled; zero array for the flat kind."""
+        """|<x,x> - 1/c~| relative to max(1, sum x_k^2), the rounding scale
+        of <x,x> (on a sphere, max(1, 1/c~)); zero array for the flat kind."""
         if self.flat:
             return np.zeros(np.shape(x)[:-1])
-        target = 1.0 / self.curvature
-        return np.abs(self.inner(x, x) - target) / max(1.0, abs(target))
+        return np.abs(self.inner(x, x) - 1.0 / self.curvature) \
+            / np.maximum(1.0, np.sum(x * x, axis=-1))
 
 
 def euclidean(m):
@@ -138,34 +139,32 @@ class ImmersionChart:
                 out.append((lo + pad, hi - pad))
         return tuple(out)
 
-    def contains(self, u, interior=False):
+    def contains(self, u):
+        """Whether each point of u (..., n) lies in the usable domain."""
         u = np.asarray(u, dtype=float)
-        box = self.usable_domain() if interior else self.domain
         ok = np.isfinite(u).all(axis=-1)      # NaN or inf: outside, any axis
-        for k, (lo, hi) in enumerate(box):
+        for k, (lo, hi) in enumerate(self.usable_domain()):
             if self.periodic[k]:
                 continue
             ok &= (u[..., k] >= lo - 1e-12) & (u[..., k] <= hi + 1e-12)
         return ok
 
-    def evaluate(self, u, check=True):
-        """Evaluate the map; checks domain membership and the model constraint."""
+    def jet(self, u):
+        """The map's 2-jet at points u (..., n): the one entry point to the
+        map.  A point outside the usable domain raises
+        :class:`DomainError`; on a sphere or hyperboloid ambient, an image
+        off the model raises :class:`ModelConsistencyError`."""
         u = np.asarray(u, dtype=float)
-        if check and not np.all(self.contains(u)):
-            raise DomainError(f"parameter {u!r} outside domain of {self.name}")
-        x = engines.evaluate(self.map, u)
-        if check:
-            res = self.ambient.constraint_residual(x)
-            worst = float(np.max(res)) if np.size(res) else 0.0
+        outside = ~self.contains(u)
+        if np.any(outside):
+            raise DomainError(f"point {u[outside][0].tolist()} is outside "
+                              f"the usable domain of {self.name}")
+        h = self.fd_step() if self.engine == engines.FD else None
+        J = engines.jet(self.map, u, self.n, engine=self.engine, h=h)
+        if not self.ambient.flat:
+            res = self.ambient.constraint_residual(J.value)
+            worst = float(np.max(res)) if res.size else 0.0
             if worst > MODEL_TOL:
                 raise ModelConsistencyError(
                     f"{self.name}: model constraint residual {worst:.3e}")
-        return x
-
-    def jet(self, u, interior_check=True):
-        u = np.asarray(u, dtype=float)
-        if interior_check and not np.all(self.contains(u, interior=True)):
-            raise DomainError(
-                f"stencil around {u!r} leaves domain of {self.name}")
-        h = self.fd_step() if self.engine == engines.FD else None
-        return engines.jet(self.map, u, self.n, engine=self.engine, h=h)
+        return J

@@ -1,10 +1,11 @@
 """Command-line entry point and report emission.
 
 Exit codes: 0 success or hypothesis-guarded skip, 1 identity failure,
-2 usage/config error, 3 numerical failure or any other error.  All emitted
-CSVs use 17 significant digits, '.' decimals and LF line endings, and every
-summary records the engine, seed, grid and tolerances, so identical configs
-and seeds produce byte-identical outputs.
+2 usage/config error (a chart off its space-form model included),
+3 numerical failure or any other error.  All emitted CSVs use 17
+significant digits, '.' decimals and LF line endings, and every summary
+records the engine, seed, grid and tolerances, so identical configs and
+seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from . import catalog, engines
 from .config import load_config
 from .errors import (ConfigError, DomainError, FlatBundleError,
-                     HypothesisViolation, NumericalError)
+                     HypothesisViolation, ModelConsistencyError,
+                     NumericalError)
 from .fields import make_grid
 from .flows import (build_flow_map, check_flow_identities,
                     commutator_residual, flow_points,
@@ -81,7 +83,7 @@ def _base_point(cfg, chart):
     box = chart.usable_domain()
     if cfg.x0 is None:
         return tuple(0.5 * (lo + hi) for lo, hi in box)
-    if len(cfg.x0) != chart.n or not chart.contains(cfg.x0, interior=True):
+    if len(cfg.x0) != chart.n or not chart.contains(cfg.x0):
         raise ConfigError(
             f"x0 = {','.join('%g' % x for x in cfg.x0)} must be {chart.n} "
             f"coordinates inside the usable domain "
@@ -263,7 +265,8 @@ def main(argv=None):
             return run_growth(cfg, out_dir, strict=args.strict)
         runner = {"verify": run_verify, "coords": run_coords}[args.command]
         return runner(cfg, out_dir)
-    except (ConfigError, FileNotFoundError, DomainError) as exc:
+    except (ConfigError, FileNotFoundError, DomainError,
+            ModelConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolation as exc:

@@ -160,7 +160,7 @@ def _signed_permutation(Q):
 def principal_field(chart, grid):
     """Sample fundamental + principal data on the grid with a coherent gauge."""
     U = grid.points
-    fb = fundamental_batch(chart, U, interior_check=False)
+    fb = fundamental_batch(chart, U)
     pb = principal_batch(fb)
 
     sig = chart.ambient.signature

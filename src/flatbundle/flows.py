@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engines import AD, DEFAULT_TOL
-from .errors import CoherenceError, DomainExitError, HypothesisViolation
+from .errors import (CoherenceError, DomainError, DomainExitError,
+                     HypothesisViolation)
 from .fields import Grid, _signed_permutation, grid_deriv, principal_field
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
@@ -46,7 +47,7 @@ def aligned_principal(chart, U, refs=None):
     refs : (..., n, N) container direction frames to match (label and sign
            by maximal overlap), or None for the canonical pointwise gauge.
     """
-    fb = fundamental_batch(chart, U, interior_check=False)
+    fb = fundamental_batch(chart, U)
     _require_hypotheses(fb)
     pb = principal_batch(fb)
     if refs is not None:
@@ -84,7 +85,7 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
     i = np.broadcast_to(np.asarray(i), (M,))
 
     def decompose(V, ref, rows):
-        inside = chart.contains(V, interior=True)
+        inside = chart.contains(V)
         if not np.all(inside):
             k = rows[int(np.argmin(inside))]
             raise DomainExitError(
@@ -127,7 +128,6 @@ class FlowMap:
     x0: np.ndarray
     t_axes: tuple               # per-axis 1d parameter-time arrays
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
-    step: float
     warnings: list = field(default_factory=list)
 
     @property
@@ -204,7 +204,7 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
                                    + outref.shape[2:]), 0, ax
                 ).reshape((-1,) + outref.shape[2:])
             points = A.reshape(dims + (n,))
-            return FlowMap(chart, x0, t_axes, points, step, warnings)
+            return FlowMap(chart, x0, t_axes, points, warnings)
         except DomainExitError as exc:
             warnings.append(
                 f"axis box {t_box} exits the domain at t={exc.exit_time:.3g}; "
@@ -257,12 +257,21 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
 
 def commutator_residual(chart, u0):
     """Max g-norm of [Y_i, Y_j] at u0 from a local finite-difference stencil,
-    relative to max(1, |alpha|)."""
+    relative to max(1, |alpha|).  The stencil u0 +- 2h stays in the usable
+    domain: on a non-periodic axis, h is at most half the distance from u0
+    to the nearer edge, and a u0 on the edge raises :class:`DomainError`."""
     u0 = np.asarray(u0, dtype=float)
     n = chart.n
-    h = 1e-2 * min(hi - lo for lo, hi in chart.domain)
-    axes = tuple(u0[k] + h * np.arange(-2, 3) for k in range(n))
-    grid = Grid(axes, np.full(n, h), (False,) * n)
+    h = np.full(n, 1e-2 * min(hi - lo for lo, hi in chart.domain))
+    for k, (lo, hi) in enumerate(chart.usable_domain()):
+        if not chart.periodic[k]:
+            h[k] = min(h[k], 0.5 * (u0[k] - lo), 0.5 * (hi - u0[k]))
+    if not np.all(h > 0):
+        raise DomainError(
+            f"x0 = {','.join('%g' % x for x in u0)} leaves the commutator "
+            f"stencil no room in the usable domain of {chart.name}")
+    axes = tuple(u0[k] + h[k] * np.arange(-2, 3) for k in range(n))
+    grid = Grid(axes, h, (False,) * n)
     pf = principal_field(chart, grid)
     _require_hypotheses(pf.fb)
     if not np.all(pf.coherent):
@@ -300,7 +309,7 @@ def verify_principal_frame_property(flow_map):
     chart = flow_map.chart
     n = chart.n
 
-    fb0 = fundamental_batch(chart, flow_map.x0, interior_check=False)
+    fb0 = fundamental_batch(chart, flow_map.x0)
     dec = principal_decomposition(fb0)
     if dec.s < n:
         raise HypothesisViolation(

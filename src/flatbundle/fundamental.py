@@ -196,9 +196,9 @@ class MetricBatch:
         return self.g.shape[-1]
 
 
-def _jet_kernel(chart, U, interior_check):
+def _jet_kernel(chart, U):
     U = np.asarray(U, dtype=float)
-    J = chart.jet(U, interior_check=interior_check)
+    J = chart.jet(U)
     return U, J, _kernel(chart, J)
 
 
@@ -210,10 +210,10 @@ def _metric_fields(chart, U, K):
                 sff_sq=K.sff_sq.reshape(batch))
 
 
-def metric_batch(chart, U, interior_check=True):
+def metric_batch(chart, U):
     """g, g^{-1}, III and |alpha|^2 at points U of shape (..., n), without
     a normal frame."""
-    U, _, K = _jet_kernel(chart, U, interior_check)
+    U, _, K = _jet_kernel(chart, U)
     return MetricBatch(**_metric_fields(chart, U, K))
 
 
@@ -303,9 +303,9 @@ def _normal_frame(chart, obasis, obasis_sq):
     raise FrameError(f"{chart.name}: could not build {p} independent normals")
 
 
-def fundamental_batch(chart, U, interior_check=True):
+def fundamental_batch(chart, U):
     """Compute fundamental data at points U of shape (..., n)."""
-    U, J, K = _jet_kernel(chart, U, interior_check)
+    U, J, K = _jet_kernel(chart, U)
     batch = U.shape[:-1]
     frame = _normal_frame(chart, K.obasis, K.obasis_sq)
     alpha = _dot(K.alpha_cont[:, :, None], frame,

@@ -89,7 +89,6 @@ class DistanceField:
     anchor_index: tuple
     d: np.ndarray                  # grid-shaped distances
     predecessors: np.ndarray       # flat node index of the previous hop
-    metric_label: str
     overshoot: float               # documented stencil error (relative)
 
     def path_max(self, values):
@@ -200,8 +199,7 @@ def distance_fields(grid, metrics_fn, anchor_index):
         d, pred = dijkstra(graph.tocsr(), directed=False, indices=a,
                            return_predecessors=True)
         fields[label] = DistanceField(grid, tuple(anchor_index),
-                                      d.reshape(grid.shape), pred, label,
-                                      overshoot)
+                                      d.reshape(grid.shape), pred, overshoot)
     return fields
 
 
@@ -223,14 +221,14 @@ def distance_field(grid, metric_fn, anchor_index):
 
 def induced_metric_fn(chart):
     def fn(U):
-        return metric_batch(chart, U, interior_check=False).g
+        return metric_batch(chart, U).g
     return fn
 
 
 def _metric_pair(chart, U, exploratory=False):
     """The frame-free metric batch at points U (induced metric g and
     |alpha|^2) and its comparison metric g0 = C g + III."""
-    mb = metric_batch(chart, U, interior_check=False)
+    mb = metric_batch(chart, U)
     return mb, comparison_metric(mb, exploratory=exploratory)
 
 
@@ -245,7 +243,7 @@ def _polyline_samples(chart, polyline, samples_per_segment):
     P = np.asarray(polyline, dtype=float)
     if P.ndim != 2 or P.shape[0] < 2:
         raise ValueError("polyline needs at least two chart points")
-    inside = chart.contains(P, interior=True)
+    inside = chart.contains(P)
     if not np.all(inside):
         bad = int(np.argmin(inside))
         raise DomainError(
@@ -274,7 +272,7 @@ def curve_length(chart, polyline, metric="g",
     if metric not in ("g", "g0"):
         raise ValueError(f"unknown metric {metric!r}")
     mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
-    mb = metric_batch(chart, mids, interior_check=False)
+    mb = metric_batch(chart, mids)
     gm = mb.g if metric == "g" else comparison_metric(mb)
     return _polyline_length(seg, gm), float(np.max(mb.sff_sq))
 
@@ -542,7 +540,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (chart.n,) or not chart.contains(x0, interior=True):
+    if x0.shape != (chart.n,) or not chart.contains(x0):
         raise DomainError(f"x0 = {x0.tolist()} is not a point of the usable "
                           f"domain of {chart.name}")
     # before the grid work, so that an overflowing radius fails at once
@@ -552,7 +550,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     if resolution is None:
         resolution = default_resolution(chart.n)
     grid = make_grid(chart, resolution)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     reason = flatness_violation(fb)
     if reason is not None:
         raise HypothesisViolation(f"{chart.name}: {reason}")

@@ -269,19 +269,3 @@ def integrate_surface(phi, domain=DEFAULT_DOMAIN, resolution=161,
             f"exceeds {MONODROMY_TOL:.1e}")
     return SineGordonSurface(phi, tuple(map(tuple, domain)), u_axis, v_axis,
                              *out, res, mono)
-
-
-def build_sine_gordon_entry(phi=None, domain=None, resolution=161,
-                            residual_tol=1e-6, substeps=4):
-    from .catalog import CatalogEntry
-    phi = one_soliton if phi is None else phi
-    domain = DEFAULT_DOMAIN if domain is None else domain
-    surf = integrate_surface(phi, domain, resolution, residual_tol, substeps)
-    return CatalogEntry(
-        "sine_gordon_surface", surf.chart(),
-        expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
-        notes="integrated from an asymptotic-coordinate angle field; "
-              "metric du^2 + 2 cos(phi) du dv + dv^2",
-        params=dict(surface=surf, sg_residual=surf.sg_residual,
-                    monodromy_residual=surf.monodromy_residual,
-                    resolution=resolution, substeps=substeps))

@@ -22,9 +22,6 @@ DERIVED_TOL = 1e-4   # identities that differentiate eigen-derived fields
 class ResidualReport:
     identity: str
     max: float
-    mean: float
-    q50: float
-    q90: float
     tolerance: float
     passed: bool
     points: int
@@ -50,14 +47,13 @@ def residual_report(identity, residuals, tol, chart, notes=""):
     finite = r[np.isfinite(r)]
     skipped = int(r.size - finite.size)
     if finite.size == 0:
-        return ResidualReport(identity, 0.0, 0.0, 0.0, 0.0, tol, True,
-                              0, skipped, chart.engine, vacuous=True,
-                              notes=notes, residual_grid=r)
-    return ResidualReport(
-        identity, float(np.max(finite)), float(np.mean(finite)),
-        float(np.quantile(finite, 0.5)), float(np.quantile(finite, 0.9)),
-        tol, bool(np.max(finite) <= tol), int(finite.size), skipped,
-        chart.engine, notes=notes, residual_grid=r)
+        return ResidualReport(identity, 0.0, tol, True, 0, skipped,
+                              chart.engine, vacuous=True, notes=notes,
+                              residual_grid=r)
+    worst = float(np.max(finite))
+    return ResidualReport(identity, worst, tol, bool(worst <= tol),
+                          int(finite.size), skipped, chart.engine,
+                          notes=notes, residual_grid=r)
 
 
 def _field_report(identity, pf, worst, tol):
@@ -275,8 +271,7 @@ def verify_chart(chart, grid, tols=None):
     tols = tols or {}
     stride = tuple(max(1, s // 16) for s in grid.shape)
     sample = grid.points[tuple(slice(None, None, st) for st in stride)]
-    why = flatness_violation(
-        fundamental_batch(chart, sample, interior_check=False))
+    why = flatness_violation(fundamental_batch(chart, sample))
     if why is not None:
         return [], dict.fromkeys(IDENTITIES, why)
 

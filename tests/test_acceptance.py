@@ -97,7 +97,7 @@ def test_criterion_3_comparison_metric_flat(capfd, pseudosphere, dini, clifford)
                             (clifford, 33, 1e-8)):
         chart = entry.chart
         grid = make_grid(chart, res)
-        fb = fundamental_batch(chart, grid.points, interior_check=False)
+        fb = fundamental_batch(chart, grid.points)
         rep = check_g0_flat(fb, grid, tol=tol)
         vals[entry.name] = (rep.max, tol, rep.passed)
     ok = all(p for _, _, p in vals.values())
@@ -170,7 +170,7 @@ def test_criterion_6_hyperbolic_oracle(capfd):
     mask = (exact > 0.2) & (exact <= 3.0)
     dist_err = float(np.max(np.abs(df.d[mask] - exact[mask]) / exact[mask]))
 
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     dens = np.sqrt(np.linalg.det(fb.g))
     vol_err = 0.0
     for r in (1.0, 2.0, 3.0):
@@ -236,7 +236,7 @@ def test_criterion_8_sine_gordon_surface(capfd):
     surf = entry.params["surface"]
     chart = entry.chart
     grid = make_grid(chart, 65)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     metric_err = float(np.max(np.abs(fb.g - surf.expected_metric(grid.points))))
     rep = check_intrinsic_curvature(fb, grid, tol=1e-2)
     ok = metric_err <= 1e-3 and rep.passed

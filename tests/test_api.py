@@ -70,8 +70,19 @@ def test_no_option_that_no_caller_sets():
                         ("principal.principal_decomposition", "cluster_tol"),
                         ("principal.joint_diagonalize", "tol"),
                         ("principal.joint_diagonalize", "max_sweeps"),
-                        ("flows.commutator_residual", "h")):
+                        ("flows.commutator_residual", "h"),
+                        ("charts.ImmersionChart.contains", "interior")):
         assert param not in inspect.signature(names[name]).parameters, name
+
+
+def test_the_chart_guard_cannot_be_switched_off():
+    """ImmersionChart.jet is the one entry point to a chart's map, and it
+    always checks the usable domain and the space-form model."""
+    from flatbundle import charts, sinegordon
+    assert _taking("interior_check") == []
+    assert _taking("check") == []
+    assert not hasattr(charts.ImmersionChart, "evaluate")
+    assert not hasattr(sinegordon, "build_sine_gordon_entry")
 
 
 def test_every_tracer_target_resolves():

@@ -48,7 +48,7 @@ def test_expected_properties_rederived(name):
             == entry.expected["C_positive"]
     if chart.c is not None and flat:
         grid = make_grid(chart, (25,) * chart.n)
-        fb = fundamental_batch(chart, grid.points, interior_check=False)
+        fb = fundamental_batch(chart, grid.points)
         rep = check_intrinsic_curvature(fb, grid, tol=5e-2)
         assert rep.passed, rep.summary_line()
 
@@ -100,15 +100,14 @@ def test_soliton_surface_metric(soliton_entry):
     chart = soliton_entry.chart
     assert chart.engine == "fd"
     grid = make_grid(chart, 33)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     want = surf.expected_metric(grid.points)
     assert float(np.max(np.abs(fb.g - want))) < 1e-3
 
 
 def test_soliton_surface_curvature(soliton_entry):
     grid = make_grid(soliton_entry.chart, 49)
-    fb = fundamental_batch(soliton_entry.chart, grid.points,
-                           interior_check=False)
+    fb = fundamental_batch(soliton_entry.chart, grid.points)
     rep = check_intrinsic_curvature(fb, grid, tol=1e-2)
     assert rep.passed, rep.summary_line()
 

@@ -128,8 +128,8 @@ def test_expression_chart_matches_catalog(pseudosphere):
     assert chart.name == "my_pseudosphere"
     assert chart.periodic == (False, True)
     pts = np.array([[0.9, 1.0], [2.0, 4.0]])
-    np.testing.assert_allclose(chart.evaluate(pts),
-                               pseudosphere.chart.evaluate(pts), atol=1e-15)
+    np.testing.assert_allclose(chart.jet(pts).value,
+                               pseudosphere.chart.jet(pts).value, atol=1e-15)
     # AD works through the compiled closures
     fb = fundamental_batch(dataclasses.replace(chart, engine="ad"), pts)
     fb_ref = fundamental_batch(pseudosphere.chart, pts)
@@ -277,6 +277,34 @@ def test_cli_coords_guards_flat_normal_bundle(tmp_path):
     assert not (tmp_path / "c" / "coords.csv").exists()
 
 
+# Two circles of radius sqrt(2): |x|^2 = 4, so the image is off the
+# unit S^3 its ambient names.
+OFF_SPHERE_EXPR = """
+name     = off_sphere
+n        = 2
+ambient  = sphere 1 3
+c        = 0
+domain   = 0 : 6.283185307179586, 0 : 6.283185307179586
+periodic = true, true
+map      = sqrt(2)*cos(u1), sqrt(2)*sin(u1), sqrt(2)*cos(u2), sqrt(2)*sin(u2)
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "growth", "coords"])
+def test_cli_chart_off_its_model_is_invalid_input(tmp_path, command):
+    """No pipeline checked the model: verify exited 1 on a Gauss FAIL,
+    growth and coords exited 0 with every check passing."""
+    (tmp_path / "off.chart").write_text(OFF_SPHERE_EXPR)
+    (tmp_path / "off.ini").write_text(
+        "[chart]\nexpression = off.chart\n[grid]\nresolution = 17\n"
+        "[growth]\nresolution = 33\nflow_resolution = 5\n")
+    code, out, err = run_cli(command, "--config", "off.ini", "--out", "o",
+                             cwd=tmp_path)
+    assert code == 2, (out, err)
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert "off_sphere: model constraint residual" in err
+
+
 def test_cli_verify_names_each_identity_once(tmp_path):
     (tmp_path / "v.ini").write_text(
         "[chart]\nname = veronese_r5\n[grid]\nresolution = 17\n")
@@ -351,6 +379,20 @@ def test_cli_rejects_bad_sine_gordon_parameters(tmp_path, line, key):
     assert code == 2, (out, err)
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert key in err
+
+
+def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):
+    """x0 lies in the usable domain, but the commutator stencil used to
+    reach u1 = -1.619 past the declared -1.6: commutator FAIL, exit 1."""
+    (tmp_path / "sg.ini").write_text(
+        "[chart]\nname = sine_gordon_surface\n"
+        "[growth]\nx0 = -1.59, -1.0\nflow_box = -0.002 : 0.002\n"
+        "flow_resolution = 5\nt_range = -0.001 : 0.001\npairs = 5\n"
+        "flow_step = 0.001\n")
+    code, out, err = run_cli("coords", "--config", "sg.ini", "--out", "c",
+                             cwd=tmp_path)
+    assert code == 0, (out, err)
+    assert "commutator PASS" in out
 
 
 def test_cli_expression_chart(workdir):

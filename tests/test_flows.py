@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog, flows
-from flatbundle.errors import DomainExitError, HypothesisViolation
+from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
                               flow_points, integrate_flow,
@@ -48,6 +48,18 @@ def test_group_law_and_commutation(dini):
 def test_commutator_residual_small(pseudosphere, dini):
     assert commutator_residual(pseudosphere.chart, PS_X0) < 1e-4
     assert commutator_residual(dini.chart, DINI_X0) < 1e-4
+
+
+def test_commutator_stencil_stays_in_the_usable_domain(pseudosphere):
+    """The stencil u0 +- 2h used to take h = 1e-2 of the smallest span
+    whatever the edge: at u1 = -1.59 it read the sine-Gordon spline at
+    u1 = -1.619, outside the declared -1.6, and the residual came out
+    3.5e-1.  A u0 on the edge leaves no step and is refused."""
+    sg = catalog.get("sine_gordon_surface").chart
+    assert commutator_residual(sg, (-1.59, -1.0)) < 1e-4
+    lo = pseudosphere.chart.usable_domain()[0][0]
+    with pytest.raises(DomainError, match="x0 = "):
+        commutator_residual(pseudosphere.chart, (lo, 1.0))
 
 
 def test_flow_map_is_principal_coordinates(dini):

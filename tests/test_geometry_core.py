@@ -9,8 +9,8 @@ import sympy as sp
 
 from flatbundle import catalog
 from flatbundle import dual as dm
-from flatbundle.charts import (AmbientModel, ImmersionChart, euclidean,
-                               hyperbolic, sphere)
+from flatbundle.charts import (MODEL_TOL, AmbientModel, ImmersionChart,
+                               euclidean, hyperbolic, sphere)
 from flatbundle.errors import (DegenerateMetricError, DomainError,
                                FrameError, ModelConsistencyError)
 from flatbundle.fields import make_grid
@@ -25,8 +25,9 @@ from flatbundle.principal import comparison_metric
 # symbolic oracles for surfaces in R^3
 
 def _surface_oracle(fx, fy, fz, u, v):
-    """First fundamental form and Gauss curvature of a parametric surface,
-    derived symbolically and lambdified."""
+    """First fundamental form, Gauss curvature and shape operator of a
+    parametric surface, derived symbolically and lambdified unsimplified
+    (the shape operator g^-1 II is solved numerically)."""
     F = sp.Matrix([fx, fy, fz])
     Fu, Fv = F.diff(u), F.diff(v)
     E, Ff, G = Fu.dot(Fu), Fu.dot(Fv), Fv.dot(Fv)
@@ -35,11 +36,13 @@ def _surface_oracle(fx, fy, fz, u, v):
     L = F.diff(u, 2).dot(nvec)
     M = F.diff(u, v).dot(nvec)
     N = F.diff(v, 2).dot(nvec)
-    K = sp.simplify((L * N - M * M) / (E * G - Ff * Ff))
     g_fn = sp.lambdify((u, v), sp.Matrix([[E, Ff], [Ff, G]]), "numpy")
-    K_fn = sp.lambdify((u, v), K, "numpy")
-    shape = sp.Matrix([[E, Ff], [Ff, G]]).inv() * sp.Matrix([[L, M], [M, N]])
-    k_fn = sp.lambdify((u, v), shape, "numpy")
+    K_fn = sp.lambdify((u, v), (L * N - M * M) / (E * G - Ff * Ff), "numpy")
+    II_fn = sp.lambdify((u, v), sp.Matrix([[L, M], [M, N]]), "numpy")
+
+    def k_fn(uu, vv):
+        return np.linalg.solve(np.array(g_fn(uu, vv), float),
+                               np.array(II_fn(uu, vv), float))
     return g_fn, K_fn, k_fn
 
 
@@ -183,7 +186,7 @@ def test_ambient_constraint_enforced():
                          2, sphere(1.0, 2), None,
                          ((0.0, 6.0), (0.0, 1.0)))
     with pytest.raises(ModelConsistencyError):
-        bad.evaluate(np.array([1.0, 0.5]))
+        bad.jet(np.array([1.0, 0.5]))
 
 
 def test_hyperboloid_sheet_constraint(clifford):
@@ -193,7 +196,7 @@ def test_hyperboloid_sheet_constraint(clifford):
     amb = entry.chart.ambient
     assert amb.signature.tolist() == [1.0, 1.0, -1.0]
     pts = np.array([[0.5, 0.3], [-2.0, -1.0], [3.0, 1.2]])
-    x = entry.chart.evaluate(pts)
+    x = entry.chart.jet(pts).value
     np.testing.assert_allclose(amb.inner(x, x), -1.0, atol=1e-12)
     # conformal metric sec^2(y) I
     fb = fundamental_batch(entry.chart, pts)
@@ -201,8 +204,17 @@ def test_hyperboloid_sheet_constraint(clifford):
         np.testing.assert_allclose(fb.g[k], np.eye(2) / math.cos(y) ** 2,
                                    atol=1e-10)
     # Clifford chart satisfies the unit-sphere constraint too
-    xc = clifford.chart.evaluate(np.array([1.0, 2.0]))
+    xc = clifford.chart.jet(np.array([1.0, 2.0])).value
     assert float(np.sum(xc * xc)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_far_hyperboloid_points_are_on_the_model():
+    """The model residual is relative to sum x_k^2, the rounding scale of
+    <x,x>: relative to max(1, |1/c~|) instead, rounding alone read 7.4e-9
+    at this point, |x|^2 = 7.7e7, and the jet was refused."""
+    chart = catalog.get("hyperbolic_plane", extent_x=5, extent_y=1.565).chart
+    x = chart.jet(np.array([4.9, 1.56])).value
+    assert chart.ambient.constraint_residual(x) <= MODEL_TOL
 
 
 def test_ambient_kind_sign_validation():
@@ -219,7 +231,7 @@ def test_ambient_kind_sign_validation():
 def test_domain_membership(pseudosphere):
     chart = pseudosphere.chart
     with pytest.raises(DomainError):
-        chart.evaluate(np.array([5.0, 1.0]))
+        chart.jet(np.array([5.0, 1.0]))
     # the periodic axis never rejects a finite value
     assert chart.contains(np.array([1.0, 97.3]))
 
@@ -231,7 +243,6 @@ def test_non_finite_coordinates_are_outside_on_every_axis(pseudosphere):
     for bad in (math.nan, math.inf, -math.inf):
         for u in ((1.85, bad), (bad, 1.0)):
             assert not chart.contains(np.array(u))
-            assert not chart.contains(np.array(u), interior=True)
     np.testing.assert_array_equal(
         chart.contains(np.array([[1.0, 2.0], [1.0, math.nan], [9.0, 2.0]])),
         [True, False, False])
@@ -274,12 +285,12 @@ def test_metric_kernel_matches_frame_formulas(name):
     if gap_violation(chart) is not None:      # g0 needs a gap: take C = 1
         chart = dataclasses.replace(chart, c=chart.ambient.curvature - 1.0)
     grid = make_grid(chart, 9 if chart.n == 2 else 5)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     ginv, alpha = fb.ginv, fb.alpha
     III = np.einsum("...kl,...ika,...jla->...ij", ginv, alpha, alpha)
     sff = np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, alpha,
                     alpha)
-    mb = metric_batch(chart, grid.points, interior_check=False)
+    mb = metric_batch(chart, grid.points)
     for batch in (fb, mb):
         _assert_rel(batch.III, III)
         _assert_rel(batch.sff_sq, sff)

@@ -107,7 +107,7 @@ def test_path_max_on_a_forest_with_unreachable_nodes():
     pred = np.array([-9999, 0, 1, 2, 1, 4, -9999, -9999, 6])
     d = np.array([0.0, 1.0, 2.0, 3.0, 2.0, 3.0, np.inf, np.inf, np.inf])
     values = np.array([1.0, 0.5, 4.0, 2.0, 3.0, 0.0, 7.0, 1.0, 6.0])
-    df = DistanceField(None, (0,), d, pred, "g", 0.0)
+    df = DistanceField(None, (0,), d, pred, 0.0)
     want = np.array([1.0, 1.0, 4.0, 4.0, 3.0, 3.0, 7.0, 1.0, 7.0])
     assert np.array_equal(df.path_max(values), want)
     assert np.array_equal(_path_max_by_node_loop(df, values), want)
@@ -252,14 +252,14 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
     anchor = nearest_node(grid, x0)
 
     def g(U):
-        return fundamental_batch(chart, U, interior_check=False).g
+        return fundamental_batch(chart, U).g
 
     def g0(U):
-        fb = fundamental_batch(chart, U, interior_check=False)
+        fb = fundamental_batch(chart, U)
         return comparison_metric(fb)
 
     def both(U):
-        fb = fundamental_batch(chart, U, interior_check=False)
+        fb = fundamental_batch(chart, U)
         out = {"g": fb.g}
         if with_g0:
             out["g0"] = comparison_metric(fb)
@@ -309,11 +309,11 @@ def test_strict_verdict_nothing_compared_is_indeterminate():
 def test_chain_verdicts_exclude_the_anchor(pseudosphere):
     chart = pseudosphere.chart
     grid = make_grid(chart, 33)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     anchor = nearest_node(grid, (0.88, 3.14))
 
     def both(U):
-        fb = fundamental_batch(chart, U, interior_check=False)
+        fb = fundamental_batch(chart, U)
         return {"g": fb.g, "g0": comparison_metric(fb)}
 
     dfs = distance_fields(grid, both, anchor)
@@ -361,7 +361,7 @@ def test_hyperbolic_distance_and_area():
     mask = (exact > 0.2) & (exact <= 3.0)
     rel = np.abs(df.d[mask] - exact[mask]) / exact[mask]
     assert float(np.max(rel)) < 0.03
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     dens = np.sqrt(np.linalg.det(fb.g))
     for r in (1.0, 2.0):
         vol, truncated = ball_volume(df, dens, r)
@@ -460,7 +460,7 @@ def test_growth_report_pseudosphere(pseudosphere):
 def test_ball_max_sff_matches_anchor(pseudosphere):
     chart = pseudosphere.chart
     grid = make_grid(chart, 65)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     anchor = nearest_node(grid, (math.asinh(1.0), math.pi))
     df = distance_field(grid, induced_metric_fn(chart), anchor)
     S1 = ball_max_sff(df, fb.sff_sq, 0.3)

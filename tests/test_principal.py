@@ -145,8 +145,7 @@ def test_lambda_guard_fires_when_gap_negative(sphere_control):
     |eta|^2 + C = 0 rounds to a positive number at some points."""
     chart = sphere_control.chart
     grid = make_grid(chart, 40)
-    pb = principal_batch(fundamental_batch(chart, grid.points,
-                                           interior_check=False))
+    pb = principal_batch(fundamental_batch(chart, grid.points))
     assert chart.C == -1.0 and np.any(pb.eta_sq + chart.C > 0)
     assert pb.lambdas is None
     dec = principal_decomposition(fundamental_batch(chart,

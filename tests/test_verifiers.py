@@ -59,7 +59,7 @@ def test_intrinsic_curvature_detects_wrong_c(pseudosphere):
     import dataclasses
     chart = dataclasses.replace(pseudosphere.chart, c=-2.0)
     grid = make_grid(chart, 33)
-    fb = fundamental_batch(chart, grid.points, interior_check=False)
+    fb = fundamental_batch(chart, grid.points)
     rep = check_intrinsic_curvature(fb, grid)
     assert not rep.passed
 
@@ -67,7 +67,7 @@ def test_intrinsic_curvature_detects_wrong_c(pseudosphere):
 def test_intrinsic_curvature_hyperbolic_band():
     entry = catalog.get("hyperbolic_plane")
     grid = make_grid(entry.chart, (49, 25), box=((-2.0, 2.0), (-1.0, 1.0)))
-    fb = fundamental_batch(entry.chart, grid.points, interior_check=False)
+    fb = fundamental_batch(entry.chart, grid.points)
     rep = check_intrinsic_curvature(fb, grid)
     assert rep.passed, rep.summary_line()
 
@@ -96,7 +96,7 @@ def test_connection_formula_requires_lambdas(ps_field_33, pseudosphere):
 
 def test_g0_flat_clifford_tight(clifford):
     grid = make_grid(clifford.chart, 33)
-    fb = fundamental_batch(clifford.chart, grid.points, interior_check=False)
+    fb = fundamental_batch(clifford.chart, grid.points)
     rep = check_g0_flat(fb, grid, tol=1e-8)
     assert rep.passed, rep.summary_line()
 
@@ -161,7 +161,7 @@ def _einsum_residual(G, grid, c):
 def test_curvature_residual_matches_einsum_oracle(name, res, exact):
     chart = catalog.get(name).chart
     grid = make_grid(chart, res)
-    G = fundamental_batch(chart, grid.points, interior_check=False).g
+    G = fundamental_batch(chart, grid.points).g
     for c in (-1.0, 0.0, 1.0):
         new = constant_curvature_residual(G, grid, c)
         old = _einsum_residual(G, grid, c)
