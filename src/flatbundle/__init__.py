@@ -14,14 +14,14 @@ from .fields import Grid, make_grid, principal_field
 from .flows import (build_flow_map, check_flow_identities,
                     commutator_residual, integrate_flow,
                     verify_principal_frame_property)
-from .fundamental import (FundamentalBatch, MetricBatch, fundamental_batch,
-                          metric_batch, normal_bundle_is_flat)
+from .fundamental import (FundamentalBatch, flatness_violation,
+                          fundamental_batch)
 from .growth import (ball_max_sff, ball_volume, check_ball_containment,
                      check_distance_inequality, check_length_inequality,
                      curve_length, distance_field, fit_exponential,
                      growth_report, reference_ball_volume, unit_ball_volume)
 from .principal import (comparison_metric, principal_batch,
-                        principal_decomposition, third_fundamental_form)
+                        principal_decomposition)
 from .verifiers import (check_codazzi_c1, check_codazzi_c2,
                         check_connection_formula, check_g0_flat, check_gauss,
                         check_intrinsic_curvature, verify_chart)

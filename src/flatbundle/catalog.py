@@ -54,8 +54,8 @@ def pseudosphere():
 
 def dini(a=1.0, b=0.5):
     """Helicoidal pseudospherical surface, K = -1/(a^2 + b^2)."""
-    if a <= 0 or b < 0:
-        raise ValueError("dini needs a > 0 and b >= 0")
+    if not (0 < a < math.inf and 0 <= b < math.inf):
+        raise ValueError("dini needs finite a > 0 and b >= 0")
     def f(u):
         return (a * dm.cos(u[0]) * dm.sin(u[1]),
                 a * dm.sin(u[0]) * dm.sin(u[1]),
@@ -73,8 +73,8 @@ def dini(a=1.0, b=0.5):
 def product_torus_r4(r1=1.0, r2=0.5):
     """Product of two circles in R^4: flat, C = 0 edge case; lambdas exist
     only in exploratory mode."""
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("product torus needs positive radii")
+    if not (0 < r1 < math.inf and 0 < r2 < math.inf):
+        raise ValueError("product torus needs finite positive radii")
     def f(u):
         return (r1 * dm.cos(u[0]), r1 * dm.sin(u[0]),
                 r2 * dm.cos(u[1]), r2 * dm.sin(u[1]))
@@ -109,8 +109,8 @@ def clifford_torus_s3(t=math.pi / 4):
 def sphere_negative_control(c=1.0):
     """Round sphere in R^3: c > ctilde, umbilical (s = 1).  All theorem
     hypothesis guards are expected to fire."""
-    if c <= 0:
-        raise ValueError("sphere control needs c > 0")
+    if not 0 < c < math.inf:
+        raise ValueError("sphere control needs finite c > 0")
     R = 1.0 / math.sqrt(c)
     def f(u):
         return (R * dm.cos(u[0]) * dm.cos(u[1]),
@@ -132,6 +132,8 @@ def hyperbolic_plane(extent_x=3.4, extent_y=1.48):
     so grid shortest paths stay within the isotropic stencil error; the
     closed-form distance d(0, (x,y)) = arccosh(cosh x / cos y) and ball
     area 2 pi (cosh r - 1) make this the oracle for the growth machinery."""
+    if not 0 < extent_x < math.inf:
+        raise ValueError("band half-width must be finite and positive")
     if not 0 < extent_y < math.pi / 2:
         raise ValueError("band height must lie inside (0, pi/2)")
     def f(u):

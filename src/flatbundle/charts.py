@@ -35,7 +35,8 @@ class AmbientModel:
         if self.kind not in (EUCLIDEAN, SPHERE, HYPERBOLIC):
             raise ValueError(f"unknown ambient kind {self.kind!r}")
         c = self.curvature
-        ok = {EUCLIDEAN: c == 0.0, SPHERE: c > 0.0, HYPERBOLIC: c < 0.0}
+        ok = {EUCLIDEAN: c == 0.0, SPHERE: 0.0 < c < np.inf,
+              HYPERBOLIC: -np.inf < c < 0.0}
         if not ok[self.kind]:
             raise ValueError(
                 f"{self.kind} ambient requires curvature sign constraint, got {c}")

@@ -202,7 +202,9 @@ def parse_chart(text):
         try:
             c = float(kv["c"])
         except ValueError:
-            raise ConfigError(f"bad curvature {kv['c']!r}") from None
+            c = math.nan
+        if not math.isfinite(c):
+            raise ConfigError(f"bad curvature {kv['c']!r}")
 
     def chart_map(u):
         return tuple(comp(u) for comp in comps)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fundamental import fundamental_batch
 from .principal import principal_batch
 
 ALIGN_AMBIGUOUS = 1e-3   # two alignment candidates closer than this: flag
@@ -157,10 +156,10 @@ def _signed_permutation(Q):
     return P.reshape(Q.shape), ambiguous
 
 
-def principal_field(chart, grid):
-    """Sample fundamental + principal data on the grid with a coherent gauge."""
-    U = grid.points
-    fb = fundamental_batch(chart, U)
+def principal_field(fb, grid):
+    """Principal data of the fundamental batch fb over the grid's points,
+    in a coherent gauge."""
+    chart = fb.chart
     pb = principal_batch(fb)
 
     sig = chart.ambient.signature
@@ -172,9 +171,11 @@ def principal_field(chart, grid):
     # spanning path from the grid origin (axis 0 first with later axes at 0,
     # then axis 1 at fixed axis-0 index, and so on)
     M = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
+    ambiguous = []
     for ax in range(ndim):
         Q = _alignment_matrices(pb.X_cont, sig, ax)
-        P, _ = _signed_permutation(Q)
+        P, amb = _signed_permutation(Q)
+        ambiguous.append(amb)
         pin = (0,) * (ndim - ax - 1)
         for i in range(1, shape[ax]):
             pre = (slice(None),) * ax
@@ -186,13 +187,14 @@ def principal_field(chart, grid):
 
     # verify the gauge: neighbors must overlap strongly and positively on
     # the diagonal; points adjacent to a seam or an ambiguous alignment are
-    # masked and counted
+    # masked and counted.  The regauge is a signed permutation per point, so
+    # it permutes the rows of |Q| and the entries within each row, and the
+    # ambiguity found before it still holds
     coherent = np.ones(shape, dtype=bool)
     for ax in range(ndim):
         Q = _alignment_matrices(pb.X_cont, sig, ax)
-        _, ambiguous = _signed_permutation(Q)
         diag = np.einsum("...kk->...k", Q)
-        bad = np.any(diag < ALIGN_MIN, axis=-1) | ambiguous
+        bad = np.any(diag < ALIGN_MIN, axis=-1) | ambiguous[ax]
         if not grid.periodic[ax]:
             sl = [slice(None)] * ndim
             sl[ax] = slice(-1, None)

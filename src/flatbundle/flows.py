@@ -272,8 +272,9 @@ def commutator_residual(chart, u0):
             f"stencil no room in the usable domain of {chart.name}")
     axes = tuple(u0[k] + h[k] * np.arange(-2, 3) for k in range(n))
     grid = Grid(axes, h, (False,) * n)
-    pf = principal_field(chart, grid)
-    _require_hypotheses(pf.fb)
+    fb = fundamental_batch(chart, grid.points)
+    _require_hypotheses(fb)
+    pf = principal_field(fb, grid)
     if not np.all(pf.coherent):
         raise CoherenceError(
             f"principal gauge incoherent on the local stencil at {u0}")
@@ -332,7 +333,7 @@ def verify_principal_frame_property(flow_map):
     match = np.argmax(np.abs(O), axis=-1)                   # grid + (ax,)
     align = 1.0 - np.abs(np.take_along_axis(O, match[..., None], axis=-1)
                          [..., 0]) / norms
-    align = np.max(align, axis=-1)
+    align = np.maximum(np.max(align, axis=-1), 0.0)   # rounding dips below 0
 
     eta_sq = np.take_along_axis(pb.eta_sq, match, axis=-1)
     scale = np.sqrt(eta_sq + chart.C)

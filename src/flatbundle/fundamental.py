@@ -1,27 +1,30 @@
 """First/second/third fundamental forms, normal frames, and the
 flat-normal-bundle test, computed in batch over arbitrary point sets.
 
-One kernel serves every batch.  It takes the chart's 2-jet to the induced
-metric g, its inverse, the container-valued second fundamental form alpha
-(the second derivatives projected off the tangent space, and off the
-position vector in a curved ambient), the third fundamental form
-III_ij = g^{kl} <alpha_ik, alpha_jl> and |alpha|^2 = tr(g^{-1} III).  None
-of these needs a normal frame: the inner products are taken in the
-container, so ``metric_batch`` stops there.  ``fundamental_batch`` adds the
-normal frame and alpha in frame components for the consumers that need
-them (principal data, the flatness test, normal projections).
+``fundamental_batch`` is the one batch.  Its kernel takes the chart's
+2-jet to the induced metric g, its inverse, the container-valued second
+fundamental form alpha (the second derivatives projected off the tangent
+space, and off the position vector in a curved ambient), the third
+fundamental form III_ij = g^{kl} <alpha_ik, alpha_jl> and
+|alpha|^2 = tr(g^{-1} III).  None of these needs a normal frame: the inner
+products are taken in the container.  The normal frame and alpha in frame
+components, which principal data, the flatness test and normal
+projections need, are built on the first read of either, so a consumer
+that reads only g, III and |alpha|^2 (the growth edge weights and
+polylines) never builds them.
 
 The kernel works component-major: each index component is one contiguous
 array over the flattened points (points on the last axis), and the small
 index loops are plain multiply-adds over those arrays, so no per-point
-matrix routine and no ``einsum`` runs.  Batches hand their results back
+matrix routine and no ``einsum`` runs.  The batch hands its results back
 point-major, shape (..., n, n) and so on.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,7 +117,7 @@ def _inverse(M):
 
 
 # ---------------------------------------------------------------------------
-# the kernel and the two batches
+# the kernel and the batch
 
 @dataclass
 class _Kernel:
@@ -132,7 +135,9 @@ class _Kernel:
 
 def _kernel(chart, J):
     """Metric data of the jet J, with the guards every batch runs: g must
-    be positive definite and the normal projection finite."""
+    be positive definite and the normal projection finite.  A function of
+    its own, so that its temporaries are freed before the batch makes its
+    point-major copies."""
     amb = chart.ambient
     sig = _signs(amb)
     n = chart.n
@@ -175,13 +180,27 @@ def _kernel(chart, J):
 
 
 @dataclass
-class MetricBatch:
-    """Frame-free metric data over a batch of shape ``batch``.
+class FundamentalBatch:
+    """Fundamental data over a batch of shape ``batch``.
 
-    g      : (..., n, n) first fundamental form
-    ginv   : (..., n, n)
-    III    : (..., n, n) third fundamental form g^{kl} <alpha_ik, alpha_jl>
-    sff_sq : (...,)      |alpha|^2 = tr(g^{-1} III)
+    g        : (..., n, n)    first fundamental form
+    ginv     : (..., n, n)
+    III      : (..., n, n)    third fundamental form
+                              g^{kl} <alpha_ik, alpha_jl>
+    sff_sq   : (...,)         |alpha|^2 = tr(g^{-1} III)
+    position : (..., N)       image points
+    tangent  : (..., n, N)    container tangent vectors dF/du_i
+    chol_inv : component-major (n, n, m) inverse Cholesky factor L^{-1} of
+               g = L L^T over the m flattened points (lower triangular)
+    obasis / obasis_sq : component-major (K, N, m) / (K, m) orthogonalized
+                         span of tangent (+ position) over the m flattened
+                         points, projected off for normal projections
+    alpha_cont : component-major (n, n, N, m) container-valued alpha, held
+                 until the frame is built
+
+    ``frame`` (..., p, N), an orthonormal normal frame, and ``alpha``
+    (..., n, n, p), the components of alpha in it, are built together on
+    the first read of either; the container-valued alpha is then released.
     """
 
     chart: object
@@ -190,59 +209,35 @@ class MetricBatch:
     ginv: np.ndarray
     III: np.ndarray
     sff_sq: np.ndarray
+    position: np.ndarray
+    tangent: np.ndarray
+    chol_inv: np.ndarray
+    obasis: np.ndarray
+    obasis_sq: np.ndarray
+    alpha_cont: np.ndarray = field(repr=False)
 
     @property
     def n(self):
         return self.g.shape[-1]
 
-
-def _jet_kernel(chart, U):
-    U = np.asarray(U, dtype=float)
-    J = chart.jet(U)
-    return U, J, _kernel(chart, J)
-
-
-def _metric_fields(chart, U, K):
-    batch = U.shape[:-1]
-    return dict(chart=chart, points=U, g=_point_major(K.g, batch),
-                ginv=_point_major(K.ginv, batch),
-                III=_point_major(K.III, batch),
-                sff_sq=K.sff_sq.reshape(batch))
-
-
-def metric_batch(chart, U):
-    """g, g^{-1}, III and |alpha|^2 at points U of shape (..., n), without
-    a normal frame."""
-    U, _, K = _jet_kernel(chart, U)
-    return MetricBatch(**_metric_fields(chart, U, K))
-
-
-@dataclass
-class FundamentalBatch(MetricBatch):
-    """A MetricBatch plus the frame data over the same batch.
-
-    position : (..., N)       image points
-    tangent  : (..., n, N)    container tangent vectors dF/du_i
-    frame    : (..., p, N)    orthonormal normal frame
-    alpha    : (..., n, n, p) components of alpha in the frame
-    chol_inv : component-major (n, n, m) inverse Cholesky factor L^{-1} of
-               g = L L^T over the m flattened points (lower triangular)
-    obasis / obasis_sq : component-major (K, N, m) / (K, m) orthogonalized
-                         span of tangent (+ position) over the m flattened
-                         points, projected off for normal projections
-    """
-
-    position: np.ndarray
-    tangent: np.ndarray
-    frame: np.ndarray
-    alpha: np.ndarray
-    chol_inv: np.ndarray
-    obasis: np.ndarray
-    obasis_sq: np.ndarray
-
     @property
     def p(self):
-        return self.frame.shape[-2]
+        return self.chart.codimension
+
+    @functools.cached_property
+    def frame(self):
+        frame = _normal_frame(self.chart, self.obasis, self.obasis_sq)
+        alpha = _dot(self.alpha_cont[:, :, None], frame,
+                     _signs(self.chart.ambient))            # (n, n, p, m)
+        batch = self.sff_sq.shape
+        self.alpha = _point_major(alpha, batch)
+        self.alpha_cont = None
+        return _point_major(frame, batch)
+
+    @functools.cached_property
+    def alpha(self):
+        self.frame            # builds alpha beside the frame
+        return self.__dict__["alpha"]
 
     def normal_project(self, v):
         """Project container vectors (..., N) onto the normal space."""
@@ -304,16 +299,16 @@ def _normal_frame(chart, obasis, obasis_sq):
 
 
 def fundamental_batch(chart, U):
-    """Compute fundamental data at points U of shape (..., n)."""
-    U, J, K = _jet_kernel(chart, U)
+    """Fundamental data at points U of shape (..., n).  The normal frame is
+    built when first read."""
+    U = np.asarray(U, dtype=float)
+    J = chart.jet(U)
+    K = _kernel(chart, J)
     batch = U.shape[:-1]
-    frame = _normal_frame(chart, K.obasis, K.obasis_sq)
-    alpha = _dot(K.alpha_cont[:, :, None], frame,
-                 _signs(chart.ambient))                     # (n, n, p, m)
     return FundamentalBatch(
-        **_metric_fields(chart, U, K), position=J.value, tangent=J.first,
-        frame=_point_major(frame, batch), alpha=_point_major(alpha, batch),
-        chol_inv=K.chol_inv, obasis=K.obasis, obasis_sq=K.obasis_sq)
+        chart, U, _point_major(K.g, batch), _point_major(K.ginv, batch),
+        _point_major(K.III, batch), K.sff_sq.reshape(batch), J.value,
+        J.first, K.chol_inv, K.obasis, K.obasis_sq, K.alpha_cont)
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +320,20 @@ def gap_violation(chart, exploratory=False):
     C = chart.C
     if C is None:
         return "intrinsic curvature unasserted"
+    if not math.isfinite(C):
+        return f"curvature gap C = {C:g} is not finite"
     if C < 0 or (C == 0 and not exploratory):
         return f"curvature gap C = {C:g} <= 0"
     return None
 
 
-def flatness_verdict(fb):
-    """(is_flat, residual, tol) over a batch: the normal bundle counts as
-    flat when the largest shape-operator commutator residual is at most
-    ten times the default residual tolerance of the chart's engine."""
+def flatness_violation(fb):
+    """Why the normal bundle over the batch fails to be flat, or None.  It
+    counts as flat when the largest shape-operator commutator residual is
+    at most ten times the default residual tolerance of the chart's
+    engine."""
     res = float(np.max(fb.flatness_residual()))
     tol = 10.0 * engines.DEFAULT_TOL[fb.chart.engine]
-    return res <= tol, res, tol
-
-
-def flatness_violation(fb):
-    """Why the normal bundle over the batch fails to be flat, or None."""
-    flat, res, tol = flatness_verdict(fb)
-    if flat:
+    if res <= tol:
         return None
     return f"normal bundle not flat, residual {res:.3e} > {tol:.1e}"
-
-
-def normal_bundle_is_flat(chart, u):
-    """(is_flat, residual) from the shape-operator commutators at u."""
-    flat, res, _ = flatness_verdict(fundamental_batch(chart, u))
-    return flat, res

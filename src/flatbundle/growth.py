@@ -13,13 +13,14 @@ edge midpoint lies on the 2x-refined half-lattice of the grid, so the
 metrics are evaluated once on the half-lattice points off the nodes, in
 chunks of MIDPOINT_CHUNK points, and each edge indexes its weight out of
 that one evaluation.  A chunk needs only the induced metric g and the
-comparison metric g0 = C g + III: it takes them from the frame-free
-``metric_batch`` (which still refuses a degenerate g or a non-finite
-normal projection), and ``comparison_metric`` checks the gap (g0 is then
-positive definite, since III is a Gram matrix).  The random polylines of
-the length check take the same pair.  Only the grid nodes get the full
-``fundamental_batch``, where the normal frame is built and the flatness
-hypothesis is tested.
+comparison metric g0 = C g + III: it reads them from a
+``fundamental_batch`` (which refuses a degenerate g or a non-finite normal
+projection) without building its normal frame, and ``comparison_metric``
+checks the gap (g0 is then positive definite, since III is a Gram
+matrix).  The random polylines of the length check read the same pair.
+Only the grid batch builds its normal frame, to test the flatness
+hypothesis.  The two metrics share one CSR graph structure and differ
+only in its edge weights.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
-from .fundamental import (flatness_violation, fundamental_batch,
-                          gap_violation, metric_batch)
+from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import DEFAULT_SEED, comparison_metric
 
 DEFAULT_RESOLUTION = 257
@@ -141,6 +141,11 @@ def _stencil_graph(grid):
     """
     shape = grid.shape
     ndim = grid.ndim
+    if any(per and r <= 2 * _OFFSET_RANGE
+           for r, per in zip(shape, grid.periodic)):
+        # two offsets would wrap onto one node pair, or an edge onto a loop
+        raise ValueError(f"the stencil needs at least {2 * _OFFSET_RANGE + 1}"
+                         " grid points on a periodic axis")
     half_shape = tuple(2 * r if per else 2 * r - 1
                        for r, per in zip(shape, grid.periodic))
     off_node = np.zeros(half_shape, dtype=bool)
@@ -189,14 +194,21 @@ def distance_fields(grid, metrics_fn, anchor_index):
     n_nodes = int(np.prod(grid.shape))
     src = np.concatenate([e[0] for e in edges])
     dst = np.concatenate([e[1] for e in edges])
+    # one CSR structure for every metric: built over the 1-based edge
+    # indices, its data gives the CSR order in which each metric's weights
+    # are gathered (the node pairs are distinct, so nothing is summed)
+    graph = sparse.coo_matrix((np.arange(1.0, len(src) + 1), (src, dst)),
+                              shape=(n_nodes, n_nodes)).tocsr()
+    del src, dst
+    order = graph.data.astype(np.intp) - 1
     a = int(np.ravel_multi_index(anchor_index, grid.shape))
     fields = {}
     for label, G in metrics.items():
         w = np.concatenate([_quadratic_form(G[row], disp)
                             for _, _, row, disp in edges])
         np.sqrt(w, out=w)
-        graph = sparse.coo_matrix((w, (src, dst)), shape=(n_nodes, n_nodes))
-        d, pred = dijkstra(graph.tocsr(), directed=False, indices=a,
+        graph.data = w[order]
+        d, pred = dijkstra(graph, directed=False, indices=a,
                            return_predecessors=True)
         fields[label] = DistanceField(grid, tuple(anchor_index),
                                       d.reshape(grid.shape), pred, overshoot)
@@ -221,15 +233,8 @@ def distance_field(grid, metric_fn, anchor_index):
 
 def induced_metric_fn(chart):
     def fn(U):
-        return metric_batch(chart, U).g
+        return fundamental_batch(chart, U).g
     return fn
-
-
-def _metric_pair(chart, U, exploratory=False):
-    """The frame-free metric batch at points U (induced metric g and
-    |alpha|^2) and its comparison metric g0 = C g + III."""
-    mb = metric_batch(chart, U)
-    return mb, comparison_metric(mb, exploratory=exploratory)
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +277,9 @@ def curve_length(chart, polyline, metric="g",
     if metric not in ("g", "g0"):
         raise ValueError(f"unknown metric {metric!r}")
     mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
-    mb = metric_batch(chart, mids)
-    gm = mb.g if metric == "g" else comparison_metric(mb)
-    return _polyline_length(seg, gm), float(np.max(mb.sff_sq))
+    fb = fundamental_batch(chart, mids)
+    gm = fb.g if metric == "g" else comparison_metric(fb)
+    return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +432,10 @@ def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
     for _ in range(n_curves):
         P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
         mids, seg = _polyline_samples(chart, P, LENGTH_SAMPLES)
-        mb, g0 = _metric_pair(chart, mids)
-        Lg = _polyline_length(seg, mb.g)
-        L0 = _polyline_length(seg, g0)
-        s_hat = float(np.max(mb.sff_sq))
+        fb = fundamental_batch(chart, mids)
+        Lg = _polyline_length(seg, fb.g)
+        L0 = _polyline_length(seg, comparison_metric(fb))
+        s_hat = float(np.max(fb.sff_sq))
         L0c, _ = curve_length(chart, P, "g0",
                               samples_per_segment=2 * LENGTH_SAMPLES)
         quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
@@ -560,8 +565,8 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     anchor = nearest_node(grid, x0)
 
     def metrics_fn(U):
-        mb, g0 = _metric_pair(chart, U, exploratory)
-        return {"g": mb.g, "g0": g0}
+        batch = fundamental_batch(chart, U)
+        return {"g": batch.g, "g0": comparison_metric(batch, exploratory)}
 
     dfs = distance_fields(grid, metrics_fn, anchor)
     df_g, df_g0 = dfs["g"], dfs["g0"]

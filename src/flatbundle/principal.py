@@ -1,5 +1,5 @@
-"""Principal normals, principal frames, the third fundamental form and the
-comparison metric g0 = C g + III."""
+"""Principal normals, principal frames and the comparison metric
+g0 = C g + III."""
 
 from __future__ import annotations
 
@@ -233,15 +233,9 @@ def principal_decomposition(fb):
                                   s, float(pb.offdiag))
 
 
-def third_fundamental_form(fb):
-    """III(d_i, d_j) = trace over a g-orthonormal slot of <alpha_i., alpha_j.>,
-    as computed by the batch's kernel."""
-    return fb.III
-
-
 def comparison_metric(fb, exploratory=False):
-    """g0 = C g + III with the chart's gap C, from a MetricBatch or a
-    FundamentalBatch; requires C > 0 (exploratory mode admits C = 0).
+    """g0 = C g + III with the chart's gap C, from a FundamentalBatch;
+    requires C > 0 (exploratory mode admits C = 0).
     For C > 0 it is positive definite, since III is a Gram matrix."""
     reason = gap_violation(fb.chart, exploratory)
     if reason is not None:

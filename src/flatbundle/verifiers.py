@@ -265,13 +265,12 @@ def verify_chart(chart, grid, tols=None):
     Returns (reports, skipped): a report for each identity that ran, in
     IDENTITIES order, and a dict identity -> reason for each identity whose
     hypothesis fails; together they name every identity once.  The normal
-    bundle's flatness is tested on a subsample of the grid first, since
-    the principal decomposition needs it.
+    bundle's flatness is tested on the grid first, since the principal
+    decomposition needs it.
     """
     tols = tols or {}
-    stride = tuple(max(1, s // 16) for s in grid.shape)
-    sample = grid.points[tuple(slice(None, None, st) for st in stride)]
-    why = flatness_violation(fundamental_batch(chart, sample))
+    fb = fundamental_batch(chart, grid.points)
+    why = flatness_violation(fb)
     if why is not None:
         return [], dict.fromkeys(IDENTITIES, why)
 
@@ -282,10 +281,18 @@ def verify_chart(chart, grid, tols=None):
     if chart.c is None:
         skipped.update(intrinsic_curvature="intrinsic curvature unasserted",
                        gauss="intrinsic curvature unasserted")
-    pf = principal_field(chart, grid)
-    checks = {
+    # the metric checks run before the principal field exists, so it is not
+    # held while their curvature tensors take the run's peak memory
+    metric = {
         "intrinsic_curvature": lambda: check_intrinsic_curvature(
-            pf.fb, grid, tol=tols.get("intrinsic")),
+            fb, grid, tol=tols.get("intrinsic")),
+        "g0_flat": lambda: check_g0_flat(fb, grid,
+                                         tol=tols.get("g0", G0_FLAT_TOL)),
+    }
+    done = {name: check() for name, check in metric.items()
+            if name not in skipped}
+    pf = principal_field(fb, grid)
+    field = {
         "gauss": lambda: check_gauss(pf, chart.c, chart.ambient.curvature,
                                      tol=tols.get("gauss")),
         "codazzi_c1": lambda: check_codazzi_c1(
@@ -294,9 +301,8 @@ def verify_chart(chart, grid, tols=None):
             pf, tol=tols.get("c2", DERIVED_TOL)),
         "connection_nn": lambda: check_connection_formula(
             pf, tol=tols.get("nn", DERIVED_TOL)),
-        "g0_flat": lambda: check_g0_flat(pf.fb, grid,
-                                         tol=tols.get("g0", G0_FLAT_TOL)),
     }
-    reports = [check() for name, check in checks.items()
-               if name not in skipped]
+    done.update((name, check()) for name, check in field.items()
+                if name not in skipped)
+    reports = [done[name] for name in IDENTITIES if name in done]
     return reports, skipped

@@ -5,6 +5,7 @@ import pytest
 
 from flatbundle import catalog
 from flatbundle.fields import make_grid, principal_field
+from flatbundle.fundamental import fundamental_batch
 
 
 @pytest.fixture(scope="session")
@@ -31,14 +32,14 @@ def sphere_control():
 def ps_field_33(pseudosphere):
     chart = pseudosphere.chart
     grid = make_grid(chart, 33)
-    return principal_field(chart, grid)
+    return principal_field(fundamental_batch(chart, grid.points), grid)
 
 
 @pytest.fixture(scope="session")
 def dini_field_65(dini):
     chart = dini.chart
     grid = make_grid(chart, 65)
-    return principal_field(chart, grid)
+    return principal_field(fundamental_batch(chart, grid.points), grid)
 
 
 @pytest.fixture(scope="session")

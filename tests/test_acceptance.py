@@ -51,11 +51,13 @@ def test_criterion_1_gauss_identity_at_scale(capfd, pseudosphere):
     t0 = time.perf_counter()
     chart_ad = dataclasses.replace(chart, engine="ad")
     grid_ad = make_grid(chart_ad, 257)
-    pf_ad = principal_field(chart_ad, grid_ad)
+    pf_ad = principal_field(fundamental_batch(chart_ad, grid_ad.points),
+                            grid_ad)
     rep_ad = check_gauss(pf_ad, -1.0, 0.0, tol=1e-8)
     chart_fd = dataclasses.replace(chart, engine="fd")
     grid_fd = make_grid(chart_fd, 257)
-    pf_fd = principal_field(chart_fd, grid_fd)
+    pf_fd = principal_field(fundamental_batch(chart_fd, grid_fd.points),
+                            grid_fd)
     rep_fd = check_gauss(pf_fd, -1.0, 0.0, tol=1e-4)
     elapsed = time.perf_counter() - t0
     ok = rep_ad.passed and rep_fd.passed and elapsed <= 10.0
@@ -74,7 +76,7 @@ def test_criterion_2_codazzi_and_connection(capfd, pseudosphere, dini):
         res_by_h = {}
         for res in (65, 129):
             grid = make_grid(chart, res)
-            pf = principal_field(chart, grid)
+            pf = principal_field(fundamental_batch(chart, grid.points), grid)
             c1 = check_codazzi_c1(pf).max
             nn = check_connection_formula(pf).max
             res_by_h[res] = (float(np.max(grid.spacing)), c1, nn)

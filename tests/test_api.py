@@ -39,7 +39,7 @@ def _taking(param):
 
 def test_the_walk_sees_functions_and_methods():
     names = dict(_functions())
-    for name in ("flows.build_flow_map", "growth._metric_pair",
+    for name in ("flows.build_flow_map", "growth._polyline_samples",
                  "principal._diag_weights", "charts.ImmersionChart.jet",
                  "principal.PrincipalBatch.regauge", "engines.jet"):
         assert name in names, name
@@ -83,6 +83,20 @@ def test_the_chart_guard_cannot_be_switched_off():
     assert _taking("check") == []
     assert not hasattr(charts.ImmersionChart, "evaluate")
     assert not hasattr(sinegordon, "build_sine_gordon_entry")
+
+
+def test_one_name_per_concept():
+    """One fundamental batch, one flatness test, and III read off the
+    batch: the duplicate names are gone."""
+    from flatbundle import fundamental, growth, principal
+    for mod, name in ((fundamental, "metric_batch"),
+                      (fundamental, "MetricBatch"),
+                      (fundamental, "normal_bundle_is_flat"),
+                      (fundamental, "flatness_verdict"),
+                      (principal, "third_fundamental_form"),
+                      (growth, "_metric_pair")):
+        assert not hasattr(mod, name), name
+        assert not hasattr(flatbundle, name), name
 
 
 def test_every_tracer_target_resolves():

@@ -11,7 +11,7 @@ from flatbundle import catalog
 from flatbundle import dual as dm
 from flatbundle.errors import DomainError, ModelConsistencyError
 from flatbundle.fields import make_grid
-from flatbundle.fundamental import fundamental_batch, normal_bundle_is_flat
+from flatbundle.fundamental import flatness_violation, fundamental_batch
 from flatbundle.principal import principal_decomposition
 from flatbundle.sinegordon import (DEFAULT_DOMAIN, SampledAngle,
                                    integrate_surface, lattice_ev,
@@ -38,10 +38,12 @@ def test_expected_properties_rederived(name):
     entry = catalog.get(name)
     chart = entry.chart
     u = _center(chart)
-    flat, res = normal_bundle_is_flat(chart, u)
-    assert flat == entry.expected["flat_normal_bundle"], res
+    fb = fundamental_batch(chart, u)
+    flat = flatness_violation(fb) is None
+    assert flat == entry.expected["flat_normal_bundle"], \
+        fb.flatness_residual()
     if "s" in entry.expected:
-        dec = principal_decomposition(fundamental_batch(chart, u))
+        dec = principal_decomposition(fb)
         assert dec.s == entry.expected["s"]
     if "C_positive" in entry.expected:
         assert (chart.C is not None and chart.C > 0) \
@@ -53,17 +55,29 @@ def test_expected_properties_rederived(name):
         assert rep.passed, rep.summary_line()
 
 
-def test_parameter_validation():
+@pytest.mark.parametrize("name, params", [
+    ("dini", dict(a=0.0)),
+    ("clifford_torus_s3", dict(t=2.0)),
+    ("product_torus_r4", dict(r2=-1.0)),
+    ("sphere_negative_control", dict(c=-1.0)),
+    ("hyperbolic_plane", dict(extent_y=2.0)),
+    # NaN passed checks written as `a <= 0`, inf passed them too, and the
+    # chart then failed later as a degenerate metric
+    ("dini", dict(a=math.nan)),
+    ("dini", dict(a=math.inf)),
+    ("dini", dict(b=math.inf)),
+    ("dini", dict(b=math.nan)),
+    ("product_torus_r4", dict(r1=math.nan)),
+    ("product_torus_r4", dict(r2=math.inf)),
+    ("sphere_negative_control", dict(c=math.nan)),
+    ("sphere_negative_control", dict(c=math.inf)),
+    ("hyperbolic_plane", dict(extent_x=math.nan)),
+    ("hyperbolic_plane", dict(extent_x=math.inf)),
+    ("hyperbolic_plane", dict(extent_x=-1.0)),
+])
+def test_parameter_validation(name, params):
     with pytest.raises(ValueError):
-        catalog.get("dini", a=0.0)
-    with pytest.raises(ValueError):
-        catalog.get("clifford_torus_s3", t=2.0)
-    with pytest.raises(ValueError):
-        catalog.get("product_torus_r4", r2=-1.0)
-    with pytest.raises(ValueError):
-        catalog.get("sphere_negative_control", c=-1.0)
-    with pytest.raises(ValueError):
-        catalog.get("hyperbolic_plane", extent_y=2.0)
+        catalog.get(name, **params)
 
 
 def test_dini_b0_is_reparametrized_pseudosphere():

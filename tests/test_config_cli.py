@@ -165,6 +165,9 @@ def test_expression_whitelist_rejections(expr):
     ("domain   = 0.3 : 3, 0 : 6.283185307179586", "domain = 3 : 0.3, 0 : 6"),
     ("n        = 2", "n = 0"),
     ("periodic = false, true", "periodic = maybe, true"),
+    ("c        = -1", "c = nan"),          # C = nan passed the gap check
+    ("c        = -1", "c = -inf"),
+    ("ambient  = euclidean 3", "ambient = sphere inf 2"),
 ])
 def test_chart_file_rejections(mutation):
     old, new = mutation
@@ -190,6 +193,8 @@ def workdir(tmp_path_factory):
         "[chart]\nname = sphere_negative_control\n"
         "[grid]\nresolution = 33\n")
     (d / "expr.chart").write_text(PS_EXPR)
+    (d / "nan.chart").write_text(PS_EXPR.replace("c        = -1",
+                                                 "c        = nan"))
     (d / "expr.ini").write_text(
         "[chart]\nexpression = expr.chart\n[grid]\nresolution = 33\n")
     return d
@@ -393,6 +398,10 @@ def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):
                              cwd=tmp_path)
     assert code == 0, (out, err)
     assert "commutator PASS" in out
+    # 1 - |O|/norm rounded below 0 here: max=-2.220e-16
+    align = next(line for line in out.splitlines()
+                 if line.startswith("frame_alignment"))
+    assert float(align.split("max=")[1].split()[0]) >= 0.0, align
 
 
 def test_cli_expression_chart(workdir):
@@ -438,6 +447,14 @@ def test_cli_usage_errors(workdir):
                "resolution = 17\n"),
     # inf on the periodic axis: used to exit 3 (metric not positive definite)
     ("coords", "[chart]\nname = pseudosphere\n[growth]\nx0 = 1.85, inf\n"),
+    # c = nan passed the gap check: exit 0 with "C = 0 (exploratory)"
+    ("growth", "[chart]\nexpression = nan.chart\n[growth]\nresolution = 33\n"),
+    # non-finite catalog parameters passed the factory checks: exit 3 with
+    # "first fundamental form not positive definite"
+    ("growth", "[chart]\nname = dini\na = nan\n"),
+    ("growth", "[chart]\nname = dini\nb = inf\n"),
+    ("growth", "[chart]\nname = product_torus_r4\nr1 = nan\n"),
+    ("growth", "[chart]\nname = sphere_negative_control\nc = nan\n"),
 ])
 def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
                                                         text):

@@ -12,11 +12,12 @@ from flatbundle import dual as dm
 from flatbundle.charts import (MODEL_TOL, AmbientModel, ImmersionChart,
                                euclidean, hyperbolic, sphere)
 from flatbundle.errors import (DegenerateMetricError, DomainError,
-                               FrameError, ModelConsistencyError)
+                               FrameError, HypothesisViolation,
+                               ModelConsistencyError)
 from flatbundle.fields import make_grid
-from flatbundle.fundamental import (fundamental_batch, gap_violation,
-                                    metric_batch, normal_bundle_is_flat)
-from flatbundle.growth import (curve_length, distance_field,
+from flatbundle.fundamental import (flatness_violation, fundamental_batch,
+                                    gap_violation)
+from flatbundle.growth import (curve_length, distance_field, growth_report,
                                induced_metric_fn, nearest_node)
 from flatbundle.principal import comparison_metric
 
@@ -103,8 +104,8 @@ def test_second_fundamental_form_sphere():
     fb = fundamental_batch(entry.chart, np.array([0.3, 0.4]))
     # sff_sq = sum over a g-orthonormal basis of |alpha(e_i, e_j)|^2 = 2/R^2
     assert float(fb.sff_sq) == pytest.approx(2.0 / R ** 2, rel=1e-12)
-    flat, res = normal_bundle_is_flat(entry.chart, np.array([0.3, 0.4]))
-    assert flat and res < 1e-12
+    assert flatness_violation(fb) is None
+    assert float(fb.flatness_residual()) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,21 @@ def test_far_hyperboloid_points_are_on_the_model():
     assert chart.ambient.constraint_residual(x) <= MODEL_TOL
 
 
+def test_a_non_finite_gap_violates_the_hypothesis(pseudosphere):
+    """No comparison with NaN is true, so a NaN gap passed C > 0 and the
+    growth report ran a chart with c = nan."""
+    for c in (math.nan, -math.inf):
+        chart = dataclasses.replace(pseudosphere.chart, c=c)
+        for exploratory in (False, True):
+            assert "not finite" in gap_violation(chart, exploratory)
+    # the finite reasons keep their wording
+    assert gap_violation(dataclasses.replace(pseudosphere.chart, c=1.0)) \
+        == "curvature gap C = -1 <= 0"
+    chart = dataclasses.replace(pseudosphere.chart, c=math.nan)
+    with pytest.raises(HypothesisViolation, match="not finite"):
+        growth_report(chart, (1.85, 3.0), (0.3,), resolution=17)
+
+
 def test_ambient_kind_sign_validation():
     with pytest.raises(ValueError):
         AmbientModel("sphere", -1.0, 3)
@@ -224,6 +240,10 @@ def test_ambient_kind_sign_validation():
         AmbientModel("hyperbolic", 1.0, 3)
     with pytest.raises(ValueError):
         AmbientModel("cylinder", 0.0, 3)
+    for kind, c in (("sphere", math.inf), ("hyperbolic", -math.inf),
+                    ("sphere", math.nan), ("hyperbolic", math.nan)):
+        with pytest.raises(ValueError):
+            AmbientModel(kind, c, 3)
     assert euclidean(3).flat
     assert not hyperbolic(-2.0, 3).flat
 
@@ -260,9 +280,9 @@ def test_degenerate_metric_rejected():
 def test_veronese_normal_bundle_not_flat():
     from flatbundle import catalog
     entry = catalog.get("veronese_r5")
-    flat, res = normal_bundle_is_flat(entry.chart, np.array([0.7, 0.4]))
-    assert not flat
-    assert res > 0.05
+    fb = fundamental_batch(entry.chart, np.array([0.7, 0.4]))
+    assert flatness_violation(fb) is not None
+    assert float(fb.flatness_residual()) > 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +310,9 @@ def test_metric_kernel_matches_frame_formulas(name):
     III = np.einsum("...kl,...ika,...jla->...ij", ginv, alpha, alpha)
     sff = np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, alpha,
                     alpha)
-    mb = metric_batch(chart, grid.points)
-    for batch in (fb, mb):
-        _assert_rel(batch.III, III)
-        _assert_rel(batch.sff_sq, sff)
-        _assert_rel(comparison_metric(batch), III + chart.C * fb.g)
-    # one kernel: the frame-free batch is the full batch without the frame
-    for field in ("g", "ginv", "III", "sff_sq"):
-        assert np.array_equal(getattr(mb, field), getattr(fb, field))
+    _assert_rel(fb.III, III)
+    _assert_rel(fb.sff_sq, sff)
+    _assert_rel(comparison_metric(fb), III + chart.C * fb.g)
 
 
 def _nan_second_derivatives(u):
@@ -317,7 +332,7 @@ def test_metric_kernel_guards():
                             2, euclidean(3), None,
                             ((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(DegenerateMetricError):
-        metric_batch(folded, np.array([0.1, 0.2]))
+        fundamental_batch(folded, np.array([0.1, 0.2]))
     box = ((-1.0, 1.0), (-1.0, 1.0))
     for chart in (
             ImmersionChart("nan_hessian", _nan_second_derivatives, 2,
@@ -325,9 +340,8 @@ def test_metric_kernel_guards():
             ImmersionChart("nan_position", _nan_position, 2, sphere(1.0, 3),
                            0.0, box)):
         U = np.array([[0.1, 0.2], [0.3, 0.4]])
-        for batch in (metric_batch, fundamental_batch):
-            with pytest.raises(FrameError, match="not finite"):
-                batch(chart, U)
+        with pytest.raises(FrameError, match="not finite"):
+            fundamental_batch(chart, U)
         # the growth metrics raise instead of weighting edges with NaN
         grid = make_grid(chart, 9)
         with pytest.raises(FrameError):

@@ -283,6 +283,16 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
     assert np.array_equal(np.unique(rows), np.arange(len(mids)))
 
 
+def test_stencil_needs_seven_points_on_a_periodic_axis(clifford):
+    """On a periodic axis of 6 points the offsets (1, 3) and (1, -3) wrap
+    onto one node pair, which the shared CSR entry cannot weigh twice."""
+    with pytest.raises(ValueError, match="at least 7"):
+        _stencil_graph(make_grid(clifford.chart, 6))
+    edges, _ = _stencil_graph(make_grid(clifford.chart, 7))
+    pairs = np.concatenate([src * 49 + dst for src, dst, _, _ in edges])
+    assert len(np.unique(pairs)) == len(pairs)
+
+
 # ---------------------------------------------------------------------------
 # strict verdicts
 
@@ -482,6 +492,30 @@ def test_growth_guards():
         # asserting c = -1 gives it the gap C = 1, so flatness is reached
         growth_report(dataclasses.replace(veronese.chart, c=-1.0),
                       (1.0, 0.0), (0.3,), resolution=33)
+
+
+@pytest.mark.parametrize("name, x0, frames", [
+    ("product_torus_r4", (3.0, 3.0), [33 * 33]),   # p = 2, C = 0
+    ("pseudosphere", (0.88, 3.14), []),   # p = 1: flat without a frame
+])
+def test_growth_report_builds_at_most_the_grid_frame(name, x0, frames,
+                                                      monkeypatch):
+    """The edge midpoints and the test polylines read only g, III and
+    |alpha|^2, so at most the grid batch builds its normal frame, for the
+    flatness test."""
+    from flatbundle import fundamental
+    points = []
+    build = fundamental._normal_frame
+
+    def counted(chart, obasis, obasis_sq):
+        points.append(obasis.shape[-1])
+        return build(chart, obasis, obasis_sq)
+
+    monkeypatch.setattr(fundamental, "_normal_frame", counted)
+    rep = growth_report(catalog.get(name).chart, x0, (0.3, 0.6),
+                        resolution=33, exploratory=True)
+    assert rep.verdicts
+    assert points == frames
 
 
 def test_growth_report_refuses_an_x0_outside_the_chart(pseudosphere):

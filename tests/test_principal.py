@@ -1,7 +1,6 @@
 """Principal normals, clustering, joint diagonalization and the comparison
 metric, checked against the catalog's closed-form ground truth."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -13,8 +12,7 @@ from flatbundle.fields import make_grid
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.principal import (PrincipalBatch, _diag_weights, _lambdas,
                                   comparison_metric, joint_diagonalize,
-                                  principal_batch, principal_decomposition,
-                                  third_fundamental_form)
+                                  principal_batch, principal_decomposition)
 
 
 def test_pseudosphere_principal_data(pseudosphere):
@@ -120,7 +118,7 @@ def test_third_fundamental_form_orthogonal_coords(pseudosphere):
     """In principal coordinates III = diag(k1^2 E, k2^2 G)."""
     u = 1.1
     fb = fundamental_batch(pseudosphere.chart, np.array([u, 2.0]))
-    III = third_fundamental_form(fb)
+    III = fb.III
     E, G = math.tanh(u) ** 2, 1.0 / math.cosh(u) ** 2
     k_u, k_v = 1.0 / math.sinh(u), math.sinh(u)   # magnitudes per direction
     np.testing.assert_allclose(III, np.diag([k_u ** 2 * E, k_v ** 2 * G]),
@@ -133,7 +131,7 @@ def test_comparison_metric_guards():
     with pytest.raises(HypothesisViolation):
         comparison_metric(fb)                     # C = 0
     g0 = comparison_metric(fb, exploratory=True)  # g0 = III only
-    np.testing.assert_array_equal(g0, third_fundamental_form(fb))
+    np.testing.assert_array_equal(g0, fb.III)
     fb_v = fundamental_batch(catalog.get("veronese_r5").chart,
                              np.array([0.5, 0.3]))
     with pytest.raises(HypothesisViolation):
@@ -287,7 +285,7 @@ def test_principal_batch_joint_diagonalize_fallback(monkeypatch):
         d1 = 0.7 - w[0] * d0 / w[1]          # w . (d0, d1) is constant
         for a, d in enumerate((d0, d1)):
             alpha[k, :, :, a] = L @ Q @ np.diag(d) @ Q.T @ L.T
-    fb = dataclasses.replace(fb, alpha=alpha)
+    fb.alpha = alpha
     calls = []
     jd = principal.joint_diagonalize
     monkeypatch.setattr(principal, "joint_diagonalize",

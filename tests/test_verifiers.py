@@ -48,6 +48,27 @@ def test_verify_chart_names_each_identity_once(name, res, skipped):
     assert ran == [i for i in IDENTITIES if i not in skipped]
 
 
+def test_verify_chart_evaluates_the_grid_once(pseudosphere, monkeypatch):
+    """Flatness is tested on the grid batch that the principal field then
+    decomposes: one fundamental batch, over the grid's points."""
+    import sys
+    shapes = []
+    orig = fundamental_batch
+
+    def counted(chart, U):
+        shapes.append(np.shape(U))
+        return orig(chart, U)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("flatbundle") \
+                and getattr(mod, "fundamental_batch", None) is orig:
+            monkeypatch.setattr(mod, "fundamental_batch", counted)
+    reports, skipped = verify_chart(pseudosphere.chart,
+                                    make_grid(pseudosphere.chart, 17))
+    assert len(reports) == len(IDENTITIES) and not skipped
+    assert shapes == [(17, 17, 2)]
+
+
 def test_gauss_identity_detects_wrong_curvature(ps_field_33):
     """Claiming c~ = 1 for a surface in R^3 must fail loudly."""
     bad = check_gauss(ps_field_33, c=-1.0, ctilde=1.0, tol=1e-8)
@@ -77,7 +98,7 @@ def test_c2_nonvacuous_for_three_principal_normals():
     both Codazzi identities must hold with real index triples."""
     entry = catalog.get("ps3")
     grid = make_grid(entry.chart, (25, 25, 9))
-    pf = principal_field(entry.chart, grid)
+    pf = principal_field(fundamental_batch(entry.chart, grid.points), grid)
     c1 = check_codazzi_c1(pf, tol=5e-4)
     c2 = check_codazzi_c2(pf, tol=5e-4)
     assert not c2.vacuous and c2.points > 0
@@ -88,8 +109,8 @@ def test_c2_nonvacuous_for_three_principal_normals():
 def test_connection_formula_requires_lambdas(ps_field_33, pseudosphere):
     grid = ps_field_33.grid
     # without an asserted c there is no gap C, hence no lambdas
-    pf = principal_field(dataclasses.replace(pseudosphere.chart, c=None),
-                         grid)
+    chart = dataclasses.replace(pseudosphere.chart, c=None)
+    pf = principal_field(fundamental_batch(chart, grid.points), grid)
     with pytest.raises(ValueError):
         check_connection_formula(pf)
 
@@ -107,7 +128,7 @@ def test_residual_convergence_order(pseudosphere):
     data = {}
     for res in (17, 33):
         grid = make_grid(chart, res)
-        pf = principal_field(chart, grid)
+        pf = principal_field(fundamental_batch(chart, grid.points), grid)
         data[res] = (float(np.max(grid.spacing)),
                      check_codazzi_c1(pf).max,
                      check_connection_formula(pf).max)
