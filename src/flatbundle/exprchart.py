@@ -184,6 +184,8 @@ def parse_chart(text):
         except ValueError:
             raise ConfigError(f"bad domain interval {part!r}; "
                               "expected 'lo : hi'") from None
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"non-finite domain interval {part!r}")
         if not lo < hi:
             raise ConfigError(f"empty domain interval {part!r}")
         domain.append((lo, hi))

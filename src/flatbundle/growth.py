@@ -19,8 +19,9 @@ projection) without building its normal frame, and ``comparison_metric``
 checks the gap (g0 is then positive definite, since III is a Gram
 matrix).  The random polylines of the length check read the same pair.
 Only the grid batch builds its normal frame, to test the flatness
-hypothesis.  The two metrics share one CSR graph structure and differ
-only in its edge weights.
+hypothesis.  The two metrics share one CSR structure, read off (nodes,
+K) tables over the K stencil offsets with no edge list and no sort; one
+at a time, each fills a weight table and runs Dijkstra without it.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ def nearest_node(grid, x0):
 
 
 def _stencil_graph(grid):
-    """Stencil edges of the grid and their midpoints on the half-lattice.
+    """The stencil's CSR structure and its edge midpoints on the half-lattice.
 
     The half-lattice is the 2x-refined grid: node k sits at refined index
     2k, and the midpoint of the edge k -> k + o at 2k + o (wrapped mod 2r
@@ -134,10 +135,11 @@ def _stencil_graph(grid):
     midpoint is a node, and every refined point off the nodes is the
     midpoint of some edge.
 
-    Returns (edges, mids): mids (m, n) holds the chart coordinates of the
-    refined points off the nodes, and edges is a list of per-offset
-    (src, dst, row, disp) with row the index in mids of each edge's
-    midpoint.
+    Returns (indptr, indices, valid, rows, mids): mids (m, n) holds the
+    chart coordinates of the refined points off the nodes.  Column s of
+    the (nodes, K) tables is offset s from every node: valid marks the
+    edges on the grid, rows their midpoints in mids.  Each edge is stored
+    once, from its source, and the int32 indices are node-major: no sort.
     """
     shape = grid.shape
     ndim = grid.ndim
@@ -148,33 +150,31 @@ def _stencil_graph(grid):
                          " grid points on a periodic axis")
     half_shape = tuple(2 * r if per else 2 * r - 1
                        for r, per in zip(shape, grid.periodic))
-    off_node = np.zeros(half_shape, dtype=bool)
-    for k, size in enumerate(half_shape):
-        odd = np.arange(size) % 2 == 1
-        off_node |= odd.reshape((-1,) + (1,) * (ndim - 1 - k))
-    hidx = np.nonzero(off_node)
+    hidx = np.indices(half_shape, dtype=np.int32).reshape(ndim, -1)
+    off_node = np.any(hidx % 2 == 1, axis=0)
     mids = np.stack([ax[0] + 0.5 * h * i for ax, h, i
-                     in zip(grid.axes, grid.spacing, hidx)], axis=-1)
-    row = np.full(half_shape, -1, dtype=np.intp)
-    row[hidx] = np.arange(len(mids))
+                     in zip(grid.axes, grid.spacing, hidx[:, off_node])],
+                    axis=-1)
+    row = np.cumsum(off_node, dtype=np.int32) - 1     # at the nodes: unused
 
-    node = np.indices(shape).reshape(ndim, -1)      # flat node order
-    edges = []
-    for o in stencil_offsets(ndim):
-        dst = node + o[:, None]
-        half = 2 * node + o[:, None]
-        valid = np.ones(node.shape[1], dtype=bool)
-        for k in range(ndim):
-            if grid.periodic[k]:
-                dst[k] %= shape[k]
-                half[k] %= half_shape[k]
-            else:
-                valid &= (dst[k] >= 0) & (dst[k] < shape[k])
-        src = np.flatnonzero(valid)
-        dst_flat = np.ravel_multi_index(tuple(dst[:, valid]), shape)
-        edges.append((src, dst_flat, row[tuple(half[:, valid])],
-                      o * grid.spacing))
-    return edges, mids
+    node = np.indices(shape, dtype=np.int32).reshape(ndim, -1)
+    size = np.array(shape)[:, None]
+    per = np.array(grid.periodic)[:, None]
+    # clipped indices only land on edges that leave the grid
+    modes = ["wrap" if p else "clip" for p in grid.periodic]
+    offsets = stencil_offsets(ndim)
+    dst = np.empty((node.shape[1], len(offsets)), dtype=np.int32)
+    rows = np.empty_like(dst)
+    valid = np.empty(dst.shape, dtype=bool)
+    for s, o in enumerate(offsets):
+        to = node + o[:, None]          # its midpoint is at 2 node + o
+        valid[:, s] = np.all(per | ((to >= 0) & (to < size)), axis=0)
+        dst[:, s] = np.ravel_multi_index(to, shape, mode=modes)
+        rows[:, s] = row[np.ravel_multi_index(to + node, half_shape,
+                                              mode=modes)]
+    indptr = np.zeros(len(dst) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
+    return indptr, dst[valid], valid, rows, mids
 
 
 def distance_fields(grid, metrics_fn, anchor_index):
@@ -183,33 +183,31 @@ def distance_fields(grid, metrics_fn, anchor_index):
     metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
                  evaluated once per chunk of edge midpoints
     """
-    edges, mids = _stencil_graph(grid)
-    overshoot = stencil_overshoot(stencil_offsets(grid.ndim))
+    indptr, indices, valid, rows, mids = _stencil_graph(grid)
+    offsets = stencil_offsets(grid.ndim)
+    overshoot = stencil_overshoot(offsets)
     metrics = {}          # filled in place: no second copy of the metrics
     for s in range(0, len(mids), MIDPOINT_CHUNK):
         for label, g in metrics_fn(mids[s:s + MIDPOINT_CHUNK]).items():
             if label not in metrics:
                 metrics[label] = np.empty((len(mids),) + g.shape[1:])
             metrics[label][s:s + len(g)] = g
-    n_nodes = int(np.prod(grid.shape))
-    src = np.concatenate([e[0] for e in edges])
-    dst = np.concatenate([e[1] for e in edges])
-    # one CSR structure for every metric: built over the 1-based edge
-    # indices, its data gives the CSR order in which each metric's weights
-    # are gathered (the node pairs are distinct, so nothing is summed)
-    graph = sparse.coo_matrix((np.arange(1.0, len(src) + 1), (src, dst)),
-                              shape=(n_nodes, n_nodes)).tocsr()
-    del src, dst
-    order = graph.data.astype(np.intp) - 1
+    del mids
     a = int(np.ravel_multi_index(anchor_index, grid.shape))
     fields = {}
-    for label, G in metrics.items():
-        w = np.concatenate([_quadratic_form(G[row], disp)
-                            for _, _, row, disp in edges])
+    for label in list(metrics):
+        G = metrics.pop(label)
+        w = np.empty(valid.shape)
+        for s, o in enumerate(offsets):
+            w[:, s] = _quadratic_form(G[rows[:, s]], o * grid.spacing)
+        del G
         np.sqrt(w, out=w)
-        graph.data = w[order]
+        graph = sparse.csr_matrix((w[valid], indices, indptr),
+                                  shape=(len(valid),) * 2)
+        del w
         d, pred = dijkstra(graph, directed=False, indices=a,
                            return_predecessors=True)
+        del graph
         fields[label] = DistanceField(grid, tuple(anchor_index),
                                       d.reshape(grid.shape), pred, overshoot)
     return fields
@@ -446,11 +444,11 @@ def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
                            notes=f"{n_curves} random polylines")
 
 
-def check_distance_inequality(df_g, df_g0, fb):
+def check_distance_inequality(df_g, df_g0, sff_sq, chart):
     """Strict distance comparison at every grid node against the anchor;
-    fb is the fundamental batch over the grid nodes."""
-    s_path = df_g.path_max(fb.sff_sq)
-    rhs = np.sqrt(s_path + fb.chart.C) * df_g.d
+    sff_sq holds |alpha|^2 at the grid nodes of the chart."""
+    s_path = df_g.path_max(sff_sq)
+    rhs = np.sqrt(s_path + chart.C) * df_g.d
     away = np.ones(df_g.d.shape, dtype=bool)
     away[df_g.anchor_index] = False       # the anchor itself is vacuous
     budget = df_g.overshoot + df_g0.overshoot
@@ -458,14 +456,14 @@ def check_distance_inequality(df_g, df_g0, fb):
                            budget, notes=f"{int(np.sum(away))} grid nodes")
 
 
-def check_ball_containment(df_g, df_g0, fb, r):
+def check_ball_containment(df_g, df_g0, sff_sq, chart, r):
     """Every node of the induced-metric ball D_r must lie strictly inside
-    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C); fb is
-    the fundamental batch over the grid nodes.
+    the comparison-metric ball of radius psi(r) = r sqrt(S(r) + C);
+    sff_sq holds |alpha|^2 at the grid nodes of the chart.
 
     A ball holding only the anchor compares nothing: indeterminate."""
-    S = ball_max_sff(df_g, fb.sff_sq, r)
-    psi = r * math.sqrt(S + fb.chart.C)
+    S = ball_max_sff(df_g, sff_sq, r)
+    psi = r * math.sqrt(S + chart.C)
     mask = (df_g.d <= r)
     mask[df_g.anchor_index] = False
     budget = df_g.overshoot + df_g0.overshoot
@@ -562,6 +560,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
 
     sff_sq = fb.sff_sq
     sqrt_det_g = np.sqrt(np.linalg.det(fb.g))
+    del fb                # Dijkstra runs without the grid batch
     anchor = nearest_node(grid, x0)
 
     def metrics_fn(U):
@@ -578,7 +577,7 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     verdicts = []
     if C > 0:
         verdicts.append(check_length_inequality(chart, seed=seed))
-        verdicts.append(check_distance_inequality(df_g, df_g0, fb))
+        verdicts.append(check_distance_inequality(df_g, df_g0, sff_sq, chart))
     else:
         verdicts.append(ChainVerdict("length_comparison", "skip", math.nan,
                                      math.nan, "C = 0 (exploratory)"))
@@ -598,7 +597,8 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
                  if C > 0 else math.nan)
         rows.append(GrowthRow(r, S, psi, vol, bound, ref, truncated))
         if C > 0:
-            verdicts.append(check_ball_containment(df_g, df_g0, fb, r))
+            verdicts.append(check_ball_containment(df_g, df_g0, sff_sq,
+                                                  chart, r))
             verdicts.append(_strict_verdict(
                 f"volume_bound(r={r:g})", [vol], [bound], budget_vol,
                 notes="truncated ball (lower bound)" if truncated else ""))

@@ -295,6 +295,22 @@ map      = sqrt(2)*cos(u1), sqrt(2)*sin(u1), sqrt(2)*cos(u2), sqrt(2)*sin(u2)
 """
 
 
+def test_cli_non_finite_domain_bound_is_invalid_input(tmp_path):
+    """An infinite bound was accepted: verify warned from numpy and then
+    failed on a NaN grid point."""
+    (tmp_path / "inf.chart").write_text(
+        PS_EXPR.replace("domain   = 0.3 : 3,", "domain   = 0.3 : inf,"))
+    (tmp_path / "inf.ini").write_text(
+        "[chart]\nexpression = inf.chart\n[grid]\nresolution = 17\n")
+    code, out, err = run_cli("verify", "--config", "inf.ini", "--out", "o",
+                             cwd=tmp_path)
+    assert code == 2, (out, err)
+    assert err == "error: non-finite domain interval '0.3 : inf'\n", err
+    for bad in ("-inf : 3", "0.3 : nan", "nan : nan"):
+        with pytest.raises(ConfigError, match="non-finite domain interval"):
+            parse_chart(PS_EXPR.replace("0.3 : 3", bad))
+
+
 @pytest.mark.parametrize("command", ["verify", "growth", "coords"])
 def test_cli_chart_off_its_model_is_invalid_input(tmp_path, command):
     """No pipeline checked the model: verify exited 1 on a Gauss FAIL,

@@ -2,7 +2,10 @@
 checked against flat and hyperbolic closed forms."""
 
 import dataclasses
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -203,13 +206,12 @@ def test_curve_length_keeps_the_fd_stencil_in_the_domain(pseudosphere):
 # ---------------------------------------------------------------------------
 # half-lattice edge weights against the per-offset reference
 
-def _per_offset_distances(grid, metric_fns, anchor_index):
-    """Reference: one metric evaluation per stencil offset at the edge
-    midpoints U + o h / 2, as the distance fields were first computed."""
+def _per_offset_edges(grid):
+    """Reference stencil edges: per offset, the (src, dst) node pairs that
+    stay on the grid, their midpoints U + o h / 2 and the displacement."""
     shape = grid.shape
     U = grid.points
     idx = np.indices(shape)
-    n_nodes = int(np.prod(shape))
     edges = []
     for o in stencil_offsets(grid.ndim):
         valid = np.ones(shape, dtype=bool)
@@ -226,6 +228,15 @@ def _per_offset_distances(grid, metric_fns, anchor_index):
         dst_flat = np.ravel_multi_index(tuple(dst), shape)[valid]
         disp = o * grid.spacing
         edges.append((src_flat, dst_flat, U[valid] + 0.5 * disp, disp))
+    return edges
+
+
+def _per_offset_distances(grid, metric_fns, anchor_index):
+    """Reference: one metric evaluation per stencil offset at the edge
+    midpoints, one COO graph, as the distance fields were first computed."""
+    shape = grid.shape
+    n_nodes = int(np.prod(shape))
+    edges = _per_offset_edges(grid)
     src = np.concatenate([e[0] for e in edges])
     dst = np.concatenate([e[1] for e in edges])
     a = int(np.ravel_multi_index(anchor_index, shape))
@@ -238,6 +249,11 @@ def _per_offset_distances(grid, metric_fns, anchor_index):
         out[label] = dijkstra(graph.tocsr(), directed=False,
                               indices=a).reshape(shape)
     return out
+
+
+def _csr_rows(indptr):
+    """Row of every stored entry of a CSR structure."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
 
 
 @pytest.mark.parametrize("name, resolution, x0, with_g0", [
@@ -273,14 +289,100 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
         assert np.all(np.isfinite(d))
         np.testing.assert_allclose(got[label].d, d, rtol=1e-12, atol=0.0)
 
-    edges, mids = _stencil_graph(grid)
+    # the CSR read off the (nodes, K) tables holds the node pairs of the
+    # COO -> CSR conversion of the per-offset edges, each pair once
+    edges = _per_offset_edges(grid)
+    n_nodes = int(np.prod(grid.shape))
+    src = np.concatenate([e[0] for e in edges])
+    dst = np.concatenate([e[1] for e in edges])
+    ref = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
+                            shape=(n_nodes, n_nodes)).tocsr()
+    indptr, indices, valid, rows, mids = _stencil_graph(grid)
+    assert len(indptr) == n_nodes + 1 and indptr[0] == 0
+    assert len(indices) == indptr[-1] == np.count_nonzero(valid) == ref.nnz
+    pairs = np.int64(n_nodes) * _csr_rows(indptr) + indices
+    assert len(np.unique(pairs)) == len(pairs)
+    assert np.array_equal(np.sort(pairs), np.sort(
+        np.int64(n_nodes) * _csr_rows(ref.indptr) + ref.indices))
+
     half_shape = [2 * r if per else 2 * r - 1
                   for r, per in zip(grid.shape, grid.periodic)]
-    assert len(mids) == np.prod(half_shape) - np.prod(grid.shape)
-    assert len(edges) == len(stencil_offsets(grid.ndim))
-    rows = np.concatenate([e[2] for e in edges])
-    assert np.all(rows >= 0)
-    assert np.array_equal(np.unique(rows), np.arange(len(mids)))
+    assert len(mids) == np.prod(half_shape) - n_nodes
+    assert valid.shape == rows.shape == (n_nodes, len(edges))
+    assert rows.dtype == indices.dtype == indptr.dtype == np.int32
+    assert np.array_equal(np.unique(rows[valid]), np.arange(len(mids)))
+    # every valid edge's midpoint row holds U + o h / 2, up to a period
+    per = np.array(grid.periodic)
+    period = np.where(per, np.array(grid.shape) * grid.spacing, 1.0)
+    for s, (src, _, mid, _) in enumerate(edges):
+        diff = mids[rows[src, s]] - mid
+        diff -= per * period * np.round(diff / period)
+        np.testing.assert_allclose(diff, 0.0, rtol=0.0, atol=1e-12)
+
+
+def test_distance_fields_memory_budget(pseudosphere):
+    """The tracemalloc peak of distance_fields at 129^2 stays within the
+    arrays it holds: both labels' midpoint metric arrays, the int32
+    midpoint-row table, the valid mask, the int32 CSR indices, the float
+    (nodes, K) weight table and the CSR data, plus 1 MiB for one chunk's
+    output (0.5 MiB a label) or the per-offset gather.  Not all of them
+    are live at once: the peak is 9.2 MiB against a bound of 10.2 MiB.
+    The metrics are the pseudosphere's g in closed form (and 2 g as the
+    second label), so no fundamental batch of MIDPOINT_CHUNK points
+    (14.5 MiB) hides the graph's own arrays.  Per-offset intp edge lists
+    (24 bytes an edge, 5.8 MiB here) or a COO -> CSR sort break the
+    bound: built that way, the graph peaked at 21 MiB.
+    """
+    grid = make_grid(pseudosphere.chart, 129)
+
+    def metrics(U):
+        t = np.tanh(U[:, 0])
+        g = np.zeros((len(U), 2, 2))
+        g[:, 0, 0] = t * t
+        g[:, 1, 1] = 1.0 - t * t
+        return {"g": g, "g0": 2.0 * g}
+
+    _, indices, valid, rows, mids = _stencil_graph(grid)
+    budget = (2 * len(mids) * 4 * 8 + rows.nbytes + valid.nbytes
+              + indices.nbytes + valid.size * 8 + len(indices) * 8
+              + 2 ** 20)
+    del indices, valid, rows, mids
+    anchor = nearest_node(grid, (0.88, 3.14))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        dfs = distance_fields(grid, metrics, anchor)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(dfs["g0"].d))
+    assert peak <= budget, (peak / 2 ** 20, budget / 2 ** 20)
+
+
+def test_growth_report_releases_the_grid_batch(pseudosphere, monkeypatch):
+    """Only |alpha|^2 and the volume density of the grid batch outlive the
+    flatness test: the batch is gone before the graph is built."""
+    from flatbundle import growth
+    grids, seen = [], []
+    batch, fields = growth.fundamental_batch, growth.distance_fields
+
+    def kept(chart, U):
+        fb = batch(chart, U)
+        if U.shape == (33, 33, 2):
+            grids.append(weakref.ref(fb))
+        return fb
+
+    def checked(*args):
+        gc.collect()
+        seen.append([ref() is None for ref in grids])
+        return fields(*args)
+
+    monkeypatch.setattr(growth, "fundamental_batch", kept)
+    monkeypatch.setattr(growth, "distance_fields", checked)
+    rep = growth_report(pseudosphere.chart, (0.88, 3.14), (0.3, 0.6),
+                        resolution=33)
+    assert rep.chain_holds
+    assert seen == [[True]]
 
 
 def test_stencil_needs_seven_points_on_a_periodic_axis(clifford):
@@ -288,8 +390,8 @@ def test_stencil_needs_seven_points_on_a_periodic_axis(clifford):
     onto one node pair, which the shared CSR entry cannot weigh twice."""
     with pytest.raises(ValueError, match="at least 7"):
         _stencil_graph(make_grid(clifford.chart, 6))
-    edges, _ = _stencil_graph(make_grid(clifford.chart, 7))
-    pairs = np.concatenate([src * 49 + dst for src, dst, _, _ in edges])
+    indptr, indices, _, _, _ = _stencil_graph(make_grid(clifford.chart, 7))
+    pairs = _csr_rows(indptr) * 49 + indices
     assert len(np.unique(pairs)) == len(pairs)
 
 
@@ -327,11 +429,12 @@ def test_chain_verdicts_exclude_the_anchor(pseudosphere):
         return {"g": fb.g, "g0": comparison_metric(fb)}
 
     dfs = distance_fields(grid, both, anchor)
-    v = check_distance_inequality(dfs["g"], dfs["g0"], fb)
+    v = check_distance_inequality(dfs["g"], dfs["g0"], fb.sff_sq, chart)
     assert v.verdict == "pass"
     assert v.compared == grid.points[..., 0].size - 1
     assert v.notes == f"{v.compared} grid nodes"
-    tiny = check_ball_containment(dfs["g"], dfs["g0"], fb, 1e-3)
+    tiny = check_ball_containment(dfs["g"], dfs["g0"], fb.sff_sq, chart,
+                                  1e-3)
     assert (tiny.verdict, tiny.compared) == ("indeterminate", 0)
     assert tiny.notes == "singleton ball"
 
