@@ -34,8 +34,6 @@ _D2_WEIGHTS = (-1.0 / 12.0, 16.0 / 12.0, -30.0 / 12.0,
 
 STENCIL_RADIUS = 2
 
-AD_CHUNK = 8192          # points per hyper-dual pass
-
 
 def fd_step(domain):
     """Per-axis finite-difference step: (domain span) * 1e-3."""
@@ -84,36 +82,30 @@ def jet(chart_map, U, n, engine=AD, h=None):
 
 def _jet_ad(chart_map, U, n):
     """All seed pairs i <= j in one hyper-dual pass (pair p on a leading
-    axis of the perturbation slots), so the value slot is evaluated once;
-    points go in chunks of AD_CHUNK to bound the temporaries."""
+    axis of the perturbation slots), so the value slot is evaluated once."""
     batch = U.shape[:-1]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     d1 = np.array([[float(k == i) for i, _ in pairs] for k in range(n)])
     d2 = np.array([[float(k == j) for _, j in pairs] for k in range(n)])
     flat = U.reshape(-1, n)
     m = flat.shape[0]
-    value = first = second = None
-    for lo in range(0, max(m, 1), AD_CHUNK):
-        V = flat[lo:lo + AD_CHUNK]
-        rows = slice(lo, lo + len(V))
-        out = chart_map([seed(V[:, k], d1[k][:, None], d2[k][:, None])
-                         for k in range(n)])
-        if value is None:
-            N = len(out)
-            value = np.empty((m, N))
-            first = np.empty((m, n, N))
-            second = np.empty((m, n, n, N))
-        for c, comp in enumerate(out):
-            if not isinstance(comp, HyperDual):
-                comp = HyperDual(comp)
-            value[rows, c] = comp.f
-            e1, e2, e12 = (np.broadcast_to(e, (len(pairs), len(V)))
-                           for e in (comp.e1, comp.e2, comp.e12))
-            for p, (i, j) in enumerate(pairs):
-                first[rows, i, c] = e1[p]
-                first[rows, j, c] = e2[p]
-                second[rows, i, j, c] = e12[p]
-                second[rows, j, i, c] = e12[p]
+    out = chart_map([seed(flat[:, k], d1[k][:, None], d2[k][:, None])
+                     for k in range(n)])
+    N = len(out)
+    value = np.empty((m, N))
+    first = np.empty((m, n, N))
+    second = np.empty((m, n, n, N))
+    for c, comp in enumerate(out):
+        if not isinstance(comp, HyperDual):
+            comp = HyperDual(comp)
+        value[:, c] = comp.f
+        e1, e2, e12 = (np.broadcast_to(e, (len(pairs), m))
+                       for e in (comp.e1, comp.e2, comp.e12))
+        for p, (i, j) in enumerate(pairs):
+            first[:, i, c] = e1[p]
+            first[:, j, c] = e2[p]
+            second[:, i, j, c] = e12[p]
+            second[:, j, i, c] = e12[p]
     return Jet(value.reshape(batch + (N,)), first.reshape(batch + (n, N)),
                second.reshape(batch + (n, n, N)))
 

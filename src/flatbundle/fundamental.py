@@ -18,6 +18,14 @@ array over the flattened points (points on the last axis), and the small
 index loops are plain multiply-adds over those arrays, so no per-point
 matrix routine and no ``einsum`` runs.  The batch hands its results back
 point-major, shape (..., n, n) and so on.
+
+The batch is the one place that blocks: it runs the chart's jet and the
+kernel on consecutive blocks of at most BLOCK flattened points, whole
+rows of a grid-shaped batch where a row fits, and writes each block into
+the batch arrays.  BLOCK = 8192 keeps a block's component arrays in
+cache, so blocks run faster per point than one pass over a 257^2 grid,
+and a batch holds one block's temporaries beside its results, not a whole
+point set's.
 """
 
 from __future__ import annotations
@@ -119,25 +127,19 @@ def _inverse(M):
 # ---------------------------------------------------------------------------
 # the kernel and the batch
 
-@dataclass
-class _Kernel:
-    """Component-major kernel output over m flattened points."""
+BLOCK = 8192         # points per jet and kernel pass (see above)
 
-    g: np.ndarray            # (n, n, m)
-    chol_inv: np.ndarray     # (n, n, m) L^{-1}, g = L L^T
-    ginv: np.ndarray         # (n, n, m)
-    alpha_cont: np.ndarray   # (n, n, N, m)
-    III: np.ndarray          # (n, n, m)
-    sff_sq: np.ndarray       # (m,)
-    obasis: np.ndarray       # (K, N, m)
-    obasis_sq: np.ndarray    # (K, m)
+# the batch fields held component-major, points on the last axis
+_COMPONENT_MAJOR = ("chol_inv", "obasis", "obasis_sq", "alpha_cont")
 
 
-def _kernel(chart, J):
-    """Metric data of the jet J, with the guards every batch runs: g must
-    be positive definite and the normal projection finite.  A function of
-    its own, so that its temporaries are freed before the batch makes its
-    point-major copies."""
+def _kernel(chart, V):
+    """The batch fields over one block of points V (m, n), from the chart's
+    jet, with the guards every batch runs: g must be positive definite and
+    the normal projection finite.  g, ginv and III are point-major views of
+    component-major arrays.  A function of its own, so that its temporaries
+    are freed before the batch copies its results."""
+    J = chart.jet(V)
     amb = chart.ambient
     sig = _signs(amb)
     n = chart.n
@@ -175,8 +177,30 @@ def _kernel(chart, J):
     III = _dot(beta[:, None], alpha[None, :], sig).sum(axis=2)
     III = 0.5 * (III + np.swapaxes(III, 0, 1))
     sff_sq = (ginv * III).sum(axis=(0, 1))
-    return _Kernel(g, chol_inv, ginv, alpha, III, sff_sq, np.stack(obasis),
-                   np.stack(obasis_sq))
+    return dict(g=g.transpose(2, 0, 1), ginv=ginv.transpose(2, 0, 1),
+                III=III.transpose(2, 0, 1), sff_sq=sff_sq, position=J.value,
+                tangent=J.first, chol_inv=chol_inv, obasis=np.stack(obasis),
+                obasis_sq=np.stack(obasis_sq), alpha_cont=alpha)
+
+
+def _write(out, block, rows, m):
+    """Write one block's fields into the batch arrays ``out`` over m
+    flattened points, at ``rows``; the first block allocates them."""
+    for name, a in block.items():
+        comp = name in _COMPONENT_MAJOR
+        if name not in out:
+            out[name] = np.empty(a.shape[:-1] + (m,) if comp
+                                 else (m,) + a.shape[1:])
+        out[name][(..., rows) if comp else rows] = a
+
+
+def _block_size(batch):
+    """Points per block: whole rows (the points of one index of the first
+    batch axis) where a row fits in BLOCK, so that the jet of a grid-shaped
+    batch sees whole grid rows, the compact lattice an FD chart's spline
+    evaluation is fastest on."""
+    row = math.prod(batch[1:])
+    return row * (BLOCK // row) if 0 < row <= BLOCK else BLOCK
 
 
 @dataclass
@@ -300,15 +324,34 @@ def _normal_frame(chart, obasis, obasis_sq):
 
 def fundamental_batch(chart, U):
     """Fundamental data at points U of shape (..., n).  The normal frame is
-    built when first read."""
+    built when first read.
+
+    The points go through the chart's jet and the kernel in consecutive
+    blocks of at most BLOCK flattened points, each written into the batch
+    arrays; a batch of one block keeps the kernel's own.  The guards run
+    per block, in order: a point outside the chart raises
+    :class:`DomainError` naming the first such point in C order, an image
+    off the space-form model raises :class:`ModelConsistencyError` with
+    the worst residual of the first block that has one, and the first
+    block that fails decides whether :class:`DegenerateMetricError` or
+    :class:`FrameError` is raised.
+    """
     U = np.asarray(U, dtype=float)
-    J = chart.jet(U)
-    K = _kernel(chart, J)
     batch = U.shape[:-1]
-    return FundamentalBatch(
-        chart, U, _point_major(K.g, batch), _point_major(K.ginv, batch),
-        _point_major(K.III, batch), K.sff_sq.reshape(batch), J.value,
-        J.first, K.chol_inv, K.obasis, K.obasis_sq, K.alpha_cont)
+    flat = U.reshape(-1, U.shape[-1])
+    m, size = len(flat), _block_size(batch)
+    if m <= size:
+        out = {name: np.ascontiguousarray(a)
+               for name, a in _kernel(chart, flat).items()}
+    else:
+        out = {}
+        for lo in range(0, m, size):
+            _write(out, _kernel(chart, flat[lo:lo + size]),
+                   slice(lo, lo + size), m)
+    for name, a in out.items():
+        if name not in _COMPONENT_MAJOR:
+            out[name] = a.reshape(batch + a.shape[1:])
+    return FundamentalBatch(chart, U, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ directions.
 An edge weight is the metric length of the edge at its midpoint.  Every
 edge midpoint lies on the 2x-refined half-lattice of the grid, so the
 metrics are evaluated once on the half-lattice points off the nodes, in
-chunks of MIDPOINT_CHUNK points, and each edge indexes its weight out of
-that one evaluation.  A chunk needs only the induced metric g and the
-comparison metric g0 = C g + III: it reads them from a
-``fundamental_batch`` (which refuses a degenerate g or a non-finite normal
-projection) without building its normal frame, and ``comparison_metric``
-checks the gap (g0 is then positive definite, since III is a Gram
-matrix).  The random polylines of the length check read the same pair.
+blocks of ``fundamental.BLOCK`` points (so each batch is a single kernel
+block), and each edge indexes its weight out of that one evaluation.  A
+block needs only the induced metric g and the comparison metric
+g0 = C g + III: it reads them from a ``fundamental_batch`` (which refuses
+a degenerate g or a non-finite normal projection) without building its
+normal frame, and ``comparison_metric`` checks the gap (g0 is then
+positive definite, since III is a Gram matrix).  The random polylines of
+the length check read the same pair.
 Only the grid batch builds its normal frame, to test the flatness
 hypothesis.  The two metrics share one CSR structure, read off (nodes,
 K) tables over the K stencil offsets with no edge list and no sort; one
@@ -35,15 +36,13 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fields import make_grid
-from .fundamental import flatness_violation, fundamental_batch, gap_violation
+from .fundamental import (BLOCK, flatness_violation, fundamental_batch,
+                          gap_violation)
 from .principal import DEFAULT_SEED, comparison_metric
 
 DEFAULT_RESOLUTION = 257
 _OFFSET_RANGE = 3
 _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
-MIDPOINT_CHUNK = 16384       # edge midpoints per metric batch: the kernel's
-                             # component arrays then stay in cache (65536
-                             # took half again as long per point)
 LENGTH_SAMPLES = 64          # midpoint samples per polyline segment
 
 
@@ -181,14 +180,14 @@ def distance_fields(grid, metrics_fn, anchor_index):
     """Dijkstra distance fields for several metrics sharing one grid graph.
 
     metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
-                 evaluated once per chunk of edge midpoints
+                 evaluated once per block of at most BLOCK edge midpoints
     """
     indptr, indices, valid, rows, mids = _stencil_graph(grid)
     offsets = stencil_offsets(grid.ndim)
     overshoot = stencil_overshoot(offsets)
     metrics = {}          # filled in place: no second copy of the metrics
-    for s in range(0, len(mids), MIDPOINT_CHUNK):
-        for label, g in metrics_fn(mids[s:s + MIDPOINT_CHUNK]).items():
+    for s in range(0, len(mids), BLOCK):
+        for label, g in metrics_fn(mids[s:s + BLOCK]).items():
             if label not in metrics:
                 metrics[label] = np.empty((len(mids),) + g.shape[1:])
             metrics[label][s:s + len(g)] = g

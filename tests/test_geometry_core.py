@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from flatbundle import catalog
+from flatbundle import catalog, fundamental
 from flatbundle import dual as dm
 from flatbundle.charts import (MODEL_TOL, AmbientModel, ImmersionChart,
                                euclidean, hyperbolic, sphere)
@@ -127,11 +129,11 @@ def test_fd_second_derivatives_symmetric(dini):
                                atol=1e-14)
 
 
-def test_ad_jet_matches_per_pair_seeding(monkeypatch):
-    """The AD jet seeds every pair (i, j) in one pass and takes the points
-    in chunks.  The arithmetic per point is unchanged, so it must equal
-    seeding each pair separately bit for bit, with a constant (non-dual)
-    component and a single point included."""
+def test_ad_jet_matches_per_pair_seeding():
+    """The AD jet seeds every pair (i, j) in one pass.  The arithmetic per
+    point is unchanged, so it must equal seeding each pair separately bit
+    for bit, with a constant (non-dual) component and a single point
+    included."""
     from flatbundle import engines
 
     def f(u):
@@ -139,23 +141,21 @@ def test_ad_jet_matches_per_pair_seeding(monkeypatch):
                 dm.sin(u[2]) / (1.0 + u[0] * u[2]))
 
     U = np.random.default_rng(5).uniform(0.1, 1.0, (4, 5, 3))
-    for chunk in (engines.AD_CHUNK, 3):
-        monkeypatch.setattr(engines, "AD_CHUNK", chunk)
-        J = engines.jet(f, U, 3)
-        for i in range(3):
-            for j in range(i, 3):
-                out = f([dm.seed(U[..., k], float(k == i), float(k == j))
-                         for k in range(3)])
-                for c, comp in enumerate(out):
-                    if not isinstance(comp, dm.HyperDual):
-                        comp = dm.HyperDual(comp)
-                    for got, want in ((J.value[..., c], comp.f),
-                                      (J.first[..., i, c], comp.e1),
-                                      (J.first[..., j, c], comp.e2),
-                                      (J.second[..., i, j, c], comp.e12),
-                                      (J.second[..., j, i, c], comp.e12)):
-                        np.testing.assert_array_equal(
-                            got, np.broadcast_to(want, U.shape[:-1]))
+    J = engines.jet(f, U, 3)
+    for i in range(3):
+        for j in range(i, 3):
+            out = f([dm.seed(U[..., k], float(k == i), float(k == j))
+                     for k in range(3)])
+            for c, comp in enumerate(out):
+                if not isinstance(comp, dm.HyperDual):
+                    comp = dm.HyperDual(comp)
+                for got, want in ((J.value[..., c], comp.f),
+                                  (J.first[..., i, c], comp.e1),
+                                  (J.first[..., j, c], comp.e2),
+                                  (J.second[..., i, j, c], comp.e12),
+                                  (J.second[..., j, i, c], comp.e12)):
+                    np.testing.assert_array_equal(
+                        got, np.broadcast_to(want, U.shape[:-1]))
     one = engines.jet(f, U[1, 2], 3)
     assert one.second.shape == (3, 3, 3)
     np.testing.assert_array_equal(one.second, J.second[1, 2])
@@ -349,3 +349,110 @@ def test_metric_kernel_guards():
                            nearest_node(grid, (0.0, 0.0)))
         with pytest.raises(FrameError):
             curve_length(chart, U, "g")
+
+
+# ---------------------------------------------------------------------------
+# the batch in blocks
+
+_STORED_FIELDS = ("g", "ginv", "III", "sff_sq", "position", "tangent",
+                  "chol_inv", "obasis", "obasis_sq", "alpha_cont")
+
+
+def _block_sizes(monkeypatch):
+    """Record the number of points of every chart.jet call."""
+    sizes = []
+    jet = ImmersionChart.jet
+
+    def counted(self, u):
+        sizes.append(int(np.prod(np.shape(u)[:-1])))
+        return jet(self, u)
+    monkeypatch.setattr(ImmersionChart, "jet", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("name", [
+    "pseudosphere",               # AD, codimension 1
+    "clifford_torus_s3",          # codimension 2, on S^3
+    "sine_gordon_surface",        # FD, lattice spline evaluation
+])
+def test_blocked_batch_matches_one_block(name, monkeypatch):
+    """fundamental_batch runs the jet and kernel on blocks of at most BLOCK
+    points, whole rows where a row fits.  The arithmetic per point is
+    unchanged, so with BLOCK = 7 every field equals the one-block batch
+    bit for bit, on every batch shape."""
+    chart = catalog.get(name).chart
+    box = np.array(chart.usable_domain())
+    rng = np.random.default_rng(11)
+
+    def uniform(*shape):
+        return box[:, 0] + rng.random(shape + (2,)) * (box[:, 1] - box[:, 0])
+
+    lattice = make_grid(chart, 12).points
+    cases = [(lattice[3, 4], [1]),
+             (uniform(23), [7, 7, 7, 2]),
+             (lattice[2:7, 1:4], [6, 6, 3]),           # two rows a block
+             (lattice[:3, :10], [7, 7, 7, 7, 2]),      # a row is too long
+             (uniform(4, 2, 3), [6] * 4),
+             (uniform(0), [0])]
+    for U, blocks in cases:
+        one = fundamental_batch(chart, U)
+        sizes = _block_sizes(monkeypatch)
+        monkeypatch.setattr(fundamental, "BLOCK", 7)
+        blocked = fundamental_batch(chart, U)
+        monkeypatch.undo()
+        assert sizes == blocks
+        for f in _STORED_FIELDS + ("frame", "alpha"):
+            a, b = getattr(blocked, f), getattr(one, f)
+            assert a.shape == b.shape, f
+            np.testing.assert_array_equal(a, b, err_msg=f)
+        np.testing.assert_array_equal(blocked.flatness_residual(),
+                                      one.flatness_residual())
+
+
+def test_grid_batch_memory_budget(pseudosphere):
+    """The tracemalloc peak of the 257^2 grid batch stays within the arrays
+    it returns (23.2 MiB) plus one block's jet and kernel temporaries,
+    allowed 1 KiB a point of one block (8 MiB; one 8,192-point block
+    peaks at 7.3 MiB).  The peak is 30.2 MiB.  The kernel run on the
+    whole grid at once breaks the bound: it peaked at 58.5 MiB."""
+    chart = pseudosphere.chart
+    U = make_grid(chart, 257).points
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fb = fundamental_batch(chart, U)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(getattr(fb, f).nbytes for f in _STORED_FIELDS)
+    budget = held + fundamental.BLOCK * 1024
+    assert peak <= budget, (peak / 2 ** 20, budget / 2 ** 20)
+
+
+def test_blocked_batch_guards(pseudosphere):
+    """The chart's guards run per block in order: an outside or NaN point
+    in a later block of the 257^2 grid raises the DomainError that the
+    whole grid's jet raises, naming the first of them in C order; an image
+    that leaves S^3 only in a later block raises ModelConsistencyError."""
+    chart = pseudosphere.chart
+    grid = make_grid(chart, 257)
+    for first, second in (((9.0, 1.0), (math.nan, 2.0)),
+                          ((math.nan, 2.0), (9.0, 1.0))):
+        U = grid.points.copy()
+        U[100, 5], U[200, 7] = first, second
+        with pytest.raises(DomainError) as whole:
+            chart.jet(U)
+        assert str(list(first)) in str(whole.value)
+        with pytest.raises(DomainError, match=re.escape(str(whole.value))):
+            fundamental_batch(chart, U)
+
+    clifford = catalog.get("clifford_torus_s3").chart
+
+    def leaves_s3(u):
+        scale = 1.0 + 1e-3 * (np.asarray(getattr(u[0], "f", u[0])) > 5.0)
+        return tuple(x * scale for x in clifford.map(u))
+    chart = dataclasses.replace(clifford, name="leaves_s3", map=leaves_s3)
+    U = make_grid(chart, 257).points
+    fundamental_batch(chart, U[:200])
+    with pytest.raises(ModelConsistencyError, match="leaves_s3"):
+        fundamental_batch(chart, U)

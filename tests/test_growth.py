@@ -324,12 +324,12 @@ def test_distance_fields_memory_budget(pseudosphere):
     """The tracemalloc peak of distance_fields at 129^2 stays within the
     arrays it holds: both labels' midpoint metric arrays, the int32
     midpoint-row table, the valid mask, the int32 CSR indices, the float
-    (nodes, K) weight table and the CSR data, plus 1 MiB for one chunk's
-    output (0.5 MiB a label) or the per-offset gather.  Not all of them
-    are live at once: the peak is 9.2 MiB against a bound of 10.2 MiB.
+    (nodes, K) weight table and the CSR data, plus 1 MiB for one block's
+    output (0.25 MiB a label) or the per-offset gather.  Not all of them
+    are live at once: the peak is 9.2 MiB against a bound of 10.3 MiB.
     The metrics are the pseudosphere's g in closed form (and 2 g as the
-    second label), so no fundamental batch of MIDPOINT_CHUNK points
-    (14.5 MiB) hides the graph's own arrays.  Per-offset intp edge lists
+    second label), so no fundamental batch of one block of BLOCK points
+    (7.3 MiB) hides the graph's own arrays.  Per-offset intp edge lists
     (24 bytes an edge, 5.8 MiB here) or a COO -> CSR sort break the
     bound: built that way, the graph peaked at 21 MiB.
     """
