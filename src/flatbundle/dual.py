@@ -22,6 +22,8 @@ __all__ = [
 
 class HyperDual:
     __slots__ = ("f", "e1", "e2", "e12")   # cheap to build: jets make many
+    # ndarray <op> HyperDual is __r<op>__, not an object array of products
+    __array_ufunc__ = None
 
     def __init__(self, f, e1=0.0, e2=0.0, e12=0.0):
         self.f, self.e1, self.e2, self.e12 = f, e1, e2, e12

@@ -118,10 +118,10 @@ class PrincipalField:
         return out
 
 
-def _alignment_matrices(X_cont, signature, axis):
-    """Q[..., k, l] = <X_k(u), X_l(u_next)> along a grid axis."""
-    nxt = np.roll(X_cont, -1, axis=axis)
-    return np.einsum("...kN,...lN->...kl", X_cont * signature, nxt)
+def _alignment_matrices(X, Y, signature):
+    """Q[..., k, l] = <X_k, Y_l>, the container overlaps of two direction
+    frames (..., n, N)."""
+    return np.einsum("...kN,...lN->...kl", X * signature, Y)
 
 
 def _signed_permutation(Q):
@@ -173,7 +173,8 @@ def principal_field(fb, grid):
     M = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
     ambiguous = []
     for ax in range(ndim):
-        Q = _alignment_matrices(pb.X_cont, sig, ax)
+        Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
+                                sig)
         P, amb = _signed_permutation(Q)
         ambiguous.append(amb)
         pin = (0,) * (ndim - ax - 1)
@@ -192,7 +193,8 @@ def principal_field(fb, grid):
     # ambiguity found before it still holds
     coherent = np.ones(shape, dtype=bool)
     for ax in range(ndim):
-        Q = _alignment_matrices(pb.X_cont, sig, ax)
+        Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
+                                sig)
         diag = np.einsum("...kk->...k", Q)
         bad = np.any(diag < ALIGN_MIN, axis=-1) | ambiguous[ax]
         if not grid.periodic[ax]:

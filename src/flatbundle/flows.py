@@ -21,7 +21,8 @@ import numpy as np
 from .engines import AD, DEFAULT_TOL
 from .errors import (CoherenceError, DomainError, DomainExitError,
                      HypothesisViolation)
-from .fields import Grid, _signed_permutation, grid_deriv, principal_field
+from .fields import (Grid, _alignment_matrices, _signed_permutation,
+                     grid_deriv, principal_field)
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
@@ -51,8 +52,7 @@ def aligned_principal(chart, U, refs=None):
     _require_hypotheses(fb)
     pb = principal_batch(fb)
     if refs is not None:
-        Q = np.einsum("...kN,...lN->...kl", refs * chart.ambient.signature,
-                      pb.X_cont)
+        Q = _alignment_matrices(refs, pb.X_cont, chart.ambient.signature)
         pb.regauge(_signed_permutation(Q)[0])
     return pb
 

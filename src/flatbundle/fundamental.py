@@ -13,11 +13,13 @@ projections need, are built on the first read of either, so a consumer
 that reads only g, III and |alpha|^2 (the growth edge weights and
 polylines) never builds them.
 
-The kernel works component-major: each index component is one contiguous
-array over the flattened points (points on the last axis), and the small
-index loops are plain multiply-adds over those arrays, so no per-point
-matrix routine and no ``einsum`` runs.  The batch hands its results back
-point-major, shape (..., n, n) and so on.
+One layout holds through the batch layer (this module and ``principal``):
+component-major, index axes first and the flattened points last, as the
+kernel computes it, so the small index loops are multiply-adds over
+contiguous arrays and no per-point matrix routine and no ``einsum`` runs.
+Data turns point-major only where it leaves the layer: g, III and
+|alpha|^2 at the end of the batch, ``normal_project``'s result and the
+principal batch's fields.
 
 The batch is the one place that blocks: it runs the chart's jet and the
 kernel on consecutive blocks of at most BLOCK flattened points, whole
@@ -58,6 +60,16 @@ def _point_major(a, batch):
     array."""
     axes = (a.ndim - 1,) + tuple(range(a.ndim - 1))
     return np.ascontiguousarray(a.transpose(axes)).reshape(batch + a.shape[:-1])
+
+
+def _matmul(A, B):
+    """Component-major matrix product C[i, j...] = sum_k A[i, k] B[k, j...]
+    of A (r, s, m) and B (s, ..., m), accumulated in k order."""
+    shape = (A.shape[0],) + (1,) * (B.ndim - 2) + A.shape[-1:]
+    C = np.zeros((A.shape[0],) + B.shape[1:])
+    for k in range(A.shape[1]):
+        C += A[:, k].reshape(shape) * B[k]
+    return C
 
 
 def _signs(ambient):
@@ -129,16 +141,13 @@ def _inverse(M):
 
 BLOCK = 8192         # points per jet and kernel pass (see above)
 
-# the batch fields held component-major, points on the last axis
-_COMPONENT_MAJOR = ("chol_inv", "obasis", "obasis_sq", "alpha_cont")
-
 
 def _kernel(chart, V):
     """The batch fields over one block of points V (m, n), from the chart's
     jet, with the guards every batch runs: g must be positive definite and
-    the normal projection finite.  g, ginv and III are point-major views of
-    component-major arrays.  A function of its own, so that its temporaries
-    are freed before the batch copies its results."""
+    the normal projection finite; every field component-major.  A function
+    of its own, so that its temporaries are freed before the batch copies
+    its results."""
     J = chart.jet(V)
     amb = chart.ambient
     sig = _signs(amb)
@@ -177,9 +186,8 @@ def _kernel(chart, V):
     III = _dot(beta[:, None], alpha[None, :], sig).sum(axis=2)
     III = 0.5 * (III + np.swapaxes(III, 0, 1))
     sff_sq = (ginv * III).sum(axis=(0, 1))
-    return dict(g=g.transpose(2, 0, 1), ginv=ginv.transpose(2, 0, 1),
-                III=III.transpose(2, 0, 1), sff_sq=sff_sq, position=J.value,
-                tangent=J.first, chol_inv=chol_inv, obasis=np.stack(obasis),
+    return dict(g=g, ginv=ginv, III=III, sff_sq=sff_sq, tangent=T,
+                chol_inv=chol_inv, obasis=np.stack(obasis),
                 obasis_sq=np.stack(obasis_sq), alpha_cont=alpha)
 
 
@@ -187,11 +195,9 @@ def _write(out, block, rows, m):
     """Write one block's fields into the batch arrays ``out`` over m
     flattened points, at ``rows``; the first block allocates them."""
     for name, a in block.items():
-        comp = name in _COMPONENT_MAJOR
         if name not in out:
-            out[name] = np.empty(a.shape[:-1] + (m,) if comp
-                                 else (m,) + a.shape[1:])
-        out[name][(..., rows) if comp else rows] = a
+            out[name] = np.empty(a.shape[:-1] + (m,))
+        out[name][..., rows] = a
 
 
 def _block_size(batch):
@@ -205,25 +211,25 @@ def _block_size(batch):
 
 @dataclass
 class FundamentalBatch:
-    """Fundamental data over a batch of shape ``batch``.
+    """Fundamental data over a batch of shape ``batch``, m points in all:
+    g, III and sff_sq point-major, batch axes first, for the layers that
+    read them; every other field component-major, points last.
 
-    g        : (..., n, n)    first fundamental form
-    ginv     : (..., n, n)
-    III      : (..., n, n)    third fundamental form
-                              g^{kl} <alpha_ik, alpha_jl>
-    sff_sq   : (...,)         |alpha|^2 = tr(g^{-1} III)
-    position : (..., N)       image points
-    tangent  : (..., n, N)    container tangent vectors dF/du_i
-    chol_inv : component-major (n, n, m) inverse Cholesky factor L^{-1} of
-               g = L L^T over the m flattened points (lower triangular)
-    obasis / obasis_sq : component-major (K, N, m) / (K, m) orthogonalized
-                         span of tangent (+ position) over the m flattened
-                         points, projected off for normal projections
-    alpha_cont : component-major (n, n, N, m) container-valued alpha, held
-                 until the frame is built
+    g          : (..., n, n)   first fundamental form
+    III        : (..., n, n)   third fundamental form
+                               g^{kl} <alpha_ik, alpha_jl>
+    sff_sq     : (...,)        |alpha|^2 = tr(g^{-1} III)
+    ginv       : (n, n, m)     g^{-1}
+    tangent    : (n, N, m)     container tangent vectors dF/du_i
+    chol_inv   : (n, n, m)     lower triangular L^{-1}, g = L L^T
+    obasis     : (K, N, m)     orthogonalized span of tangent (+ position)
+    obasis_sq  : (K, m)        and its signed square norms, projected off
+                               for normal projections
+    alpha_cont : (n, n, N, m)  container-valued alpha, until the frame is
+                               built
 
-    ``frame`` (..., p, N), an orthonormal normal frame, and ``alpha``
-    (..., n, n, p), the components of alpha in it, are built together on
+    ``frame`` (p, N, m), an orthonormal normal frame, and ``alpha``
+    (n, n, p, m), the components of alpha in it, are built together on
     the first read of either; the container-valued alpha is then released.
     """
 
@@ -233,7 +239,6 @@ class FundamentalBatch:
     ginv: np.ndarray
     III: np.ndarray
     sff_sq: np.ndarray
-    position: np.ndarray
     tangent: np.ndarray
     chol_inv: np.ndarray
     obasis: np.ndarray
@@ -251,12 +256,10 @@ class FundamentalBatch:
     @functools.cached_property
     def frame(self):
         frame = _normal_frame(self.chart, self.obasis, self.obasis_sq)
-        alpha = _dot(self.alpha_cont[:, :, None], frame,
-                     _signs(self.chart.ambient))            # (n, n, p, m)
-        batch = self.sff_sq.shape
-        self.alpha = _point_major(alpha, batch)
+        self.alpha = _dot(self.alpha_cont[:, :, None], frame,
+                          _signs(self.chart.ambient))
         self.alpha_cont = None
-        return _point_major(frame, batch)
+        return frame
 
     @functools.cached_property
     def alpha(self):
@@ -266,32 +269,25 @@ class FundamentalBatch:
     def normal_project(self, v):
         """Project container vectors (..., N) onto the normal space."""
         batch = self.sff_sq.shape
-        v = np.broadcast_to(v, batch + self.position.shape[-1:])
+        v = np.broadcast_to(v, batch + self.tangent.shape[1:2])
         w = _project_off(_components(v, 1), self.obasis, self.obasis_sq,
                          _signs(self.chart.ambient))
         return _point_major(w, batch)
 
-    def shape_operators(self):
-        """g-self-adjoint shape operators A_a = g^{-1} B_a, shape (..., p, n, n)."""
-        B = np.moveaxis(self.alpha, -1, -3)
-        return self.ginv[..., None, :, :] @ B
-
     def flatness_residual(self):
-        """Max commutator norm of the shape operators, relative to the
-        curvature scale max(1, |alpha|^2).  Zero for p <= 1."""
+        """Max commutator norm of the shape operators A_a = g^{-1} B_a
+        relative to max(1, |alpha|^2); zero for p <= 1."""
         p = self.p
-        batch = self.sff_sq.shape
-        res = np.zeros(batch)
-        if p <= 1:
-            return res
-        A = self.shape_operators()
-        for a in range(p):
-            for b in range(a + 1, p):
-                comm = A[..., a, :, :] @ A[..., b, :, :] \
-                    - A[..., b, :, :] @ A[..., a, :, :]
-                nrm = np.sqrt(np.sum(comm * comm, axis=(-2, -1)))
-                res = np.maximum(res, nrm)
-        return res / np.maximum(1.0, self.sff_sq)
+        res = np.zeros(self.sff_sq.size)
+        if p > 1:
+            A = _matmul(self.ginv, self.alpha)             # (n, n, p, m)
+            for a in range(p):
+                for b in range(a + 1, p):
+                    comm = _matmul(A[:, :, a], A[:, :, b]) \
+                        - _matmul(A[:, :, b], A[:, :, a])
+                    res = np.maximum(res, np.sqrt(
+                        (comm * comm).sum(axis=(0, 1))))
+        return res.reshape(self.sff_sq.shape) / np.maximum(1.0, self.sff_sq)
 
 
 def _normal_frame(chart, obasis, obasis_sq):
@@ -341,16 +337,14 @@ def fundamental_batch(chart, U):
     flat = U.reshape(-1, U.shape[-1])
     m, size = len(flat), _block_size(batch)
     if m <= size:
-        out = {name: np.ascontiguousarray(a)
-               for name, a in _kernel(chart, flat).items()}
+        out = _kernel(chart, flat)
     else:
         out = {}
         for lo in range(0, m, size):
             _write(out, _kernel(chart, flat[lo:lo + size]),
                    slice(lo, lo + size), m)
-    for name, a in out.items():
-        if name not in _COMPONENT_MAJOR:
-            out[name] = a.reshape(batch + a.shape[1:])
+    for name in ("g", "III", "sff_sq"):     # handed on point-major
+        out[name] = _point_major(out[name], batch)
     return FundamentalBatch(chart, U, **out)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
-from .fundamental import _components, _point_major, gap_violation
+from .fundamental import _matmul, _point_major, gap_violation
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
@@ -109,16 +109,6 @@ def _lambdas(chart, eta_sq):
     return 1.0 / np.sqrt(eta_sq + chart.C)
 
 
-def _matmul(A, B):
-    """Component-major matrix product C[i, j...] = sum_k A[i, k] B[k, j...]
-    of A (r, s, m) and B (s, ..., m), accumulated in k order."""
-    shape = (A.shape[0],) + (1,) * (B.ndim - 2) + A.shape[-1:]
-    C = np.zeros((A.shape[0],) + B.shape[1:])
-    for k in range(A.shape[1]):
-        C += A[:, k].reshape(shape) * B[k]
-    return C
-
-
 def _congruence(A, B):
     """Component-major A B A^T for B (n, n, ..., m) symmetric in its first
     two axes."""
@@ -142,8 +132,9 @@ def principal_batch(fb):
     the Atil_a (a joint diagonalization where that combination fails to
     diagonalize them all) give the directions X = V^T L^{-1}, and
     D_a = V^T Atil_a V holds alpha_a(X_k, X_l): eta on its diagonal, the
-    residual off it.  Computed component-major, like the fundamental
-    kernel.
+    residual off it.  Computed component-major on the batch's own
+    alpha, tangent and frame, like the fundamental kernel; only the
+    PrincipalBatch fields are handed back point-major.
 
     Directions come in the canonical pointwise gauge: sorted by |eta|
     descending (stable), each signed so its largest-magnitude chart
@@ -152,7 +143,7 @@ def principal_batch(fb):
     n, p = fb.n, fb.p
     batch = fb.sff_sq.shape
     Linv = fb.chol_inv                                   # (n, n, m)
-    S = _congruence(Linv, _components(fb.alpha, 3))      # (n, n, p, m)
+    S = _congruence(Linv, fb.alpha)                      # (n, n, p, m)
     Atil = 0.5 * (S + S.swapaxes(0, 1))
     Aw = (_diag_weights(p)[:, None] * Atil).sum(axis=2)
     V = np.linalg.eigh(Aw.transpose(2, 0, 1))[1].transpose(1, 2, 0)
@@ -180,8 +171,8 @@ def principal_batch(fb):
                               axis=1)
     X = np.where(lead < 0, -X, X)
 
-    X_cont = _matmul(X, _components(fb.tangent, 2))
-    eta_cont = _matmul(eta, _components(fb.frame, 2))
+    X_cont = _matmul(X, fb.tangent)
+    eta_cont = _matmul(eta, fb.frame)
     eta_sq = _point_major(eta_sq, batch)
     return PrincipalBatch(
         fb, _point_major(X, batch), _point_major(X_cont, batch),

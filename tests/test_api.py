@@ -6,11 +6,13 @@ samples, so only the two sampled checks and the growth report that runs
 one take it; the weights of the principal diagonalization are fixed.
 Options that no caller sets are module constants, not parameters."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import pathlib
 import pkgutil
+import sys
 
 import flatbundle
 
@@ -86,29 +88,44 @@ def test_the_chart_guard_cannot_be_switched_off():
 
 
 def test_one_name_per_concept():
-    """One fundamental batch, one flatness test, and III read off the
-    batch: the duplicate names are gone."""
+    """One fundamental batch, one flatness test, III read off the batch,
+    and one layout through the batch layer: the duplicate names are
+    gone."""
     from flatbundle import fundamental, growth, principal
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
                       (fundamental, "flatness_verdict"),
+                      (fundamental, "_COMPONENT_MAJOR"),
                       (principal, "third_fundamental_form"),
+                      (principal, "_components"),
                       (growth, "_metric_pair")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
+    fb = fundamental.FundamentalBatch
+    assert "position" not in {f.name for f in dataclasses.fields(fb)}
+    assert not hasattr(fb, "shape_operators")
+    assert principal._matmul is fundamental._matmul
 
 
-def test_every_tracer_target_resolves():
+def _perfbench(name, monkeypatch):
+    """The benchmark module perfbench/<name>.py, loaded read-only and
+    importable by its own name for the rest of the test."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
+        / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, mod)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_tracer_target_resolves(monkeypatch):
     """The benchmark's tracer (perfbench/tracer.py) binds package functions
     by name.  Loaded read-only here, without installing it, each of its
     targets must resolve, so renaming a traced function fails this test
     and not only the benchmark."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" \
-        / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench("tracer", monkeypatch)
     assert len(tracer.TARGETS) > 0
     missing = []
     for _, mod_name, attr, *_ in tracer.TARGETS:
@@ -118,3 +135,20 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_benchmark_workloads_pass_the_output_gate(tmp_path, monkeypatch):
+    """Each benchmark workload config (perfbench/workloads.py), run through
+    the CLI at the reference seed, passes the benchmark's own output gate
+    (perfbench/checks.py): exit 0, the expected verdict lines, and every
+    CSV matching the stored reference."""
+    from flatbundle import cli
+    workloads = _perfbench("workloads", monkeypatch)
+    checks = _perfbench("checks", monkeypatch)
+    for w in workloads.WORKLOADS.values():
+        config, out = tmp_path / f"{w.name}.ini", tmp_path / w.name
+        config.write_text(w.config, encoding="utf-8")
+        rc = cli.main([w.command, "--config", str(config), "--out", str(out),
+                       "--seed", str(workloads.REFERENCE_SEED)])
+        assert checks.check_invocation(w, checks.load_reference(w), rc,
+                                       str(out)) == [], w.name

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatbundle import dual as dm
+from flatbundle.engines import jet
 
 
 def jet1(f, x, y):
@@ -106,3 +107,26 @@ def test_field_axioms(x, y):
     assert q.f == pytest.approx(x, rel=1e-13, abs=1e-13)
     assert q.e1 == pytest.approx(1.0, rel=1e-12)
     assert q.e2 == pytest.approx(0.0, abs=1e-12)
+
+
+def test_array_on_the_left_defers_to_hyperdual():
+    """numpy does not broadcast a HyperDual into an object array: with an
+    ndarray on the left every operator returns a HyperDual, and a chart
+    map written ``s * u`` has the jet of ``u * s`` bit for bit."""
+    s = np.linspace(0.5, 2.0, 5)
+    h = dm.seed(np.linspace(0.1, 1.0, 5), 1.0, 0.0)
+    for got, want in ((s + h, h + s), (s - h, -h + s), (s * h, h * s),
+                      (s / h, h._reciprocal() * s)):
+        assert isinstance(got, dm.HyperDual)
+        for slot in dm.HyperDual.__slots__:
+            np.testing.assert_array_equal(getattr(got, slot),
+                                          getattr(want, slot))
+
+    U = np.stack(np.meshgrid(np.linspace(0.2, 1.0, 5),
+                             np.linspace(-1.0, 1.0, 5)), axis=-1)
+    s = 1.0 + U[..., 0].ravel() ** 2          # one factor per point
+    left = jet(lambda u: (s * u[0], u[1], u[0] * u[1]), U, 2)
+    right = jet(lambda u: (u[0] * s, u[1], u[0] * u[1]), U, 2)
+    for part in ("value", "first", "second"):
+        np.testing.assert_array_equal(getattr(left, part),
+                                      getattr(right, part))

@@ -306,13 +306,25 @@ def test_metric_kernel_matches_frame_formulas(name):
         chart = dataclasses.replace(chart, c=chart.ambient.curvature - 1.0)
     grid = make_grid(chart, 9 if chart.n == 2 else 5)
     fb = fundamental_batch(chart, grid.points)
-    ginv, alpha = fb.ginv, fb.alpha
+    batch = fb.sff_sq.shape
+    ginv = fundamental._point_major(fb.ginv, batch)
+    alpha = fundamental._point_major(fb.alpha, batch)
     III = np.einsum("...kl,...ika,...jla->...ij", ginv, alpha, alpha)
     sff = np.einsum("...ik,...jl,...ija,...kla->...", ginv, ginv, alpha,
                     alpha)
     _assert_rel(fb.III, III)
     _assert_rel(fb.sff_sq, sff)
     _assert_rel(comparison_metric(fb), III + chart.C * fb.g)
+    # the flatness residual against the point-major shape operators
+    A = ginv[..., None, :, :] @ np.moveaxis(alpha, -1, -3)
+    res = np.zeros(batch)
+    for a in range(fb.p):
+        for b in range(a + 1, fb.p):
+            comm = A[..., a, :, :] @ A[..., b, :, :] \
+                - A[..., b, :, :] @ A[..., a, :, :]
+            res = np.maximum(res, np.sqrt(np.sum(comm * comm,
+                                                 axis=(-2, -1))))
+    _assert_rel(fb.flatness_residual(), res / np.maximum(1.0, sff))
 
 
 def _nan_second_derivatives(u):
@@ -354,8 +366,8 @@ def test_metric_kernel_guards():
 # ---------------------------------------------------------------------------
 # the batch in blocks
 
-_STORED_FIELDS = ("g", "ginv", "III", "sff_sq", "position", "tangent",
-                  "chol_inv", "obasis", "obasis_sq", "alpha_cont")
+_STORED_FIELDS = ("g", "ginv", "III", "sff_sq", "tangent", "chol_inv",
+                  "obasis", "obasis_sq", "alpha_cont")
 
 
 def _block_sizes(monkeypatch):
@@ -411,9 +423,9 @@ def test_blocked_batch_matches_one_block(name, monkeypatch):
 
 def test_grid_batch_memory_budget(pseudosphere):
     """The tracemalloc peak of the 257^2 grid batch stays within the arrays
-    it returns (23.2 MiB) plus one block's jet and kernel temporaries,
+    it returns (21.7 MiB) plus one block's jet and kernel temporaries,
     allowed 1 KiB a point of one block (8 MiB; one 8,192-point block
-    peaks at 7.3 MiB).  The peak is 30.2 MiB.  The kernel run on the
+    peaks at 7.3 MiB).  The peak is 28.7 MiB.  The kernel run on the
     whole grid at once breaks the bound: it peaked at 58.5 MiB."""
     chart = pseudosphere.chart
     U = make_grid(chart, 257).points

@@ -9,7 +9,7 @@ import pytest
 from flatbundle import catalog, principal
 from flatbundle.errors import HypothesisViolation
 from flatbundle.fields import make_grid
-from flatbundle.fundamental import fundamental_batch
+from flatbundle.fundamental import _point_major, fundamental_batch
 from flatbundle.principal import (PrincipalBatch, _diag_weights, _lambdas,
                                   comparison_metric, joint_diagonalize,
                                   principal_batch, principal_decomposition)
@@ -192,9 +192,9 @@ def test_signed_permutation_any_memory_layout():
 def _principal_oracle(fb):
     """Principal data from a fresh Cholesky factor of g, triangular solves
     and einsum contractions, point by point."""
-    g, alpha = fb.g, fb.alpha
     n, p = fb.n, fb.p
     batch = fb.sff_sq.shape
+    g, alpha = fb.g, _point_major(fb.alpha, batch)
     L = np.linalg.cholesky(g)
     if p > 0:
         B = np.einsum("...ija->...aij", alpha)
@@ -219,8 +219,10 @@ def _principal_oracle(fb):
                           -1, -2)
     eta = np.einsum("...ki,...kj,...ija->...ka", X_chart, X_chart, alpha)
     eta_sq = np.sum(eta * eta, axis=-1)
-    X_cont = np.einsum("...km,...mN->...kN", X_chart, fb.tangent)
-    eta_cont = np.einsum("...ka,...aN->...kN", eta, fb.frame)
+    X_cont = np.einsum("...km,...mN->...kN", X_chart,
+                       _point_major(fb.tangent, batch))
+    eta_cont = np.einsum("...ka,...aN->...kN", eta,
+                         _point_major(fb.frame, batch))
     cross = np.einsum("...ki,...lj,...ija->...kla", X_chart, X_chart, alpha)
     offdiag = np.max(np.abs(cross) * (1.0 - np.eye(n))[..., None],
                      axis=(-3, -2, -1)) if p > 0 else np.zeros(batch)
@@ -277,14 +279,14 @@ def test_principal_batch_joint_diagonalize_fallback(monkeypatch):
     fb = fundamental_batch(chart, _points(chart, 6, 5))
     w = _diag_weights(2)
     rng = np.random.default_rng(6)
-    alpha = np.empty(fb.alpha.shape)
-    for k in range(len(alpha)):
+    alpha = np.empty(fb.alpha.shape)               # (n, n, p, m)
+    for k in range(alpha.shape[-1]):
         Q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         L = np.linalg.cholesky(fb.g[k])
         d0 = rng.uniform(1.0, 2.0, 2)
         d1 = 0.7 - w[0] * d0 / w[1]          # w . (d0, d1) is constant
         for a, d in enumerate((d0, d1)):
-            alpha[k, :, :, a] = L @ Q @ np.diag(d) @ Q.T @ L.T
+            alpha[:, :, a, k] = L @ Q @ np.diag(d) @ Q.T @ L.T
     fb.alpha = alpha
     calls = []
     jd = principal.joint_diagonalize
