@@ -23,8 +23,7 @@ from .errors import (ConfigError, DomainError, FlatBundleError,
                      NumericalError)
 from .fields import make_grid
 from .flows import (build_flow_map, check_flow_identities,
-                    commutator_residual, flow_points,
-                    verify_principal_frame_property)
+                    commutator_residual, verify_principal_frame_property)
 from .growth import default_resolution, growth_report
 from .verifiers import verify_chart
 
@@ -56,18 +55,24 @@ def _header(cfg, chart, grid, extra=()):
     return lines
 
 
-def _csv(header, columns):
-    """CSV text: the header, then the (rows, k) column blocks side by side,
-    every value at 17 significant digits.  Each column formats each distinct
-    bit pattern once (so 0.0 and -0.0 stay apart); the bytes are unchanged
-    from formatting every row with one '%.17g,...' string."""
+def _text(columns):
+    """The value text of the (rows, k) column blocks side by side, one list
+    per column, every value at 17 significant digits.  Each column formats
+    each distinct bit pattern once (so 0.0 and -0.0 stay apart); the bytes
+    are unchanged from formatting every row with one '%.17g,...' string."""
     cols = []
     for col in np.hstack(columns, dtype=float).T:
         keys, inv = np.unique(col.view(np.int64), return_inverse=True)
         text = list(map(_G.__mod__, keys.view(np.float64).tolist()))
         cols.append(np.array(text, dtype=object)[inv].tolist())
+    return cols
+
+
+def _csv(header, text):
+    """CSV text: the header, then the column text of :func:`_text` joined
+    row by row."""
     return "\n".join([",".join(header)]
-                     + list(map(",".join, zip(*cols)))) + "\n"
+                     + list(map(",".join, zip(*text)))) + "\n"
 
 
 def _finish(out_dir, name, lines, code):
@@ -98,11 +103,13 @@ def run_verify(cfg, out_dir):
     lines = _header(cfg, chart, grid.shape)
     head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
     pts = grid.points.reshape(-1, chart.n)
+    pts_text = _text((pts,))                       # shared by every CSV
     for rep in reports:
         lines.append(rep.summary_line())
         if rep.residual_grid.size == len(pts):     # not a vacuous n < 3 c2
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
-                   _csv(head, (pts, rep.residual_grid.reshape(-1, 1))))
+                   _csv(head, pts_text
+                        + _text((rep.residual_grid.reshape(-1, 1),))))
     lines.extend(f"{name} SKIPPED by hypothesis ({why})"
                  for name, why in skipped.items())
     failed = [r for r in reports if not r.passed]
@@ -126,8 +133,8 @@ def run_growth(cfg, out_dir, strict=False):
 
     _write(os.path.join(out_dir, "growth.csv"),
            _csv(["r", "S", "psi", "vol", "bound", "ref_vol"],
-                ([[row.r, row.S, row.psi, row.vol, row.bound, row.ref_vol]
-                  for row in rep.rows],)))
+                _text(([[row.r, row.S, row.psi, row.vol, row.bound,
+                         row.ref_vol] for row in rep.rows],))))
     if rep.fit is not None:
         k, ell, r2 = rep.fit
         lines.append("fit S(r): k=%s ell=%s r2=%s window=%g:%g"
@@ -161,7 +168,7 @@ def run_coords(cfg, out_dir):
     T = np.stack(np.meshgrid(*fm.t_axes, indexing="ij"), axis=-1)
     head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
     _write(os.path.join(out_dir, "coords.csv"),
-           _csv(head, (T.reshape(-1, n), fm.points.reshape(-1, n))))
+           _csv(head, _text((T.reshape(-1, n), fm.points.reshape(-1, n)))))
     for w in fm.warnings:
         lines.append(f"WARN {w}")
 
@@ -173,21 +180,13 @@ def run_coords(cfg, out_dir):
     lines.append(f"commutator {'PASS' if ok else 'FAIL'} max={comm:.3e} "
                  f"tol={comm_tol:.1e}")
 
-    group = check_flow_identities(chart, x0, cfg.t_range, n_pairs=cfg.pairs,
-                                  seed=cfg.seed, **kw)
-    failed |= not group.passed
+    checks = check_flow_identities(chart, x0, cfg.t_range, n_pairs=cfg.pairs,
+                                   seed=cfg.seed, **kw)
+    group, rt = checks["flow_group_law"], checks["flow_round_trip"]
+    failed |= not (group.passed and rt.passed)
     lines.append(group.summary_line())
-
-    t1 = cfg.t_range[1]
-    y, refs = flow_points(chart, np.asarray(x0, float)[None, :], 0, t1, **kw)
-    back, _ = flow_points(chart, y, 0, -t1, refs=refs, **kw)
-    rt = float(np.max(np.abs(back[0] - np.asarray(x0))))
-    rt_tol = (1e-8 if chart.engine == engines.AD
-              else engines.DEFAULT_TOL[chart.engine])
-    ok = rt <= rt_tol
-    failed |= not ok
-    lines.append(f"flow_round_trip {'PASS' if ok else 'FAIL'} max={rt:.3e} "
-                 f"tol={rt_tol:.1e}")
+    lines.append(f"{rt.identity} {'PASS' if rt.passed else 'FAIL'} "
+                 f"max={rt.max:.3e} tol={rt.tolerance:.1e}")
 
     try:
         for rep in verify_principal_frame_property(fm).values():

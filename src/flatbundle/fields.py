@@ -171,11 +171,12 @@ def principal_field(fb, grid):
     # spanning path from the grid origin (axis 0 first with later axes at 0,
     # then axis 1 at fixed axis-0 index, and so on)
     M = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
-    ambiguous = []
+    overlaps, ambiguous = [], []
     for ax in range(ndim):
         Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
                                 sig)
         P, amb = _signed_permutation(Q)
+        overlaps.append(Q)
         ambiguous.append(amb)
         pin = (0,) * (ndim - ax - 1)
         for i in range(1, shape[ax]):
@@ -189,12 +190,12 @@ def principal_field(fb, grid):
     # verify the gauge: neighbors must overlap strongly and positively on
     # the diagonal; points adjacent to a seam or an ambiguous alignment are
     # masked and counted.  The regauge is a signed permutation per point, so
-    # it permutes the rows of |Q| and the entries within each row, and the
-    # ambiguity found before it still holds
+    # the regauged overlaps are M Q M_next^T exactly, and it permutes the
+    # rows of |Q| and the entries within each row, so the ambiguity found
+    # before it still holds
     coherent = np.ones(shape, dtype=bool)
     for ax in range(ndim):
-        Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
-                                sig)
+        Q = M @ overlaps[ax] @ np.swapaxes(np.roll(M, -1, axis=ax), -1, -2)
         diag = np.einsum("...kk->...k", Q)
         bad = np.any(diag < ALIGN_MIN, axis=-1) | ambiguous[ax]
         if not grid.periodic[ax]:

@@ -7,9 +7,9 @@ running gauge (signed permutation of maximal container overlap).  All
 trajectory work is batched: one RK4 step advances every live trajectory at
 once, and only those: a trajectory that has reached its parameter time is
 not decomposed again, so each one gets the arithmetic of a flow on its own.
-Independent flows share a batch: the group-law check runs its six flows as
-two calls, and the flow map marches the chains on both sides of t = 0
-together.
+Independent flows share a batch: the identity check runs its six group-law
+flows and the two legs of its round trip as two calls, and the flow map
+marches the chains on both sides of t = 0 together.
 """
 
 from __future__ import annotations
@@ -217,7 +217,8 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
 
 def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
                           seed=DEFAULT_SEED):
-    """One-parameter group law and pairwise commutation of the flows.
+    """One-parameter group law, pairwise commutation and a round trip of
+    the flows.
 
     For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
     pairs (i, j), all drawn from ``seed``, compares in chart coordinates:
@@ -225,7 +226,11 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     * additivity: flow_i(t) then flow_i(s)  vs  flow_i(t + s)
     * commutation: flow_i(t) then flow_j(s)  vs  flow_j(s) then flow_i(t)
 
-    Returns a ResidualReport over both families.
+    The round trip flows axis 0 from x0 by t1 = ``t_range[1]`` and back by
+    -t1 in the gauge of the forward leg, and compares the end with x0.
+
+    Returns a dict of ResidualReports keyed by check name:
+    ``flow_group_law`` over both families and ``flow_round_trip``.
     """
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
@@ -234,25 +239,35 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     s = rng.uniform(t_range[0], t_range[1], n_pairs)
     i = rng.integers(0, n, n_pairs)
     j = (i + rng.integers(1, n, n_pairs)) % n if n > 1 else i
+    t1 = t_range[1]
 
-    # flow_i(t), flow_i(t + s) and flow_j(s) from x0 in one batch, then
-    # flow_i(s) and flow_j(s) after flow_i(t) and flow_i(t) after flow_j(s)
-    U1, R1 = flow_points(chart, np.broadcast_to(x0, (3 * n_pairs, n)),
-                         np.concatenate([i, i, j]),
-                         np.concatenate([t, t + s, s]), step=step)
-    Ut, Usum, Us = np.split(U1, 3)
-    Rt, _, Rs = np.split(R1, 3)
-    U2, _ = flow_points(chart, np.concatenate([Ut, Ut, Us]),
-                        np.concatenate([i, j, i]), np.concatenate([s, s, t]),
-                        refs=np.concatenate([Rt, Rt, Rs]), step=step)
-    Uts, Uij, Uji = np.split(U2, 3)
+    # flow_i(t), flow_i(t + s), flow_j(s) and the forward flow_0(t1) from x0
+    # in one batch, then flow_i(s) and flow_j(s) after flow_i(t), flow_i(t)
+    # after flow_j(s) and the back flow_0(-t1) after flow_0(t1)
+    U1, R1 = flow_points(chart, np.broadcast_to(x0, (3 * n_pairs + 1, n)),
+                         np.concatenate([i, i, j, [0]]),
+                         np.concatenate([t, t + s, s, [t1]]), step=step)
+    rows = n_pairs * np.arange(1, 4)
+    Ut, Usum, Us, y = np.split(U1, rows)
+    Rt, _, Rs, Ry = np.split(R1, rows)
+    U2, _ = flow_points(chart, np.concatenate([Ut, Ut, Us, y]),
+                        np.concatenate([i, j, i, [0]]),
+                        np.concatenate([s, s, t, [-t1]]),
+                        refs=np.concatenate([Rt, Rt, Rs, Ry]), step=step)
+    Uts, Uij, Uji, back = np.split(U2, rows)
     add = np.max(np.abs(Uts - Usum), axis=-1)
     comm = np.max(np.abs(Uij - Uji), axis=-1)
 
     tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]
-    return residual_report("flow_group_law", np.concatenate([add, comm]),
-                           tol, chart,
-                           notes=f"{n_pairs} random (t, s) pairs in {t_range}")
+    rt_tol = 1e-8 if chart.engine == AD else DEFAULT_TOL[chart.engine]
+    return {
+        "flow_group_law": residual_report(
+            "flow_group_law", np.concatenate([add, comm]), tol, chart,
+            notes=f"{n_pairs} random (t, s) pairs in {t_range}"),
+        "flow_round_trip": residual_report(
+            "flow_round_trip", np.max(np.abs(back - x0), axis=-1), rt_tol,
+            chart, notes=f"axis 0 to t = {t1:g} and back"),
+    }
 
 
 def commutator_residual(chart, u0):

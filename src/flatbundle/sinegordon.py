@@ -137,17 +137,22 @@ def _march(frame, phi, t0, t1, fixed, substeps, along_u):
     ft, s = (fu if along_u else fv)[..., None], s[..., None]
 
     def rhs(y, i):
-        d = cot[i] * y[1] - inv[i] * y[2]
-        return np.stack((y[1], ft[i] * d, s[i] * y[3], d))
+        k = np.empty_like(y)
+        k[0] = y[1]
+        k[3] = cot[i] * y[1] - inv[i] * y[2]
+        k[1] = ft[i] * k[3]
+        k[2] = s[i] * y[3]
+        return k
 
     order = [0, 1, 2, 3] if along_u else [0, 2, 1, 3]
     y = frame[order]
+    half, sixth = 0.5 * h, h / 6.0
     for j in range(0, 2 * substeps, 2):
         k1 = rhs(y, j)
-        k2 = rhs(y + 0.5 * h * k1, j + 1)
-        k3 = rhs(y + 0.5 * h * k2, j + 1)
+        k2 = rhs(y + half * k1, j + 1)
+        k3 = rhs(y + half * k2, j + 1)
         k4 = rhs(y + h * k3, j + 2)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
     return y[order]
 
 

@@ -115,7 +115,8 @@ def test_criterion_4_principal_coordinates(capfd, pseudosphere, dini):
     chart = dini.chart
     comm = max(commutator_residual(chart, DINI_X0),
                commutator_residual(pseudosphere.chart, PS_X0))
-    group = check_flow_identities(chart, DINI_X0, (-0.3, 0.3), n_pairs=100)
+    group = check_flow_identities(chart, DINI_X0, (-0.3, 0.3),
+                                  n_pairs=100)["flow_group_law"]
     fm = build_flow_map(chart, DINI_X0, ((-0.25, 0.25),) * 2, 9)
     frame = verify_principal_frame_property(fm)
     pull = frame["pullback_identity"]

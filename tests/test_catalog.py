@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
 
-from flatbundle import catalog
+from flatbundle import catalog, sinegordon
 from flatbundle import dual as dm
 from flatbundle.errors import DomainError, ModelConsistencyError
 from flatbundle.fields import make_grid
@@ -339,6 +339,51 @@ def test_integrate_surface_matches_sequential_march(phi, resolution,
     assert surf.monodromy_residual == mono
     if residual_tol == math.inf:
         assert mono > 1e-3                  # the non-solution is reported
+
+
+def _stack_march(frame, phi, t0, t1, fixed, substeps, along_u):
+    """The one-interval march with a right-hand side that stacks its four
+    rows into a new array on every call."""
+    h = (t1 - t0) / substeps
+    ts = [t0]
+    for _ in range(substeps):
+        ts += [ts[-1] + 0.5 * h, ts[-1] + h]
+    t = np.reshape(ts, (-1,) + (1,) * np.ndim(fixed))
+    f, fu, fv, _ = sinegordon._phi_jet(
+        phi, *((t, fixed) if along_u else (fixed, t)))
+    s, c = np.sin(f), np.cos(f)
+    cot, inv = (c / s)[..., None], (1.0 / s)[..., None]
+    ft, s = (fu if along_u else fv)[..., None], s[..., None]
+
+    def rhs(y, i):
+        d = cot[i] * y[1] - inv[i] * y[2]
+        return np.stack((y[1], ft[i] * d, s[i] * y[3], d))
+
+    order = [0, 1, 2, 3] if along_u else [0, 2, 1, 3]
+    y = frame[order]
+    for j in range(0, 2 * substeps, 2):
+        k1 = rhs(y, j)
+        k2 = rhs(y + 0.5 * h * k1, j + 1)
+        k3 = rhs(y + 0.5 * h * k2, j + 1)
+        k4 = rhs(y + h * k3, j + 2)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[order]
+
+
+@pytest.mark.parametrize("phi, resolution", [
+    (one_soliton, 161), (_sampled_soliton(), (21, 19))],
+    ids=["soliton-161", "sampled-21x19"])
+def test_integrate_surface_matches_stacking_march(monkeypatch, phi,
+                                                  resolution):
+    """The right-hand side writes its rows into one array per call; the
+    surface is bit for bit the one of a march that stacks them."""
+    kw = dict(resolution=resolution, residual_tol=1e-4)
+    surf = integrate_surface(phi, **kw)
+    monkeypatch.setattr(sinegordon, "_march", _stack_march)
+    want = integrate_surface(phi, **kw)
+    for f in ("F", "Fu", "Fv", "N"):
+        assert _same_bits(getattr(surf, f), getattr(want, f)), f
+    assert surf.monodromy_residual == want.monodromy_residual
 
 
 @pytest.mark.parametrize("kwargs, match", [

@@ -420,6 +420,22 @@ def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):
     assert float(align.split("max=")[1].split()[0]) >= 0.0, align
 
 
+def test_cli_round_trip_domain_exit_is_a_numerical_failure(tmp_path):
+    """The group-law pair drawn at seed 25 stays in the usable domain, but
+    the round trip's axis-0 flow to t = 6 leaves it at t = 1.9: exit 3 with
+    the flows' message, and no summary."""
+    (tmp_path / "exit.ini").write_text(
+        "[chart]\nname = dini\n"
+        "[growth]\nx0 = 0.5, 0.75\nflow_box = -0.1 : 0.1\n"
+        "flow_resolution = 5\nt_range = -0.01 : 6\npairs = 1\n")
+    code, out, err = run_cli("coords", "--config", "exit.ini", "--out", "c",
+                             "--seed", "25", cwd=tmp_path)
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: flow left the usable domain of dini\n"
+    assert (tmp_path / "c" / "coords.csv").exists()
+    assert not (tmp_path / "c" / "coords_summary.txt").exists()
+
+
 def test_cli_expression_chart(workdir):
     code, out, err = run_cli("verify", "--config", "expr.ini",
                              "--out", "e", cwd=workdir)
@@ -530,9 +546,11 @@ def test_csv_matches_per_row_formatting():
         (["t", "u"], (grid[:, :1].copy(), -grid)),
     ]
     for header, columns in cases:
-        assert cli._csv(header, columns) == _csv_per_row(header, columns)
+        assert (cli._csv(header, cli._text(columns))
+                == _csv_per_row(header, columns))
     # 0.0 and -0.0 stay distinct
-    assert cli._csv(["z"], (np.array([[0.0], [-0.0]]),)) == "z\n0\n-0\n"
+    assert cli._csv(["z"], cli._text((np.array([[0.0], [-0.0]]),))) \
+        == "z\n0\n-0\n"
 
 
 def test_cli_engine_and_seed_overrides(workdir):

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flatbundle import catalog, flows
+from flatbundle import catalog, cli, flows
 from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
@@ -40,9 +40,13 @@ def test_aligned_principal_to_own_frame_is_canonical(pseudosphere):
 
 
 def test_group_law_and_commutation(dini):
-    rep = check_flow_identities(dini.chart, DINI_X0, (-0.3, 0.3), n_pairs=40)
-    assert rep.passed, rep.summary_line()
-    assert rep.max < 1e-6
+    reports = check_flow_identities(dini.chart, DINI_X0, (-0.3, 0.3),
+                                    n_pairs=40)
+    assert set(reports) == {"flow_group_law", "flow_round_trip"}
+    for rep in reports.values():
+        assert rep.passed, rep.summary_line()
+    assert reports["flow_group_law"].max < 1e-6
+    assert reports["flow_round_trip"].max < 1e-8
 
 
 def test_commutator_residual_small(pseudosphere, dini):
@@ -182,9 +186,39 @@ def _six_flow_group_law(chart, x0, t_range, n_pairs, seed):
 
 def test_flow_identities_equal_six_separate_flows(dini):
     rep = check_flow_identities(dini.chart, DINI_X0, (-0.2, 0.2),
-                                n_pairs=12, seed=7)
+                                n_pairs=12, seed=7)["flow_group_law"]
     want = _six_flow_group_law(dini.chart, DINI_X0, (-0.2, 0.2), 12, 7)
     np.testing.assert_array_equal(rep.residual_grid, want)
+
+
+@pytest.mark.parametrize("name, x0", [("dini", DINI_X0),
+                                      ("pseudosphere", PS_X0)])
+def test_round_trip_rides_in_the_group_law_batches(monkeypatch, name, x0):
+    """The round trip is the last row of both group-law calls, and each
+    leg equals a standalone flow_points call on its own, bit for bit."""
+    chart = catalog.get(name).chart
+    t_range = (-0.2, 0.15)
+    U0 = np.asarray(x0, float)[None, :]
+    y, refs = flow_points(chart, U0, 0, t_range[1])
+    back, _ = flow_points(chart, y, 0, -t_range[1], refs=refs)
+
+    legs = []
+
+    def recording(*args, **kw):
+        out = flow_points(*args, **kw)
+        legs.append(out)
+        return out
+
+    monkeypatch.setattr(flows, "flow_points", recording)
+    rep = check_flow_identities(chart, x0, t_range, n_pairs=10,
+                                seed=3)["flow_round_trip"]
+    assert len(legs) == 2
+    np.testing.assert_array_equal(legs[0][0][-1], y[0])
+    np.testing.assert_array_equal(legs[0][1][-1], refs[0])
+    np.testing.assert_array_equal(legs[1][0][-1], back[0])
+    assert rep.residual_grid.tolist() == [
+        float(np.max(np.abs(back[0] - np.asarray(x0))))]
+    assert rep.passed and rep.tolerance == 1e-8, rep.summary_line()
 
 
 def _sequential_march(chart, A, refs, ax, t_vals, step):
@@ -229,16 +263,35 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
                                   alone.value.last_point)
 
 
-# Dini at DINI_X0.  The group law at seed 1 (100 pairs in t_range +-0.2):
-# 81 decompositions for the longest first flow (20 RK4 steps), 41 for the
-# second.  The 9 x 9 flow map: 4 hops of 4 steps per axis, 1 + 4 * 17 = 69
-# decompositions for axis 0 and 68 for axis 1.  Six separate flows and two
-# separate chains took 286 and 273.
-IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14052
+# Dini at DINI_X0.  The group law at seed 1 (100 pairs in t_range +-0.2)
+# and the round trip along axis 0 to t = 0.2 and back: 81 decompositions
+# for the longest first flow (20 RK4 steps), 45 for the second, whose
+# longest flow is the back leg (10 steps of 0.02 and one over the 2e-17
+# that the subtractions leave of -0.2).  The 9 x 9 flow map: 4 hops of 4
+# steps per axis, 1 + 4 * 17 = 69 decompositions for axis 0 and 68 for
+# axis 1.  Six separate flows and two separate chains took 286 and 273;
+# a separate round trip took 90 more.
+IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 126, 14142
 MAP_DECOMPOSITIONS, MAP_POINTS = 137, 1361
+# the whole coords run: the map, the identities and the frame check
+COORDS_DECOMPOSITIONS = MAP_DECOMPOSITIONS + IDENTITY_DECOMPOSITIONS + 1
+
+COORDS_DINI = """[chart]
+name = dini
+a = 1
+b = 0.5
+[growth]
+x0 = 3.1, 0.75
+flow_box = -0.25 : 0.25
+flow_resolution = 9
+t_range = -0.2 : 0.2
+pairs = 100
+flow_step = 0.02
+"""
 
 
-def test_decomposition_counts_stay_batched(dini, monkeypatch):
+def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
+                                           capsys):
     """Batched flows decompose once per RK4 stage of the longest flow in
     each call, and only the live rows: pinned so that running the flows
     one by one again fails here."""
@@ -259,3 +312,9 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch):
     points.clear()
     build_flow_map(dini.chart, DINI_X0, ((-0.25, 0.25),) * 2, 9)
     assert (len(calls), sum(points)) == (MAP_DECOMPOSITIONS, MAP_POINTS)
+    calls.clear()
+    (tmp_path / "run.ini").write_text(COORDS_DINI)
+    assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
+                     "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
+    assert "flow_round_trip PASS" in capsys.readouterr().out
+    assert len(calls) == COORDS_DECOMPOSITIONS == 264

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog
-from flatbundle.fields import grid_deriv, make_grid, principal_field
+from flatbundle.fields import (ALIGN_MIN, _alignment_matrices,
+                               _signed_permutation, grid_deriv, make_grid,
+                               principal_field)
 from flatbundle.fundamental import fundamental_batch
+from flatbundle.principal import principal_batch
 from flatbundle.verifiers import (IDENTITIES, check_codazzi_c1,
                                   check_codazzi_c2, check_connection_formula,
                                   check_g0_flat, check_gauss,
@@ -150,6 +153,38 @@ def test_reports_record_engine_and_counts(dini_field_65):
 def test_gauge_coherence_on_grids(ps_field_33, dini_field_65):
     assert ps_field_33.n_incoherent == 0
     assert dini_field_65.n_incoherent == 0
+
+
+def _recomputed_coherence(fb, grid, pf):
+    """The coherence mask with the overlaps recomputed from the regauged
+    frames, and the ambiguity from the canonical ones."""
+    sig = fb.chart.ambient.signature
+    X0, X = principal_batch(fb).X_cont, pf.pb.X_cont
+    coherent = np.ones(grid.shape, dtype=bool)
+    for ax in range(grid.ndim):
+        _, amb = _signed_permutation(
+            _alignment_matrices(X0, np.roll(X0, -1, axis=ax), sig))
+        Q = _alignment_matrices(X, np.roll(X, -1, axis=ax), sig)
+        bad = np.any(np.einsum("...kk->...k", Q) < ALIGN_MIN, axis=-1) | amb
+        if not grid.periodic[ax]:
+            bad[(slice(None),) * ax + (-1,)] = False
+        coherent &= ~bad & ~np.roll(bad, 1, axis=ax)
+    return coherent
+
+
+@pytest.mark.parametrize("res", [9, 17, 33])
+@pytest.mark.parametrize("name", ["veronese_r5", "hyperbolic_plane"])
+def test_coherence_reuses_the_first_pass_overlaps(name, res):
+    """The regauged overlaps are M Q M_next^T of the first pass's Q, which
+    is exact for signed permutations M: the mask equals one from overlaps
+    recomputed on the regauged frames, on charts with incoherent points."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    fb = fundamental_batch(chart, grid.points)
+    pf = principal_field(fb, grid)
+    assert pf.n_incoherent > 0
+    np.testing.assert_array_equal(pf.coherent,
+                                  _recomputed_coherence(fb, grid, pf))
 
 
 # ---------------------------------------------------------------------------
