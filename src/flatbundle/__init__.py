@@ -18,8 +18,8 @@ from .fundamental import (FundamentalBatch, flatness_violation,
                           fundamental_batch)
 from .growth import (ball_max_sff, ball_volume, check_ball_containment,
                      check_distance_inequality, check_length_inequality,
-                     curve_length, distance_field, fit_exponential,
-                     growth_report, reference_ball_volume, unit_ball_volume)
+                     curve_length, fit_exponential, growth_report,
+                     reference_ball_volume, unit_ball_volume)
 from .principal import (comparison_metric, principal_batch,
                         principal_decomposition)
 from .verifiers import (check_codazzi_c1, check_codazzi_c2,

@@ -104,6 +104,9 @@ class ImmersionChart:
     def __post_init__(self):
         if self.periodic is None:
             object.__setattr__(self, "periodic", (False,) * self.n)
+        if self.n < 2:
+            raise ValueError(f"{self.name}: chart dimension n = {self.n}; "
+                             "the curvature identities need n >= 2")
         if len(self.domain) != self.n or len(self.periodic) != self.n:
             raise ValueError("domain/periodic length must equal n")
         if self.engine not in self.supported_engines:

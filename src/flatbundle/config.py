@@ -190,8 +190,9 @@ def _validate(cfg):
             f"growth resolution {cfg.growth_resolution} below the "
             f"minimum {MIN_RESOLUTION}")
     for k, v in cfg.tolerances.items():
-        if not v > 0:
-            raise ConfigError(f"tolerance {k} must be positive, got {v}")
+        if not 0 < v < math.inf:
+            raise ConfigError(
+                f"tolerance {k} must be finite and positive, got {v}")
     radii = cfg.radii
     if not radii or not all(0 < r < math.inf for r in radii) \
             or any(b <= a for a, b in zip(radii, radii[1:])):

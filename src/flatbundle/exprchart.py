@@ -166,8 +166,9 @@ def parse_chart(text):
         n = int(kv["n"])
     except ValueError:
         raise ConfigError(f"bad n {kv['n']!r}") from None
-    if n < 1:
-        raise ConfigError("n must be at least 1")
+    if n < 2:       # the chart's own check, worded as invalid input
+        raise ConfigError(f"chart dimension n = {n}; the curvature "
+                          "identities need n >= 2")
     ambient = _parse_ambient(kv["ambient"])
 
     exprs = _split_top_level(kv["map"])

@@ -223,17 +223,6 @@ def _quadratic_form(G, x):
     return q
 
 
-def distance_field(grid, metric_fn, anchor_index):
-    return distance_fields(grid, lambda U: {"g": metric_fn(U)},
-                           anchor_index)["g"]
-
-
-def induced_metric_fn(chart):
-    def fn(U):
-        return fundamental_batch(chart, U).g
-    return fn
-
-
 # ---------------------------------------------------------------------------
 # curve lengths
 

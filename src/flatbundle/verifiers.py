@@ -177,59 +177,57 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
 # ---------------------------------------------------------------------------
 # curvature of sampled metric fields
 
-def _contract(a, b):
-    """sum_l a[..., l] * b[..., l], accumulated in place in l order."""
-    out = a[..., 0] * b[..., 0]
-    for l in range(1, a.shape[-1]):
-        out += a[..., l] * b[..., l]
-    return out
-
-
-def christoffel_field(G, grid):
-    """Christoffel symbols Gamma^k_{ij} of a sampled metric field."""
-    dG = np.stack([grid_deriv(G, m, grid.spacing[m], grid.periodic[m])
-                   for m in range(grid.ndim)], axis=-3)   # (..., m, i, j)
-    # Gamma_{ij,l} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    low = dG + np.swapaxes(dG, -3, -2)
-    low -= np.moveaxis(dG, -3, -1)
-    low *= 0.5
-    # Gamma^k_{ij} = sum_l g^{kl} Gamma_{ij,l}
-    Ginv = np.linalg.inv(G)
-    return _contract(Ginv[..., None, None, :, :], low[..., :, :, None, :])
-
-
-def riemann_field(G, grid):
-    """Fully lowered curvature tensor R_{ijkl} = <R(d_i,d_j)d_k, d_l> of a
-    sampled metric field; NaN in the double stencil margin."""
-    Gam = christoffel_field(G, grid)          # (..., i, j, k) = Gamma^k_{ij}
-    dGam = np.stack([grid_deriv(Gam, m, grid.spacing[m], grid.periodic[m])
-                     for m in range(grid.ndim)], axis=-4)  # (..., m, i, j, k)
-    # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
-    #           + Gamma^l_{im} Gamma^m_{jk} - Gamma^l_{jm} Gamma^m_{ik},
-    # stored at [..., i, j, k, l]
-    Rup = dGam - np.swapaxes(dGam, -4, -3)
-    del dGam
-    GamT = np.swapaxes(Gam, -2, -1)           # (..., i, l, m) = Gamma^l_{im}
-    Rup += _contract(GamT[..., :, None, None, :, :],
-                     Gam[..., None, :, :, None, :])
-    Rup -= _contract(GamT[..., None, :, None, :, :],
-                     Gam[..., :, None, :, None, :])
-    # R_{ijkm} = sum_l g_{lm} R^l_{kij}
-    return _contract(np.swapaxes(G, -2, -1)[..., None, None, None, :, :],
-                     Rup[..., :, :, :, None, :])
-
-
 def constant_curvature_residual(G, grid, c):
-    """Max |R_{ijkl} - c (g_ik g_jl - g_il g_jk)| / (1 + |g|^2) per point."""
-    R = riemann_field(G, grid)
-    # <R(X,Y)Z,W> = c(<Y,Z><X,W> - <X,Z><Y,W>)
-    model = G[..., None, :, :, None] * G[..., :, None, None, :]
-    model -= G[..., :, None, :, None] * G[..., None, :, None, :]
-    model *= c
-    R -= model
-    num = np.max(np.abs(R, out=R), axis=(-4, -3, -2, -1))
+    """Max |R_{ijkl} - c (g_jk g_il - g_ik g_jl)| / (1 + |g|^2) per point,
+    where R_{ijkl} = <R(d_i,d_j)d_k, d_l> of the sampled metric field G;
+    NaN in the double stencil margin.  Every component of g, its
+    derivatives and the Christoffel symbols is one grid array, and each
+    sum runs in index order."""
+    N = range(grid.ndim)
+
+    def d(A, m):
+        return grid_deriv(A, m, grid.spacing[m], grid.periodic[m])
+
+    def dot(a, b):
+        """sum_m a[m] b[m], accumulated in m order"""
+        s = a[0] * b[0]
+        for m in N[1:]:
+            s += a[m] * b[m]
+        return s
+
+    g = [[G[..., i, j] for j in N] for i in N]
+    dg = [[[d(g[i][j], m) for j in N] for i in N] for m in N]
+    # Gamma_{ij,l} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+    low = [[[((dg[i][j][l] + dg[j][i][l]) - dg[l][i][j]) * 0.5 for l in N]
+            for j in N] for i in N]
+    del dg
+    # Gamma^k_{ij} = sum_l g^{kl} Gamma_{ij,l}, stored at gam[i][j][k]
+    Ginv = np.linalg.inv(G)
+    gam = [[[dot([Ginv[..., k, l] for l in N], low[i][j]) for k in N]
+            for j in N] for i in N]
+    del low, Ginv
+    dgam = [[[[d(gam[i][j][k], m) for k in N] for j in N] for i in N]
+            for m in N]
+    worst = 0.0
+    for i in N:
+        for j in N:
+            for k in N:
+                # R^l_{kij} = d_i Gamma^l_{jk} - d_j Gamma^l_{ik}
+                #           + Gamma^l_{im} Gamma^m_{jk}
+                #           - Gamma^l_{jm} Gamma^m_{ik}
+                up = [(dgam[i][j][k][l] - dgam[j][i][k][l])
+                      + dot([gam[i][m][l] for m in N], gam[j][k])
+                      - dot([gam[j][m][l] for m in N], gam[i][k])
+                      for l in N]
+                for l in N:
+                    # R_{ijkl} = sum_m g_ml R^m_{kij} against
+                    # <R(X,Y)Z,W> = c(<Y,Z><X,W> - <X,Z><Y,W>)
+                    R = dot([g[m][l] for m in N], up)
+                    R -= (g[j][k] * g[i][l] - g[i][k] * g[j][l]) * c
+                    worst = np.maximum(worst, np.abs(R, out=R))
+    del gam, dgam
     scale = 1.0 + np.sum(G * G, axis=(-2, -1))
-    return num / scale
+    return worst / scale
 
 
 def check_intrinsic_curvature(fb, grid, tol=None):

@@ -23,8 +23,8 @@ from flatbundle.flows import (build_flow_map, check_flow_identities,
                               commutator_residual, flow_points,
                               verify_principal_frame_property)
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.growth import (ball_volume, distance_field, fit_exponential,
-                               growth_report, induced_metric_fn, nearest_node,
+from flatbundle.growth import (ball_volume, distance_fields, fit_exponential,
+                               growth_report, nearest_node,
                                reference_ball_volume)
 from flatbundle.principal import principal_decomposition
 from flatbundle.verifiers import (check_codazzi_c1, check_connection_formula,
@@ -167,7 +167,8 @@ def test_criterion_6_hyperbolic_oracle(capfd):
     chart = entry.chart
     grid = make_grid(chart, (321, 161))
     anchor = nearest_node(grid, (0.0, 0.0))
-    df = distance_field(grid, induced_metric_fn(chart), anchor)
+    df = distance_fields(
+        grid, lambda U: {"g": fundamental_batch(chart, U).g}, anchor)["g"]
     X, Y = grid.points[..., 0], grid.points[..., 1]
     exact = np.arccosh(np.clip(np.cosh(X) / np.cos(Y), 1.0, None))
     mask = (exact > 0.2) & (exact <= 3.0)

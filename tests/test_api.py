@@ -65,7 +65,6 @@ def test_only_the_sampled_checks_take_a_seed():
 def test_no_option_that_no_caller_sets():
     names = dict(_functions())
     for name, param in (("growth.distance_fields", "overshoot"),
-                        ("growth.distance_field", "label"),
                         ("growth.growth_report", "n_test_curves"),
                         ("growth.check_length_inequality",
                          "samples_per_segment"),
@@ -89,9 +88,9 @@ def test_the_chart_guard_cannot_be_switched_off():
 
 def test_one_name_per_concept():
     """One fundamental batch, one flatness test, III read off the batch,
-    and one layout through the batch layer: the duplicate names are
-    gone."""
-    from flatbundle import fundamental, growth, principal
+    one layout through the batch layer, one distance-field entry point and
+    one curvature residual: the duplicate names are gone."""
+    from flatbundle import fundamental, growth, principal, verifiers
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
@@ -99,7 +98,12 @@ def test_one_name_per_concept():
                       (fundamental, "_COMPONENT_MAJOR"),
                       (principal, "third_fundamental_form"),
                       (principal, "_components"),
-                      (growth, "_metric_pair")):
+                      (growth, "_metric_pair"),
+                      (growth, "distance_field"),
+                      (growth, "induced_metric_fn"),
+                      (verifiers, "_contract"),
+                      (verifiers, "christoffel_field"),
+                      (verifiers, "riemann_field")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch

@@ -27,6 +27,16 @@ periodic = false, true
 map      = sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1)
 """
 
+CIRCLE_EXPR = """
+name     = circle
+n        = 1
+ambient  = euclidean 2
+c        = -1
+domain   = 0 : 6.283185307179586
+periodic = true
+map      = cos(u1), sin(u1)
+"""
+
 
 # absolute, so the subprocess imports this package whatever its cwd
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -193,6 +203,7 @@ def workdir(tmp_path_factory):
         "[chart]\nname = sphere_negative_control\n"
         "[grid]\nresolution = 33\n")
     (d / "expr.chart").write_text(PS_EXPR)
+    (d / "circle.chart").write_text(CIRCLE_EXPR)
     (d / "nan.chart").write_text(PS_EXPR.replace("c        = -1",
                                                  "c        = nan"))
     (d / "expr.ini").write_text(
@@ -487,6 +498,17 @@ def test_cli_usage_errors(workdir):
     ("growth", "[chart]\nname = dini\nb = inf\n"),
     ("growth", "[chart]\nname = product_torus_r4\nr1 = nan\n"),
     ("growth", "[chart]\nname = sphere_negative_control\nc = nan\n"),
+    # a non-finite tolerance passed every residual: "gauss PASS ... tol=inf"
+    ("verify", "[chart]\nname = pseudosphere\n[grid]\nresolution = 17\n"
+               "[tolerances]\ngauss = inf\n"),
+    ("verify", "[chart]\nname = pseudosphere\n[grid]\nresolution = 17\n"
+               "[tolerances]\nc1 = 1e400\n"),
+    # a 1-D chart: verify passed four identities with nothing compared, and
+    # growth exited 3 from the stencil hull ("Need at least 2-D data")
+    ("verify", "[chart]\nexpression = circle.chart\n[grid]\n"
+               "resolution = 17\n"),
+    ("growth", "[chart]\nexpression = circle.chart\n[growth]\n"
+               "resolution = 17\n"),
 ])
 def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
                                                         text):

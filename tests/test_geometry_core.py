@@ -19,8 +19,8 @@ from flatbundle.errors import (DegenerateMetricError, DomainError,
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import (flatness_violation, fundamental_batch,
                                     gap_violation)
-from flatbundle.growth import (curve_length, distance_field, growth_report,
-                               induced_metric_fn, nearest_node)
+from flatbundle.growth import (curve_length, distance_fields, growth_report,
+                               nearest_node)
 from flatbundle.principal import comparison_metric
 
 
@@ -248,6 +248,15 @@ def test_ambient_kind_sign_validation():
     assert not hyperbolic(-2.0, 3).flat
 
 
+def test_chart_needs_two_dimensions():
+    """A curve has no curvature identities to compare: the chart refuses
+    n < 2 before any pipeline runs."""
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            ImmersionChart("curve", lambda u: (u[0], u[0]), n, euclidean(2),
+                           -1.0, ((0.0, 1.0),) * n)
+
+
 def test_domain_membership(pseudosphere):
     chart = pseudosphere.chart
     with pytest.raises(DomainError):
@@ -357,8 +366,9 @@ def test_metric_kernel_guards():
         # the growth metrics raise instead of weighting edges with NaN
         grid = make_grid(chart, 9)
         with pytest.raises(FrameError):
-            distance_field(grid, induced_metric_fn(chart),
-                           nearest_node(grid, (0.0, 0.0)))
+            distance_fields(grid,
+                            lambda U: {"g": fundamental_batch(chart, U).g},
+                            nearest_node(grid, (0.0, 0.0)))
         with pytest.raises(FrameError):
             curve_length(chart, U, "g")
 

@@ -23,9 +23,8 @@ from flatbundle.growth import (DistanceField, _stencil_graph,
                                check_ball_containment,
                                check_distance_inequality,
                                check_length_inequality, curve_length,
-                               distance_field, distance_fields,
-                               fit_exponential, growth_report,
-                               induced_metric_fn, nearest_node,
+                               distance_fields, fit_exponential,
+                               growth_report, nearest_node,
                                reference_ball_volume, stencil_offsets,
                                stencil_overshoot, unit_ball_volume)
 from flatbundle.principal import comparison_metric
@@ -78,12 +77,18 @@ def test_stencil_overshoot_bounds_every_hull_facet(ndim):
 # ---------------------------------------------------------------------------
 # flat-plane oracles
 
+def _induced_distance(chart, grid, anchor):
+    """Distance field of the chart's induced metric g from the anchor."""
+    return distance_fields(
+        grid, lambda U: {"g": fundamental_batch(chart, U).g}, anchor)["g"]
+
+
 @pytest.fixture(scope="module")
 def plane_df():
     chart = catalog.get("plane_r3").chart
     grid = make_grid(chart, 161)
     anchor = nearest_node(grid, (0.0, 0.0))
-    return grid, distance_field(grid, induced_metric_fn(chart), anchor)
+    return grid, _induced_distance(chart, grid, anchor)
 
 
 def _path_max_by_node_loop(df, values):
@@ -468,7 +473,7 @@ def test_hyperbolic_distance_and_area():
     chart = entry.chart
     grid = make_grid(chart, (161, 81))
     anchor = nearest_node(grid, (0.0, 0.0))
-    df = distance_field(grid, induced_metric_fn(chart), anchor)
+    df = _induced_distance(chart, grid, anchor)
     X, Y = grid.points[..., 0], grid.points[..., 1]
     exact = np.arccosh(np.cosh(X) / np.cos(Y))
     mask = (exact > 0.2) & (exact <= 3.0)
@@ -575,7 +580,7 @@ def test_ball_max_sff_matches_anchor(pseudosphere):
     grid = make_grid(chart, 65)
     fb = fundamental_batch(chart, grid.points)
     anchor = nearest_node(grid, (math.asinh(1.0), math.pi))
-    df = distance_field(grid, induced_metric_fn(chart), anchor)
+    df = _induced_distance(chart, grid, anchor)
     S1 = ball_max_sff(df, fb.sff_sq, 0.3)
     S2 = ball_max_sff(df, fb.sff_sq, 0.9)
     assert S2 >= S1 >= float(fb.sff_sq[anchor])

@@ -1,6 +1,7 @@
 """The curvature-identity suite on positive examples and negative controls."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,3 +228,27 @@ def test_curvature_residual_matches_einsum_oracle(name, res, exact):
             assert np.array_equal(new, old, equal_nan=True)
         else:
             np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name, res", [("pseudosphere", 257), ("ps3", 17)])
+def test_curvature_residual_memory_budget(name, res):
+    """The tracemalloc peak of one residual call stays within the arrays it
+    holds: the n^3 Christoffel symbols and their n^4 derivatives, one grid
+    array each, plus 4n + 4 working arrays (the running max, the n
+    components R^m_{kij} of one (i, j, k), and the temporaries of a sum or
+    a stencil).  That is 36 grid arrays (18.1 MiB) at 257^2 and 124 at
+    17^3; the peaks are 32 (16.1 MiB) and 119.  The broadcast tensors it
+    replaced peaked at 56 (28.3 MiB) and 274."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    G = fundamental_batch(chart, grid.points).g
+    n = grid.ndim
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        constant_curvature_residual(G, grid, -1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    budget = (n ** 3 + n ** 4 + 4 * n + 4) * G[..., 0, 0].nbytes
+    assert peak <= budget, (peak / 2 ** 20, budget / 2 ** 20)
