@@ -12,8 +12,7 @@ from .errors import (ConfigError, CoherenceError, DegenerateMetricError,
                      NumericalError)
 from .fields import Grid, make_grid, principal_field
 from .flows import (build_flow_map, check_flow_identities,
-                    commutator_residual, integrate_flow,
-                    verify_principal_frame_property)
+                    commutator_residual, verify_principal_frame_property)
 from .fundamental import (FundamentalBatch, flatness_violation,
                           fundamental_batch)
 from .growth import (ball_max_sff, ball_volume, check_ball_containment,

@@ -234,13 +234,12 @@ def build_parser():
                        help="override the run seed, which draws the coords "
                             "group-law pairs and the growth length-check "
                             "polylines (verify does not use it)")
-        p.add_argument("--strict", action="store_true",
-                       help="treat indeterminate verdicts as failures "
-                            "(growth only)")
         return p
 
     add_run("verify", "run the curvature-identity suite")
-    add_run("growth", "tabulate ball growth and the bound chain")
+    add_run("growth", "tabulate ball growth and the bound chain").add_argument(
+        "--strict", action="store_true",
+        help="treat indeterminate verdicts as failures")
     add_run("coords", "build principal coordinates by flow composition")
 
     pc = sub.add_parser("catalog", help="inspect the example catalog")

@@ -13,6 +13,7 @@ counted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,22 +101,39 @@ class PrincipalField:
     def n(self):
         return self.chart.n
 
-    def dfield(self, A, axis):
-        """Grid derivative of a sampled array whose leading dims are the grid."""
-        return grid_deriv(A, axis, self.grid.spacing[axis],
-                          self.grid.periodic[axis])
+    def gradient(self, A):
+        """Grid derivatives of a sampled field A (grid leading dims), one
+        per chart axis."""
+        g = self.grid
+        return [grid_deriv(A, m, g.spacing[m], g.periodic[m])
+                for m in range(g.ndim)]
 
-    def directional(self, A, X_comp):
-        """Derivative of field A along a tangent direction given by chart
-        components X_comp of shape grid+(n,).  A has grid leading dims."""
+    def along(self, grad, a):
+        """X_a(A) = sum_m X_a^m d_m A from the gradient of A, summed in m
+        order."""
         out = None
-        for m in range(self.n):
-            dm_ = self.dfield(A, m)
-            coef = X_comp[..., m]
-            coef = coef.reshape(coef.shape + (1,) * (A.ndim - self.grid.ndim))
-            term = coef * dm_
+        for m, dA in enumerate(grad):
+            coef = self.pb.X_chart[..., a, m]
+            coef = coef.reshape(coef.shape + (1,) * (dA.ndim - coef.ndim))
+            term = coef * dA
             out = term if out is None else out + term
         return out
+
+    @functools.cached_property
+    def gamma(self):
+        """The connection table gamma[a][b][c] = <D_{X_a} X_b, X_c> of the
+        principal frame, one grid array per entry; each frame vector is
+        differentiated once."""
+        X = self.pb.X_cont
+        inner = self.chart.ambient.inner
+        n = self.n
+        table = [[None] * n for _ in range(n)]
+        for b in range(n):
+            grad = self.gradient(X[..., b, :])
+            for a in range(n):
+                D = self.along(grad, a)
+                table[a][b] = [inner(D, X[..., c, :]) for c in range(n)]
+        return table
 
 
 def _alignment_matrices(X, Y, signature):

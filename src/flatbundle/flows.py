@@ -71,10 +71,11 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
     Every trajectory carries its own frame gauge: RK4 stage decompositions
     are aligned to the frame at the step's start point, and the gauge is
     refreshed after each accepted step.  A step advances only the live
-    trajectories, those with parameter time left, so each row gets the
-    arithmetic of a call on that row alone.  Leaving the chart's usable
-    domain raises :class:`DomainExitError` with that trajectory's elapsed
-    time and last point.
+    trajectories, those with more than 1e-9 steps of parameter time left,
+    so each row gets the arithmetic of a call on that row alone and ends
+    on its last whole step.  Leaving the chart's usable domain raises
+    :class:`DomainExitError` with that trajectory's elapsed time and last
+    point.
 
     Returns (U1, refs1).
     """
@@ -95,8 +96,7 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
 
     pb = decompose(U, refs, np.arange(M))
     refs, vel = pb.X_cont, _velocity(pb, i)
-    live = np.flatnonzero(remaining)
-    while live.size:
+    while (live := np.flatnonzero(np.abs(remaining) > 1e-9 * step)).size:
         X, R, il = U[live], refs[live], i[live]
         dt = np.clip(remaining[live], -step, step)[:, None]
         k1 = vel[live]
@@ -108,15 +108,7 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
         remaining[live] -= dt[:, 0]
         pb = decompose(U[live], R, live)
         refs[live], vel[live] = pb.X_cont, _velocity(pb, il)
-        live = np.flatnonzero(remaining)
     return U, refs
-
-
-def integrate_flow(chart, x0, i, t, step=DEFAULT_STEP):
-    """Single-trajectory convenience wrapper; returns the endpoint."""
-    U1, _ = flow_points(chart, np.asarray(x0, dtype=float)[None, :], i, t,
-                        step=step)
-    return U1[0]
 
 
 @dataclass
@@ -193,17 +185,12 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
         try:
             A = x0[None, :]
             refs = aligned_principal(chart, A).X_cont
-            dims = ()
             for ax in range(n):
+                # (T, M) -> (M, T): the new axis runs fastest
                 out, outref = _march_axis(chart, A, refs, ax, t_axes[ax], step)
-                dims = dims + (len(t_axes[ax]),)
-                A = np.moveaxis(out.reshape((len(t_axes[ax]),) + dims[:-1]
-                                            + (n,)), 0, ax).reshape(-1, n)
-                refs = np.moveaxis(
-                    outref.reshape((len(t_axes[ax]),) + dims[:-1]
-                                   + outref.shape[2:]), 0, ax
-                ).reshape((-1,) + outref.shape[2:])
-            points = A.reshape(dims + (n,))
+                A = out.swapaxes(0, 1).reshape(-1, n)
+                refs = outref.swapaxes(0, 1).reshape((-1,) + refs.shape[1:])
+            points = A.reshape(tuple(map(len, t_axes)) + (n,))
             return FlowMap(chart, x0, t_axes, points, warnings)
         except DomainExitError as exc:
             warnings.append(
@@ -294,7 +281,7 @@ def commutator_residual(chart, u0):
         raise CoherenceError(
             f"principal gauge incoherent on the local stencil at {u0}")
     Y = pf.pb.lambdas[..., None] * pf.pb.X_chart          # grid + (n, n)
-    dY = np.stack([pf.dfield(Y, m) for m in range(n)], axis=-3)
+    dY = np.stack(pf.gradient(Y), axis=-3)
     center = (2,) * n
     Yc, dYc = Y[center], dY[center]                        # (n,n), (n,n,n)
     g = pf.fb.g[center]

@@ -213,13 +213,14 @@ def distance_fields(grid, metrics_fn, anchor_index):
 
 
 def _quadratic_form(G, x):
-    """x_i G_ij x_j per matrix of the stack G (m, n, n), for one vector x."""
-    n = len(x)
-    q = (x[0] * x[0]) * G[:, 0, 0]
+    """x_i G_ij x_j per matrix of the stack G (..., n, n), for vectors x
+    (..., n) that broadcast against it."""
+    n = x.shape[-1]
+    q = (x[..., 0] * x[..., 0]) * G[..., 0, 0]
     for i in range(n):
         for j in range(n):
             if i or j:
-                q += (x[i] * x[j]) * G[:, i, j]
+                q += (x[..., i] * x[..., j]) * G[..., i, j]
     return q
 
 
@@ -227,30 +228,31 @@ def _quadratic_form(G, x):
 # curve lengths
 
 def _polyline_samples(chart, polyline, samples_per_segment):
-    """Composite-midpoint samples (segments, samples, n) of a chart
-    polyline and the chart step (segments, n) that each sample stands for.
-    Every vertex must lie in the chart's usable domain, where the engine's
-    stencil stays inside the declared one."""
+    """Composite-midpoint samples (..., segments, samples, n) of chart
+    polylines (..., vertices, n) and the chart step (..., segments, n)
+    that each sample stands for.  Every vertex must lie in the chart's
+    usable domain, where the engine's stencil stays inside the declared
+    one."""
     P = np.asarray(polyline, dtype=float)
-    if P.ndim != 2 or P.shape[0] < 2:
+    if P.ndim < 2 or P.shape[-2] < 2:
         raise ValueError("polyline needs at least two chart points")
     inside = chart.contains(P)
     if not np.all(inside):
-        bad = int(np.argmin(inside))
+        bad = np.unravel_index(np.argmin(inside), inside.shape)
         raise DomainError(
-            f"polyline vertex {bad} at {P[bad].tolist()} leaves the usable "
-            f"domain of {chart.name}")
+            f"polyline vertex {bad[-1]} at {P[bad].tolist()} leaves the "
+            f"usable domain of {chart.name}")
     t = (np.arange(samples_per_segment) + 0.5) / samples_per_segment
-    A, B = P[:-1], P[1:]
-    mids = A[:, None, :] + t[None, :, None] * (B - A)[:, None, :]
-    return mids, (B - A) / samples_per_segment
+    A, B = P[..., :-1, None, :], P[..., 1:, None, :]
+    mids = A + t[:, None] * (B - A)
+    return mids, (B - A)[..., 0, :] / samples_per_segment
 
 
 def _polyline_length(seg, gm):
-    """Sum of metric step lengths; gm (segments, samples, n, n) holds the
-    metric at every sample."""
-    q = np.stack([_quadratic_form(G, x) for G, x in zip(gm, seg)])
-    return float(np.sum(np.sqrt(q)))
+    """Sums of metric step lengths per polyline; gm (..., segments,
+    samples, n, n) holds the metric at every sample."""
+    q = _quadratic_form(gm, seg[..., None, :])
+    return np.sum(np.sqrt(q), axis=(-2, -1))
 
 
 def curve_length(chart, polyline, metric="g",
@@ -265,7 +267,7 @@ def curve_length(chart, polyline, metric="g",
     mids, seg = _polyline_samples(chart, polyline, samples_per_segment)
     fb = fundamental_batch(chart, mids)
     gm = fb.g if metric == "g" else comparison_metric(fb)
-    return _polyline_length(seg, gm), float(np.max(fb.sff_sq))
+    return float(_polyline_length(seg, gm)), float(np.max(fb.sff_sq))
 
 
 # ---------------------------------------------------------------------------
@@ -410,24 +412,23 @@ def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
     reason = gap_violation(chart)
     if reason is not None:
         raise HypothesisViolation(f"length comparison needs C > 0: {reason}")
-    C = chart.C
     rng = np.random.default_rng(seed)
     box = np.array(chart.usable_domain())
-    lhs, rhs = [], []
-    quad_err = 0.0
-    for _ in range(n_curves):
-        P = box[:, 0] + rng.random((4, chart.n)) * (box[:, 1] - box[:, 0])
-        mids, seg = _polyline_samples(chart, P, LENGTH_SAMPLES)
-        fb = fundamental_batch(chart, mids)
-        Lg = _polyline_length(seg, fb.g)
-        L0 = _polyline_length(seg, comparison_metric(fb))
-        s_hat = float(np.max(fb.sff_sq))
-        L0c, _ = curve_length(chart, P, "g0",
-                              samples_per_segment=2 * LENGTH_SAMPLES)
-        quad_err = max(quad_err, abs(L0 - L0c) / max(L0, 1e-300))
-        lhs.append(L0)
-        rhs.append(math.sqrt(s_hat + C) * Lg)
-    return _strict_verdict("length_comparison", lhs, rhs,
+    P = box[:, 0] + rng.random((n_curves, 4, chart.n)) \
+        * (box[:, 1] - box[:, 0])
+    mids, seg = _polyline_samples(chart, P, LENGTH_SAMPLES)
+    fb = fundamental_batch(chart, mids)
+    Lg = _polyline_length(seg, fb.g)
+    L0 = _polyline_length(seg, comparison_metric(fb))
+    s_hat = np.max(fb.sff_sq, axis=(-2, -1))
+    # the same lengths at twice the samples, as curve_length takes them
+    mids, seg = _polyline_samples(chart, P, 2 * LENGTH_SAMPLES)
+    L0c = _polyline_length(seg, comparison_metric(fundamental_batch(chart,
+                                                                    mids)))
+    quad_err = float(np.max(np.abs(L0 - L0c) / np.maximum(L0, 1e-300),
+                            initial=0.0))
+    return _strict_verdict("length_comparison", L0,
+                           np.sqrt(s_hat + chart.C) * Lg,
                            max(3.0 * quad_err, 1e-12),
                            notes=f"{n_curves} random polylines")
 
@@ -587,9 +588,13 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
         if C > 0:
             verdicts.append(check_ball_containment(df_g, df_g0, sff_sq,
                                                   chart, r))
+            # a ball of one node sums one cell, which bounds nothing
+            singleton = np.count_nonzero(df_g.d <= r) == 1
             verdicts.append(_strict_verdict(
-                f"volume_bound(r={r:g})", [vol], [bound], budget_vol,
-                notes="truncated ball (lower bound)" if truncated else ""))
+                f"volume_bound(r={r:g})", [vol],
+                [math.nan if singleton else bound], budget_vol,
+                notes="singleton ball" if singleton
+                else "truncated ball (lower bound)" if truncated else ""))
 
     fit = None
     fit_window = window or default_fit_window(radii)

@@ -99,21 +99,17 @@ def check_codazzi_c1(pf, tol=DERIVED_TOL):
     """perp-derivative of eta_i along X_j vs <nabla_{X_i}X_i, X_j>(eta_i-eta_j)."""
     amb = pf.chart.ambient
     n = pf.n
+    eta = pf.pb.eta_cont
     worst = 0.0
     for i in range(n):
         scale = np.maximum(1.0, pf.pb.eta_sq[..., i])
+        grad = pf.gradient(eta[..., i, :])
         for j in range(n):
             if i == j:
                 continue
-            D = pf.directional(pf.pb.eta_cont[..., i, :],
-                               pf.pb.X_chart[..., j, :])
-            lhs = pf.fb.normal_project(D)
-            gam = amb.inner(
-                pf.directional(pf.pb.X_cont[..., i, :],
-                               pf.pb.X_chart[..., i, :]),
-                pf.pb.X_cont[..., j, :])
-            rhs = gam[..., None] * (pf.pb.eta_cont[..., i, :]
-                                    - pf.pb.eta_cont[..., j, :])
+            lhs = pf.fb.normal_project(pf.along(grad, j))
+            rhs = pf.gamma[i][i][j][..., None] * (eta[..., i, :]
+                                                  - eta[..., j, :])
             diff = lhs - rhs
             r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
             worst = np.maximum(worst, r)
@@ -128,6 +124,8 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
     if n < 3:
         return residual_report("codazzi_c2", [], tol, pf.chart,
                                notes="n < 3: no index triples")
+    eta = pf.pb.eta_cont
+    gam = pf.gamma
     worst = 0.0
     for i in range(n):
         scale = np.maximum(1.0, pf.pb.eta_sq[..., i])
@@ -135,18 +133,10 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
             for l in range(n):
                 if len({i, j, l}) < 3:
                     continue
-                glj = amb.inner(
-                    pf.directional(pf.pb.X_cont[..., j, :],
-                                   pf.pb.X_chart[..., l, :]),
-                    pf.pb.X_cont[..., i, :])
-                gjl = amb.inner(
-                    pf.directional(pf.pb.X_cont[..., l, :],
-                                   pf.pb.X_chart[..., j, :]),
-                    pf.pb.X_cont[..., i, :])
-                diff = glj[..., None] * (pf.pb.eta_cont[..., i, :]
-                                         - pf.pb.eta_cont[..., j, :]) \
-                    - gjl[..., None] * (pf.pb.eta_cont[..., i, :]
-                                        - pf.pb.eta_cont[..., l, :])
+                diff = gam[l][j][i][..., None] * (eta[..., i, :]
+                                                  - eta[..., j, :]) \
+                    - gam[j][l][i][..., None] * (eta[..., i, :]
+                                                 - eta[..., l, :])
                 r = np.sqrt(np.abs(amb.inner(diff, diff))) / scale
                 worst = np.maximum(worst, r)
     return _field_report("codazzi_c2", pf, worst, tol)
@@ -154,7 +144,6 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
 
 def check_connection_formula(pf, tol=DERIVED_TOL):
     """Gamma_ii^j = lambda_i X_j(1/lambda_i) (Lemma 1 in proof form)."""
-    amb = pf.chart.ambient
     n = pf.n
     if pf.pb.lambdas is None:
         raise ValueError("connection formula needs lambdas: "
@@ -162,15 +151,12 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
     worst = 0.0
     lam = pf.pb.lambdas
     for i in range(n):
-        gam_ii = pf.directional(pf.pb.X_cont[..., i, :],
-                                pf.pb.X_chart[..., i, :])
+        grad = pf.gradient(1.0 / lam[..., i])
         for j in range(n):
             if i == j:
                 continue
-            lhs = amb.inner(gam_ii, pf.pb.X_cont[..., j, :])
-            rhs = lam[..., i] * pf.directional(1.0 / lam[..., i],
-                                               pf.pb.X_chart[..., j, :])
-            worst = np.maximum(worst, np.abs(lhs - rhs))
+            rhs = lam[..., i] * pf.along(grad, j)
+            worst = np.maximum(worst, np.abs(pf.gamma[i][i][j] - rhs))
     return _field_report("connection_nn", pf, worst, tol)
 
 

@@ -88,9 +88,11 @@ def test_the_chart_guard_cannot_be_switched_off():
 
 def test_one_name_per_concept():
     """One fundamental batch, one flatness test, III read off the batch,
-    one layout through the batch layer, one distance-field entry point and
-    one curvature residual: the duplicate names are gone."""
-    from flatbundle import fundamental, growth, principal, verifiers
+    one layout through the batch layer, one distance-field entry point,
+    one curvature residual, one flow entry point and one gradient helper:
+    the duplicate names are gone."""
+    from flatbundle import (fields, flows, fundamental, growth, principal,
+                            verifiers)
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
@@ -103,13 +105,17 @@ def test_one_name_per_concept():
                       (growth, "induced_metric_fn"),
                       (verifiers, "_contract"),
                       (verifiers, "christoffel_field"),
-                      (verifiers, "riemann_field")):
+                      (verifiers, "riemann_field"),
+                      (flows, "integrate_flow")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch
     assert "position" not in {f.name for f in dataclasses.fields(fb)}
     assert not hasattr(fb, "shape_operators")
     assert principal._matmul is fundamental._matmul
+    # the field identities differentiate through the one gradient helper
+    assert not hasattr(fields.PrincipalField, "dfield")
+    assert not hasattr(fields.PrincipalField, "directional")
 
 
 def _perfbench(name, monkeypatch):

@@ -533,6 +533,32 @@ def test_cli_radius_overflow_is_config_error(workdir):
     assert "Traceback" not in err
 
 
+def test_cli_singleton_ball_volume_is_indeterminate(workdir):
+    """A ball of radius 0.005 at 65^2 holds only the anchor node, so its
+    volume sum is one cell: that used to FAIL against the bound and exit 1.
+    It is indeterminate, like the ball containment on it, and only
+    growth's --strict turns it into a failure; verify and coords refuse
+    the flag."""
+    (workdir / "tiny.ini").write_text(
+        "[chart]\nname = pseudosphere\n"
+        "[growth]\nresolution = 65\n"
+        "x0 = 0.88137358701954305, 3.1415926535897931\n"
+        "radii = 0.005, 0.5, 0.75, 1\n")
+    code, out, err = run_cli("growth", "--config", "tiny.ini",
+                             "--out", "tiny", cwd=workdir)
+    assert code == 0, (out, err)
+    assert "volume_bound(r=0.005) INDETERMINATE margin=nan " \
+        "budget=2.616e-02 singleton ball\n" in out
+    assert "volume_bound(r=0.5) PASS" in out
+    code, out, err = run_cli("growth", "--strict", "--config", "tiny.ini",
+                             "--out", "tiny", cwd=workdir)
+    assert code == 1, (out, err)
+    for command in ("verify", "coords"):
+        code, _, err = run_cli(command, "--strict", "--config", "ps.ini",
+                               cwd=workdir)
+        assert code == 2 and "unrecognized arguments: --strict" in err
+
+
 def test_cli_unexpected_exception_exits_3(workdir, monkeypatch, capsys):
     def boom(cfg, out_dir):
         raise RuntimeError("unexpected\nbreakage")

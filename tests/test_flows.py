@@ -10,8 +10,7 @@ from flatbundle import catalog, cli, flows
 from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
-                              flow_points, integrate_flow,
-                              verify_principal_frame_property)
+                              flow_points, verify_principal_frame_property)
 
 DINI_X0 = (3.1, 0.75)
 PS_X0 = (1.2, 1.5)      # away from the |eta_1| = |eta_2| locus sinh(u) = 1
@@ -116,7 +115,7 @@ def test_flow_map_refuses_non_flat_normal_bundle():
 def test_domain_exit_raises(pseudosphere):
     # the u-direction flow reaches the u = 3 wall long before t = 50
     with pytest.raises(DomainExitError) as info:
-        integrate_flow(pseudosphere.chart, (2.5, 1.0), 1, 50.0)
+        flow_points(pseudosphere.chart, np.array([[2.5, 1.0]]), 1, 50.0)
     assert info.value.exit_time is not None
 
 
@@ -131,14 +130,14 @@ def test_flow_map_shrinks_oversized_box(pseudosphere):
 def test_flow_needs_curvature_gap():
     entry = catalog.get("ps3")              # c unasserted: C is None
     with pytest.raises(HypothesisViolation):
-        integrate_flow(entry.chart, (1.2, 1.5, 0.0), 0, 0.1)
+        flow_points(entry.chart, np.array([[1.2, 1.5, 0.0]]), 0, 0.1)
 
 
 def test_pseudosphere_chart_is_already_principal(pseudosphere):
     """The standard pseudosphere parametrization has coordinate principal
     directions, so Y-flows move one chart coordinate at constant speed
     modulation; flowing along axis 0 keeps u frozen."""
-    y = integrate_flow(pseudosphere.chart, PS_X0, 0, 0.25)
+    y = flow_points(pseudosphere.chart, np.array([PS_X0]), 0, 0.25)[0][0]
     assert abs(y[0] - PS_X0[0]) < 1e-12
     assert y[1] != PS_X0[1]
 
@@ -265,13 +264,13 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
 
 # Dini at DINI_X0.  The group law at seed 1 (100 pairs in t_range +-0.2)
 # and the round trip along axis 0 to t = 0.2 and back: 81 decompositions
-# for the longest first flow (20 RK4 steps), 45 for the second, whose
-# longest flow is the back leg (10 steps of 0.02 and one over the 2e-17
-# that the subtractions leave of -0.2).  The 9 x 9 flow map: 4 hops of 4
-# steps per axis, 1 + 4 * 17 = 69 decompositions for axis 0 and 68 for
-# axis 1.  Six separate flows and two separate chains took 286 and 273;
-# a separate round trip took 90 more.
-IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 126, 14142
+# for the longest first flow (20 RK4 steps), 41 for the second, whose
+# longest flow is the back leg (10 steps of 0.02; the 2e-17 that the
+# subtractions leave of -0.2 takes no step).  The 9 x 9 flow map: 4 hops
+# of 4 steps per axis, 1 + 4 * 17 = 69 decompositions for axis 0 and 68
+# for axis 1.  Six separate flows and two separate chains took 286 and
+# 273; a separate round trip took 90 more.
+IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14134
 MAP_DECOMPOSITIONS, MAP_POINTS = 137, 1361
 # the whole coords run: the map, the identities and the frame check
 COORDS_DECOMPOSITIONS = MAP_DECOMPOSITIONS + IDENTITY_DECOMPOSITIONS + 1
@@ -317,4 +316,20 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
     assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert "flow_round_trip PASS" in capsys.readouterr().out
-    assert len(calls) == COORDS_DECOMPOSITIONS == 264
+    assert len(calls) == COORDS_DECOMPOSITIONS == 260
+
+
+def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):
+    """t = 0.2 is ten steps of 0.02, though ten subtractions leave about
+    2e-17 of it: one decomposition at the start and four per RK4 step
+    make 41, and no eleventh step is taken over the remainder."""
+    calls = []
+
+    def counting(chart, U, refs=None):
+        calls.append(1)
+        return aligned(chart, U, refs=refs)
+
+    aligned = flows.aligned_principal
+    monkeypatch.setattr(flows, "aligned_principal", counting)
+    flow_points(dini.chart, np.array([DINI_X0]), 0, 0.2, step=0.02)
+    assert len(calls) == 41

@@ -463,6 +463,8 @@ def test_length_check_matches_separate_curve_lengths(pseudosphere):
                            notes="3 random polylines")
     assert got == want
     assert got.verdict == "pass" and got.compared == 3
+    none = check_length_inequality(chart, n_curves=0)
+    assert (none.verdict, none.compared) == ("indeterminate", 0)
 
 
 # ---------------------------------------------------------------------------

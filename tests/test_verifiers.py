@@ -73,6 +73,55 @@ def test_verify_chart_evaluates_the_grid_once(pseudosphere, monkeypatch):
     assert shapes == [(17, 17, 2)]
 
 
+@pytest.mark.parametrize("name, res, most", [
+    ("ps3", (17, 17, 9), 18),          # 9 for the frame, 9 for the eta_i
+    ("pseudosphere", 33, 60),          # 48 for the two metric checks
+])
+def test_verify_chart_differentiates_each_field_once(name, res, most,
+                                                     monkeypatch):
+    """The field identities read one connection table: each frame vector,
+    each principal normal and each 1/lambda_i takes one grid derivative
+    per chart axis in a verify_chart, however many index pairs read it."""
+    import sys
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return grid_deriv(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("flatbundle") \
+                and getattr(mod, "grid_deriv", None) is grid_deriv:
+            monkeypatch.setattr(mod, "grid_deriv", counted)
+    chart = catalog.get(name).chart
+    reports, _ = verify_chart(chart, make_grid(chart, res))
+    assert "codazzi_c1" in [r.identity for r in reports]
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("res, horocycle, skew", [(33, 5e-5, 1e-4),
+                                                  (65, 3e-6, 1e-5)])
+def test_connection_table_closed_form_pseudosphere(pseudosphere, res,
+                                                   horocycle, skew):
+    """On the pseudosphere the meridians are geodesics, so
+    <D_{X_u} X_u, X_v> = 0, and the parallels are horocycles of geodesic
+    curvature 1, so |<D_{X_v} X_v, X_u>| = 1; the frame is orthonormal, so
+    the table is skew in its last two indices.  The order-4 stencil makes
+    the last two errors fall like h^4."""
+    chart = pseudosphere.chart
+    grid = make_grid(chart, res)
+    pf = principal_field(fundamental_batch(chart, grid.points), grid)
+    gam = np.array(pf.gamma)                         # (a, b, c) + grid
+    ok = pf.coherent & np.all(np.isfinite(gam), axis=(0, 1, 2))
+    assert np.count_nonzero(ok) > 0.8 * ok.size
+    is_u = np.argmax(np.abs(pf.pb.X_chart[..., :, 0]), axis=-1) == 0
+    uuv = np.where(is_u, gam[0, 0, 1], gam[1, 1, 0])[ok]
+    vvu = np.where(is_u, gam[1, 1, 0], gam[0, 0, 1])[ok]
+    assert np.max(np.abs(uuv)) <= 1e-12
+    assert np.max(np.abs(np.abs(vvu) - 1.0)) <= horocycle
+    assert np.max(np.abs(gam + gam.swapaxes(1, 2))[..., ok]) <= skew
+
+
 def test_gauss_identity_detects_wrong_curvature(ps_field_33):
     """Claiming c~ = 1 for a surface in R^3 must fail loudly."""
     bad = check_gauss(ps_field_33, c=-1.0, ctilde=1.0, tol=1e-8)
