@@ -165,10 +165,10 @@ def run_coords(cfg, out_dir):
     except HypothesisViolation as exc:
         lines.append(f"principal_coordinates SKIPPED by hypothesis ({exc})")
         return _finish(out_dir, "coords", lines, EXIT_OK)
-    T = np.stack(np.meshgrid(*fm.t_axes, indexing="ij"), axis=-1)
     head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
     _write(os.path.join(out_dir, "coords.csv"),
-           _csv(head, _text((T.reshape(-1, n), fm.points.reshape(-1, n)))))
+           _csv(head, _text((fm.grid.points.reshape(-1, n),
+                             fm.points.reshape(-1, n)))))
     for w in fm.warnings:
         lines.append(f"WARN {w}")
 

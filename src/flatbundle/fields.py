@@ -46,17 +46,42 @@ class Grid:
     def cell_volume(self):
         return float(np.prod(self.spacing))
 
+    def deriv(self, A, axis):
+        """Order-4 central difference of a sampled field A (grid leading
+        dims) along one grid axis.
 
-def make_grid(chart, resolution, box=None):
-    """Uniform grid over the chart's usable domain (or a given sub-box).
+        Non-periodic axes get NaN in the two-cell stencil margin, which
+        poisons any residual computed there; callers reduce over finite
+        entries only.
+        """
+        def r(k):
+            return np.roll(A, -k, axis=axis)
+
+        d = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) \
+            / (12.0 * self.spacing[axis])
+        if not self.periodic[axis]:
+            sl = [slice(None)] * A.ndim
+            for bad in (slice(0, 2), slice(-2, None)):
+                sl[axis] = bad
+                d[tuple(sl)] = np.nan
+                sl[axis] = slice(None)
+        return d
+
+    def gradient(self, A):
+        """The derivatives of A along every grid axis, in axis order."""
+        return [self.deriv(A, m) for m in range(self.ndim)]
+
+
+def make_grid(chart, resolution):
+    """Uniform grid over the chart's usable domain.
 
     Periodic axes sample [lo, hi) without the duplicate endpoint.
     """
     if np.isscalar(resolution):
         resolution = (int(resolution),) * chart.n
-    box = tuple(box) if box is not None else chart.usable_domain()
     axes, spacing = [], []
-    for k, ((lo, hi), r) in enumerate(zip(box, resolution)):
+    for k, ((lo, hi), r) in enumerate(zip(chart.usable_domain(),
+                                          resolution)):
         if chart.periodic[k]:
             h = (hi - lo) / r
             axes.append(lo + h * np.arange(r))
@@ -65,25 +90,6 @@ def make_grid(chart, resolution, box=None):
             axes.append(np.linspace(lo, hi, r))
         spacing.append(h)
     return Grid(tuple(axes), np.array(spacing), tuple(chart.periodic))
-
-
-def grid_deriv(A, axis, h, periodic):
-    """Order-4 central difference along a grid axis of a sampled field.
-
-    Non-periodic axes get NaN in the two-cell stencil margin, which poisons
-    any residual computed there; callers reduce over finite entries only.
-    """
-    def r(k):
-        return np.roll(A, -k, axis=axis)
-
-    d = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
-    if not periodic:
-        sl = [slice(None)] * A.ndim
-        for bad in (slice(0, 2), slice(-2, None)):
-            sl[axis] = bad
-            d[tuple(sl)] = np.nan
-            sl[axis] = slice(None)
-    return d
 
 
 @dataclass
@@ -100,13 +106,6 @@ class PrincipalField:
     @property
     def n(self):
         return self.chart.n
-
-    def gradient(self, A):
-        """Grid derivatives of a sampled field A (grid leading dims), one
-        per chart axis."""
-        g = self.grid
-        return [grid_deriv(A, m, g.spacing[m], g.periodic[m])
-                for m in range(g.ndim)]
 
     def along(self, grad, a):
         """X_a(A) = sum_m X_a^m d_m A from the gradient of A, summed in m
@@ -129,7 +128,7 @@ class PrincipalField:
         n = self.n
         table = [[None] * n for _ in range(n)]
         for b in range(n):
-            grad = self.gradient(X[..., b, :])
+            grad = self.grid.gradient(X[..., b, :])
             for a in range(n):
                 D = self.along(grad, a)
                 table[a][b] = [inner(D, X[..., c, :]) for c in range(n)]

@@ -9,7 +9,8 @@ once, and only those: a trajectory that has reached its parameter time is
 not decomposed again, so each one gets the arithmetic of a flow on its own.
 Independent flows share a batch: the identity check runs its six group-law
 flows and the two legs of its round trip as two calls, and the flow map
-marches the chains on both sides of t = 0 together.
+takes one call per axis, which flows every point it has by every sample
+time of that axis.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .engines import AD, DEFAULT_TOL
 from .errors import (CoherenceError, DomainError, DomainExitError,
                      HypothesisViolation)
 from .fields import (Grid, _alignment_matrices, _signed_permutation,
-                     grid_deriv, principal_field)
+                     principal_field)
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
@@ -118,50 +119,13 @@ class FlowMap:
 
     chart: object
     x0: np.ndarray
-    t_axes: tuple               # per-axis 1d parameter-time arrays
+    grid: Grid                  # the parameter times, not periodic
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
     warnings: list = field(default_factory=list)
 
     @property
     def n(self):
         return self.chart.n
-
-    @property
-    def t_spacing(self):
-        return np.array([ax[1] - ax[0] for ax in self.t_axes])
-
-
-def _march_axis(chart, A, refs, ax, t_vals, step):
-    """From each point in A (M, n), record the axis-``ax`` flow at every
-    parameter time in t_vals.  Two chains leave t = 0, one through the
-    times >= 0 in increasing order and one through the times < 0 in
-    decreasing order; each hop to a chain's next time is one segment, and
-    the chains advance their segments together, one ``flow_points`` call
-    per step of the march.  Returns points (T, M, n), refs (T, M, n, N)."""
-    M = A.shape[0]
-    T = len(t_vals)
-    out = np.empty((T, M, A.shape[1]))
-    outref = np.empty((T, M) + refs.shape[1:])
-    order = np.argsort(t_vals)
-    chains = [[k for k in order if t_vals[k] >= 0],
-              [k for k in order if t_vals[k] < 0][::-1]]
-    state = [(A, refs, 0.0)] * 2              # (points, refs, time) per chain
-    while True:
-        for c, chain in enumerate(chains):    # record what the chain reached
-            U, R, t_at = state[c]
-            while chain and t_vals[chain[0]] == t_at:
-                k = chain.pop(0)
-                out[k], outref[k] = U, R
-        live = [c for c, chain in enumerate(chains) if chain]
-        if not live:
-            return out, outref
-        U, R = flow_points(
-            chart, np.concatenate([state[c][0] for c in live]), ax,
-            np.repeat([t_vals[chains[c][0]] - state[c][2] for c in live], M),
-            refs=np.concatenate([state[c][1] for c in live]), step=step)
-        for c, U_c, R_c in zip(live, np.split(U, len(live)),
-                               np.split(R, len(live))):
-            state[c] = (U_c, R_c, t_vals[chains[c][0]])
 
 
 def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
@@ -182,16 +146,20 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
     for attempt in range(MAX_BOX_SHRINKS + 1):
         t_axes = tuple(np.linspace(lo, hi, r)
                        for (lo, hi), r in zip(t_box, resolution))
+        grid = Grid(t_axes, np.array([t[1] - t[0] for t in t_axes]),
+                    (False,) * n)
         try:
             A = x0[None, :]
             refs = aligned_principal(chart, A).X_cont
-            for ax in range(n):
-                # (T, M) -> (M, T): the new axis runs fastest
-                out, outref = _march_axis(chart, A, refs, ax, t_axes[ax], step)
-                A = out.swapaxes(0, 1).reshape(-1, n)
-                refs = outref.swapaxes(0, 1).reshape((-1,) + refs.shape[1:])
-            points = A.reshape(tuple(map(len, t_axes)) + (n,))
-            return FlowMap(chart, x0, t_axes, points, warnings)
+            for ax, t in enumerate(t_axes):
+                # every point by every time of the axis, the new axis
+                # running fastest: each sample is one flow per axis
+                A, refs = flow_points(
+                    chart, np.repeat(A, len(t), axis=0), ax,
+                    np.tile(t, len(A)), refs=np.repeat(refs, len(t), axis=0),
+                    step=step)
+            return FlowMap(chart, x0, grid, A.reshape(grid.shape + (n,)),
+                           warnings)
         except DomainExitError as exc:
             warnings.append(
                 f"axis box {t_box} exits the domain at t={exc.exit_time:.3g}; "
@@ -281,7 +249,7 @@ def commutator_residual(chart, u0):
         raise CoherenceError(
             f"principal gauge incoherent on the local stencil at {u0}")
     Y = pf.pb.lambdas[..., None] * pf.pb.X_chart          # grid + (n, n)
-    dY = np.stack(pf.gradient(Y), axis=-3)
+    dY = np.stack(grid.gradient(Y), axis=-3)
     center = (2,) * n
     Yc, dYc = Y[center], dY[center]                        # (n,n), (n,n,n)
     g = pf.fb.g[center]
@@ -320,9 +288,7 @@ def verify_principal_frame_property(flow_map):
             f"(need {n}): flow map is not a coordinate candidate")
 
     U = flow_map.points
-    ht = flow_map.t_spacing
-    J = np.stack([grid_deriv(U, ax, ht[ax], periodic=False)
-                  for ax in range(n)], axis=-2)            # grid + (ax, k)
+    J = np.stack(flow_map.grid.gradient(U), axis=-2)       # grid + (ax, k)
 
     pb = aligned_principal(chart, U)
     fb = pb.fb
@@ -346,7 +312,7 @@ def verify_principal_frame_property(flow_map):
     P = np.einsum("...ak,...kl,...bl->...ab", J, g0, J)
     pull = np.max(np.abs(P - np.eye(n)), axis=(-2, -1))
 
-    hmax = float(np.max(ht))
+    hmax = float(np.max(flow_map.grid.spacing))
     fd_floor = 100.0 * hmax ** 4
     tol_frame = max(1e-3, fd_floor)
     notes = f"grid {U.shape[:-1]}, t-spacing max {hmax:.3g}"

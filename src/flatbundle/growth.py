@@ -17,8 +17,9 @@ block needs only the induced metric g and the comparison metric
 g0 = C g + III: it reads them from a ``fundamental_batch`` (which refuses
 a degenerate g or a non-finite normal projection) without building its
 normal frame, and ``comparison_metric`` checks the gap (g0 is then
-positive definite, since III is a Gram matrix).  The random polylines of
-the length check read the same pair.
+positive definite, since III is a Gram matrix); at C = 0, where no
+verdict reads the g0 distances, a block reads g alone.  The random
+polylines of the length check read the same pair.
 Only the grid batch builds its normal frame, to test the flatness
 hypothesis.  The two metrics share one CSR structure, read off (nodes,
 K) tables over the K stencil offsets with no edge list and no sort; one
@@ -44,6 +45,7 @@ DEFAULT_RESOLUTION = 257
 _OFFSET_RANGE = 3
 _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
 LENGTH_SAMPLES = 64          # midpoint samples per polyline segment
+LENGTH_CURVES = 20           # random polylines of the length check
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +407,7 @@ def _strict_verdict(name, lhs, rhs, budget, notes=""):
     return ChainVerdict(name, verdict, margin, budget, notes, compared)
 
 
-def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
+def check_length_inequality(chart, seed=DEFAULT_SEED):
     """Strict length comparison on random polylines drawn from ``seed``:
     the comparison-metric length must stay below sqrt(path max |alpha|^2
     + C) times the induced length."""
@@ -414,7 +416,7 @@ def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
         raise HypothesisViolation(f"length comparison needs C > 0: {reason}")
     rng = np.random.default_rng(seed)
     box = np.array(chart.usable_domain())
-    P = box[:, 0] + rng.random((n_curves, 4, chart.n)) \
+    P = box[:, 0] + rng.random((LENGTH_CURVES, 4, chart.n)) \
         * (box[:, 1] - box[:, 0])
     mids, seg = _polyline_samples(chart, P, LENGTH_SAMPLES)
     fb = fundamental_batch(chart, mids)
@@ -430,7 +432,7 @@ def check_length_inequality(chart, n_curves=20, seed=DEFAULT_SEED):
     return _strict_verdict("length_comparison", L0,
                            np.sqrt(s_hat + chart.C) * Lg,
                            max(3.0 * quad_err, 1e-12),
-                           notes=f"{n_curves} random polylines")
+                           notes=f"{LENGTH_CURVES} random polylines")
 
 
 def check_distance_inequality(df_g, df_g0, sff_sq, chart):
@@ -554,10 +556,12 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
 
     def metrics_fn(U):
         batch = fundamental_batch(chart, U)
-        return {"g": batch.g, "g0": comparison_metric(batch, exploratory)}
+        # at C = 0 no verdict reads the g0 distances
+        return ({"g": batch.g, "g0": comparison_metric(batch)} if C > 0
+                else {"g": batch.g})
 
     dfs = distance_fields(grid, metrics_fn, anchor)
-    df_g, df_g0 = dfs["g"], dfs["g0"]
+    df_g, df_g0 = dfs["g"], dfs.get("g0")
 
     warnings = []
     n = chart.n

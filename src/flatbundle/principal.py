@@ -224,11 +224,11 @@ def principal_decomposition(fb):
                                   s, float(pb.offdiag))
 
 
-def comparison_metric(fb, exploratory=False):
+def comparison_metric(fb):
     """g0 = C g + III with the chart's gap C, from a FundamentalBatch;
-    requires C > 0 (exploratory mode admits C = 0).
-    For C > 0 it is positive definite, since III is a Gram matrix."""
-    reason = gap_violation(fb.chart, exploratory)
+    requires C > 0, where it is positive definite, since III is a Gram
+    matrix."""
+    reason = gap_violation(fb.chart)
     if reason is not None:
         raise HypothesisViolation(f"comparison metric needs C > 0: {reason}")
     return fb.III + fb.chart.C * fb.g

@@ -41,6 +41,7 @@ from .errors import DomainError, ModelConsistencyError, NumericalError
 
 DEFAULT_DOMAIN = ((-1.6, -0.4), (-1.6, -0.4))
 MONODROMY_TOL = 1e-6
+RESIDUAL_SAMPLES = 41    # samples per axis of the sine-Gordon residual grid
 # A lattice of distinct coordinates up to this many times the point count
 # is evaluated on the grid (about 13x cheaper per point than `ev`).
 LATTICE_FACTOR = 4
@@ -104,10 +105,11 @@ def _phi_jet(phi, u, v):
                  for a in parts)
 
 
-def sine_gordon_residual(phi, domain, samples=41):
-    """Max |phi_uv - sin(phi)| on a sample grid, plus the phi range."""
-    us = np.linspace(*domain[0], samples)
-    vs = np.linspace(*domain[1], samples)
+def sine_gordon_residual(phi, domain):
+    """Max |phi_uv - sin(phi)| on a RESIDUAL_SAMPLES-square sample grid,
+    plus the phi range."""
+    us = np.linspace(*domain[0], RESIDUAL_SAMPLES)
+    vs = np.linspace(*domain[1], RESIDUAL_SAMPLES)
     U, V = np.meshgrid(us, vs, indexing="ij")
     f, _, _, fuv = _phi_jet(phi, U, V)
     return float(np.max(np.abs(fuv - np.sin(f)))), \

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engines
-from .fields import grid_deriv, principal_field
+from .fields import principal_field
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import CLUSTER_REL_TOL, comparison_metric
 
@@ -77,16 +77,18 @@ def _distinct_mask(pf):
     return ok
 
 
-def check_gauss(pf, c, ctilde, tol=None):
-    """|<eta_i, eta_j> - (c - ctilde)| over all pairs i != j.
+def check_gauss(pf, tol=None):
+    """|<eta_i, eta_j> - (c - ctilde)| over all pairs i != j, with the
+    chart's c and its ambient's curvature ctilde.
 
     Implements the sign convention <eta_i, eta_j> = c - ctilde validated on
     the pseudosphere (k1 k2 = -1 = c - ctilde); see the repo notes.
     """
+    chart = pf.chart
     if tol is None:
-        tol = engines.DEFAULT_TOL[pf.chart.engine]
+        tol = engines.DEFAULT_TOL[chart.engine]
     n = pf.n
-    target = c - ctilde
+    target = chart.c - chart.ambient.curvature
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -103,7 +105,7 @@ def check_codazzi_c1(pf, tol=DERIVED_TOL):
     worst = 0.0
     for i in range(n):
         scale = np.maximum(1.0, pf.pb.eta_sq[..., i])
-        grad = pf.gradient(eta[..., i, :])
+        grad = pf.grid.gradient(eta[..., i, :])
         for j in range(n):
             if i == j:
                 continue
@@ -151,7 +153,7 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
     worst = 0.0
     lam = pf.pb.lambdas
     for i in range(n):
-        grad = pf.gradient(1.0 / lam[..., i])
+        grad = pf.grid.gradient(1.0 / lam[..., i])
         for j in range(n):
             if i == j:
                 continue
@@ -171,9 +173,6 @@ def constant_curvature_residual(G, grid, c):
     sum runs in index order."""
     N = range(grid.ndim)
 
-    def d(A, m):
-        return grid_deriv(A, m, grid.spacing[m], grid.periodic[m])
-
     def dot(a, b):
         """sum_m a[m] b[m], accumulated in m order"""
         s = a[0] * b[0]
@@ -182,7 +181,7 @@ def constant_curvature_residual(G, grid, c):
         return s
 
     g = [[G[..., i, j] for j in N] for i in N]
-    dg = [[[d(g[i][j], m) for j in N] for i in N] for m in N]
+    dg = [[[grid.deriv(g[i][j], m) for j in N] for i in N] for m in N]
     # Gamma_{ij,l} = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
     low = [[[((dg[i][j][l] + dg[j][i][l]) - dg[l][i][j]) * 0.5 for l in N]
             for j in N] for i in N]
@@ -192,8 +191,8 @@ def constant_curvature_residual(G, grid, c):
     gam = [[[dot([Ginv[..., k, l] for l in N], low[i][j]) for k in N]
             for j in N] for i in N]
     del low, Ginv
-    dgam = [[[[d(gam[i][j][k], m) for k in N] for j in N] for i in N]
-            for m in N]
+    dgam = [[[[grid.deriv(gam[i][j][k], m) for k in N] for j in N]
+             for i in N] for m in N]
     worst = 0.0
     for i in N:
         for j in N:
@@ -277,8 +276,7 @@ def verify_chart(chart, grid, tols=None):
             if name not in skipped}
     pf = principal_field(fb, grid)
     field = {
-        "gauss": lambda: check_gauss(pf, chart.c, chart.ambient.curvature,
-                                     tol=tols.get("gauss")),
+        "gauss": lambda: check_gauss(pf, tol=tols.get("gauss")),
         "codazzi_c1": lambda: check_codazzi_c1(
             pf, tol=tols.get("c1", DERIVED_TOL)),
         "codazzi_c2": lambda: check_codazzi_c2(

@@ -72,7 +72,13 @@ def test_no_option_that_no_caller_sets():
                         ("principal.joint_diagonalize", "tol"),
                         ("principal.joint_diagonalize", "max_sweeps"),
                         ("flows.commutator_residual", "h"),
-                        ("charts.ImmersionChart.contains", "interior")):
+                        ("charts.ImmersionChart.contains", "interior"),
+                        ("fields.make_grid", "box"),
+                        ("growth.check_length_inequality", "n_curves"),
+                        ("sinegordon.sine_gordon_residual", "samples"),
+                        ("principal.comparison_metric", "exploratory"),
+                        ("verifiers.check_gauss", "c"),
+                        ("verifiers.check_gauss", "ctilde")):
         assert param not in inspect.signature(names[name]).parameters, name
 
 
@@ -89,8 +95,9 @@ def test_the_chart_guard_cannot_be_switched_off():
 def test_one_name_per_concept():
     """One fundamental batch, one flatness test, III read off the batch,
     one layout through the batch layer, one distance-field entry point,
-    one curvature residual, one flow entry point and one gradient helper:
-    the duplicate names are gone."""
+    one curvature residual, one flow entry point, one time grid for the
+    flow map and one stencil, on the grid: the duplicate names are
+    gone."""
     from flatbundle import (fields, flows, fundamental, growth, principal,
                             verifiers)
     for mod, name in ((fundamental, "metric_batch"),
@@ -106,16 +113,22 @@ def test_one_name_per_concept():
                       (verifiers, "_contract"),
                       (verifiers, "christoffel_field"),
                       (verifiers, "riemann_field"),
-                      (flows, "integrate_flow")):
+                      (flows, "integrate_flow"),
+                      (flows, "_march_axis"),
+                      (fields, "grid_deriv")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch
     assert "position" not in {f.name for f in dataclasses.fields(fb)}
     assert not hasattr(fb, "shape_operators")
     assert principal._matmul is fundamental._matmul
-    # the field identities differentiate through the one gradient helper
+    # every grid derivative goes through Grid.deriv
     assert not hasattr(fields.PrincipalField, "dfield")
     assert not hasattr(fields.PrincipalField, "directional")
+    assert not hasattr(fields.PrincipalField, "gradient")
+    fm = {f.name for f in dataclasses.fields(flows.FlowMap)}
+    assert "t_axes" not in fm and "grid" in fm
+    assert not hasattr(flows.FlowMap, "t_spacing")
 
 
 def _perfbench(name, monkeypatch):

@@ -123,7 +123,7 @@ def test_flow_map_shrinks_oversized_box(pseudosphere):
     fm = build_flow_map(pseudosphere.chart, PS_X0, ((-1.0, 1.0),) * 2, 5)
     assert fm.warnings                      # at least one shrink recorded
     assert all("shrink" in w for w in fm.warnings)
-    hi = max(ax[-1] for ax in fm.t_axes)
+    hi = max(ax[-1] for ax in fm.grid.axes)
     assert hi < 1.0
 
 
@@ -220,31 +220,22 @@ def test_round_trip_rides_in_the_group_law_batches(monkeypatch, name, x0):
     assert rep.passed and rep.tolerance == 1e-8, rep.summary_line()
 
 
-def _sequential_march(chart, A, refs, ax, t_vals, step):
-    """The flow-map march as two chains, one flow_points call per hop."""
-    out = np.empty((len(t_vals),) + A.shape)
-    outref = np.empty((len(t_vals),) + refs.shape)
-    order = np.argsort(t_vals)
-    for chain in ([k for k in order if t_vals[k] >= 0],
-                  [k for k in order if t_vals[k] < 0][::-1]):
-        U, R, t_prev = A, refs, 0.0
-        for k in chain:
-            if t_vals[k] != t_prev:
-                U, R = flow_points(chart, U, ax, t_vals[k] - t_prev, refs=R,
-                                   step=step)
-            out[k], outref[k] = U, R
-            t_prev = t_vals[k]
-    return out, outref
-
-
 @pytest.mark.parametrize("box", [(-0.25, 0.25), (-0.1, 0.25), (0.05, 0.2)])
-def test_flow_map_equals_sequential_chains(dini, monkeypatch, box):
-    """The chains on both sides of t = 0 march together; an asymmetric box
-    has one chain longer than the other, and a box off t = 0 has one."""
-    fm = build_flow_map(dini.chart, DINI_X0, (box,) * 2, 7)
-    monkeypatch.setattr(flows, "_march_axis", _sequential_march)
-    want = build_flow_map(dini.chart, DINI_X0, (box,) * 2, 7)
-    np.testing.assert_array_equal(fm.points, want.points)
+def test_flow_map_equals_separate_flows(dini, box):
+    """A sample F(t_0, t_1) is one flow along axis 0 from x0 and then one
+    along axis 1, bit for bit, not a chain of hops through the earlier
+    sample times; the boxes straddle t = 0 evenly and unevenly, or miss
+    it."""
+    chart = dini.chart
+    fm = build_flow_map(chart, DINI_X0, (box,) * 2, 7)
+    t0, t1 = fm.grid.axes
+    U0 = np.asarray(DINI_X0, float)[None, :]
+    refs = aligned_principal(chart, U0).X_cont
+    for a, b in ((0, 0), (1, 5), (3, 3), (6, 2), (6, 6)):
+        u, r = flow_points(chart, U0, 0, t0[a], refs=refs)
+        u, _ = flow_points(chart, u, 1, t1[b], refs=r)
+        np.testing.assert_array_equal(fm.points[a, b], u[0],
+                                      err_msg=f"sample {a, b}")
 
 
 def test_domain_exit_in_a_mixed_batch(pseudosphere):
@@ -266,12 +257,13 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
 # and the round trip along axis 0 to t = 0.2 and back: 81 decompositions
 # for the longest first flow (20 RK4 steps), 41 for the second, whose
 # longest flow is the back leg (10 steps of 0.02; the 2e-17 that the
-# subtractions leave of -0.2 takes no step).  The 9 x 9 flow map: 4 hops
-# of 4 steps per axis, 1 + 4 * 17 = 69 decompositions for axis 0 and 68
-# for axis 1.  Six separate flows and two separate chains took 286 and
-# 273; a separate round trip took 90 more.
+# subtractions leave of -0.2 takes no step).  The 9 x 9 flow map: the base
+# point, then one call per axis whose longest flow, to t = 0.25, takes 13
+# steps: 1 + 2 * (1 + 4 * 13) = 107 decompositions.  Six separate flows
+# took 286, and a separate round trip 90 more; the map's chains of hops,
+# two separate chains per axis, took 273, and marched together 137.
 IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14134
-MAP_DECOMPOSITIONS, MAP_POINTS = 137, 1361
+MAP_DECOMPOSITIONS, MAP_POINTS = 107, 2811
 # the whole coords run: the map, the identities and the frame check
 COORDS_DECOMPOSITIONS = MAP_DECOMPOSITIONS + IDENTITY_DECOMPOSITIONS + 1
 
@@ -316,7 +308,7 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
     assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert "flow_round_trip PASS" in capsys.readouterr().out
-    assert len(calls) == COORDS_DECOMPOSITIONS == 260
+    assert len(calls) == COORDS_DECOMPOSITIONS == 230
 
 
 def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):

@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import ConvexHull
 
-from flatbundle import catalog
+from flatbundle import catalog, growth
 from flatbundle.errors import (ConfigError, DomainError,
                                HypothesisViolation)
 from flatbundle.fields import make_grid
@@ -444,9 +444,11 @@ def test_chain_verdicts_exclude_the_anchor(pseudosphere):
     assert tiny.notes == "singleton ball"
 
 
-def test_length_check_matches_separate_curve_lengths(pseudosphere):
+def test_length_check_matches_separate_curve_lengths(pseudosphere,
+                                                      monkeypatch):
     chart = pseudosphere.chart
-    got = check_length_inequality(chart, n_curves=3, seed=7)
+    monkeypatch.setattr(growth, "LENGTH_CURVES", 3)
+    got = check_length_inequality(chart, seed=7)
     rng = np.random.default_rng(7)
     box = np.array(chart.usable_domain())
     lhs, rhs, quad_err = [], [], 0.0
@@ -463,7 +465,8 @@ def test_length_check_matches_separate_curve_lengths(pseudosphere):
                            notes="3 random polylines")
     assert got == want
     assert got.verdict == "pass" and got.compared == 3
-    none = check_length_inequality(chart, n_curves=0)
+    monkeypatch.setattr(growth, "LENGTH_CURVES", 0)
+    none = check_length_inequality(chart)
     assert (none.verdict, none.compared) == ("indeterminate", 0)
 
 
@@ -626,6 +629,27 @@ def test_growth_report_builds_at_most_the_grid_frame(name, x0, frames,
                         resolution=33, exploratory=True)
     assert rep.verdicts
     assert points == frames
+
+
+@pytest.mark.parametrize("name, x0, runs", [
+    ("product_torus_r4", (3.0, 3.0), 1),   # C = 0: no verdict reads g0
+    ("pseudosphere", (0.88, 3.14), 2),
+])
+def test_growth_report_builds_the_distances_its_verdicts_read(name, x0, runs,
+                                                             monkeypatch):
+    """An exploratory C = 0 run skips both verdicts that read the g0
+    distances, so it builds the g distances alone: one Dijkstra run, where
+    it used to make two."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dijkstra(*args, **kwargs)
+
+    monkeypatch.setattr(growth, "dijkstra", counted)
+    growth_report(catalog.get(name).chart, x0, (0.3, 0.6), resolution=33,
+                  exploratory=True)
+    assert len(calls) == runs
 
 
 def test_growth_report_refuses_an_x0_outside_the_chart(pseudosphere):

@@ -130,8 +130,6 @@ def test_comparison_metric_guards():
                            np.array([1.0, 1.0]))
     with pytest.raises(HypothesisViolation):
         comparison_metric(fb)                     # C = 0
-    g0 = comparison_metric(fb, exploratory=True)  # g0 = III only
-    np.testing.assert_array_equal(g0, fb.III)
     fb_v = fundamental_batch(catalog.get("veronese_r5").chart,
                              np.array([0.5, 0.3]))
     with pytest.raises(HypothesisViolation):

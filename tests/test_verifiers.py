@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog
-from flatbundle.fields import (ALIGN_MIN, _alignment_matrices,
-                               _signed_permutation, grid_deriv, make_grid,
+from flatbundle.fields import (ALIGN_MIN, Grid, _alignment_matrices,
+                               _signed_permutation, make_grid,
                                principal_field)
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.principal import principal_batch
@@ -82,17 +82,14 @@ def test_verify_chart_differentiates_each_field_once(name, res, most,
     """The field identities read one connection table: each frame vector,
     each principal normal and each 1/lambda_i takes one grid derivative
     per chart axis in a verify_chart, however many index pairs read it."""
-    import sys
     calls = []
+    deriv = Grid.deriv
 
-    def counted(*args, **kwargs):
+    def counted(self, A, axis):
         calls.append(1)
-        return grid_deriv(*args, **kwargs)
+        return deriv(self, A, axis)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("flatbundle") \
-                and getattr(mod, "grid_deriv", None) is grid_deriv:
-            monkeypatch.setattr(mod, "grid_deriv", counted)
+    monkeypatch.setattr(Grid, "deriv", counted)
     chart = catalog.get(name).chart
     reports, _ = verify_chart(chart, make_grid(chart, res))
     assert "codazzi_c1" in [r.identity for r in reports]
@@ -123,8 +120,11 @@ def test_connection_table_closed_form_pseudosphere(pseudosphere, res,
 
 
 def test_gauss_identity_detects_wrong_curvature(ps_field_33):
-    """Claiming c~ = 1 for a surface in R^3 must fail loudly."""
-    bad = check_gauss(ps_field_33, c=-1.0, ctilde=1.0, tol=1e-8)
+    """Claiming c = -2 for the pseudosphere in R^3 sets the target
+    c - c~ to -2, which must fail loudly."""
+    wrong = dataclasses.replace(ps_field_33.chart, c=-2.0)
+    bad = check_gauss(dataclasses.replace(ps_field_33, chart=wrong),
+                      tol=1e-8)
     assert not bad.passed
     assert bad.max > 1.0
 
@@ -139,8 +139,8 @@ def test_intrinsic_curvature_detects_wrong_c(pseudosphere):
 
 
 def test_intrinsic_curvature_hyperbolic_band():
-    entry = catalog.get("hyperbolic_plane")
-    grid = make_grid(entry.chart, (49, 25), box=((-2.0, 2.0), (-1.0, 1.0)))
+    entry = catalog.get("hyperbolic_plane", extent_x=2.0, extent_y=1.0)
+    grid = make_grid(entry.chart, (49, 25))
     fb = fundamental_batch(entry.chart, grid.points)
     rep = check_intrinsic_curvature(fb, grid)
     assert rep.passed, rep.summary_line()
@@ -242,8 +242,8 @@ def test_coherence_reuses_the_first_pass_overlaps(name, res):
 
 def _einsum_residual(G, grid, c):
     def d(A, k):
-        return np.stack([grid_deriv(A, m, grid.spacing[m], grid.periodic[m])
-                         for m in range(grid.ndim)], axis=-k)
+        return np.stack([grid.deriv(A, m) for m in range(grid.ndim)],
+                        axis=-k)
     dG = d(G, 3)
     low = 0.5 * (dG + np.einsum("...jil->...ijl", dG)
                  - np.einsum("...lij->...ijl", dG))
