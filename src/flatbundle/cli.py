@@ -11,6 +11,7 @@ seeds produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -33,11 +34,13 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _G = "%.17g"
+_W = 25      # bytes per CSV cell; the longest '%.17g' text has 24
+_K = 240     # decimal exponents tabulated: -_K.._K
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(path, data):
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _header(cfg, chart, grid, extra=()):
@@ -55,30 +58,150 @@ def _header(cfg, chart, grid, extra=()):
     return lines
 
 
-def _text(columns):
-    """The value text of the (rows, k) column blocks side by side, one list
-    per column, every value at 17 significant digits.  Each column formats
-    each distinct bit pattern once (so 0.0 and -0.0 stay apart); the bytes
-    are unchanged from formatting every row with one '%.17g,...' string."""
-    cols = []
-    for col in np.hstack(columns, dtype=float).T:
-        keys, inv = np.unique(col.view(np.int64), return_inverse=True)
-        text = list(map(_G.__mod__, keys.view(np.float64).tolist()))
-        cols.append(np.array(text, dtype=object)[inv].tolist())
-    return cols
+def _split(a):
+    """Veltkamp's split of a into hi + lo == a, each with 26 bits."""
+    c = 134217729.0 * a                                      # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
-def _csv(header, text):
-    """CSV text: the header, then the column text of :func:`_text` joined
-    row by row."""
-    return "\n".join([",".join(header)]
-                     + list(map(",".join, zip(*text)))) + "\n"
+@functools.cache
+def _tables():
+    """Tables read by :func:`_g17_values`.
+
+    Row k + _K for each decimal exponent k = -_K.._K: 10**(16 - k) as
+    hi + lo, two doubles each rounded correctly from an exact integer
+    ratio, the two halves of hi, and the '%g' exponent text of k,
+    NUL-padded to 5 bytes.
+
+    Row k + 5 for k = -5..17, where k = -5 stands for every exponent below
+    -4 and k = 17 for every one above 16: the '%.17g' text as _W slots,
+    each slot's column in the source bytes of :func:`_g17_values`, and
+    the least number of significant digits that keeps the slot."""
+    hi, lo, exp, cols, need = [], [], b"", [], []
+    for k in range(-_K, _K + 1):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        h = num / den
+        hn, hd = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * hd - hn * den) / (den * hd))
+        exp += (b"" if -4 <= k < 17 else b"e%+03d" % k).ljust(5, b"\0")
+    for k in range(-5, 18):
+        # sign, then z zeros (the '0.000' of a value below 1) and the 17
+        # digits, with a '.' after the first n_int, then the exponent.  A
+        # character past the '.' is kept when the digits reach it, and
+        # the '.' when the character after it is kept
+        fixed = -4 <= k < 17
+        z = -k if fixed and k < 0 else 0
+        n_int = k + 1 if fixed and k > 0 else 1
+        chars = [17] * z + list(range(17))
+        slot = [19, *chars[:n_int], 18, *chars[n_int:]]
+        keep = [0] * (n_int + 1) + [j - z + 1 for j in
+                                    (n_int, *range(n_int, z + 17))]
+        if not fixed:
+            slot += range(20, 25)
+        cols.append((slot + [25] * _W)[:_W])
+        need.append((keep + [0] * _W)[:_W])
+    hi = np.array(hi)
+    return (hi, *_split(hi), np.array(lo),
+            np.frombuffer(exp, np.uint8).reshape(-1, 5),
+            np.array(cols, dtype=np.intp), np.array(need, dtype=np.int8))
+
+
+def _g17_one(x):
+    """'%.17g' % x, for a value the vectorized path leaves out."""
+    return _G % x
+
+
+def _g17_values(x):
+    """(len(x), _W) uint8: the '%.17g' text of each value of the float
+    array x, NUL-padded.  Values of one decimal exponent share a layout;
+    in bit-pattern order (as :func:`_g17` passes each column) they form
+    at most two runs per column, one per sign.
+
+    With k = floor(log10|x|), corrected by one where the product leaves
+    [1e16, 1e17), |x| * 10**(16 - k) = p + e to within about 1e-15:
+    Dekker's exact product of |x| and hi, plus |x| * lo.  p >= 2**53 is
+    an integer, so rounding p + e gives the 17 digits N.  Values that are
+    0, inf, nan or outside [1e-230, 1e230], whose e is within 1e-6 of a
+    half-integer (ties included), or whose p + e is not in
+    [1e16, 1e17 - 0.5) are formatted one by one by :func:`_g17_one`."""
+    hi, hi_h, hi_l, lo, exp, cols, need = _tables()
+    a = np.abs(x)
+    fast = (a >= 1e-230) & (a <= 1e230)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    p = a * hi[k + _K]
+    k += p >= 1e17
+    k -= p < 1e16
+    i = k + _K
+    p = a * hi[i]
+    a_h, a_l = _split(a)
+    e = ((a_h * hi_h[i] - p) + a_h * hi_l[i] + a_l * hi_h[i]
+         + a_l * hi_l[i] + a * lo[i])
+    f = np.floor(e)
+    N = p.astype(np.int64) + f.astype(np.int64)          # floor(p + e)
+    fast &= (np.abs(e - f - 0.5) > 1e-6) & (N >= 10**16)
+    N += e - f > 0.5
+    fast &= N < 10**17
+
+    # source bytes per value: the 17 digits, '0', '.', the sign, the
+    # exponent text and NUL
+    src = np.zeros((len(x), 26), np.uint8)
+    for c in range(16, -1, -1):
+        q = N // 10
+        src[:, c] = N - 10 * q + 48
+        N = q
+    sd = 17 - np.argmax(src[:, 16::-1] != 48, axis=1).astype(np.int8)
+    src[:, 17:19] = np.frombuffer(b"0.", np.uint8)
+    src[np.signbit(x), 19] = ord("-")
+    src[:, 20:25] = exp[i]
+    out = np.empty((len(x), _W), np.uint8)
+    runs = np.flatnonzero(np.diff(i, prepend=-1))
+    for s, t in zip(runs, [*runs[1:], len(x)]):
+        j = min(max(k[s], -5), 17) + 5
+        out[s:t] = (np.take(src[s:t], cols[j], axis=1)
+                    * (need[j] <= sd[s:t, None]))
+    for r in np.flatnonzero(~fast):
+        text = _g17_one(float(x[r])).encode()
+        out[r] = 0
+        out[r, :len(text)] = list(text)
+    return out
+
+
+def _g17(block):
+    """(rows, k, _W) uint8: the '%.17g' text of the (rows, k) float block,
+    NUL-padded.  Each column formats each distinct bit pattern once (so
+    0.0 and -0.0 stay apart)."""
+    cols = [np.unique(col.view(np.int64), return_inverse=True)
+            for col in np.asarray(block, dtype=float).T]
+    text = _g17_values(np.concatenate([key for key, _ in cols])
+                       .view(np.float64))
+    start = np.cumsum([0] + [len(key) for key, _ in cols])
+    return np.stack([text[inv + s] for (_, inv), s in zip(cols, start)],
+                    axis=1)
+
+
+def _csv(header, columns):
+    """CSV bytes: the header, then the (rows, k) float column blocks side
+    by side, each value as '%.17g' formats it.  A block may also be given
+    as the text :func:`_g17` made of it, so that a block shared by several
+    files is formatted once."""
+    text = np.concatenate([c if c.dtype == np.uint8 else _g17(c)
+                           for c in map(np.asarray, columns)], axis=1)
+    cells = np.empty(text.shape[:2] + (_W + 1,), np.uint8)
+    cells[..., :_W] = text
+    cells[..., _W] = ord(",")
+    cells[:, -1, _W] = ord("\n")
+    return ((",".join(header) + "\n").encode()
+            + cells.tobytes().translate(None, b"\0"))
 
 
 def _finish(out_dir, name, lines, code):
     """Write <name>_summary.txt, echo it and return the exit code."""
     text = "\n".join(lines)
-    _write(os.path.join(out_dir, f"{name}_summary.txt"), text + "\n")
+    _write(os.path.join(out_dir, f"{name}_summary.txt"),
+           (text + "\n").encode())
     print(text)
     return code
 
@@ -103,13 +226,12 @@ def run_verify(cfg, out_dir):
     lines = _header(cfg, chart, grid.shape)
     head = [f"u{k + 1}" for k in range(chart.n)] + ["residual"]
     pts = grid.points.reshape(-1, chart.n)
-    pts_text = _text((pts,))                       # shared by every CSV
+    pts_text = _g17(pts)                           # shared by every CSV
     for rep in reports:
         lines.append(rep.summary_line())
         if rep.residual_grid.size == len(pts):     # not a vacuous n < 3 c2
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
-                   _csv(head, pts_text
-                        + _text((rep.residual_grid.reshape(-1, 1),))))
+                   _csv(head, (pts_text, rep.residual_grid.reshape(-1, 1))))
     lines.extend(f"{name} SKIPPED by hypothesis ({why})"
                  for name, why in skipped.items())
     failed = [r for r in reports if not r.passed]
@@ -133,8 +255,8 @@ def run_growth(cfg, out_dir, strict=False):
 
     _write(os.path.join(out_dir, "growth.csv"),
            _csv(["r", "S", "psi", "vol", "bound", "ref_vol"],
-                _text(([[row.r, row.S, row.psi, row.vol, row.bound,
-                         row.ref_vol] for row in rep.rows],))))
+                ([[row.r, row.S, row.psi, row.vol, row.bound, row.ref_vol]
+                  for row in rep.rows],)))
     if rep.fit is not None:
         k, ell, r2 = rep.fit
         lines.append("fit S(r): k=%s ell=%s r2=%s window=%g:%g"
@@ -167,8 +289,8 @@ def run_coords(cfg, out_dir):
         return _finish(out_dir, "coords", lines, EXIT_OK)
     head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
     _write(os.path.join(out_dir, "coords.csv"),
-           _csv(head, _text((fm.grid.points.reshape(-1, n),
-                             fm.points.reshape(-1, n)))))
+           _csv(head, (fm.grid.points.reshape(-1, n),
+                       fm.points.reshape(-1, n))))
     for w in fm.warnings:
         lines.append(f"WARN {w}")
 
@@ -257,8 +379,12 @@ def main(argv=None):
             cfg.engine = args.engine
         if args.seed is not None:
             cfg.seed = args.seed
-        out_dir = args.out or cfg.out_dir
-        os.makedirs(out_dir, exist_ok=True)
+        out_dir = cfg.out_dir if args.out is None else args.out
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {out_dir!r} cannot be "
+                              f"created: {exc.strerror}") from None
         if args.command == "growth":
             return run_growth(cfg, out_dir, strict=args.strict)
         runner = {"verify": run_verify, "coords": run_coords}[args.command]

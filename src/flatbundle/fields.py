@@ -150,13 +150,18 @@ def _signed_permutation(Q):
     """
     n = Q.shape[-1]
     absQ = np.abs(Q)
-    # rowwise ambiguity: best and runner-up candidate too close to call
-    if n > 1:
-        top2 = -np.sort(-absQ, axis=-1)[..., :2]
-        ambiguous = np.any(top2[..., 0] - top2[..., 1] < ALIGN_AMBIGUOUS,
-                           axis=-1)
-    else:
+    # rowwise ambiguity: best and runner-up candidate too close to call.
+    # Q is finite (the batch refuses a non-finite frame), and the gap is
+    # exact: |a - b| is max - min, and a partition keeps the values
+    if n == 1:
         ambiguous = np.zeros(Q.shape[:-2], dtype=bool)
+    else:
+        if n == 2:
+            gap = np.abs(absQ[..., 0] - absQ[..., 1])
+        else:
+            top2 = np.partition(absQ, n - 2, axis=-1)[..., -2:]
+            gap = top2[..., 1] - top2[..., 0]
+        ambiguous = np.any(gap < ALIGN_AMBIGUOUS, axis=-1)
     # fancy indexing, not *_along_axis: flows call this on many small batches
     flat = absQ.reshape(-1, n * n)
     Qflat = Q.reshape(flat.shape)

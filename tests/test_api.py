@@ -96,10 +96,10 @@ def test_one_name_per_concept():
     """One fundamental batch, one flatness test, III read off the batch,
     one layout through the batch layer, one distance-field entry point,
     one curvature residual, one flow entry point, one time grid for the
-    flow map and one stencil, on the grid: the duplicate names are
-    gone."""
-    from flatbundle import (fields, flows, fundamental, growth, principal,
-                            verifiers)
+    flow map, one stencil, on the grid, and one CSV formatter: the
+    duplicate names are gone."""
+    from flatbundle import (cli, fields, flows, fundamental, growth,
+                            principal, verifiers)
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
@@ -115,7 +115,8 @@ def test_one_name_per_concept():
                       (verifiers, "riemann_field"),
                       (flows, "integrate_flow"),
                       (flows, "_march_axis"),
-                      (fields, "grid_deriv")):
+                      (fields, "grid_deriv"),
+                      (cli, "_text")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch

@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flatbundle
 from flatbundle import cli
@@ -519,6 +521,29 @@ def test_cli_rejects_bad_base_point_and_flow_resolution(workdir, command,
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
+@pytest.mark.parametrize("out, output", [
+    # an existing file: used to exit 3 with FileExistsError
+    ("afile", ""),
+    # a directory below a file: used to exit 3 with NotADirectoryError
+    ("afile/sub", ""),
+    # an empty [output] dir: used to name no directory
+    (None, "[output]\ndir =\n"),
+    # an empty --out: used to write to the config's directory
+    ("", ""),
+])
+def test_cli_unusable_output_directory_is_config_error(workdir, out, output):
+    (workdir / "afile").write_text("")
+    (workdir / "out.ini").write_text(
+        "[chart]\nname = pseudosphere\n[grid]\nresolution = 17\n" + output)
+    code, stdout, err = run_cli("verify", "--config", "out.ini",
+                                *(() if out is None else ("--out", out)),
+                                cwd=workdir)
+    assert (code, stdout) == (2, ""), err
+    assert err.startswith(f"error: output directory '{out or ''}' cannot "
+                          f"be created: "), err
+    assert len(err.splitlines()) == 1, err
+
+
 def test_cli_radius_overflow_is_config_error(workdir):
     """sinh overflows in the hyperbolic reference volume: used to raise an
     uncaught OverflowError, exit 1."""
@@ -586,19 +611,53 @@ def test_csv_matches_per_row_formatting():
     rng = np.random.default_rng(7)
     repeated = rng.choice(special, size=(200, 2))
     grid = np.repeat(np.linspace(-1.0, 1.0, 5), 40)[:, None]
+    bits = rng.integers(-2**63, 2**63 - 1, size=(20000, 2),
+                        dtype=np.int64).view(float)
+    tens = np.array([float("1e%d" % p) for p in range(-300, 301)])
+    tens = np.stack([tens, np.nextafter(tens, np.inf),
+                     np.nextafter(tens, -np.inf)], axis=1)
+    edges = np.array([float(m + "e%d" % k) for k in (-5, -4, 16, 17)
+                      for m in ("1", "1.5", "9.9999999999999999",
+                                "9.87654321012345678")])
+    ties = 2.0**50 + np.arange(-40, 40)[:, None] / 4
     cases = [
         (["a", "b", "c"], (repeated, grid)),
         (["a"], (special[:, None],)),
         (["x", "y"], (special[None, :1], special[None, 1:2])),   # 1 row
         (["k%d" % i for i in range(special.size)], (special[None, :],)),
         (["t", "u"], (grid[:, :1].copy(), -grid)),
+        (["p", "q"], (bits,)),                # both signs, every exponent
+        (["ten", "up", "down"], (tens,)),
+        (["e", "-e"], (edges[:, None], -edges[:, None])),
+        (["tie", "-tie"], (ties, -ties)),
+        (["a", "b"], (np.empty((0, 2)),)),    # no rows
     ]
     for header, columns in cases:
-        assert (cli._csv(header, cli._text(columns))
-                == _csv_per_row(header, columns))
+        assert (cli._csv(header, columns)
+                == _csv_per_row(header, columns).encode())
     # 0.0 and -0.0 stay distinct
-    assert cli._csv(["z"], cli._text((np.array([[0.0], [-0.0]]),))) \
-        == "z\n0\n-0\n"
+    assert cli._csv(["z"], (np.array([[0.0], [-0.0]]),)) == b"z\n0\n-0\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_csv_matches_per_row_formatting_on_any_double(values):
+    column = (np.array(values)[:, None],)
+    assert cli._csv(["x"], column) == _csv_per_row(["x"], column).encode()
+
+
+def test_csv_formats_finite_nonzero_values_in_bulk(tmp_path, monkeypatch):
+    """Only 0, inf and nan reach the one-value fallback on a real verify
+    run, so the vectorized digits are what the byte tests check."""
+    seen = []
+    one = cli._g17_one
+    monkeypatch.setattr(cli, "_g17_one", lambda x: seen.append(x) or one(x))
+    (tmp_path / "v.ini").write_text(
+        "[chart]\nname = pseudosphere\n[grid]\nresolution = 33\n")
+    assert cli.main(["verify", "--config", str(tmp_path / "v.ini"),
+                     "--out", str(tmp_path / "v")]) == 0
+    assert seen, "the residual margins hold nan"
+    assert all(x == 0.0 or not math.isfinite(x) for x in seen), seen
 
 
 def test_cli_engine_and_seed_overrides(workdir):

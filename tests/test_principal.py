@@ -184,6 +184,24 @@ def test_signed_permutation_any_memory_layout():
     assert np.array_equal(np.abs(P).sum(axis=-1), np.ones((6, 3)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_signed_permutation_ambiguity_matches_a_full_sort(n):
+    """The best-minus-runner-up gap, taken without sorting a row, flags
+    the points that a sorted row flags, exact ties and gaps at the
+    threshold included."""
+    from flatbundle.fields import ALIGN_AMBIGUOUS, _signed_permutation
+    Q = np.random.default_rng(n).standard_normal((2000, n, n)) * 0.2
+    Q[:1000] = np.round(Q[:1000], 1)
+    _, ambiguous = _signed_permutation(Q)
+    expected = np.zeros(len(Q), dtype=bool)
+    if n > 1:
+        top2 = -np.sort(-np.abs(Q), axis=-1)[..., :2]
+        expected = np.any(top2[..., 0] - top2[..., 1] < ALIGN_AMBIGUOUS,
+                          axis=-1)
+        assert 0 < expected.sum() < len(Q)
+    assert np.array_equal(ambiguous, expected)
+
+
 # ---------------------------------------------------------------------------
 # principal_batch against the point-major solve/einsum formulation
 
