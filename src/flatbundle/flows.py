@@ -7,10 +7,13 @@ running gauge (signed permutation of maximal container overlap).  All
 trajectory work is batched: one RK4 step advances every live trajectory at
 once, and only those: a trajectory that has reached its parameter time is
 not decomposed again, so each one gets the arithmetic of a flow on its own.
-Independent flows share a batch: the identity check runs its six group-law
-flows and the two legs of its round trip as two calls, and the flow map
-takes one call per axis, which flows every point it has by every sample
-time of that axis.
+Independent flows share a batch.  The flow map and the identity check are
+plans that ask for their flows round by round: the map one round per
+axis, which flows every point it has by every sample time of that axis,
+and the identity check two rounds, its six group-law flows and the two
+legs of its round trip.  :func:`_drive` runs plans side by side with one
+call per round for the rows of all of them, so ``coords`` flows the map
+and the identity checks together in n calls, not n + 2.
 """
 
 from __future__ import annotations
@@ -112,6 +115,68 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
     return U, refs
 
 
+def _flow_rounds(chart, rounds, step):
+    """Each round's ``(U, refs)`` from one :func:`flow_points` call over
+    the rows of all the rounds.  If that call raises, each round is run
+    again on its own, and a round that raises gets its exception in place
+    of its result."""
+    sizes = [len(r[0]) for r in rounds]
+    U0 = np.concatenate([r[0] for r in rounds])
+    i, t = (np.concatenate([np.broadcast_to(r[c], (m,))
+                            for r, m in zip(rounds, sizes)]) for c in (1, 2))
+    refs = None if all(r[3] is None for r in rounds) \
+        else np.concatenate([r[3] for r in rounds])
+    try:
+        U, R = flow_points(chart, U0, i, t, refs=refs, step=step)
+    except Exception as exc:      # any error: each plan sees what it raises
+        if len(rounds) == 1:
+            return [exc]
+        return [_flow_rounds(chart, [r], step)[0] for r in rounds]
+    cut = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(U, cut), np.split(R, cut)))
+
+
+def _drive(chart, plans, step):
+    """Run flow plans side by side, round by round.
+
+    A plan is a generator that yields each round's flows as
+    ``(U0, i, t, refs)``, the arguments of :func:`flow_points`, and is sent
+    that round's ``(U, refs)`` back; what it returns is its outcome.  A
+    round's ``refs`` are None for every live plan or for none.  One
+    flow_points call carries the rows of every live plan, and gives each
+    row the arithmetic of a call on its own plan's rows.  If that call
+    raises, the round is run again one plan at a time, and each plan has
+    only its own exception thrown in at its yield.
+
+    The first plan leads: the exception that ends it propagates.  Returns
+    the plans' outcomes, where a later plan that an exception ended has
+    that exception as its outcome.
+    """
+    outcomes = [None] * len(plans)
+    asks = {}                       # live plan -> the flows of its round
+
+    def resume(k, advance, arg):
+        try:
+            asks[k] = advance(arg)
+        except StopIteration as stop:
+            outcomes[k] = stop.value
+        except Exception as exc:
+            if k == 0:
+                raise
+            outcomes[k] = exc
+
+    for k, plan in enumerate(plans):
+        resume(k, plan.send, None)
+    while asks:
+        live = list(asks)
+        got = _flow_rounds(chart, [asks.pop(k) for k in live], step)
+        for k, res in zip(live, got):
+            plan = plans[k]
+            resume(k, plan.throw if isinstance(res, Exception) else plan.send,
+                   res)
+    return outcomes
+
+
 @dataclass
 class FlowMap:
     """Candidate principal coordinates: F(t) = flow of axis n-1 after ...
@@ -122,22 +187,16 @@ class FlowMap:
     grid: Grid                  # the parameter times, not periodic
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
     warnings: list = field(default_factory=list)
+    riders: list = field(default_factory=list)  # outcomes, see build_flow_map
 
     @property
     def n(self):
         return self.chart.n
 
 
-def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
-    """Sample F(t_1, ..., t_n) on a parameter-time grid.
-
-    ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
-    number of samples per axis.  If a flow exits the chart's usable domain
-    the whole box is shrunk toward zero and the construction retried; the
-    shrink is recorded as a warning.  A chart without the flows'
-    hypotheses raises :class:`HypothesisViolation`.
-    """
-    x0 = np.asarray(x0, dtype=float)
+def _flow_map_plan(chart, x0, refs0, t_box, resolution):
+    """The plan of :func:`build_flow_map`: one round per axis, begun again
+    on a shrunk box where a flow leaves the domain."""
     n = chart.n
     if np.isscalar(resolution):
         resolution = (int(resolution),) * n
@@ -148,16 +207,14 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
                        for (lo, hi), r in zip(t_box, resolution))
         grid = Grid(t_axes, np.array([t[1] - t[0] for t in t_axes]),
                     (False,) * n)
+        A, refs = x0[None, :], refs0
         try:
-            A = x0[None, :]
-            refs = aligned_principal(chart, A).X_cont
             for ax, t in enumerate(t_axes):
                 # every point by every time of the axis, the new axis
                 # running fastest: each sample is one flow per axis
-                A, refs = flow_points(
-                    chart, np.repeat(A, len(t), axis=0), ax,
-                    np.tile(t, len(A)), refs=np.repeat(refs, len(t), axis=0),
-                    step=step)
+                A, refs = yield (np.repeat(A, len(t), axis=0), ax,
+                                 np.tile(t, len(A)),
+                                 np.repeat(refs, len(t), axis=0))
             return FlowMap(chart, x0, grid, A.reshape(grid.shape + (n,)),
                            warnings)
         except DomainExitError as exc:
@@ -170,45 +227,60 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP):
         f"{MAX_BOX_SHRINKS} shrinks", exit_time=None, last_point=None)
 
 
-def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
-                          seed=DEFAULT_SEED):
-    """One-parameter group law, pairwise commutation and a round trip of
-    the flows.
+def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
+                   riders=()):
+    """Sample F(t_1, ..., t_n) on a parameter-time grid.
 
-    For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
-    pairs (i, j), all drawn from ``seed``, compares in chart coordinates:
+    ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
+    number of samples per axis.  If a flow exits the chart's usable domain
+    the whole box is shrunk toward zero and the construction retried; the
+    shrink is recorded as a warning.  A chart without the flows'
+    hypotheses raises :class:`HypothesisViolation`.
 
-    * additivity: flow_i(t) then flow_i(s)  vs  flow_i(t + s)
-    * commutation: flow_i(t) then flow_j(s)  vs  flow_j(s) then flow_i(t)
-
-    The round trip flows axis 0 from x0 by t1 = ``t_range[1]`` and back by
-    -t1 in the gauge of the forward leg, and compares the end with x0.
-
-    Returns a dict of ResidualReports keyed by check name:
-    ``flow_group_law`` over both families and ``flow_round_trip``.
+    ``riders`` are functions that return a plan from x0 given the
+    canonical frame there as ``refs``, such as :func:`identity_plan`; the
+    plans are driven beside the map's (see :func:`_drive`).
+    Their outcomes, each a return value or the exception that ended the
+    plan, are kept in ``FlowMap.riders``.
     """
     x0 = np.asarray(x0, dtype=float)
+    refs = aligned_principal(chart, x0[None, :]).X_cont
+    fm, *outcomes = _drive(
+        chart, [_flow_map_plan(chart, x0, refs, t_box, resolution)]
+        + [rider(refs=refs) for rider in riders], step)
+    fm.riders = outcomes
+    return fm
+
+
+def identity_plan(chart, x0, t_range, rng, n_pairs=100, refs=None):
+    """The plan of :func:`check_flow_identities`, in two rounds, drawing
+    its pairs from the generator ``rng``.  ``refs`` is the frame at x0
+    that its first flows start in, None for the canonical gauge."""
+    x0 = np.asarray(x0, dtype=float)
     n = chart.n
-    rng = np.random.default_rng(seed)
     t = rng.uniform(t_range[0], t_range[1], n_pairs)
     s = rng.uniform(t_range[0], t_range[1], n_pairs)
     i = rng.integers(0, n, n_pairs)
     j = (i + rng.integers(1, n, n_pairs)) % n if n > 1 else i
-    t1 = t_range[1]
+    # the endpoint farther from 0, so that the round trip flies somewhere
+    t1 = t_range[0] if abs(t_range[0]) > abs(t_range[1]) else t_range[1]
 
     # flow_i(t), flow_i(t + s), flow_j(s) and the forward flow_0(t1) from x0
-    # in one batch, then flow_i(s) and flow_j(s) after flow_i(t), flow_i(t)
+    # in one round, then flow_i(s) and flow_j(s) after flow_i(t), flow_i(t)
     # after flow_j(s) and the back flow_0(-t1) after flow_0(t1)
-    U1, R1 = flow_points(chart, np.broadcast_to(x0, (3 * n_pairs + 1, n)),
-                         np.concatenate([i, i, j, [0]]),
-                         np.concatenate([t, t + s, s, [t1]]), step=step)
+    m = 3 * n_pairs + 1
+    U1, R1 = yield (np.broadcast_to(x0, (m, n)),
+                    np.concatenate([i, i, j, [0]]),
+                    np.concatenate([t, t + s, s, [t1]]),
+                    None if refs is None
+                    else np.broadcast_to(refs, (m,) + refs.shape[1:]))
     rows = n_pairs * np.arange(1, 4)
     Ut, Usum, Us, y = np.split(U1, rows)
     Rt, _, Rs, Ry = np.split(R1, rows)
-    U2, _ = flow_points(chart, np.concatenate([Ut, Ut, Us, y]),
-                        np.concatenate([i, j, i, [0]]),
-                        np.concatenate([s, s, t, [-t1]]),
-                        refs=np.concatenate([Rt, Rt, Rs, Ry]), step=step)
+    U2, _ = yield (np.concatenate([Ut, Ut, Us, y]),
+                   np.concatenate([i, j, i, [0]]),
+                   np.concatenate([s, s, t, [-t1]]),
+                   np.concatenate([Rt, Rt, Rs, Ry]))
     Uts, Uij, Uji, back = np.split(U2, rows)
     add = np.max(np.abs(Uts - Usum), axis=-1)
     comm = np.max(np.abs(Uij - Uji), axis=-1)
@@ -223,6 +295,30 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
             "flow_round_trip", np.max(np.abs(back - x0), axis=-1), rt_tol,
             chart, notes=f"axis 0 to t = {t1:g} and back"),
     }
+
+
+def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
+                          seed=DEFAULT_SEED):
+    """One-parameter group law, pairwise commutation and a round trip of
+    the flows.
+
+    For ``n_pairs`` random draws (t, s) in ``t_range`` and random axis
+    pairs (i, j), all drawn from ``seed``, compares in chart coordinates:
+
+    * additivity: flow_i(t) then flow_i(s)  vs  flow_i(t + s)
+    * commutation: flow_i(t) then flow_j(s)  vs  flow_j(s) then flow_i(t)
+
+    The round trip flows axis 0 from x0 by t1, the endpoint of
+    ``t_range`` with the larger magnitude (``t_range[1]`` on a tie), and
+    back by -t1 in the gauge of the forward leg, and compares the end
+    with x0.
+
+    Returns a dict of ResidualReports keyed by check name:
+    ``flow_group_law`` over both families and ``flow_round_trip``.
+    """
+    plan = identity_plan(chart, x0, t_range, np.random.default_rng(seed),
+                         n_pairs=n_pairs)
+    return _drive(chart, [plan], step)[0]
 
 
 def commutator_residual(chart, u0):

@@ -2,15 +2,18 @@
 round trips, the flow-map coordinates and their guards."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 from flatbundle import catalog, cli, flows
 from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
+from flatbundle.exprchart import parse_chart
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
-                              flow_points, verify_principal_frame_property)
+                              flow_points, identity_plan,
+                              verify_principal_frame_property)
 
 DINI_X0 = (3.1, 0.75)
 PS_X0 = (1.2, 1.5)      # away from the |eta_1| = |eta_2| locus sinh(u) = 1
@@ -197,9 +200,10 @@ def test_round_trip_rides_in_the_group_law_batches(monkeypatch, name, x0):
     leg equals a standalone flow_points call on its own, bit for bit."""
     chart = catalog.get(name).chart
     t_range = (-0.2, 0.15)
+    t1 = t_range[0]         # the endpoint with the larger magnitude
     U0 = np.asarray(x0, float)[None, :]
-    y, refs = flow_points(chart, U0, 0, t_range[1])
-    back, _ = flow_points(chart, y, 0, -t_range[1], refs=refs)
+    y, refs = flow_points(chart, U0, 0, t1)
+    back, _ = flow_points(chart, y, 0, -t1, refs=refs)
 
     legs = []
 
@@ -264,8 +268,13 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
 # two separate chains per axis, took 273, and marched together 137.
 IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14134
 MAP_DECOMPOSITIONS, MAP_POINTS = 107, 2811
-# the whole coords run: the map, the identities and the frame check
-COORDS_DECOMPOSITIONS = MAP_DECOMPOSITIONS + IDENTITY_DECOMPOSITIONS + 1
+# The whole coords run: the map's base point, then two rounds that each
+# share one call between the map and the identities, so the longest flow
+# of the round sets its count: the identities' first flows (20 steps, 81)
+# beside the map's axis 0 (13 steps), then the map's axis 1 (13 steps, 53)
+# beside the identities' second flows (10 steps); then the frame check.
+# Run one after the other, the map and the identities took 107 + 122 + 1.
+COORDS_DECOMPOSITIONS = 1 + 81 + 53 + 1
 
 COORDS_DINI = """[chart]
 name = dini
@@ -308,7 +317,7 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
     assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert "flow_round_trip PASS" in capsys.readouterr().out
-    assert len(calls) == COORDS_DECOMPOSITIONS == 230
+    assert len(calls) == COORDS_DECOMPOSITIONS == 136
 
 
 def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):
@@ -325,3 +334,194 @@ def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):
     monkeypatch.setattr(flows, "aligned_principal", counting)
     flow_points(dini.chart, np.array([DINI_X0]), 0, 0.2, step=0.02)
     assert len(calls) == 41
+
+
+def test_a_round_trip_flies_to_the_farther_endpoint(tmp_path, capsys, dini):
+    """With t_range = -0.2 : 0 the round trip used to fly axis 0 by 0, take
+    no RK4 step and compare x0 with itself (max=0.000e+00): it now flies
+    to t = -0.2 and back."""
+    code, _ = _run_coords(tmp_path, COORDS_DINI.replace(
+        "t_range = -0.2 : 0.2", "t_range = -0.2 : 0"))
+    assert code == 0
+    U0 = np.asarray(DINI_X0, float)[None, :]
+    y, refs = flow_points(dini.chart, U0, 0, -0.2)
+    back, _ = flow_points(dini.chart, y, 0, 0.2, refs=refs)
+    want = float(np.max(np.abs(back[0] - U0[0])))
+    assert want > 0.0
+    assert (f"flow_round_trip PASS max={want:.3e} tol=1.0e-08"
+            in capsys.readouterr().out.splitlines())
+    rep = check_flow_identities(dini.chart, DINI_X0, (-0.2, 0.0), n_pairs=4,
+                                seed=1)["flow_round_trip"]
+    assert rep.notes == "axis 0 to t = -0.2 and back"
+
+
+# ---------------------------------------------------------------------------
+# shared rounds: coords drives the map and the identity flows together, one
+# flow_points call per round, and each plan gets what it gets on its own
+
+H3_CHART = """name = h3
+n = 3
+ambient = euclidean 5
+c = -1
+domain = -3 : -0.7, 0 : 6.283185307179586, 0 : 6.283185307179586
+periodic = false, true, true
+map = exp(u1)*cos(u2), exp(u1)*sin(u2), exp(u1)*cos(u3), exp(u1)*sin(u3), \
+sqrt(1 - 2*exp(2*u1)) - 0.5*log((1 + sqrt(1 - 2*exp(2*u1)))\
+/(1 - sqrt(1 - 2*exp(2*u1))))
+"""
+
+
+@pytest.mark.parametrize("name", ["dini", "h3"])
+def test_shared_rounds_equal_standalone_calls(monkeypatch, name):
+    """Bit for bit: the map's points and both identity residual grids and
+    summary lines.  On the n = 3 chart the map's third round runs alone."""
+    if name == "dini":
+        chart, x0, box, res = catalog.get("dini").chart, DINI_X0, 0.25, 9
+        t_range, pairs, seed = (-0.2, 0.2), 100, 1
+    else:
+        chart, x0, box, res = (parse_chart(H3_CHART), (-1.5, np.pi, np.pi),
+                               0.2, 5)
+        t_range, pairs, seed = (-0.3, 0.3), 100, 12345
+    box = ((-box, box),) * chart.n
+    fm = build_flow_map(chart, x0, box, res)
+    checks = check_flow_identities(chart, x0, t_range, n_pairs=pairs,
+                                   seed=seed)
+
+    rows = []
+
+    def recording(chart, U0, *args, **kw):
+        rows.append(len(U0))
+        return flow_points(chart, U0, *args, **kw)
+
+    monkeypatch.setattr(flows, "flow_points", recording)
+    rider = functools.partial(identity_plan, chart, x0, t_range,
+                              np.random.default_rng(seed), n_pairs=pairs)
+    shared = build_flow_map(chart, x0, box, res, riders=[rider])
+    legs = 3 * pairs + 1
+    assert rows == [res + legs, res ** 2 + legs, res ** 3][:chart.n]
+    np.testing.assert_array_equal(shared.points, fm.points)
+    assert shared.warnings == fm.warnings == []
+    got, = shared.riders
+    assert set(got) == set(checks)
+    for key, rep in checks.items():
+        np.testing.assert_array_equal(got[key].residual_grid,
+                                      rep.residual_grid, err_msg=key)
+        assert got[key].summary_line() == rep.summary_line()
+        assert got[key].notes == rep.notes
+
+
+def _run_coords(tmp_path, config, seed=1):
+    (tmp_path / "run.ini").write_text(config)
+    out = tmp_path / "out"
+    code = cli.main(["coords", "--config", str(tmp_path / "run.ini"),
+                     "--out", str(out), "--seed", str(seed)])
+    return code, out
+
+
+def _csv_points(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _map_points(fm):
+    n = fm.n
+    return np.concatenate([fm.grid.points.reshape(-1, n),
+                           fm.points.reshape(-1, n)], axis=1)
+
+
+PS_COORDS = """[chart]
+name = pseudosphere
+[growth]
+x0 = {x0}
+flow_box = {box}
+flow_resolution = 5
+t_range = {t_range}
+pairs = 20
+"""
+
+
+def test_a_shrinking_map_keeps_its_own_warnings(pseudosphere, tmp_path,
+                                                capsys):
+    """The box +-1 leaves the domain in the round that the map shares with
+    the identities' first flows: the map still shrinks and retries, and
+    its WARN lines and coords.csv are those of build_flow_map alone."""
+    fm = build_flow_map(pseudosphere.chart, PS_X0, ((-1.0, 1.0),) * 2, 5)
+    assert fm.warnings
+    code, out = _run_coords(tmp_path, PS_COORDS.format(
+        x0="1.2, 1.5", box="-1 : 1", t_range="-0.2 : 0.2"))
+    assert code == 0
+    warns = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("WARN ")]
+    assert warns == [f"WARN {w}" for w in fm.warnings]
+    np.testing.assert_array_equal(_csv_points(out / "coords.csv"),
+                                  _map_points(fm))
+
+
+def test_an_identity_flow_error_waits_for_its_check(pseudosphere, tmp_path,
+                                                    monkeypatch, capsys):
+    """A group-law flow leaves the domain while the map stays inside: the
+    error is raised where the identity checks run, after coords.csv and
+    the commutator, with the same exit code and message as their own
+    call."""
+    x0, box = (2.7, 1.5), ((-0.05, 0.05),) * 2
+    fm = build_flow_map(pseudosphere.chart, x0, box, 5)
+    assert fm.warnings == []
+    with pytest.raises(DomainExitError) as alone:
+        check_flow_identities(pseudosphere.chart, x0, (-1.5, 1.5),
+                              n_pairs=20, seed=1)
+    done = []
+
+    def commutator(*args):
+        done.append("commutator")
+        return commutator_residual(*args)
+
+    monkeypatch.setattr(cli, "commutator_residual", commutator)
+    code, out = _run_coords(tmp_path, PS_COORDS.format(
+        x0="2.7, 1.5", box="-0.05 : 0.05", t_range="-1.5 : 1.5"))
+    assert code == cli.EXIT_NUMERICAL
+    assert done == ["commutator"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {alone.value}\n"
+    assert str(alone.value) == "flow left the usable domain of pseudosphere"
+    np.testing.assert_array_equal(_csv_points(out / "coords.csv"),
+                                  _map_points(fm))
+    assert not (out / "coords_summary.txt").exists()
+
+
+@pytest.mark.parametrize("owner", ["map", "identities"])
+def test_a_mid_flow_hypothesis_violation_stays_with_its_plan(
+        dini, tmp_path, monkeypatch, capsys, owner):
+    """Past u1 = 3.2 the hypotheses are made to fail.  Either the map's
+    flows reach there (box +-0.25, t_range +-0.01) or the identities'
+    (box +-0.01, t_range +-0.2), in the round the two share; the run
+    takes the path it takes when the plans run one after the other."""
+    require = flows._require_hypotheses
+
+    def guarded(fb):
+        if np.max(fb.points[..., 0]) > 3.2:
+            raise HypothesisViolation("made to fail past u1 = 3.2")
+        require(fb)
+
+    monkeypatch.setattr(flows, "_require_hypotheses", guarded)
+    box, t_range = (0.25, 0.01) if owner == "map" else (0.01, 0.2)
+    config = COORDS_DINI.replace("-0.25 : 0.25", f"-{box} : {box}").replace(
+        "-0.2 : 0.2", f"-{t_range} : {t_range}")
+    code, out = _run_coords(tmp_path, config)
+    assert code == 0
+    stdout = capsys.readouterr().out
+    why = "made to fail past u1 = 3.2"
+    if owner == "map":
+        with pytest.raises(HypothesisViolation, match=why):
+            build_flow_map(dini.chart, DINI_X0, ((-box, box),) * 2, 9)
+        check_flow_identities(dini.chart, DINI_X0, (-t_range, t_range))
+        assert (f"principal_coordinates SKIPPED by hypothesis ({why})"
+                in stdout.splitlines())
+        assert not (out / "coords.csv").exists()
+    else:
+        fm = build_flow_map(dini.chart, DINI_X0, ((-box, box),) * 2, 9)
+        with pytest.raises(HypothesisViolation, match=why):
+            check_flow_identities(dini.chart, DINI_X0, (-t_range, t_range))
+        assert stdout == f"skipped by hypothesis: {why}\n"
+        np.testing.assert_array_equal(_csv_points(out / "coords.csv"),
+                                      _map_points(fm))
+        assert not (out / "coords_summary.txt").exists()
