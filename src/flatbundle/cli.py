@@ -23,7 +23,7 @@ from .errors import (ConfigError, DomainError, FlatBundleError,
                      HypothesisViolation, ModelConsistencyError,
                      NumericalError)
 from .fields import make_grid
-from .flows import (build_flow_map, commutator_residual, identity_plan,
+from .flows import (build_flow_map, commutator_residual, identity_chains,
                     verify_principal_frame_property)
 from .growth import default_resolution, growth_report
 from .verifiers import verify_chart
@@ -280,14 +280,14 @@ def run_coords(cfg, out_dir):
     lines = _header(cfg, chart, (cfg.flow_resolution,) * n,
                     extra=[f"x0 = {','.join('%g' % x for x in x0)}",
                            f"flow_step = {cfg.flow_step:g}"])
-    # the identity flows ride in the map's flow_points calls
-    identities = functools.partial(identity_plan, chart, x0, cfg.t_range,
-                                   np.random.default_rng(cfg.seed),
-                                   n_pairs=cfg.pairs)
+    # the identity flows share the map's flow_points call
+    identities = identity_chains(chart, x0, cfg.t_range,
+                                 np.random.default_rng(cfg.seed),
+                                 n_pairs=cfg.pairs, step=cfg.flow_step)
     try:
         fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
                             cfg.flow_resolution, step=cfg.flow_step,
-                            riders=[identities])
+                            beside=[identities])
     except HypothesisViolation as exc:
         lines.append(f"principal_coordinates SKIPPED by hypothesis ({exc})")
         return _finish(out_dir, "coords", lines, EXIT_OK)
@@ -306,9 +306,7 @@ def run_coords(cfg, out_dir):
     lines.append(f"commutator {'PASS' if ok else 'FAIL'} max={comm:.3e} "
                  f"tol={comm_tol:.1e}")
 
-    checks, = fm.riders
-    if isinstance(checks, Exception):   # an identity flow's own error
-        raise checks
+    checks = identities.result()        # raises an identity flow's error
     group, rt = checks["flow_group_law"], checks["flow_round_trip"]
     failed |= not (group.passed and rt.passed)
     lines.append(group.summary_line())

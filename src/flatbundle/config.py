@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from . import catalog, engines, exprchart
 from .errors import ConfigError
+from .flows import SPENT
 
 _ALLOWED = {
     "chart": None,            # free keys: name/expression plus parameters
@@ -213,6 +214,10 @@ def _validate(cfg):
         raise ConfigError("pairs must be at least 1")
     if not -math.inf < cfg.t_range[0] < cfg.t_range[1] < math.inf:
         raise ConfigError("t_range must be a finite, non-empty interval")
+    if max(abs(t) for t in cfg.t_range) <= SPENT * cfg.flow_step:
+        raise ConfigError(
+            "t_range %g : %g lies within %g * flow_step of 0, so no flow "
+            "would take a step" % (*cfg.t_range, SPENT))
 
 
 def load_config(path):

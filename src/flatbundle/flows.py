@@ -4,16 +4,14 @@ coordinate map they generate.
 The vector fields only exist after a pointwise eigen-decomposition, so each
 integration step re-decomposes and aligns the frame to the trajectory's
 running gauge (signed permutation of maximal container overlap).  All
-trajectory work is batched: one RK4 step advances every live trajectory at
-once, and only those: a trajectory that has reached its parameter time is
-not decomposed again, so each one gets the arithmetic of a flow on its own.
-Independent flows share a batch.  The flow map and the identity check are
-plans that ask for their flows round by round: the map one round per
-axis, which flows every point it has by every sample time of that axis,
-and the identity check two rounds, its six group-law flows and the two
-legs of its round trip.  :func:`_drive` runs plans side by side with one
-call per round for the rows of all of them, so ``coords`` flows the map
-and the identity checks together in n calls, not n + 2.
+trajectory work is one stream: each row flows a chain of legs (axis, time)
+back to back, each leg from the end point and in the end gauge of the one
+before, and one RK4 step advances every live row at once.  Rows whose
+point, gauge, axis and step are bitwise equal are decomposed once, so the
+rows that leave one point together take their shared steps once, and each
+row still gets the arithmetic of a flow on its own.  The flow map and the
+identity checks are :class:`Chains` from the base point: rows, and what
+their end points make.  ``coords`` flows both in one call.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
 from .verifiers import residual_report
 
 DEFAULT_STEP = 0.02
+SPENT = 1e-9        # a leg with at most SPENT steps of time left is spent
 MAX_BOX_SHRINKS = 8
 BOX_SHRINK = 0.8
 
@@ -61,120 +60,139 @@ def aligned_principal(chart, U, refs=None):
     return pb
 
 
-def _velocity(pb, i):
-    """Chart components of Y_i = lambda_i X_i, one axis i per row."""
-    Y = pb.lambdas[..., None] * pb.X_chart      # (M, n, n)
-    return np.take_along_axis(Y, i[:, None, None], axis=-2)[:, 0, :]
+def _speeds(pb):
+    """Chart components of every Y_i = lambda_i X_i, axis i in row i."""
+    return pb.lambdas[..., None] * pb.X_chart
+
+
+def _groups(*columns):
+    """The first row of each group of bitwise-equal rows of the columns
+    (each (m, ...), None skipped), and the group of every row."""
+    key = np.ascontiguousarray(np.concatenate(
+        [np.reshape(c, (len(c), -1)) for c in columns if c is not None],
+        axis=1, dtype=float))
+    _, first, group = np.unique(
+        key.view(np.dtype((np.void, 8 * key.shape[1])))[:, 0],
+        return_index=True, return_inverse=True)
+    return first, group
 
 
 def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
-    """Advance each point of U0 (M, n) by its own parameter time t along
-    its own axis i (scalars broadcast) of the scaled principal direction
-    fields.
+    """Flow each point of U0 (M, n) through its own chain of legs: along
+    axis i[r, 0] for parameter time t[r, 0], then along i[r, 1] for
+    t[r, 1], and so on.  i and t are (M, L); (M,) is one leg, and scalars
+    broadcast.
 
     Every trajectory carries its own frame gauge: RK4 stage decompositions
     are aligned to the frame at the step's start point, and the gauge is
-    refreshed after each accepted step.  A step advances only the live
-    trajectories, those with more than 1e-9 steps of parameter time left,
-    so each row gets the arithmetic of a call on that row alone and ends
-    on its last whole step.  Leaving the chart's usable domain raises
-    :class:`DomainExitError` with that trajectory's elapsed time and last
-    point.
+    refreshed after each accepted step.  A leg is spent, on its last whole
+    step, when at most SPENT steps of its time are left; the row starts
+    its next leg in the same RK4 step, from there and in that gauge.  A
+    step advances only the live rows and decomposes rows whose point,
+    gauge, axis and step are bitwise equal once, so each row gets the
+    arithmetic of one call per leg on that row alone.  Leaving the chart's
+    usable domain raises :class:`DomainExitError` with the first leaving
+    row's elapsed time on its leg and its last point.
 
     Returns (U1, refs1).
     """
     U = np.array(U0, dtype=float)
     M = U.shape[0]
-    remaining = np.broadcast_to(np.asarray(t, dtype=float), (M,)).copy()
-    elapsed = np.zeros(M)
-    i = np.broadcast_to(np.asarray(i), (M,))
+    i, t = np.broadcast_arrays(i, np.asarray(t, dtype=float))
+    if i.ndim < 2:                      # one leg per row
+        i, t = i.reshape(-1, 1), t.reshape(-1, 1)
+    axes, times = (np.broadcast_to(a, (M, a.shape[1])) for a in (i, t))
+    leg, last = np.zeros(M, dtype=int), axes.shape[1] - 1
+    remaining, elapsed = times[:, 0].copy(), np.zeros(M)
+    # rows of one state have bitwise-equal points, gauges and speeds, and
+    # decompose() takes one point per state of the live rows
+    live = np.arange(M)
+    first, state = _groups(U, refs)
 
-    def decompose(V, ref, rows):
-        inside = chart.contains(V)
+    def decompose(V, ref):
+        inside = chart.contains(V)[state[live]]
         if not np.all(inside):
-            k = rows[int(np.argmin(inside))]
+            k = live[int(np.argmin(inside))]
             raise DomainExitError(
                 f"flow left the usable domain of {chart.name}",
                 exit_time=float(elapsed[k]), last_point=U[k].copy())
         return aligned_principal(chart, V, refs=ref)
 
-    pb = decompose(U, refs, np.arange(M))
-    refs, vel = pb.X_cont, _velocity(pb, i)
-    while (live := np.flatnonzero(np.abs(remaining) > 1e-9 * step)).size:
-        X, R, il = U[live], refs[live], i[live]
-        dt = np.clip(remaining[live], -step, step)[:, None]
-        k1 = vel[live]
-        k2 = _velocity(decompose(X + 0.5 * dt * k1, R, live), il)
-        k3 = _velocity(decompose(X + 0.5 * dt * k2, R, live), il)
-        k4 = _velocity(decompose(X + dt * k3, R, live), il)
-        U[live] = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        elapsed[live] += dt[:, 0]
-        remaining[live] -= dt[:, 0]
-        pb = decompose(U[live], R, live)
-        refs[live], vel[live] = pb.X_cont, _velocity(pb, il)
-    return U, refs
+    pb = decompose(U[first], None if refs is None else refs[first])
+    refs, Y = pb.X_cont[state], _speeds(pb)[state]
+    while True:
+        for _ in range(last):           # spent legs hand over to the next
+            go = np.flatnonzero((np.abs(remaining) <= SPENT * step)
+                                & (leg < last))
+            leg[go] += 1
+            remaining[go], elapsed[go] = times[go, leg[go]], 0.0
+        live = np.flatnonzero(np.abs(remaining) > SPENT * step)
+        if not live.size:
+            return U, refs
+        il = axes[live, leg[live]]
+        dt = np.clip(remaining[live], -step, step)
+        first, state[live] = _groups(state[live], il, dt)
+        g, ig, h, at = live[first], il[first], dt[first, None], state[live]
+        X, R, rows = U[g], refs[g], np.arange(len(g))
+        k1 = Y[g, ig]
+        k2 = _speeds(decompose(X + 0.5 * h * k1, R))[rows, ig]
+        k3 = _speeds(decompose(X + 0.5 * h * k2, R))[rows, ig]
+        k4 = _speeds(decompose(X + h * k3, R))[rows, ig]
+        U[live] = (X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[at]
+        elapsed[live] += dt
+        remaining[live] -= dt
+        pb = decompose(U[g], R)
+        refs[live], Y[live] = pb.X_cont[at], _speeds(pb)[at]
 
 
-def _flow_rounds(chart, rounds, step):
-    """Each round's ``(U, refs)`` from one :func:`flow_points` call over
-    the rows of all the rounds.  If that call raises, each round is run
-    again on its own, and a round that raises gets its exception in place
-    of its result."""
-    sizes = [len(r[0]) for r in rounds]
-    U0 = np.concatenate([r[0] for r in rounds])
-    i, t = (np.concatenate([np.broadcast_to(r[c], (m,))
-                            for r, m in zip(rounds, sizes)]) for c in (1, 2))
-    refs = None if all(r[3] is None for r in rounds) \
-        else np.concatenate([r[3] for r in rounds])
+@dataclass
+class Chains:
+    """Rows of flow legs from a base point: row r flows along axes[r, 0]
+    for time times[r, 0], then along axes[r, 1], and so on.  :func:`_flow`
+    sets ``outcome`` to what ``finish`` makes of the end points, or to what
+    flowing the rows on their own raised, which ``result()`` raises."""
+
+    axes: np.ndarray
+    times: np.ndarray
+    finish: object
+    outcome: object = None
+
+    def result(self):
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
+
+
+def _flow(chart, x0, refs, chains, step):
+    """Flow the rows of every :class:`Chains` from x0, starting in the
+    frame ``refs`` (None: the canonical gauge), in one :func:`flow_points`
+    call, shorter chains padded with zero-time legs, and set each one's
+    outcome.  If that call raises, each one's rows are flowed again on
+    their own, one call per leg, so each gets the error it raises
+    alone."""
+    L = max(c.times.shape[1] for c in chains)
+    axes, times = (np.concatenate([
+        np.pad(getattr(c, f), ((0, 0), (0, L - c.times.shape[1])))
+        for c in chains]) for f in ("axes", "times"))
+    U0 = np.broadcast_to(x0, (len(times), len(x0)))
+    R0 = None if refs is None else np.broadcast_to(refs, (len(times),)
+                                                   + refs.shape[1:])
     try:
-        U, R = flow_points(chart, U0, i, t, refs=refs, step=step)
-    except Exception as exc:      # any error: each plan sees what it raises
-        if len(rounds) == 1:
-            return [exc]
-        return [_flow_rounds(chart, [r], step)[0] for r in rounds]
-    cut = np.cumsum(sizes)[:-1]
-    return list(zip(np.split(U, cut), np.split(R, cut)))
-
-
-def _drive(chart, plans, step):
-    """Run flow plans side by side, round by round.
-
-    A plan is a generator that yields each round's flows as
-    ``(U0, i, t, refs)``, the arguments of :func:`flow_points`, and is sent
-    that round's ``(U, refs)`` back; what it returns is its outcome.  A
-    round's ``refs`` are None for every live plan or for none.  One
-    flow_points call carries the rows of every live plan, and gives each
-    row the arithmetic of a call on its own plan's rows.  If that call
-    raises, the round is run again one plan at a time, and each plan has
-    only its own exception thrown in at its yield.
-
-    The first plan leads: the exception that ends it propagates.  Returns
-    the plans' outcomes, where a later plan that an exception ended has
-    that exception as its outcome.
-    """
-    outcomes = [None] * len(plans)
-    asks = {}                       # live plan -> the flows of its round
-
-    def resume(k, advance, arg):
-        try:
-            asks[k] = advance(arg)
-        except StopIteration as stop:
-            outcomes[k] = stop.value
-        except Exception as exc:
-            if k == 0:
-                raise
-            outcomes[k] = exc
-
-    for k, plan in enumerate(plans):
-        resume(k, plan.send, None)
-    while asks:
-        live = list(asks)
-        got = _flow_rounds(chart, [asks.pop(k) for k in live], step)
-        for k, res in zip(live, got):
-            plan = plans[k]
-            resume(k, plan.throw if isinstance(res, Exception) else plan.send,
-                   res)
-    return outcomes
+        U, _ = flow_points(chart, U0, axes, times, refs=R0, step=step)
+    except Exception:            # any error: each sees what it raises
+        for c in chains:
+            m = len(c.times)
+            U, R = U0[:m], None if refs is None else R0[:m]
+            try:
+                for ax, t in zip(c.axes.T, c.times.T):
+                    U, R = flow_points(chart, U, ax, t, refs=R, step=step)
+                c.outcome = c.finish(U)
+            except Exception as exc:
+                c.outcome = exc
+        return
+    cut = np.cumsum([len(c.times) for c in chains])[:-1]
+    for c, Uc in zip(chains, np.split(U, cut)):
+        c.outcome = c.finish(Uc)
 
 
 @dataclass
@@ -187,77 +205,67 @@ class FlowMap:
     grid: Grid                  # the parameter times, not periodic
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
     warnings: list = field(default_factory=list)
-    riders: list = field(default_factory=list)  # outcomes, see build_flow_map
 
     @property
     def n(self):
         return self.chart.n
 
 
-def _flow_map_plan(chart, x0, refs0, t_box, resolution):
-    """The plan of :func:`build_flow_map`: one round per axis, begun again
-    on a shrunk box where a flow leaves the domain."""
+def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
+                   beside=()):
+    """Sample F(t_1, ..., t_n) on a parameter-time grid.
+
+    ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
+    number of samples per axis.  Each sample is one chain from x0: axis 0
+    for its first time, then axis 1 for its second, and so on.  If a flow
+    exits the chart's usable domain the whole box is shrunk toward zero
+    and the construction retried; the shrink is recorded as a warning.  A
+    chart without the flows' hypotheses raises
+    :class:`HypothesisViolation`.
+
+    ``beside`` are :class:`Chains` from x0, such as
+    :func:`identity_chains`, flowed in the map's first flow_points call
+    from the canonical frame at x0; each gets its own outcome.
+    """
+    x0 = np.asarray(x0, dtype=float)
     n = chart.n
     if np.isscalar(resolution):
         resolution = (int(resolution),) * n
     t_box = [tuple(b) for b in t_box]
+    refs = aligned_principal(chart, x0[None, :]).X_cont
     warnings = []
-    for attempt in range(MAX_BOX_SHRINKS + 1):
+    for _ in range(MAX_BOX_SHRINKS + 1):
         t_axes = tuple(np.linspace(lo, hi, r)
                        for (lo, hi), r in zip(t_box, resolution))
         grid = Grid(t_axes, np.array([t[1] - t[0] for t in t_axes]),
                     (False,) * n)
-        A, refs = x0[None, :], refs0
-        try:
-            for ax, t in enumerate(t_axes):
-                # every point by every time of the axis, the new axis
-                # running fastest: each sample is one flow per axis
-                A, refs = yield (np.repeat(A, len(t), axis=0), ax,
-                                 np.tile(t, len(A)),
-                                 np.repeat(refs, len(t), axis=0))
-            return FlowMap(chart, x0, grid, A.reshape(grid.shape + (n,)),
-                           warnings)
-        except DomainExitError as exc:
-            warnings.append(
-                f"axis box {t_box} exits the domain at t={exc.exit_time:.3g}; "
-                f"shrinking by {BOX_SHRINK}")
-            t_box = [(lo * BOX_SHRINK, hi * BOX_SHRINK) for lo, hi in t_box]
+        times = grid.points.reshape(-1, n)
+        samples = Chains(np.broadcast_to(np.arange(n), times.shape), times,
+                         lambda U: U.reshape(grid.shape + (n,)))
+        _flow(chart, x0, refs, [samples, *beside], step)
+        beside = ()
+        if not isinstance(samples.outcome, DomainExitError):
+            return FlowMap(chart, x0, grid, samples.result(), warnings)
+        warnings.append(
+            f"axis box {t_box} exits the domain at "
+            f"t={samples.outcome.exit_time:.3g}; shrinking by {BOX_SHRINK}")
+        t_box = [(lo * BOX_SHRINK, hi * BOX_SHRINK) for lo, hi in t_box]
     raise DomainExitError(
         f"flow map box for {chart.name} still exits the domain after "
         f"{MAX_BOX_SHRINKS} shrinks", exit_time=None, last_point=None)
 
 
-def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
-                   riders=()):
-    """Sample F(t_1, ..., t_n) on a parameter-time grid.
-
-    ``t_box`` gives per-axis (lo, hi) time ranges and ``resolution`` the
-    number of samples per axis.  If a flow exits the chart's usable domain
-    the whole box is shrunk toward zero and the construction retried; the
-    shrink is recorded as a warning.  A chart without the flows'
-    hypotheses raises :class:`HypothesisViolation`.
-
-    ``riders`` are functions that return a plan from x0 given the
-    canonical frame there as ``refs``, such as :func:`identity_plan`; the
-    plans are driven beside the map's (see :func:`_drive`).
-    Their outcomes, each a return value or the exception that ended the
-    plan, are kept in ``FlowMap.riders``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    refs = aligned_principal(chart, x0[None, :]).X_cont
-    fm, *outcomes = _drive(
-        chart, [_flow_map_plan(chart, x0, refs, t_box, resolution)]
-        + [rider(refs=refs) for rider in riders], step)
-    fm.riders = outcomes
-    return fm
-
-
-def identity_plan(chart, x0, t_range, rng, n_pairs=100, refs=None):
-    """The plan of :func:`check_flow_identities`, in two rounds, drawing
-    its pairs from the generator ``rng``.  ``refs`` is the frame at x0
-    that its first flows start in, None for the canonical gauge."""
+def identity_chains(chart, x0, t_range, rng, n_pairs=100,
+                    step=DEFAULT_STEP):
+    """The :class:`Chains` of :func:`check_flow_identities`, drawing its
+    pairs from the generator ``rng``; its outcome is the reports.  A
+    ``t_range`` within SPENT steps of 0 flies nowhere and raises
+    ValueError."""
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
+    if max(abs(t_range[0]), abs(t_range[1])) <= SPENT * step:
+        raise ValueError(f"t_range {tuple(t_range)} lies within "
+                         f"{SPENT:g} * step of 0: no flow takes a step")
     t = rng.uniform(t_range[0], t_range[1], n_pairs)
     s = rng.uniform(t_range[0], t_range[1], n_pairs)
     i = rng.integers(0, n, n_pairs)
@@ -265,36 +273,27 @@ def identity_plan(chart, x0, t_range, rng, n_pairs=100, refs=None):
     # the endpoint farther from 0, so that the round trip flies somewhere
     t1 = t_range[0] if abs(t_range[0]) > abs(t_range[1]) else t_range[1]
 
-    # flow_i(t), flow_i(t + s), flow_j(s) and the forward flow_0(t1) from x0
-    # in one round, then flow_i(s) and flow_j(s) after flow_i(t), flow_i(t)
-    # after flow_j(s) and the back flow_0(-t1) after flow_0(t1)
-    m = 3 * n_pairs + 1
-    U1, R1 = yield (np.broadcast_to(x0, (m, n)),
-                    np.concatenate([i, i, j, [0]]),
-                    np.concatenate([t, t + s, s, [t1]]),
-                    None if refs is None
-                    else np.broadcast_to(refs, (m,) + refs.shape[1:]))
-    rows = n_pairs * np.arange(1, 4)
-    Ut, Usum, Us, y = np.split(U1, rows)
-    Rt, _, Rs, Ry = np.split(R1, rows)
-    U2, _ = yield (np.concatenate([Ut, Ut, Us, y]),
-                   np.concatenate([i, j, i, [0]]),
-                   np.concatenate([s, s, t, [-t1]]),
-                   np.concatenate([Rt, Rt, Rs, Ry]))
-    Uts, Uij, Uji, back = np.split(U2, rows)
-    add = np.max(np.abs(Uts - Usum), axis=-1)
-    comm = np.max(np.abs(Uij - Uji), axis=-1)
+    def finish(U):
+        Uts, Usum, Uij, Uji, back = np.split(U, n_pairs * np.arange(1, 5))
+        add = np.max(np.abs(Uts - Usum), axis=-1)
+        comm = np.max(np.abs(Uij - Uji), axis=-1)
+        tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]
+        rt_tol = 1e-8 if chart.engine == AD else DEFAULT_TOL[chart.engine]
+        return {
+            "flow_group_law": residual_report(
+                "flow_group_law", np.concatenate([add, comm]), tol, chart,
+                notes=f"{n_pairs} random (t, s) pairs in {t_range}"),
+            "flow_round_trip": residual_report(
+                "flow_round_trip", np.max(np.abs(back - x0), axis=-1),
+                rt_tol, chart, notes=f"axis 0 to t = {t1:g} and back"),
+        }
 
-    tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]
-    rt_tol = 1e-8 if chart.engine == AD else DEFAULT_TOL[chart.engine]
-    return {
-        "flow_group_law": residual_report(
-            "flow_group_law", np.concatenate([add, comm]), tol, chart,
-            notes=f"{n_pairs} random (t, s) pairs in {t_range}"),
-        "flow_round_trip": residual_report(
-            "flow_round_trip", np.max(np.abs(back - x0), axis=-1), rt_tol,
-            chart, notes=f"axis 0 to t = {t1:g} and back"),
-    }
+    # flow_i(s) after flow_i(t), flow_i(t + s), flow_j(s) after flow_i(t),
+    # flow_i(t) after flow_j(s), and axis 0 by t1 and back by -t1
+    z = np.zeros(n_pairs, dtype=int)
+    return Chains(np.array([np.r_[i, i, i, j, 0], np.r_[i, z, j, i, 0]]).T,
+                  np.array([np.r_[t, t + s, t, s, t1],
+                            np.r_[s, z, s, t, -t1]]).T, finish)
 
 
 def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
@@ -311,14 +310,15 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     The round trip flows axis 0 from x0 by t1, the endpoint of
     ``t_range`` with the larger magnitude (``t_range[1]`` on a tie), and
     back by -t1 in the gauge of the forward leg, and compares the end
-    with x0.
+    with x0.  A ``t_range`` within SPENT steps of 0 raises ValueError.
 
     Returns a dict of ResidualReports keyed by check name:
     ``flow_group_law`` over both families and ``flow_round_trip``.
     """
-    plan = identity_plan(chart, x0, t_range, np.random.default_rng(seed),
-                         n_pairs=n_pairs)
-    return _drive(chart, [plan], step)[0]
+    checks = identity_chains(chart, x0, t_range, np.random.default_rng(seed),
+                             n_pairs, step)
+    _flow(chart, np.asarray(x0, dtype=float), None, [checks], step)
+    return checks.result()
 
 
 def commutator_residual(chart, u0):

@@ -117,6 +117,7 @@ dir = results
     "[chart]\nname = dini\n[growth]\nflow_box = -0.2 : 0.2, 0.1 : nan\n",
     "[chart]\nname = dini\n[growth]\nflow_box = 0 : 0\n",
     "[chart]\nname = dini\n[growth]\nt_range = -inf : 0.2\n",
+    "[chart]\nname = dini\n[growth]\nt_range = -1e-12 : 1e-12\n",
     "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, nan\n",
     "[chart]\nname = pseudosphere\n[growth]\nradii = 0.5, inf\n",
     "[chart]\nname = dini\n[growth]\nflow_resolution = 4\n",
@@ -431,6 +432,21 @@ def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):
     align = next(line for line in out.splitlines()
                  if line.startswith("frame_alignment"))
     assert float(align.split("max=")[1].split()[0]) >= 0.0, align
+
+
+def test_cli_t_range_that_takes_no_step_is_invalid_input(tmp_path):
+    """Both ends of t_range within 1e-9 flow steps of 0: no group-law or
+    round-trip flow took a step, and coords printed flow_group_law PASS
+    max=0.000e+00."""
+    (tmp_path / "still.ini").write_text(
+        "[chart]\nname = dini\n[growth]\nt_range = -1e-12 : 1e-12\n"
+        "flow_resolution = 5\n")
+    code, out, err = run_cli("coords", "--config", "still.ini", "--out", "c",
+                             cwd=tmp_path)
+    assert (code, out) == (2, ""), err
+    assert err == ("error: t_range -1e-12 : 1e-12 lies within 1e-09 * "
+                   "flow_step of 0, so no flow would take a step\n"), err
+    assert not (tmp_path / "c").exists()
 
 
 def test_cli_round_trip_domain_exit_is_a_numerical_failure(tmp_path):

@@ -2,7 +2,6 @@
 round trips, the flow-map coordinates and their guards."""
 
 import dataclasses
-import functools
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
 from flatbundle.exprchart import parse_chart
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
-                              flow_points, identity_plan,
+                              flow_points, identity_chains,
                               verify_principal_frame_property)
 
 DINI_X0 = (3.1, 0.75)
@@ -126,8 +125,29 @@ def test_flow_map_shrinks_oversized_box(pseudosphere):
     fm = build_flow_map(pseudosphere.chart, PS_X0, ((-1.0, 1.0),) * 2, 5)
     assert fm.warnings                      # at least one shrink recorded
     assert all("shrink" in w for w in fm.warnings)
+    assert fm.warnings[0].startswith(
+        "axis box [(-1.0, 1.0), (-1.0, 1.0)] exits the domain at t=")
     hi = max(ax[-1] for ax in fm.grid.axes)
     assert hi < 1.0
+
+
+def test_a_shrink_reports_the_first_leg_that_leaves(dini):
+    """From (0.6, 0.75) the box +-1.5 leaves the domain on axis 0 at
+    t = -0.6, and the samples near t_1 = 0, whose axis-1 legs start
+    early in the stream, leave it on axis 1 sooner (t = 0.48): the WARN
+    line reports the axis-0 exit, as flowing one axis at a time does."""
+    chart = dini.chart
+    x0 = np.array([0.6, 0.75])
+    fm = build_flow_map(chart, x0, ((-1.5, 1.5),) * 2, 9)
+    refs = aligned_principal(chart, x0[None, :]).X_cont
+    with pytest.raises(DomainExitError) as axis0:
+        flow_points(chart, np.broadcast_to(x0, (9, 2)), 0,
+                    np.linspace(-1.5, 1.5, 9),
+                    refs=np.broadcast_to(refs, (9,) + refs.shape[1:]))
+    assert fm.warnings[0] == (
+        "axis box [(-1.5, 1.5), (-1.5, 1.5)] exits the domain at "
+        f"t={axis0.value.exit_time:.3g}; shrinking by 0.8")
+    assert f"{axis0.value.exit_time:.3g}" == "-0.6"
 
 
 def test_flow_needs_curvature_gap():
@@ -166,6 +186,85 @@ def test_flow_points_batch_equals_single_trajectories(dini):
         np.testing.assert_array_equal(R1[k], r[0], err_msg=f"row {k}")
 
 
+def _legs_one_call_at_a_time(chart, U0, axes, times, refs=None):
+    """Each row's chain flowed on its own, one flow_points call per leg."""
+    out = []
+    for k in range(len(U0)):
+        u, r = U0[k:k + 1], None if refs is None else refs[k:k + 1]
+        for ax, t in zip(axes[k], times[k]):
+            u, r = flow_points(chart, u, ax, t, refs=r)
+        out.append((u[0], r[0]))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_stream_of_chains_equals_its_legs_flowed_alone(dini, seed):
+    """Random chains of one to three legs, bit for bit: rows from shared
+    and from distinct start points, zero-time legs, both signs of time,
+    and rows that share their first leg, partial step included, and then
+    part."""
+    chart = dini.chart
+    rng = np.random.default_rng(seed)
+    M, L = 14, 3
+    starts = np.array([DINI_X0, (3.0, 0.7), (3.2, 0.8)])
+    U0 = starts[rng.integers(0, 3, M)]
+    axes = rng.integers(0, 2, (M, L))
+    times = rng.choice([-1.0, 1.0], (M, L)) * rng.uniform(0.0, 0.09, (M, L))
+    times[rng.random((M, L)) < 0.2] = 0.0
+    times[rng.random(M) < 0.3, 2] = 0.0              # shorter chains
+    times[rng.random(M) < 0.3, 1:] = 0.0
+    # rows 0 and 1 share a first leg of 2 whole steps and a partial one
+    U0[1], axes[1, 0], times[:2, 0] = U0[0], axes[0, 0], 0.05
+    times[1, 1] = -times[0, 1] if times[0, 1] else 0.03
+    for refs in (None, aligned_principal(chart, U0 + 0.01).X_cont):
+        U1, R1 = flow_points(chart, U0, axes, times, refs=refs)
+        alone = _legs_one_call_at_a_time(chart, U0, axes, times, refs)
+        for k, (u, r) in enumerate(alone):
+            np.testing.assert_array_equal(U1[k], u, err_msg=f"row {k}")
+            np.testing.assert_array_equal(R1[k], r, err_msg=f"row {k}")
+
+
+def test_a_domain_exit_in_a_shared_step_is_the_rows_own(pseudosphere):
+    """Row 1 flows u by 0.1 and then by 50, row 2 by 50.1 at once: after
+    five steps they share every step to the u = 3 wall.  The error is row
+    1's, the first leaving row, with the time and point that its second
+    leg gets flowed alone, not row 2's; row 0 flows v, inside the domain,
+    all the while."""
+    chart = pseudosphere.chart
+    start = np.array([[2.5, 1.0]])
+    with pytest.raises(DomainExitError) as whole:
+        flow_points(chart, start, 1, 50.1)
+    y, refs = flow_points(chart, start, 1, 0.1)
+    with pytest.raises(DomainExitError) as second:
+        flow_points(chart, y, 1, 50.0, refs=refs)
+    assert whole.value.exit_time < 2.0
+    U0 = np.array([PS_X0, (2.5, 1.0), (2.5, 1.0), PS_X0, (2.5, 1.0)])
+    with pytest.raises(DomainExitError) as mixed:
+        flow_points(chart, U0,
+                    np.array([[0, 0], [1, 1], [1, 1], [0, 1], [1, 0]]),
+                    np.array([[2.0, 0.0], [0.1, 50.0], [50.1, 0.0],
+                              [0.05, -0.03], [0.0, 0.0]]))
+    assert mixed.value.exit_time == second.value.exit_time
+    assert mixed.value.exit_time < whole.value.exit_time - 0.05
+    np.testing.assert_array_equal(mixed.value.last_point,
+                                  second.value.last_point)
+
+
+def test_a_t_range_that_takes_no_step_is_refused(dini):
+    """With both ends of t_range within 1e-9 steps of 0 no group-law or
+    round-trip flow took a step, and the checks passed on nothing:
+    flow_group_law PASS max=0.000e+00."""
+    with pytest.raises(ValueError, match="t_range"):
+        check_flow_identities(dini.chart, DINI_X0, (-1e-12, 1e-12),
+                              n_pairs=4)
+    with pytest.raises(ValueError, match="t_range"):
+        check_flow_identities(dini.chart, DINI_X0, (-1e-3, 1e-3),
+                              n_pairs=4, step=1e7)
+    rep = check_flow_identities(dini.chart, DINI_X0, (-1e-12, 1e-10),
+                                n_pairs=4)["flow_round_trip"]
+    assert rep.notes == "axis 0 to t = 1e-10 and back"
+
+
 def _six_flow_group_law(chart, x0, t_range, n_pairs, seed):
     """The group-law residuals as six separate flows (the draws of
     check_flow_identities)."""
@@ -196,14 +295,15 @@ def test_flow_identities_equal_six_separate_flows(dini):
 @pytest.mark.parametrize("name, x0", [("dini", DINI_X0),
                                       ("pseudosphere", PS_X0)])
 def test_round_trip_rides_in_the_group_law_batches(monkeypatch, name, x0):
-    """The round trip is the last row of both group-law calls, and each
-    leg equals a standalone flow_points call on its own, bit for bit."""
+    """The round trip is the last row of the group-law call, and its two
+    legs equal two standalone flow_points calls on their own, bit for
+    bit."""
     chart = catalog.get(name).chart
     t_range = (-0.2, 0.15)
     t1 = t_range[0]         # the endpoint with the larger magnitude
     U0 = np.asarray(x0, float)[None, :]
     y, refs = flow_points(chart, U0, 0, t1)
-    back, _ = flow_points(chart, y, 0, -t1, refs=refs)
+    back, rback = flow_points(chart, y, 0, -t1, refs=refs)
 
     legs = []
 
@@ -215,10 +315,12 @@ def test_round_trip_rides_in_the_group_law_batches(monkeypatch, name, x0):
     monkeypatch.setattr(flows, "flow_points", recording)
     rep = check_flow_identities(chart, x0, t_range, n_pairs=10,
                                 seed=3)["flow_round_trip"]
-    assert len(legs) == 2
-    np.testing.assert_array_equal(legs[0][0][-1], y[0])
-    np.testing.assert_array_equal(legs[0][1][-1], refs[0])
-    np.testing.assert_array_equal(legs[1][0][-1], back[0])
+    # one call: the round trip's chain [(0, t1), (0, -t1)] beside the
+    # group law's chains (two calls when the forward legs and the back
+    # legs flowed in rounds)
+    assert len(legs) == 1
+    np.testing.assert_array_equal(legs[0][0][-1], back[0])
+    np.testing.assert_array_equal(legs[0][1][-1], rback[0])
     assert rep.residual_grid.tolist() == [
         float(np.max(np.abs(back[0] - np.asarray(x0))))]
     assert rep.passed and rep.tolerance == 1e-8, rep.summary_line()
@@ -257,24 +359,24 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
                                   alone.value.last_point)
 
 
-# Dini at DINI_X0.  The group law at seed 1 (100 pairs in t_range +-0.2)
-# and the round trip along axis 0 to t = 0.2 and back: 81 decompositions
-# for the longest first flow (20 RK4 steps), 41 for the second, whose
-# longest flow is the back leg (10 steps of 0.02; the 2e-17 that the
-# subtractions leave of -0.2 takes no step).  The 9 x 9 flow map: the base
-# point, then one call per axis whose longest flow, to t = 0.25, takes 13
-# steps: 1 + 2 * (1 + 4 * 13) = 107 decompositions.  Six separate flows
-# took 286, and a separate round trip 90 more; the map's chains of hops,
-# two separate chains per axis, took 273, and marched together 137.
-IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 122, 14134
-MAP_DECOMPOSITIONS, MAP_POINTS = 107, 2811
-# The whole coords run: the map's base point, then two rounds that each
-# share one call between the map and the identities, so the longest flow
-# of the round sets its count: the identities' first flows (20 steps, 81)
-# beside the map's axis 0 (13 steps), then the map's axis 1 (13 steps, 53)
-# beside the identities' second flows (10 steps); then the frame check.
-# Run one after the other, the map and the identities took 107 + 122 + 1.
-COORDS_DECOMPOSITIONS = 1 + 81 + 53 + 1
+# Dini at DINI_X0.  Each flow_points call decomposes once at the start and
+# four times per RK4 step of its longest chain.  The group law at seed 1
+# (100 pairs in t_range +-0.2) and the round trip along axis 0 to t = 0.2
+# and back are one call whose longest chains take 20 steps (two legs of 10,
+# or of 9 whole steps and a partial one): 1 + 4 * 20 = 81 decompositions.
+# Flowed in two rounds of calls they took 81 + 41 = 122, and 14134 points.
+# The 9 x 9 flow map: the frame at the base point, then one call whose
+# longest chain, t = 0.25 along each axis, takes 13 + 13 steps:
+# 1 + 1 + 4 * 26 = 106.  Flowed one call per axis it took
+# 1 + 2 * (1 + 4 * 13) = 107, and 2811 points.  The points count rows that
+# share their steps once.
+IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 81, 7777
+MAP_DECOMPOSITIONS, MAP_POINTS = 106, 1282
+# The whole coords run: the map's base frame, then one call for the map's
+# chains and the identities' together, whose longest chain is the map's
+# 26 steps, then the frame check: 1 + 1 + 4 * 26 + 1.  Flowed in two
+# shared rounds it took 1 + 81 + 53 + 1 = 136.
+COORDS_DECOMPOSITIONS = 1 + 1 + 4 * 26 + 1
 
 COORDS_DINI = """[chart]
 name = dini
@@ -292,9 +394,10 @@ flow_step = 0.02
 
 def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
                                            capsys):
-    """Batched flows decompose once per RK4 stage of the longest flow in
-    each call, and only the live rows: pinned so that running the flows
-    one by one again fails here."""
+    """Batched flows decompose once per RK4 stage of the longest chain in
+    each call, and only the live rows, once per group of rows that share a
+    step: pinned so that running the flows one by one, or each row's
+    steps on its own, again fails here."""
     calls, points = [], []
 
     def counting(chart, U, refs=None):
@@ -317,7 +420,7 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
     assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert "flow_round_trip PASS" in capsys.readouterr().out
-    assert len(calls) == COORDS_DECOMPOSITIONS == 136
+    assert len(calls) == COORDS_DECOMPOSITIONS == 107
 
 
 def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):
@@ -356,8 +459,8 @@ def test_a_round_trip_flies_to_the_farther_endpoint(tmp_path, capsys, dini):
 
 
 # ---------------------------------------------------------------------------
-# shared rounds: coords drives the map and the identity flows together, one
-# flow_points call per round, and each plan gets what it gets on its own
+# one shared call: coords flows the map's chains and the identities' in one
+# flow_points call, and each gets what it gets on its own
 
 H3_CHART = """name = h3
 n = 3
@@ -374,7 +477,8 @@ sqrt(1 - 2*exp(2*u1)) - 0.5*log((1 + sqrt(1 - 2*exp(2*u1)))\
 @pytest.mark.parametrize("name", ["dini", "h3"])
 def test_shared_rounds_equal_standalone_calls(monkeypatch, name):
     """Bit for bit: the map's points and both identity residual grids and
-    summary lines.  On the n = 3 chart the map's third round runs alone."""
+    summary lines.  On the n = 3 chart the identities' two-leg chains are
+    padded with a zero-time leg beside the map's three-leg ones."""
     if name == "dini":
         chart, x0, box, res = catalog.get("dini").chart, DINI_X0, 0.25, 9
         t_range, pairs, seed = (-0.2, 0.2), 100, 1
@@ -394,20 +498,46 @@ def test_shared_rounds_equal_standalone_calls(monkeypatch, name):
         return flow_points(chart, U0, *args, **kw)
 
     monkeypatch.setattr(flows, "flow_points", recording)
-    rider = functools.partial(identity_plan, chart, x0, t_range,
-                              np.random.default_rng(seed), n_pairs=pairs)
-    shared = build_flow_map(chart, x0, box, res, riders=[rider])
-    legs = 3 * pairs + 1
-    assert rows == [res + legs, res ** 2 + legs, res ** 3][:chart.n]
+    beside = identity_chains(chart, x0, t_range, np.random.default_rng(seed),
+                             n_pairs=pairs)
+    shared = build_flow_map(chart, x0, box, res, beside=[beside])
+    # one call: every map sample, and the identities' four chains per
+    # pair and the round trip (one call per axis and two per round before)
+    assert rows == [res ** chart.n + 4 * pairs + 1]
     np.testing.assert_array_equal(shared.points, fm.points)
     assert shared.warnings == fm.warnings == []
-    got, = shared.riders
+    got = beside.result()
     assert set(got) == set(checks)
     for key, rep in checks.items():
         np.testing.assert_array_equal(got[key].residual_grid,
                                       rep.residual_grid, err_msg=key)
         assert got[key].summary_line() == rep.summary_line()
         assert got[key].notes == rep.notes
+
+
+# The H^3 map at flow_resolution 9, box +-0.2: the frame at the base
+# point, then one call whose longest chains take 10 steps on each of the
+# three axes: 1 + 1 + 4 * 30 decompositions.  The 729 chains share their
+# axis-0 legs 81 at a time and their axis-1 legs 9 at a time, and rows
+# that share a step are decomposed once: 9102 points, where each row's own
+# steps took 19748 (and 124 decompositions in one call per axis).
+H3_MAP_DECOMPOSITIONS, H3_MAP_POINTS = 1 + 1 + 4 * 30, 9102
+
+
+def test_a_fine_map_takes_each_shared_step_once(monkeypatch):
+    """Pinned so that a change that stops sharing steps fails here."""
+    points = []
+
+    def counting(chart, U, refs=None):
+        points.append(len(U))
+        return aligned(chart, U, refs=refs)
+
+    aligned = flows.aligned_principal
+    monkeypatch.setattr(flows, "aligned_principal", counting)
+    build_flow_map(parse_chart(H3_CHART), (-1.5, np.pi, np.pi),
+                   ((-0.2, 0.2),) * 3, 9)
+    assert (len(points), sum(points)) == (H3_MAP_DECOMPOSITIONS,
+                                          H3_MAP_POINTS)
 
 
 def _run_coords(tmp_path, config, seed=1):
