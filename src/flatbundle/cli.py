@@ -341,6 +341,19 @@ def run_catalog_list():
     return EXIT_OK
 
 
+def _seed(text):
+    """A --seed value: numpy's generators take non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="flatbundle",
@@ -355,7 +368,7 @@ def build_parser():
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--engine", choices=list(engines.ENGINES),
                        default=None, help="override the differentiation engine")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the run seed, which draws the coords "
                             "group-law pairs and the growth length-check "
                             "polylines (verify does not use it)")

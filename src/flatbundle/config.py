@@ -11,16 +11,7 @@ from dataclasses import dataclass, field, replace
 from . import catalog, engines, exprchart
 from .errors import ConfigError
 from .flows import SPENT
-
-_ALLOWED = {
-    "chart": None,            # free keys: name/expression plus parameters
-    "grid": {"resolution", "engine"},
-    "tolerances": {"gauss", "c1", "c2", "nn", "g0", "intrinsic"},
-    "growth": {"x0", "radii", "window", "resolution", "exploratory",
-               "flow_box", "flow_resolution", "flow_step", "t_range",
-               "pairs"},
-    "output": {"dir"},
-}
+from .verifiers import TOLERANCE_KEYS
 
 MIN_RESOLUTION = 17
 # the order-4 frame checks leave out two nodes at each end of a time axis,
@@ -68,21 +59,23 @@ class RunConfig:
         return chart
 
     def grid_resolution(self, n):
-        res = self.resolution
-        if len(res) == 1:
-            res = res * n
-        if len(res) != n:
-            raise ConfigError(
-                f"resolution has {len(res)} axes, chart has {n}")
-        return res
+        return _per_axis("resolution", self.resolution, n)
 
     def flow_box_for(self, n):
-        box = self.flow_box
-        if len(box) == 1:
-            box = box * n
-        if len(box) != n:
-            raise ConfigError(f"flow_box has {len(box)} axes, chart has {n}")
-        return box
+        return _per_axis("flow_box", self.flow_box, n)
+
+
+def _per_axis(name, values, n):
+    """The values for each of n axes; one value broadcasts to all n."""
+    if len(values) == 1:
+        values = values * n
+    if len(values) != n:
+        raise ConfigError(f"{name} has {len(values)} axes, chart has {n}")
+    return values
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
 
 
 def _floats(text):
@@ -107,6 +100,28 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# [section] -> {key: (RunConfig field, parser)}.  [chart] keys are free
+# (name or expression, then the chart's parameters), and [tolerances] keys
+# are the verifiers' TOLERANCE_KEYS.
+_KEYS = {
+    "chart": None,
+    "grid": {"resolution": ("resolution", _ints),
+             "engine": ("engine", lambda text: text.strip().lower())},
+    "tolerances": set(TOLERANCE_KEYS.values()),
+    "growth": {"x0": ("x0", _floats),
+               "radii": ("radii", _floats),
+               "window": ("window", _interval),
+               "resolution": ("growth_resolution", int),
+               "exploratory": ("exploratory", _bool),
+               "flow_box": ("flow_box", _intervals),
+               "flow_resolution": ("flow_resolution", int),
+               "flow_step": ("flow_step", float),
+               "t_range": ("t_range", _interval),
+               "pairs": ("pairs", int)},
+    "output": {"dir": ("out_dir", str)},
+}
+
+
 def parse_config(text):
     """Parse configuration text into a validated RunConfig."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
@@ -116,56 +131,32 @@ def parse_config(text):
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from None
 
-    unknown_sections = set(cp.sections()) - set(_ALLOWED)
+    unknown_sections = set(cp.sections()) - set(_KEYS)
     if unknown_sections:
         raise ConfigError(f"unknown sections: {sorted(unknown_sections)}")
-    for sec, allowed in _ALLOWED.items():
-        if allowed is None or not cp.has_section(sec):
+    for sec, keys in _KEYS.items():
+        if keys is None or not cp.has_section(sec):
             continue
-        bad = set(cp.options(sec)) - allowed
+        bad = set(cp.options(sec)) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in [{sec}]: {sorted(bad)}")
 
     cfg = RunConfig()
     try:
-        if cp.has_section("chart"):
-            items = dict(cp.items("chart"))
-            cfg.chart_name = items.pop("name", None)
-            cfg.expression_path = items.pop("expression", None)
-            cfg.chart_params = {k: float(v) for k, v in items.items()}
-        if cp.has_section("grid"):
-            if cp.has_option("grid", "resolution"):
-                cfg.resolution = tuple(
-                    int(x) for x in cp.get("grid", "resolution").split(","))
-            if cp.has_option("grid", "engine"):
-                cfg.engine = cp.get("grid", "engine").strip().lower()
-        if cp.has_section("tolerances"):
-            cfg.tolerances = {k: float(v)
-                              for k, v in cp.items("tolerances")}
-        if cp.has_section("growth"):
-            g = dict(cp.items("growth"))
-            if "x0" in g:
-                cfg.x0 = _floats(g["x0"])
-            if "radii" in g:
-                cfg.radii = _floats(g["radii"])
-            if "window" in g:
-                cfg.window = _interval(g["window"])
-            if "resolution" in g:
-                cfg.growth_resolution = int(g["resolution"])
-            if "exploratory" in g:
-                cfg.exploratory = _bool(g["exploratory"])
-            if "flow_box" in g:
-                cfg.flow_box = _intervals(g["flow_box"])
-            if "flow_resolution" in g:
-                cfg.flow_resolution = int(g["flow_resolution"])
-            if "flow_step" in g:
-                cfg.flow_step = float(g["flow_step"])
-            if "t_range" in g:
-                cfg.t_range = _interval(g["t_range"])
-            if "pairs" in g:
-                cfg.pairs = int(g["pairs"])
-        if cp.has_section("output") and cp.has_option("output", "dir"):
-            cfg.out_dir = cp.get("output", "dir")
+        for sec, keys in _KEYS.items():
+            if not cp.has_section(sec):
+                continue
+            items = dict(cp.items(sec))
+            if sec == "chart":
+                cfg.chart_name = items.pop("name", None)
+                cfg.expression_path = items.pop("expression", None)
+                cfg.chart_params = {k: float(v) for k, v in items.items()}
+            elif sec == "tolerances":
+                cfg.tolerances = {k: float(v) for k, v in items.items()}
+            else:
+                for key, (name, parse) in keys.items():
+                    if key in items:
+                        setattr(cfg, name, parse(items[key]))
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from None
 

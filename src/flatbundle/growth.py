@@ -313,7 +313,9 @@ def unit_ball_volume(n):
 
 def reference_ball_volume(c, n, r):
     """Geodesic ball volume in the simply connected space form of
-    curvature c (numerical quadrature of the area of distance spheres)."""
+    curvature c (numerical quadrature of the area of distance spheres).
+    A radius beyond the diameter of the sphere (c > 0), or whose volume
+    overflows a float, raises :class:`ConfigError`."""
     if r < 0:
         raise ValueError("radius must be non-negative")
     if r == 0:
@@ -323,7 +325,9 @@ def reference_ball_volume(c, n, r):
         return unit_ball_volume(n) * r ** n
     a = math.sqrt(abs(c))
     if c > 0 and r > math.pi / a:
-        raise ValueError("radius exceeds the diameter of the sphere")
+        raise ConfigError(f"radius {r:g} exceeds the diameter "
+                          f"{math.pi / a:g} of the model sphere of "
+                          f"curvature {c:g}")
     sn = math.sinh if c < 0 else math.sin
     try:
         vol = area * integrate.quad(
@@ -537,7 +541,8 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     if x0.shape != (chart.n,) or not chart.contains(x0):
         raise DomainError(f"x0 = {x0.tolist()} is not a point of the usable "
                           f"domain of {chart.name}")
-    # before the grid work, so that an overflowing radius fails at once
+    # before the grid work, so that a radius past the sphere's diameter
+    # or an overflowing one fails at once
     refs = [reference_ball_volume(chart.c, chart.n, r)
             if chart.c is not None else math.nan for r in radii]
 

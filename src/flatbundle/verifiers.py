@@ -238,18 +238,23 @@ def check_g0_flat(fb, grid, tol=G0_FLAT_TOL):
 # ---------------------------------------------------------------------------
 # the suite and its hypotheses
 
-IDENTITIES = ("intrinsic_curvature", "gauss", "codazzi_c1", "codazzi_c2",
-              "connection_nn", "g0_flat")
+# the identities in suite order, each with the [tolerances] config key
+# that loosens it
+TOLERANCE_KEYS = {"intrinsic_curvature": "intrinsic", "gauss": "gauss",
+                  "codazzi_c1": "c1", "codazzi_c2": "c2",
+                  "connection_nn": "nn", "g0_flat": "g0"}
+IDENTITIES = tuple(TOLERANCE_KEYS)
 
 
 def verify_chart(chart, grid, tols=None):
     """Run the identity suite on a chart under the theorem's hypotheses.
 
-    Returns (reports, skipped): a report for each identity that ran, in
-    IDENTITIES order, and a dict identity -> reason for each identity whose
-    hypothesis fails; together they name every identity once.  The normal
-    bundle's flatness is tested on the grid first, since the principal
-    decomposition needs it.
+    ``tols`` maps [tolerances] keys to tolerances; an identity whose key
+    is unset keeps its check's default.  Returns (reports, skipped): a
+    report for each identity that ran, in IDENTITIES order, and a dict
+    identity -> reason for each identity whose hypothesis fails; together
+    they name every identity once.  The normal bundle's flatness is
+    tested on the grid first, since the principal decomposition needs it.
     """
     tols = tols or {}
     fb = fundamental_batch(chart, grid.points)
@@ -264,27 +269,22 @@ def verify_chart(chart, grid, tols=None):
     if chart.c is None:
         skipped.update(intrinsic_curvature="intrinsic curvature unasserted",
                        gauss="intrinsic curvature unasserted")
+    done = {}
+
+    def run(checks, *data):
+        for name, check in checks.items():
+            tol = tols.get(TOLERANCE_KEYS[name])
+            if name not in skipped:
+                done[name] = (check(*data) if tol is None
+                              else check(*data, tol=tol))
+
     # the metric checks run before the principal field exists, so it is not
     # held while their curvature tensors take the run's peak memory
-    metric = {
-        "intrinsic_curvature": lambda: check_intrinsic_curvature(
-            fb, grid, tol=tols.get("intrinsic")),
-        "g0_flat": lambda: check_g0_flat(fb, grid,
-                                         tol=tols.get("g0", G0_FLAT_TOL)),
-    }
-    done = {name: check() for name, check in metric.items()
-            if name not in skipped}
-    pf = principal_field(fb, grid)
-    field = {
-        "gauss": lambda: check_gauss(pf, tol=tols.get("gauss")),
-        "codazzi_c1": lambda: check_codazzi_c1(
-            pf, tol=tols.get("c1", DERIVED_TOL)),
-        "codazzi_c2": lambda: check_codazzi_c2(
-            pf, tol=tols.get("c2", DERIVED_TOL)),
-        "connection_nn": lambda: check_connection_formula(
-            pf, tol=tols.get("nn", DERIVED_TOL)),
-    }
-    done.update((name, check()) for name, check in field.items()
-                if name not in skipped)
+    run({"intrinsic_curvature": check_intrinsic_curvature,
+         "g0_flat": check_g0_flat}, fb, grid)
+    run({"gauss": check_gauss, "codazzi_c1": check_codazzi_c1,
+         "codazzi_c2": check_codazzi_c2,
+         "connection_nn": check_connection_formula},
+        principal_field(fb, grid))
     reports = [done[name] for name in IDENTITIES if name in done]
     return reports, skipped

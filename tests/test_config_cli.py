@@ -1,9 +1,12 @@
 """Config parsing, user expression charts, and the command-line interface
 (exercised through subprocesses, the way users run it)."""
 
+import configparser
 import dataclasses
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatbundle
-from flatbundle import cli
+from flatbundle import cli, config
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
 from flatbundle.exprchart import parse_chart, parse_expression
 from flatbundle.fundamental import fundamental_batch
+from flatbundle.verifiers import TOLERANCE_KEYS
 
 PS_EXPR = """
 name     = my_pseudosphere
@@ -125,6 +129,29 @@ dir = results
 def test_config_rejections(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_readme_full_example_names_every_config_key():
+    """The README's full example sets exactly the keys of the config
+    table, section by section: the [chart] keys are free, and each
+    tolerance key is set on a line whose comment names its identity."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "Full example:\n\n```ini\n", 1)[1].split("```", 1)[0]
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                   interpolation=None)
+    cp.read_string(block)
+    assert cp.sections() == list(config._KEYS)
+    for sec, keys in config._KEYS.items():
+        if keys is not None:
+            assert set(cp.options(sec)) == set(keys), sec
+    for identity, key in TOLERANCE_KEYS.items():
+        assert re.search(rf"^{key} = \S+ +# {identity}$", block,
+                         re.MULTILINE), key
+    cfg = parse_config(block)
+    assert (cfg.chart_name, cfg.chart_params) == ("dini",
+                                                  {"a": 1.0, "b": 0.5})
+    assert set(cfg.tolerances) == set(TOLERANCE_KEYS.values())
 
 
 def test_unknown_chart_name_is_config_error():
@@ -574,6 +601,32 @@ def test_cli_radius_overflow_is_config_error(workdir):
     assert "Traceback" not in err
 
 
+CLIFFORD_HALF_EXPR = """
+name     = clifford_c_half
+n        = 2
+ambient  = sphere 1 3
+c        = 0.5
+domain   = 0 : 6.283185307179586, 0 : 6.283185307179586
+periodic = true, true
+map      = cos(u1)/sqrt(2), sin(u1)/sqrt(2), cos(u2)/sqrt(2), sin(u2)/sqrt(2)
+"""
+
+
+def test_cli_radius_beyond_the_sphere_diameter_is_config_error(workdir):
+    """c = 0.5 makes the reference model a sphere of diameter
+    pi / sqrt(0.5) = 4.44, which radius 5 exceeds: that used to exit 3
+    with an internal ValueError."""
+    (workdir / "half.chart").write_text(CLIFFORD_HALF_EXPR)
+    (workdir / "far.ini").write_text(
+        "[chart]\nexpression = half.chart\n"
+        "[growth]\nradii = 1, 2, 3, 4, 5\nresolution = 17\n")
+    code, out, err = run_cli("growth", "--config", "far.ini",
+                             "--out", "far", cwd=workdir)
+    assert (code, out) == (2, ""), err
+    assert err == ("error: radius 5 exceeds the diameter 4.44288 of the "
+                   "model sphere of curvature 0.5\n")
+
+
 def test_cli_singleton_ball_volume_is_indeterminate(workdir):
     """A ball of radius 0.005 at 65^2 holds only the anchor node, so its
     volume sum is one cell: that used to FAIL against the bound and exit 1.
@@ -683,6 +736,23 @@ def test_cli_engine_and_seed_overrides(workdir):
     summary = (workdir / "fd" / "verify_summary.txt").read_text()
     assert "engine = fd" in summary
     assert "seed = 7" in summary
+
+
+def test_cli_negative_seed_is_usage_error(workdir):
+    """numpy's generators take no negative seed: coords used to exit 3 on
+    one, and verify to accept it.  Every run command refuses it at
+    argument parsing, before the config is read."""
+    for command in ("verify", "growth", "coords"):
+        code, out, err = run_cli(command, "--config", "ps.ini", "--out",
+                                 "neg", "--seed", "-1", cwd=workdir)
+        assert (code, out) == (2, ""), (command, err)
+        assert err.endswith(f"flatbundle {command}: error: argument --seed: "
+                            f"seed must be a non-negative integer, got "
+                            f"-1\n"), err
+        assert not (workdir / "neg").exists()
+    code, _, err = run_cli("verify", "--config", "ps.ini", "--seed", "x",
+                           cwd=workdir)
+    assert code == 2 and "argument --seed: invalid int value: 'x'" in err
 
 
 def test_cli_catalog_list(workdir):

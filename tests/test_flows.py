@@ -67,6 +67,19 @@ def test_commutator_stencil_stays_in_the_usable_domain(pseudosphere):
         commutator_residual(pseudosphere.chart, (lo, 1.0))
 
 
+def test_a_flow_map_from_outside_the_domain_is_refused(pseudosphere,
+                                                       monkeypatch):
+    """An x0 outside the usable domain raises the chart's DomainError
+    before any flow, so no box shrink is tried around it."""
+    calls = []
+    monkeypatch.setattr(flows, "aligned_principal",
+                        lambda *a, **k: calls.append(1))
+    with pytest.raises(DomainError, match=r"^point \[0.1, 1.0\] is outside "
+                       "the usable domain of pseudosphere$"):
+        build_flow_map(pseudosphere.chart, (0.1, 1.0), ((-0.2, 0.2),) * 2, 5)
+    assert calls == []
+
+
 def test_flow_map_is_principal_coordinates(dini):
     fm = build_flow_map(dini.chart, DINI_X0, ((-0.25, 0.25),) * 2, 9)
     assert fm.points.shape == (9, 9, 2)
@@ -365,18 +378,18 @@ def test_domain_exit_in_a_mixed_batch(pseudosphere):
 # and back are one call whose longest chains take 20 steps (two legs of 10,
 # or of 9 whole steps and a partial one): 1 + 4 * 20 = 81 decompositions.
 # Flowed in two rounds of calls they took 81 + 41 = 122, and 14134 points.
-# The 9 x 9 flow map: the frame at the base point, then one call whose
-# longest chain, t = 0.25 along each axis, takes 13 + 13 steps:
-# 1 + 1 + 4 * 26 = 106.  Flowed one call per axis it took
+# The 9 x 9 flow map is one call whose longest chain, t = 0.25 along each
+# axis, takes 13 + 13 steps: 1 + 4 * 26 = 105.  With a separate frame at
+# the base point first it took 106, and flowed one call per axis
 # 1 + 2 * (1 + 4 * 13) = 107, and 2811 points.  The points count rows that
 # share their steps once.
 IDENTITY_DECOMPOSITIONS, IDENTITY_POINTS = 81, 7777
-MAP_DECOMPOSITIONS, MAP_POINTS = 106, 1282
-# The whole coords run: the map's base frame, then one call for the map's
-# chains and the identities' together, whose longest chain is the map's
-# 26 steps, then the frame check: 1 + 1 + 4 * 26 + 1.  Flowed in two
-# shared rounds it took 1 + 81 + 53 + 1 = 136.
-COORDS_DECOMPOSITIONS = 1 + 1 + 4 * 26 + 1
+MAP_DECOMPOSITIONS, MAP_POINTS = 105, 1281
+# The whole coords run: one call for the map's chains and the identities'
+# together, whose longest chain is the map's 26 steps, then the frame
+# check: 1 + 4 * 26 + 1.  With a separate base frame it took 107, and
+# flowed in two shared rounds 1 + 81 + 53 + 1 = 136.
+COORDS_DECOMPOSITIONS = 1 + 4 * 26 + 1
 
 COORDS_DINI = """[chart]
 name = dini
@@ -420,7 +433,7 @@ def test_decomposition_counts_stay_batched(dini, monkeypatch, tmp_path,
     assert cli.main(["coords", "--config", str(tmp_path / "run.ini"),
                      "--out", str(tmp_path / "out"), "--seed", "1"]) == 0
     assert "flow_round_trip PASS" in capsys.readouterr().out
-    assert len(calls) == COORDS_DECOMPOSITIONS == 107
+    assert len(calls) == COORDS_DECOMPOSITIONS == 106
 
 
 def test_a_row_ends_on_its_last_whole_step(dini, monkeypatch):
@@ -515,13 +528,13 @@ def test_shared_rounds_equal_standalone_calls(monkeypatch, name):
         assert got[key].notes == rep.notes
 
 
-# The H^3 map at flow_resolution 9, box +-0.2: the frame at the base
-# point, then one call whose longest chains take 10 steps on each of the
-# three axes: 1 + 1 + 4 * 30 decompositions.  The 729 chains share their
-# axis-0 legs 81 at a time and their axis-1 legs 9 at a time, and rows
-# that share a step are decomposed once: 9102 points, where each row's own
-# steps took 19748 (and 124 decompositions in one call per axis).
-H3_MAP_DECOMPOSITIONS, H3_MAP_POINTS = 1 + 1 + 4 * 30, 9102
+# The H^3 map at flow_resolution 9, box +-0.2: one call whose longest
+# chains take 10 steps on each of the three axes: 1 + 4 * 30
+# decompositions.  The 729 chains share their axis-0 legs 81 at a time and
+# their axis-1 legs 9 at a time, and rows that share a step are decomposed
+# once: 9101 points, where each row's own steps took 19748 (and 124
+# decompositions in one call per axis, after a frame at the base point).
+H3_MAP_DECOMPOSITIONS, H3_MAP_POINTS = 1 + 4 * 30, 9101
 
 
 def test_a_fine_map_takes_each_shared_step_once(monkeypatch):

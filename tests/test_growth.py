@@ -507,8 +507,9 @@ def test_reference_ball_volumes():
     # hyperbolic 3-ball: pi (sinh(2r) - 2r)
     assert reference_ball_volume(-1.0, 3, 1.5) == pytest.approx(
         math.pi * (math.sinh(3.0) - 3.0), rel=1e-10)
-    with pytest.raises(ValueError):
-        reference_ball_volume(1.0, 2, 4.0)   # beyond the sphere's diameter
+    with pytest.raises(ConfigError, match="radius 4 exceeds the diameter "
+                       "3.14159 of the model sphere of curvature 1"):
+        reference_ball_volume(1.0, 2, 4.0)
 
 
 @pytest.mark.parametrize("c, n, closed_form, r_max", [
