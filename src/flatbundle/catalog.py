@@ -15,11 +15,14 @@ from .charts import ImmersionChart, euclidean, hyperbolic, sphere
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     chart: ImmersionChart
     expected: dict = field(default_factory=dict)
     notes: str = ""
     params: dict = field(default_factory=dict)
+
+    @property
+    def name(self):
+        return self.chart.name
 
     @property
     def c(self):
@@ -47,8 +50,7 @@ def pseudosphere():
     chart = ImmersionChart("pseudosphere", f, 2, euclidean(3), -1.0,
                            ((0.3, 3.0), (0.0, 2.0 * math.pi)), (False, True))
     return CatalogEntry(
-        "pseudosphere", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
         notes="principal curvatures -1/sinh(u), sinh(u); k1 k2 = -1")
 
 
@@ -64,8 +66,7 @@ def dini(a=1.0, b=0.5):
     chart = ImmersionChart("dini", f, 2, euclidean(3), c,
                            ((0.0, 2.0 * math.pi), (0.3, 1.2)))
     return CatalogEntry(
-        "dini", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
         notes="b = 0 degenerates to a rescaled pseudosphere",
         params=dict(a=a, b=b))
 
@@ -82,8 +83,7 @@ def product_torus_r4(r1=1.0, r2=0.5):
                            ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
                            (True, True))
     return CatalogEntry(
-        "product_torus_r4", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=False, s=2),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=2),
         notes="|eta_i| = 1/r_i, factor normals orthogonal",
         params=dict(r1=r1, r2=r2))
 
@@ -100,8 +100,7 @@ def clifford_torus_s3(t=math.pi / 4):
                            ((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
                            (True, True))
     return CatalogEntry(
-        "clifford_torus_s3", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
         notes="principal curvatures tan(t), -cot(t) in S^3",
         params=dict(t=t))
 
@@ -120,8 +119,7 @@ def sphere_negative_control(c=1.0):
                            ((0.0, 2.0 * math.pi), (-1.2, 1.2)),
                            (True, False))
     return CatalogEntry(
-        "sphere_negative_control", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
         notes="umbilical: single principal normal of multiplicity 2",
         params=dict(c=c))
 
@@ -144,8 +142,7 @@ def hyperbolic_plane(extent_x=3.4, extent_y=1.48):
                            -1.0, ((-extent_x, extent_x),
                                   (-extent_y, extent_y)))
     return CatalogEntry(
-        "hyperbolic_plane", chart,
-        expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
+        chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
         notes="band model; d(0,(x,y)) = arccosh(cosh x / cos y), "
               "area(D_r) = 2 pi (cosh r - 1)",
         params=dict(extent_x=extent_x, extent_y=extent_y))
@@ -164,8 +161,7 @@ def ps3():
                            ((0.3, 3.0), (0.0, 2.0 * math.pi), (-1.0, 1.0)),
                            (False, True, False))
     return CatalogEntry(
-        "ps3", chart,
-        expected=dict(flat_normal_bundle=True, s=3),
+        chart, expected=dict(flat_normal_bundle=True, s=3),
         notes="hypothesis-violating control (c not constant); p = 1")
 
 
@@ -183,8 +179,7 @@ def veronese_r5():
                            ((0.0, 2.0 * math.pi), (-1.2, 1.2)),
                            (True, False))
     return CatalogEntry(
-        "veronese_r5", chart,
-        expected=dict(flat_normal_bundle=False),
+        chart, expected=dict(flat_normal_bundle=False),
         notes="shape operators do not commute; intrinsic c unasserted")
 
 
@@ -195,8 +190,7 @@ def plane_r3():
     chart = ImmersionChart("plane_r3", f, 2, euclidean(3), 0.0,
                            ((-2.0, 2.0), (-2.0, 2.0)))
     return CatalogEntry(
-        "plane_r3", chart,
-        expected=dict(flat_normal_bundle=True, s=1),
+        chart, expected=dict(flat_normal_bundle=True, s=1),
         notes="totally geodesic: single principal normal 0, multiplicity 2")
 
 
@@ -209,7 +203,7 @@ def sine_gordon_surface(phi=None, domain=None, resolution=161,
                              DEFAULT_DOMAIN if domain is None else domain,
                              resolution, residual_tol, substeps)
     return CatalogEntry(
-        "sine_gordon_surface", surf.chart(),
+        surf.chart(),
         expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
         notes="integrated from an asymptotic-coordinate angle field; "
               "metric du^2 + 2 cos(phi) du dv + dv^2",
@@ -218,18 +212,10 @@ def sine_gordon_surface(phi=None, domain=None, resolution=161,
                     resolution=resolution, substeps=substeps))
 
 
-_REGISTRY = {
-    "pseudosphere": pseudosphere,
-    "dini": dini,
-    "product_torus_r4": product_torus_r4,
-    "clifford_torus_s3": clifford_torus_s3,
-    "sphere_negative_control": sphere_negative_control,
-    "hyperbolic_plane": hyperbolic_plane,
-    "ps3": ps3,
-    "veronese_r5": veronese_r5,
-    "plane_r3": plane_r3,
-    "sine_gordon_surface": sine_gordon_surface,
-}
+_REGISTRY = {f.__name__: f for f in (
+    pseudosphere, dini, product_torus_r4, clifford_torus_s3,
+    sphere_negative_control, hyperbolic_plane, ps3, veronese_r5, plane_r3,
+    sine_gordon_surface)}
 
 
 def names():

@@ -405,8 +405,7 @@ def main(argv=None):
             return run_growth(cfg, out_dir, strict=args.strict)
         runner = {"verify": run_verify, "coords": run_coords}[args.command]
         return runner(cfg, out_dir)
-    except (ConfigError, FileNotFoundError, DomainError,
-            ModelConsistencyError) as exc:
+    except (ConfigError, DomainError, ModelConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolation as exc:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from . import catalog, engines, exprchart
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .flows import SPENT
 from .verifiers import TOLERANCE_KEYS
 
@@ -124,8 +124,9 @@ _KEYS = {
 
 def parse_config(text):
     """Parse configuration text into a validated RunConfig."""
+    # no header names the empty section, so [DEFAULT] is an unknown one
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",),
-                                   interpolation=None)
+                                   interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -212,5 +213,4 @@ def _validate(cfg):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(path, "config file"))

@@ -14,6 +14,8 @@ tolerances (1e-8 for AD, 1e-4 for FD) match the truncation error of each.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dual import HyperDual, seed
@@ -110,46 +112,35 @@ def _jet_ad(chart_map, U, n):
                second.reshape(batch + (n, n, N)))
 
 
-def _shifted(U, i, di, h):
-    V = U.copy()
-    V[..., i] = V[..., i] + di * h[i]
-    return V
-
-
 def _jet_fd(chart_map, U, n, h):
-    batch = U.shape[:-1]
-    value = evaluate(chart_map, U)
-    N = value.shape[-1]
-    F1 = np.zeros(batch + (n, N))
-    F2 = np.zeros(batch + (n, n, N))
-    cache = {}
+    """Order-4 stencils over the map's values at U moved by whole steps;
+    each moved point set is evaluated once, the unmoved one first."""
+    @functools.cache
+    def at(*moves):
+        V = U.copy()
+        for i, k in moves:
+            V[..., i] = V[..., i] + k * h[i]
+        return evaluate(chart_map, V)
 
-    def ev(shifts):
-        key = shifts
-        if key not in cache:
-            V = U.copy()
-            for i, di in shifts:
-                V = _shifted(V, i, di, h)
-            cache[key] = evaluate(chart_map, V)
-        return cache[key]
-
-    cache[()] = value
-    for i in range(n):
+    def stencil(terms, scale):
+        """sum of w * F(U moved by moves) over terms, divided by scale."""
         acc = np.zeros_like(value)
-        for off, w in zip(_D1_OFFSETS, _D1_WEIGHTS):
-            acc += w * ev(((i, off),))
-        F1[..., i, :] = acc / h[i]
-        acc2 = np.zeros_like(value)
-        for off, w in zip(_D2_OFFSETS, _D2_WEIGHTS):
-            acc2 += w * ev(((i, off),) if off else ())
-        F2[..., i, i, :] = acc2 / (h[i] * h[i])
+        for w, moves in terms:
+            acc += w * at(*moves)
+        return acc / scale
+
+    value = at()
+    d1 = tuple(zip(_D1_OFFSETS, _D1_WEIGHTS))
+    F1 = np.empty(value.shape[:-1] + (n,) + value.shape[-1:])
+    F2 = np.empty(value.shape[:-1] + (n, n) + value.shape[-1:])
     for i in range(n):
+        F1[..., i, :] = stencil([(w, ((i, o),)) for o, w in d1], h[i])
+    for i in range(n):
+        F2[..., i, i, :] = stencil(
+            [(w, ((i, o),) if o else ())
+             for o, w in zip(_D2_OFFSETS, _D2_WEIGHTS)], h[i] * h[i])
         for j in range(i + 1, n):
-            acc = np.zeros_like(value)
-            for oi, wi in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                for oj, wj in zip(_D1_OFFSETS, _D1_WEIGHTS):
-                    acc += wi * wj * ev(((i, oi), (j, oj)))
-            mixed = acc / (h[i] * h[j])
-            F2[..., i, j, :] = mixed
-            F2[..., j, i, :] = mixed
+            F2[..., i, j, :] = F2[..., j, i, :] = stencil(
+                [(wi * wj, ((i, oi), (j, oj)))
+                 for oi, wi in d1 for oj, wj in d1], h[i] * h[j])
     return Jet(value, F1, F2)

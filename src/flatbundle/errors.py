@@ -47,3 +47,15 @@ class DomainExitError(FlatBundleError):
 
 class ConfigError(FlatBundleError):
     """Configuration or expression-file parse/validation failure."""
+
+
+def read_text(path, what):
+    """The text of the UTF-8 input file at path; a file that cannot be read
+    as such is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = (exc.strerror or str(exc) if isinstance(exc, OSError)
+                  else "not UTF-8 text")
+        raise ConfigError(f"cannot read {what} {path!r}: {reason}") from None

@@ -2,8 +2,9 @@
 
 The grammar is deliberately tiny: arithmetic (+ - * / ** and unary minus),
 the whitelisted functions below, the coordinate names u1..un, and the
-constants pi and e.  Expressions are compiled through the ``ast`` module
-with a strict node whitelist — nothing else evaluates — and the compiled
+constants pi and e.  The map is parsed as one Python tuple expression
+and compiled through the ``ast`` module in one walk that checks every node
+against a strict whitelist — nothing else evaluates — and the compiled
 closures call the hyper-dual math functions, so every user chart is
 differentiable by the AD engine by construction.
 
@@ -22,100 +23,71 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 
 from . import dual as dm
 from .charts import ImmersionChart, euclidean, hyperbolic, sphere
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 
 FUNCTIONS = {name: getattr(dm, name) for name in
              ("sin", "cos", "tan", "exp", "log", "sqrt",
               "sinh", "cosh", "tanh", "asin", "acos", "atan", "sech")}
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
-_BINOPS = {ast.Add: lambda a, b: a + b,
-           ast.Sub: lambda a, b: a - b,
-           ast.Mult: lambda a, b: a * b,
-           ast.Div: lambda a, b: a / b,
-           ast.Pow: lambda a, b: a ** b}
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
 
 
-def _check(node, names):
-    """Recursively validate one whitelisted AST node."""
-    if isinstance(node, ast.Expression):
-        _check(node.body, names)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        _check(node.left, names)
-        _check(node.right, names)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op,
-                                                      (ast.USub, ast.UAdd)):
-        _check(node.operand, names)
-    elif isinstance(node, ast.Call):
+def _compile(node, names):
+    """Validate one whitelisted AST node and compile it into a closure
+    over [u1, ..., un]."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        return lambda u: op(left(u), right(u))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op,
+                                                    (ast.USub, ast.UAdd)):
+        operand = _compile(node.operand, names)
+        if isinstance(node.op, ast.UAdd):
+            return operand
+        return lambda u: -operand(u)
+    if isinstance(node, ast.Call):
         if (not isinstance(node.func, ast.Name)
                 or node.func.id not in FUNCTIONS
                 or node.keywords or len(node.args) != 1):
             raise ConfigError(
                 f"only the single-argument functions "
                 f"{sorted(FUNCTIONS)} are allowed")
-        _check(node.args[0], names)
-    elif isinstance(node, ast.Name):
-        if node.id not in names and node.id not in CONSTANTS:
+        fn, arg = FUNCTIONS[node.func.id], _compile(node.args[0], names)
+        return lambda u: fn(arg(u))
+    if isinstance(node, ast.Name):
+        if node.id in names:
+            k = names[node.id]
+            return lambda u: u[k]
+        if node.id not in CONSTANTS:
             raise ConfigError(f"unknown name {node.id!r} in expression")
-    elif isinstance(node, ast.Constant):
+        value = CONSTANTS[node.id]
+        return lambda u: value
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric constant {node.value!r}")
-    else:
-        raise ConfigError(
-            f"disallowed syntax {type(node).__name__} in expression")
+        value = float(node.value)
+        return lambda u: value
+    raise ConfigError(
+        f"disallowed syntax {type(node).__name__} in expression")
+
+
+def _parse(text):
+    try:
+        return ast.parse(text.strip(), mode="eval").body
+    except SyntaxError as exc:
+        raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
 
 
 def parse_expression(text, n):
     """Compile one scalar expression into a closure over [u1, ..., un]."""
-    try:
-        tree = ast.parse(text.strip(), mode="eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
-    names = {f"u{k + 1}": k for k in range(n)}
-    _check(tree, names)
-
-    def ev(node, coords):
-        if isinstance(node, ast.Expression):
-            return ev(node.body, coords)
-        if isinstance(node, ast.BinOp):
-            return _BINOPS[type(node.op)](ev(node.left, coords),
-                                          ev(node.right, coords))
-        if isinstance(node, ast.UnaryOp):
-            v = ev(node.operand, coords)
-            return -v if isinstance(node.op, ast.USub) else v
-        if isinstance(node, ast.Call):
-            return FUNCTIONS[node.func.id](ev(node.args[0], coords))
-        if isinstance(node, ast.Name):
-            if node.id in names:
-                return coords[names[node.id]]
-            return CONSTANTS[node.id]
-        return float(node.value)
-
-    return lambda coords: ev(tree, coords)
-
-
-def _split_top_level(text):
-    """Split on commas that are not inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ConfigError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    return [p.strip() for p in parts]
+    return _compile(_parse(text), {f"u{k + 1}": k for k in range(n)})
 
 
 def _parse_kv(text):
@@ -171,15 +143,17 @@ def parse_chart(text):
                           "identities need n >= 2")
     ambient = _parse_ambient(kv["ambient"])
 
-    exprs = _split_top_level(kv["map"])
+    body = _parse(kv["map"])
+    exprs = body.elts if isinstance(body, ast.Tuple) else [body]
     if len(exprs) != ambient.embedding_dimension:
         raise ConfigError(
             f"map has {len(exprs)} components, ambient container has "
             f"{ambient.embedding_dimension}")
-    comps = [parse_expression(e, n) for e in exprs]
+    names = {f"u{k + 1}": k for k in range(n)}
+    comps = [_compile(e, names) for e in exprs]
 
     domain = []
-    for part in _split_top_level(kv["domain"]):
+    for part in map(str.strip, kv["domain"].split(",")):
         try:
             lo, hi = (float(x) for x in part.split(":"))
         except ValueError:
@@ -217,5 +191,4 @@ def parse_chart(text):
 
 
 def load_chart(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_chart(fh.read())
+    return parse_chart(read_text(path, "chart file"))

@@ -96,10 +96,11 @@ def test_one_name_per_concept():
     """One fundamental batch, one flatness test, III read off the batch,
     one layout through the batch layer, one distance-field entry point,
     one curvature residual, one flow entry point, one time grid for the
-    flow map, one stencil, on the grid, and one CSV formatter: the
+    flow map, one stencil, on the grid, one CSV formatter, one walk over
+    an expression and one evaluator of the FD stencil points: the
     duplicate names are gone."""
-    from flatbundle import (cli, fields, flows, fundamental, growth,
-                            principal, verifiers)
+    from flatbundle import (cli, engines, exprchart, fields, flows,
+                            fundamental, growth, principal, verifiers)
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
@@ -116,7 +117,10 @@ def test_one_name_per_concept():
                       (flows, "integrate_flow"),
                       (flows, "_march_axis"),
                       (fields, "grid_deriv"),
-                      (cli, "_text")):
+                      (cli, "_text"),
+                      (exprchart, "_check"),
+                      (exprchart, "_split_top_level"),
+                      (engines, "_shifted")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch

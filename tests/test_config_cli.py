@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatbundle
-from flatbundle import cli, config
+from flatbundle import cli, config, engines
+from flatbundle import dual as dm
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
 from flatbundle.exprchart import parse_chart, parse_expression
@@ -175,6 +176,51 @@ def test_expression_chart_matches_catalog(pseudosphere):
     fb_ref = fundamental_batch(pseudosphere.chart, pts)
     np.testing.assert_allclose(fb.g, fb_ref.g, atol=1e-14)
     np.testing.assert_allclose(fb.sff_sq, fb_ref.sff_sq, atol=1e-12)
+
+
+H3_EXPR = ("n = 3\nambient = euclidean 5\nc = -1\n"
+           "domain = -3 : -0.7, 0 : 6.283185307179586, "
+           "0 : 6.283185307179586\nperiodic = false, true, true\n"
+           "map = exp(u1)*cos(u2), exp(u1)*sin(u2), exp(u1)*cos(u3), "
+           "exp(u1)*sin(u3), sqrt(1 - 2*exp(2*u1)) - 0.5*log((1 + "
+           "sqrt(1 - 2*exp(2*u1)))/(1 - sqrt(1 - 2*exp(2*u1))))\n")
+
+
+def _h3_map(u):
+    """The H3_EXPR map written by hand, operation by operation."""
+    def root():
+        return dm.sqrt(1.0 - 2.0 * dm.exp(2.0 * u[0]))
+    return (dm.exp(u[0]) * dm.cos(u[1]), dm.exp(u[0]) * dm.sin(u[1]),
+            dm.exp(u[0]) * dm.cos(u[2]), dm.exp(u[0]) * dm.sin(u[2]),
+            root() - 0.5 * dm.log((1.0 + root()) / (1.0 - root())))
+
+
+@pytest.mark.parametrize("engine", ["ad", "fd"])
+def test_compiled_chart_is_the_hand_written_map(engine):
+    """The H^3 in R^5 chart of the n = 3 runs, compiled from its expression
+    file, gives the jet of the same map written with flatbundle.dual, bit
+    for bit."""
+    chart = dataclasses.replace(parse_chart(H3_EXPR), engine=engine)
+    lo, hi = np.array(chart.usable_domain()).T
+    U = lo + (hi - lo) * np.random.default_rng(7).uniform(0.1, 0.9, (4, 3, 3))
+    got = chart.jet(U)
+    want = engines.jet(_h3_map, U, 3, engine=engine,
+                       h=chart.fd_step() if engine == "fd" else None)
+    for attr in ("value", "first", "second"):
+        np.testing.assert_array_equal(getattr(got, attr),
+                                      getattr(want, attr))
+
+
+def test_map_is_one_tuple_expression():
+    """Outer parentheses and a trailing comma are Python tuple syntax."""
+    base = parse_chart(PS_EXPR)
+    pts = np.array([[0.9, 1.0], [2.0, 4.0]])
+    for new in ("(sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1))",
+                "sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1),"):
+        chart = parse_chart(PS_EXPR.replace(
+            "sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1)", new))
+        np.testing.assert_array_equal(chart.jet(pts).second,
+                                      base.jet(pts).second)
 
 
 def test_expression_constants_and_power():
@@ -585,6 +631,40 @@ def test_cli_unusable_output_directory_is_config_error(workdir, out, output):
     assert err.startswith(f"error: output directory '{out or ''}' cannot "
                           f"be created: "), err
     assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("config, named", [
+    ("adir", "config file 'adir'"),
+    ("latin1.ini", "config file 'latin1.ini'"),
+    ("chart_dir.ini", "chart file 'adir'"),
+    ("chart_latin1.ini", "chart file 'latin1.chart'"),
+    ("unbalanced.ini", "bad expression"),
+    ("default.ini", "unknown sections: ['DEFAULT']"),
+])
+def test_cli_refused_input_file_is_config_error(workdir, config, named):
+    """A config or chart file that is a directory or not UTF-8 text used to
+    exit 3 with IsADirectoryError or UnicodeDecodeError; a map with an
+    unbalanced parenthesis is refused by the parser; and configparser's
+    [DEFAULT] section used to copy its keys into every section."""
+    (workdir / "adir").mkdir(exist_ok=True)
+    (workdir / "latin1.ini").write_bytes(b"[chart]\nname = caf\xe9\n")
+    (workdir / "latin1.chart").write_bytes(
+        PS_EXPR.replace("my_pseudosphere", "caf\xe9").encode("latin-1"))
+    (workdir / "unbalanced.chart").write_text(
+        PS_EXPR.replace("sech(u1)*sin(u2)", "sech(u1*sin(u2)"))
+    (workdir / "default.ini").write_text(
+        "[DEFAULT]\nresolution = 33\n[chart]\nname = dini\n[grid]\n"
+        "[growth]\n")
+    for name, chart in (("chart_dir", "adir"),
+                        ("chart_latin1", "latin1.chart"),
+                        ("unbalanced", "unbalanced.chart")):
+        (workdir / f"{name}.ini").write_text(
+            f"[chart]\nexpression = {chart}\n")
+    code, out, err = run_cli("verify", "--config", config, "--out", "u",
+                             cwd=workdir)
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error:") and len(err.splitlines()) == 1, err
+    assert named in err, err
 
 
 def test_cli_radius_overflow_is_config_error(workdir):

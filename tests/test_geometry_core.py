@@ -161,6 +161,50 @@ def test_ad_jet_matches_per_pair_seeding():
     np.testing.assert_array_equal(one.second, J.second[1, 2])
 
 
+@pytest.mark.parametrize("name, calls", [("pseudosphere", 25),
+                                         ("sine_gordon_surface", 25),
+                                         ("ps3", 61)])
+def test_fd_jet_is_the_order4_stencils(name, calls):
+    """The FD jet equals the order-4 central stencils written out here, bit
+    for bit, and evaluates the map once per distinct point set:
+    1 + 4n + 16 n(n-1)/2 calls."""
+    from flatbundle import engines
+    chart = catalog.get(name).chart
+    n, h = chart.n, chart.fd_step()
+    lo, hi = np.array(chart.usable_domain()).T
+    rng = np.random.default_rng(3)
+    U = lo + (hi - lo) * rng.uniform(0.2, 0.8, (2, 3, n))
+    seen = []
+
+    def counted(u):
+        seen.append(None)
+        return chart.map(u)
+
+    J = engines.jet(counted, U, n, engine="fd", h=h)
+    assert len(seen) == calls
+
+    def F(*moves):
+        V = U.copy()
+        for i, k in moves:
+            V[..., i] = V[..., i] + k * h[i]
+        return engines.evaluate(chart.map, V)
+
+    d1 = ((-2, 1 / 12), (-1, -8 / 12), (1, 8 / 12), (2, -1 / 12))
+    d2 = ((-2, -1 / 12), (-1, 16 / 12), (0, -30 / 12), (1, 16 / 12),
+          (2, -1 / 12))
+    np.testing.assert_array_equal(J.value, F())
+    for i in range(n):
+        first = sum(w * F((i, k)) for k, w in d1) / h[i]
+        np.testing.assert_array_equal(J.first[..., i, :], first)
+        same = sum(w * F((i, k)) for k, w in d2) / (h[i] * h[i])
+        np.testing.assert_array_equal(J.second[..., i, i, :], same)
+        for j in range(i + 1, n):
+            mixed = sum(wi * wj * F((i, ki), (j, kj))
+                        for ki, wi in d1 for kj, wj in d1) / (h[i] * h[j])
+            np.testing.assert_array_equal(J.second[..., i, j, :], mixed)
+            np.testing.assert_array_equal(J.second[..., j, i, :], mixed)
+
+
 def test_fd_usable_domain_shrinks(pseudosphere):
     chart = pseudosphere.chart
     full = dataclasses.replace(chart, engine="ad").usable_domain()

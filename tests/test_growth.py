@@ -512,15 +512,37 @@ def test_reference_ball_volumes():
         reference_ball_volume(1.0, 2, 4.0)
 
 
+def _sinh_minus_x(x):
+    """sinh(x) - x, by its series below 1 where the difference cancels."""
+    if x > 1.0:
+        return math.sinh(x) - x
+    return sum(x ** k / math.factorial(k) for k in range(3, 40, 2))
+
+
+def _hyp4(r):
+    """2 pi^2 (cosh^3 r / 3 - cosh r + 2/3) with x = cosh r - 1."""
+    x = 2.0 * math.sinh(r / 2.0) ** 2
+    return 2.0 * math.pi ** 2 * x * x * (1.0 + x / 3.0)
+
+
+def _sph4(r):
+    """2 pi^2 (2/3 - cos r + cos^3 r / 3) with y = 1 - cos r."""
+    y = 2.0 * math.sin(r / 2.0) ** 2
+    return 2.0 * math.pi ** 2 * y * y * (1.0 - y / 3.0)
+
+
 @pytest.mark.parametrize("c, n, closed_form, r_max", [
-    (-1.0, 2, lambda r: 2.0 * math.pi * (math.cosh(r) - 1.0), 4.0),
-    (1.0, 2, lambda r: 2.0 * math.pi * (1.0 - math.cos(r)), math.pi),
-    (-1.0, 3, lambda r: math.pi * (math.sinh(2.0 * r) - 2.0 * r), 4.0),
+    (-1.0, 2, lambda r: 4.0 * math.pi * math.sinh(r / 2.0) ** 2, 30.0),
+    (1.0, 2, lambda r: 4.0 * math.pi * math.sin(r / 2.0) ** 2, math.pi),
+    (-1.0, 3, lambda r: math.pi * _sinh_minus_x(2.0 * r), 30.0),
+    (-1.0, 4, _hyp4, 30.0),
+    (1.0, 4, _sph4, math.pi),
 ])
 def test_reference_ball_volume_closed_forms(c, n, closed_form, r_max):
-    """The quadrature against the model-ball closed forms from r = 0.2 to
-    4 (to the antipode on the unit sphere)."""
-    for r in np.linspace(0.2, r_max, 20):
+    """The quadrature against the model-ball closed forms, each written
+    without cancellation, from r = 1e-6 to 30 (to the antipode on the
+    unit sphere)."""
+    for r in (1e-6, 1e-4, 1e-3, 0.01, *np.linspace(0.2, r_max, 20)):
         assert reference_ball_volume(c, n, r) == pytest.approx(
             closed_form(r), rel=1e-12), r
 
