@@ -222,6 +222,58 @@ def test_lattice_ev_scattered_and_degenerate_points(quintic):
                    np.array([0.5, np.inf]))
 
 
+def _lattice_cases():
+    """(name, x, y) batches around the C-order lattice shortcut."""
+    xa, ya = np.linspace(-1.6, -0.4, 13), np.linspace(0.0, 2.0, 11)
+    X, Y = np.meshgrid(xa, ya, indexing="ij")
+    Xf, Yf = np.meshgrid(xa, ya)                       # x fast
+    swapped = xa[[0, 2, 1] + list(range(3, 13))]
+    repeated = xa[[0, 1, 1] + list(range(3, 13))]
+    Xn = X.copy()
+    Xn[4, 5] = np.nan
+    return [
+        ("c-order-block", X, Y),
+        ("fd-shifted-block", X + 2 * 1.2e-3, Y - 2e-3),
+        ("c-order-flat", X.ravel(), Y.ravel()),
+        ("fortran-meshgrid", Xf, Yf),
+        ("fortran-ravel", X.ravel(order="F"), Y.ravel(order="F")),
+        ("unsorted-row", *np.meshgrid(swapped, ya, indexing="ij")),
+        ("repeated-row", *np.meshgrid(repeated, ya, indexing="ij")),
+        ("unsorted-column", *np.meshgrid(xa, ya[::-1], indexing="ij")),
+        ("single-row", np.full(11, -1.0), ya),
+        ("single-column", xa, np.full(13, 0.5)),
+        ("single-point", np.array([-1.0]), np.array([0.5])),
+        ("nan-point", Xn, Y),
+        ("inf-axis", *np.meshgrid(np.append(xa, np.inf), ya, indexing="ij")),
+    ]
+
+
+@pytest.mark.parametrize("name, x, y", _lattice_cases(),
+                         ids=[c[0] for c in _lattice_cases()])
+def test_lattice_ev_c_order_shortcut_keeps_the_bits(quintic, name, x, y):
+    _check_like_ev(quintic, x, y)
+
+
+def test_lattice_ev_c_order_block_needs_no_sort(quintic, monkeypatch):
+    """A C-order grid block is one grid call on its own axes: no
+    ``np.unique`` sort; a Fortran-order one still takes the sorting path."""
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].size)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(sinegordon.np, "unique", spy)
+    cases = {c[0]: c[1:] for c in _lattice_cases()}
+    for name in ("c-order-block", "fd-shifted-block", "c-order-flat",
+                 "single-row", "single-point"):
+        lattice_ev(*cases[name], [(quintic, 0, 0), (quintic, 1, 1)])
+        assert calls == [], name
+    lattice_ev(*cases["fortran-meshgrid"], [(quintic, 0, 0)])
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # integrate_surface against the sequential RK4 march it replaced: one phi
 # evaluation per RK4 stage, point set by point set, with `ev` splines
@@ -320,14 +372,17 @@ def _constant_angle(u, v):
 
 
 @pytest.mark.parametrize("phi, resolution, substeps, residual_tol", [
+    (one_soliton, 161, 4, 1e-6),            # the catalog default
     (one_soliton, 33, 4, 1e-6),
     (one_soliton, 33, 1, 1e-6),
     (one_soliton, (17, 23), 1, 1e-6),
     (one_soliton, (17, 23), 4, 1e-6),
     (_sampled_soliton(), (21, 19), 4, 1e-4),
+    (_sampled_soliton(), (23, 17), 2, 1e-4),
     (_constant_angle, 17, 4, math.inf),
-], ids=["soliton-33-s4", "soliton-33-s1", "soliton-17x23-s1",
-        "soliton-17x23-s4", "sampled-21x19", "constant-angle"])
+], ids=["soliton-161-s4", "soliton-33-s4", "soliton-33-s1",
+        "soliton-17x23-s1", "soliton-17x23-s4", "sampled-21x19",
+        "sampled-23x17-s2", "constant-angle"])
 def test_integrate_surface_matches_sequential_march(phi, resolution,
                                                     substeps, residual_tol):
     surf = integrate_surface(phi, resolution=resolution, substeps=substeps,
@@ -341,55 +396,18 @@ def test_integrate_surface_matches_sequential_march(phi, resolution,
         assert mono > 1e-3                  # the non-solution is reported
 
 
-def _stack_march(frame, phi, t0, t1, fixed, substeps, along_u):
-    """The one-interval march with a right-hand side that stacks its four
-    rows into a new array on every call."""
-    h = (t1 - t0) / substeps
-    ts = [t0]
-    for _ in range(substeps):
-        ts += [ts[-1] + 0.5 * h, ts[-1] + h]
-    t = np.reshape(ts, (-1,) + (1,) * np.ndim(fixed))
-    f, fu, fv, _ = sinegordon._phi_jet(
-        phi, *((t, fixed) if along_u else (fixed, t)))
-    s, c = np.sin(f), np.cos(f)
-    cot, inv = (c / s)[..., None], (1.0 / s)[..., None]
-    ft, s = (fu if along_u else fv)[..., None], s[..., None]
-
-    def rhs(y, i):
-        d = cot[i] * y[1] - inv[i] * y[2]
-        return np.stack((y[1], ft[i] * d, s[i] * y[3], d))
-
-    order = [0, 1, 2, 3] if along_u else [0, 2, 1, 3]
-    y = frame[order]
-    for j in range(0, 2 * substeps, 2):
-        k1 = rhs(y, j)
-        k2 = rhs(y + 0.5 * h * k1, j + 1)
-        k3 = rhs(y + 0.5 * h * k2, j + 1)
-        k4 = rhs(y + h * k3, j + 2)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[order]
-
-
-@pytest.mark.parametrize("phi, resolution", [
-    (one_soliton, 161), (_sampled_soliton(), (21, 19))],
-    ids=["soliton-161", "sampled-21x19"])
-def test_integrate_surface_matches_stacking_march(monkeypatch, phi,
-                                                  resolution):
-    """The right-hand side writes its rows into one array per call; the
-    surface is bit for bit the one of a march that stacks them."""
-    kw = dict(resolution=resolution, residual_tol=1e-4)
-    surf = integrate_surface(phi, **kw)
-    monkeypatch.setattr(sinegordon, "_march", _stack_march)
-    want = integrate_surface(phi, **kw)
-    for f in ("F", "Fu", "Fv", "N"):
-        assert _same_bits(getattr(surf, f), getattr(want, f)), f
-    assert surf.monodromy_residual == want.monodromy_residual
-
-
 @pytest.mark.parametrize("kwargs, match", [
     (dict(resolution=33.5), "resolution"),
     (dict(resolution=5), "resolution"),
     (dict(resolution=(33, 4)), "resolution"),
+    (dict(resolution=(17, 17, 17)), "resolution"),     # third ignored
+    (dict(resolution=(17,)), "resolution"),            # IndexError
+    (dict(domain=((-0.4, -1.6), (-1.6, -0.4))), "domain"),  # reversed
+    (dict(domain=((-1.0, -1.0), (-1.6, -0.4))), "domain"),  # empty
+    (dict(domain=((-1.6, math.nan), (-1.6, -0.4))), "domain"),
+    (dict(domain=((-1.6, -0.4), (-1.6, math.inf))), "domain"),
+    (dict(domain=((-1.6, -0.4),)), "domain"),
+    (dict(domain=1.0), "domain"),
     (dict(substeps=0), "substeps"),
     (dict(substeps=1.5), "substeps"),
     (dict(residual_tol=-1.0), "residual_tol"),

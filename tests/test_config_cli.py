@@ -50,13 +50,18 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(
     flatbundle.__file__)))
 
 
-def run_cli(*args, cwd=None):
+def _python(*args, cwd=None):
+    """Run this interpreter on ``args`` with this package importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-m", "flatbundle.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*args, cwd=None):
+    return _python("-m", "flatbundle.cli", *args, cwd=cwd)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +484,7 @@ def test_cli_sine_gordon_integer_parameters(tmp_path):
     ("substeps = 2.5", "substeps"),
     ("residual_tol = -1", "residual_tol"),  # exit 3
     ("residual_tol = nan", "residual_tol"),  # both guards off, exit 0
+    ("domain = 1", "domain"),   # "'float' object is not subscriptable"
 ])
 def test_cli_rejects_bad_sine_gordon_parameters(tmp_path, line, key):
     _sine_gordon_ini(tmp_path, line)
@@ -487,6 +493,16 @@ def test_cli_rejects_bad_sine_gordon_parameters(tmp_path, line, key):
     assert code == 2, (out, err)
     assert err.startswith("error:") and len(err.splitlines()) == 1, err
     assert key in err
+
+
+def test_cli_import_leaves_out_the_sine_gordon_chart():
+    """The sine-Gordon integration and its spline module load only when a
+    run asks for that chart, never with the CLI itself."""
+    code, out, err = _python(
+        "-c", "import sys, flatbundle.cli; print(sorted(m for m in "
+        "('flatbundle.sinegordon', 'scipy.interpolate') if m in sys.modules))")
+    assert code == 0, err
+    assert out.strip() == "[]"
 
 
 def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):
