@@ -194,6 +194,13 @@ def plane_r3():
         notes="totally geodesic: single principal normal 0, multiplicity 2")
 
 
+# sine_gordon_surface's (n, p, c, c~, notes), declared so that describing
+# the entry integrates nothing
+_SINE_GORDON = (2, 1, -1.0, 0.0,
+                "integrated from an asymptotic-coordinate angle field; "
+                "metric du^2 + 2 cos(phi) du dv + dv^2")
+
+
 def sine_gordon_surface(phi=None, domain=None, resolution=161,
                         residual_tol=1e-6, substeps=4):
     """K = -1 surface from a sine-Gordon solution (by default the one
@@ -205,8 +212,7 @@ def sine_gordon_surface(phi=None, domain=None, resolution=161,
     return CatalogEntry(
         surf.chart(),
         expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
-        notes="integrated from an asymptotic-coordinate angle field; "
-              "metric du^2 + 2 cos(phi) du dv + dv^2",
+        notes=_SINE_GORDON[-1],
         params=dict(surface=surf, sg_residual=surf.sg_residual,
                     monodromy_residual=surf.monodromy_residual,
                     resolution=resolution, substeps=substeps))
@@ -229,3 +235,11 @@ def get(name, **params):
         raise KeyError(f"unknown catalog entry {name!r}; "
                        f"known: {', '.join(names())}")
     return factory(**params)
+
+
+def describe(name):
+    """An entry's (n, p, c, c~, notes) at its default parameters."""
+    if name == "sine_gordon_surface":
+        return _SINE_GORDON
+    e = get(name)
+    return e.n, e.p, e.c, e.ctilde, e.notes

@@ -25,7 +25,7 @@ from .errors import (ConfigError, DomainError, FlatBundleError,
 from .fields import make_grid
 from .flows import (build_flow_map, commutator_residual, identity_chains,
                     verify_principal_frame_property)
-from .growth import default_resolution, growth_report
+from .growth import GrowthRow, default_resolution, growth_report
 from .verifiers import verify_chart
 
 EXIT_OK = 0
@@ -254,19 +254,13 @@ def run_growth(cfg, out_dir, strict=False):
         return _finish(out_dir, "growth", lines, EXIT_OK)
 
     _write(os.path.join(out_dir, "growth.csv"),
-           _csv(["r", "S", "psi", "vol", "bound", "ref_vol"],
-                ([[row.r, row.S, row.psi, row.vol, row.bound, row.ref_vol]
-                  for row in rep.rows],)))
+           _csv(GrowthRow._fields, (rep.rows,)))
     if rep.fit is not None:
-        k, ell, r2 = rep.fit
         lines.append("fit S(r): k=%s ell=%s r2=%s window=%g:%g"
-                     % (_G % k, _G % ell, _G % r2, *rep.fit_window))
-    lines.append("stencil_overshoot = %.6g"
-                 % rep.metadata["stencil_overshoot"])
-    for v in rep.verdicts:
-        lines.append(v.summary_line())
-    for w in rep.warnings:
-        lines.append(f"WARN {w}")
+                     % (*(_G % x for x in rep.fit), *rep.fit_window))
+    lines.append("stencil_overshoot = %.6g" % rep.stencil_overshoot)
+    lines.extend(v.summary_line() for v in rep.verdicts)
+    lines.extend(f"WARN {w}" for w in rep.warnings)
     bad = {"fail"} | ({"indeterminate"} if strict else set())
     failed = [v for v in rep.verdicts if v.verdict in bad]
     return _finish(out_dir, "growth", lines,
@@ -324,20 +318,13 @@ def run_coords(cfg, out_dir):
 
 
 def run_catalog_list():
-    rows = []
-    for name in catalog.names():
-        if name == "sine_gordon_surface":
-            rows.append((name, 2, 1, "-1", "0",
-                         "integrated from a sine-Gordon angle field"))
-            continue
-        e = catalog.get(name)
-        rows.append((name, e.n, e.p,
-                     "none" if e.c is None else "%g" % e.c,
-                     "%g" % e.ctilde, e.notes.split(";")[0]))
-    w = max(len(r[0]) for r in rows)
+    w = max(map(len, catalog.names()))
     print(f"{'name':{w}}  n  p  {'c':>6}  {'c~':>4}  notes")
-    for name, n, p, c, ct, notes in rows:
-        print(f"{name:{w}}  {n}  {p}  {c:>6}  {ct:>4}  {notes}")
+    for name in catalog.names():
+        n, p, c, ct, notes = catalog.describe(name)
+        c = "none" if c is None else "%g" % c
+        print(f"{name:{w}}  {n}  {p}  {c:>6}  {'%g' % ct:>4}  "
+              f"{notes.split(';')[0]}")
     return EXIT_OK
 
 

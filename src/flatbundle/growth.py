@@ -29,7 +29,8 @@ at a time, each fills a weight table and runs Dijkstra without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, sparse, spatial
@@ -295,14 +296,8 @@ def ball_volume(df, sqrt_det_g, r):
         raise ValueError("ball radius must be non-negative")
     mask = df.d <= r
     vol = float(np.sum(np.asarray(sqrt_det_g)[mask]) * df.grid.cell_volume())
-    truncated = False
-    for k in range(df.grid.ndim):
-        if df.grid.periodic[k]:
-            continue
-        sl = [slice(None)] * df.grid.ndim
-        for edge in (0, -1):
-            sl[k] = edge
-            truncated |= bool(np.any(mask[tuple(sl)]))
+    truncated = any(np.take(mask, [0, -1], axis=k).any()
+                    for k, per in enumerate(df.grid.periodic) if not per)
     return vol, truncated
 
 
@@ -348,22 +343,20 @@ def fit_exponential(rows, window=None):
     rows : sequence of (r, value) with r strictly increasing.
     window : optional (r_lo, r_hi) restriction.
     """
-    rows = [(float(r), float(v)) for r, v in rows]
-    rs = np.array([r for r, _ in rows])
-    if np.any(np.diff(rs) <= 0):
+    r, v = np.asarray(rows, dtype=float).reshape(len(rows), 2).T
+    if np.any(np.diff(r) <= 0):
         raise ValueError("radii must be strictly increasing")
     if window is not None:
-        keep = (rs >= window[0]) & (rs <= window[1])
-        rows = [rv for rv, k in zip(rows, keep) if k]
-    if len(rows) < 4:
+        keep = (r >= window[0]) & (r <= window[1])
+        r, v = r[keep], v[keep]
+    if len(r) < 4:
         raise ValueError("need at least 4 rows in the fit window")
-    r = np.array([x for x, _ in rows])
-    v = np.array([y for _, y in rows])
     if np.any(v <= 0):
         raise ValueError("fit values must be positive in the window")
-    ell, logk = np.polyfit(r, np.log(v), 1)
-    resid = np.log(v) - (ell * r + logk)
-    ss_tot = float(np.sum((np.log(v) - np.mean(np.log(v))) ** 2))
+    logv = np.log(v)
+    ell, logk = np.polyfit(r, logv, 1)
+    resid = logv - (ell * r + logk)
+    ss_tot = float(np.sum((logv - np.mean(logv)) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return float(np.exp(logk)), float(ell), r2
 
@@ -472,15 +465,15 @@ def check_ball_containment(df_g, df_g0, sff_sq, chart, r):
 # ---------------------------------------------------------------------------
 # the growth report
 
-@dataclass
-class GrowthRow:
+class GrowthRow(NamedTuple):
+    """One radius of the growth table: growth.csv's columns, in order."""
+
     r: float
     S: float
     psi: float
     vol: float
     bound: float
     ref_vol: float
-    truncated: bool = False
 
 
 @dataclass
@@ -491,15 +484,12 @@ class GrowthReport:
     witness the exponential-growth conclusion, only the inequality chain.
     """
 
-    chart_name: str
-    x0: np.ndarray
-    C: float
-    rows: list
+    rows: list                     # GrowthRow items, by increasing radius
     verdicts: list                 # ChainVerdict items
     fit: tuple                     # (k, ell, r_squared) for S(r), or None
     fit_window: object
-    warnings: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    warnings: list
+    stencil_overshoot: float       # relative stencil error of the distances
 
     @property
     def chain_holds(self):
@@ -572,20 +562,17 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     n = chart.n
     omega = unit_ball_volume(n)
     rows = []
-    verdicts = []
     if C > 0:
-        verdicts.append(check_length_inequality(chart, seed=seed))
-        verdicts.append(check_distance_inequality(df_g, df_g0, sff_sq, chart))
+        verdicts = [check_length_inequality(chart, seed=seed),
+                    check_distance_inequality(df_g, df_g0, sff_sq, chart)]
     else:
-        verdicts.append(ChainVerdict("length_comparison", "skip", math.nan,
-                                     math.nan, "C = 0 (exploratory)"))
-        verdicts.append(ChainVerdict("distance_comparison", "skip", math.nan,
-                                     math.nan, "C = 0 (exploratory)"))
+        verdicts = [ChainVerdict(name, "skip", math.nan, math.nan,
+                                 "C = 0 (exploratory)")
+                    for name in ("length_comparison", "distance_comparison")]
 
     budget_vol = 2.0 * df_g.overshoot
     for r, ref in zip(radii, refs):
         S = ball_max_sff(df_g, sff_sq, r)
-        psi = r * math.sqrt(S + C)
         vol, truncated = ball_volume(df_g, sqrt_det_g, r)
         if truncated:
             warnings.append(
@@ -593,17 +580,17 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
                 "lower bound only")
         bound = (r ** n * (1.0 + S / C) ** (n / 2.0) * omega
                  if C > 0 else math.nan)
-        rows.append(GrowthRow(r, S, psi, vol, bound, ref, truncated))
+        rows.append(GrowthRow(r, S, r * math.sqrt(S + C), vol, bound, ref))
         if C > 0:
-            verdicts.append(check_ball_containment(df_g, df_g0, sff_sq,
-                                                  chart, r))
-            # a ball of one node sums one cell, which bounds nothing
-            singleton = np.count_nonzero(df_g.d <= r) == 1
-            verdicts.append(_strict_verdict(
+            contained = check_ball_containment(df_g, df_g0, sff_sq, chart, r)
+            # the anchor alone (containment compares every other node)
+            # sums one cell, which bounds nothing
+            singleton = contained.compared == 0
+            verdicts += [contained, _strict_verdict(
                 f"volume_bound(r={r:g})", [vol],
                 [math.nan if singleton else bound], budget_vol,
                 notes="singleton ball" if singleton
-                else "truncated ball (lower bound)" if truncated else ""))
+                else "truncated ball (lower bound)" if truncated else "")]
 
     fit = None
     fit_window = window or default_fit_window(radii)
@@ -612,9 +599,5 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
     except ValueError as exc:
         warnings.append(f"exponential fit skipped: {exc}")
 
-    meta = dict(engine=chart.engine, seed=seed, resolution=resolution,
-                anchor=tuple(anchor), C=C,
-                stencil_overshoot=df_g.overshoot,
-                cell_volume=grid.cell_volume())
-    return GrowthReport(chart.name, x0, C, rows, verdicts, fit, fit_window,
-                        warnings, meta)
+    return GrowthReport(rows, verdicts, fit, fit_window, warnings,
+                        df_g.overshoot)

@@ -148,7 +148,7 @@ def test_criterion_5_inequality_chain(capfd, pseudosphere, dini):
             (dini, DINI_X0, (0.3, 0.45, 0.6, 0.75, 0.9))):
         rep = growth_report(entry.chart, x0, radii, resolution=257)
         margins = [v.margin for v in rep.verdicts]
-        budget = rep.metadata["stencil_overshoot"]
+        budget = rep.stencil_overshoot
         good = (rep.chain_holds
                 and all(v.margin > v.error_budget for v in rep.verdicts))
         ok &= good

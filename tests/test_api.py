@@ -134,6 +134,11 @@ def test_one_name_per_concept():
     fm = {f.name for f in dataclasses.fields(flows.FlowMap)}
     assert "t_axes" not in fm and "grid" in fm
     assert not hasattr(flows.FlowMap, "t_spacing")
+    # growth.csv's columns are GrowthRow's fields, and the report holds
+    # only what its readers read
+    report = {f.name for f in dataclasses.fields(growth.GrowthReport)}
+    assert not report & {"metadata", "chart_name", "x0", "C"}
+    assert "truncated" not in growth.GrowthRow._fields
 
 
 def _perfbench(name, monkeypatch):
@@ -180,3 +185,13 @@ def test_benchmark_workloads_pass_the_output_gate(tmp_path, monkeypatch):
                        "--seed", str(workloads.REFERENCE_SEED)])
         assert checks.check_invocation(w, checks.load_reference(w), rc,
                                        str(out)) == [], w.name
+
+
+def test_readme_library_example_runs(capsys):
+    """The README's "Library example" block runs as written."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "## Library example\n\n```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "chain holds: True" in out

@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatbundle
-from flatbundle import cli, config, engines
+from flatbundle import catalog, cli, config, engines
 from flatbundle import dual as dm
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
 from flatbundle.exprchart import parse_chart, parse_expression
 from flatbundle.fundamental import fundamental_batch
+from flatbundle.growth import GrowthRow, growth_report
 from flatbundle.verifiers import TOLERANCE_KEYS
 
 PS_EXPR = """
@@ -321,6 +322,22 @@ def test_cli_growth_deterministic(workdir):
     assert "length_comparison PASS" in summary
     assert "distance_comparison PASS" in summary
     assert "volume_bound(r=1.2) PASS" in summary
+
+
+def test_cli_growth_csv_rows_are_the_report_rows(workdir):
+    """growth.csv's header is GrowthRow's fields, and its rows parse back
+    to the rows growth_report makes from the same config."""
+    code, _, err = run_cli("growth", "--config", "ps.ini", "--out", "rows",
+                           cwd=workdir)
+    assert code == 0, err
+    lines = (workdir / "rows" / "growth.csv").read_text().splitlines()
+    assert lines[0] == ",".join(GrowthRow._fields)
+    cfg = config.load_config(str(workdir / "ps.ini"))
+    rep = growth_report(cfg.make_chart(), cfg.x0, cfg.radii,
+                        window=cfg.window, resolution=cfg.growth_resolution,
+                        seed=cfg.seed, exploratory=cfg.exploratory)
+    rows = [GrowthRow(*map(float, line.split(","))) for line in lines[1:]]
+    np.testing.assert_array_equal(rows, rep.rows)
 
 
 def test_cli_coords_passes(workdir):
@@ -849,6 +866,22 @@ def test_cli_negative_seed_is_usage_error(workdir):
     code, _, err = run_cli("verify", "--config", "ps.ini", "--seed", "x",
                            cwd=workdir)
     assert code == 2 and "argument --seed: invalid int value: 'x'" in err
+
+
+def test_catalog_list_rows_are_the_entries(capsys):
+    """Each `catalog list` row is what catalog.get declares for its entry.
+    The listing reads catalog.describe, which does not integrate the
+    sine-Gordon surface, so its row is checked here against a built entry."""
+    assert cli.run_catalog_list() == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[0] for line in lines] == catalog.names()
+    for line in lines:
+        name, *cols = line.split(None, 5)
+        e = catalog.get(name)
+        assert catalog.describe(name) == (e.n, e.p, e.c, e.ctilde, e.notes)
+        assert cols == [str(e.n), str(e.p),
+                        "none" if e.c is None else "%g" % e.c,
+                        "%g" % e.ctilde, e.notes.split(";")[0]], name
 
 
 def test_cli_catalog_list(workdir):
