@@ -108,7 +108,13 @@ class ImmersionChart:
             raise ValueError(f"{self.name}: chart dimension n = {self.n}; "
                              "the curvature identities need n >= 2")
         if len(self.domain) != self.n or len(self.periodic) != self.n:
-            raise ValueError("domain/periodic length must equal n")
+            raise ValueError(
+                f"{self.name}: n = {self.n}, but domain has {len(self.domain)}"
+                f" intervals and periodic {len(self.periodic)} entries")
+        if self.codimension < 0:
+            raise ValueError(
+                f"{self.name}: ambient {self.ambient.kind} of dimension "
+                f"{self.n + self.codimension} has no room for n = {self.n}")
         if self.engine not in self.supported_engines:
             raise ValueError(
                 f"engine {self.engine!r} cannot differentiate {self.name}; "

@@ -5,11 +5,11 @@ has a default so a minimal config only names a chart."""
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field, replace
 
 from . import catalog, engines, exprchart
-from .errors import ConfigError, read_text
+from .errors import (ConfigError, boolean, choice, each, integer, interval,
+                     naming, read_text, real)
 from .flows import SPENT
 from .verifiers import TOLERANCE_KEYS
 
@@ -74,52 +74,33 @@ def _per_axis(name, values, n):
     return values
 
 
-def _ints(text):
-    return tuple(int(x) for x in text.split(","))
-
-
-def _floats(text):
-    return tuple(float(x) for x in text.split(","))
-
-
-def _interval(text):
-    lo, hi = (float(x) for x in text.split(":"))
-    return (lo, hi)
-
-
-def _intervals(text):
-    return tuple(_interval(p) for p in text.split(","))
-
-
-def _bool(text):
-    t = text.strip().lower()
-    if t in ("true", "yes", "1"):
-        return True
-    if t in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# [section] -> {key: (RunConfig field, parser)}.  [chart] keys are free
-# (name or expression, then the chart's parameters), and [tolerances] keys
-# are the verifiers' TOLERANCE_KEYS.
+# [section] -> {key: (RunConfig field, value type)}.  [chart] keys are
+# free: name or expression, then the chart's parameters, which are floats.
+# A [tolerances] value goes into the tolerances dict under its key.
+_POSITIVE = real(finite=True, positive=True)
 _KEYS = {
     "chart": None,
-    "grid": {"resolution": ("resolution", _ints),
-             "engine": ("engine", lambda text: text.strip().lower())},
-    "tolerances": set(TOLERANCE_KEYS.values()),
-    "growth": {"x0": ("x0", _floats),
-               "radii": ("radii", _floats),
-               "window": ("window", _interval),
-               "resolution": ("growth_resolution", int),
-               "exploratory": ("exploratory", _bool),
-               "flow_box": ("flow_box", _intervals),
-               "flow_resolution": ("flow_resolution", int),
-               "flow_step": ("flow_step", float),
-               "t_range": ("t_range", _interval),
-               "pairs": ("pairs", int)},
+    "grid": {"resolution": ("resolution", each(integer(MIN_RESOLUTION))),
+             "engine": ("engine", choice(*engines.ENGINES))},
+    "tolerances": {key: ("tolerances", _POSITIVE)
+                   for key in TOLERANCE_KEYS.values()},
+    "growth": {"x0": ("x0", each(real())),
+               "radii": ("radii", each(_POSITIVE, increasing=True)),
+               "window": ("window", interval()),
+               "resolution": ("growth_resolution", integer(MIN_RESOLUTION)),
+               "exploratory": ("exploratory", boolean(("true", "yes", "1"),
+                                                      ("false", "no", "0"))),
+               "flow_box": ("flow_box", each(interval(finite=True))),
+               "flow_resolution": ("flow_resolution",
+                                   integer(MIN_FLOW_RESOLUTION)),
+               "flow_step": ("flow_step", _POSITIVE),
+               "t_range": ("t_range", interval(finite=True)),
+               "pairs": ("pairs", integer(1))},
     "output": {"dir": ("out_dir", str)},
 }
+_CHART_KEYS = {"name": ("chart_name", str),
+               "expression": ("expression_path", str)}
+_CHART_PARAM = ("chart_params", real())
 
 
 def parse_config(text):
@@ -135,81 +116,30 @@ def parse_config(text):
     unknown_sections = set(cp.sections()) - set(_KEYS)
     if unknown_sections:
         raise ConfigError(f"unknown sections: {sorted(unknown_sections)}")
-    for sec, keys in _KEYS.items():
-        if keys is None or not cp.has_section(sec):
-            continue
+    cfg = RunConfig()
+    for sec in cp.sections():
+        keys = _KEYS[sec] or {**dict.fromkeys(cp.options(sec), _CHART_PARAM),
+                              **_CHART_KEYS}
         bad = set(cp.options(sec)) - set(keys)
         if bad:
             raise ConfigError(f"unknown keys in [{sec}]: {sorted(bad)}")
-
-    cfg = RunConfig()
-    try:
-        for sec, keys in _KEYS.items():
-            if not cp.has_section(sec):
-                continue
-            items = dict(cp.items(sec))
-            if sec == "chart":
-                cfg.chart_name = items.pop("name", None)
-                cfg.expression_path = items.pop("expression", None)
-                cfg.chart_params = {k: float(v) for k, v in items.items()}
-            elif sec == "tolerances":
-                cfg.tolerances = {k: float(v) for k, v in items.items()}
+        for key, value in cp.items(sec):
+            name, parse = keys[key]
+            with naming(f"[{sec}] {key}", value):
+                value = parse(value)
+            if name in ("chart_params", "tolerances"):
+                getattr(cfg, name)[key] = value
             else:
-                for key, (name, parse) in keys.items():
-                    if key in items:
-                        setattr(cfg, name, parse(items[key]))
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
+                setattr(cfg, name, value)
 
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg):
-    if cfg.chart_name is None and cfg.expression_path is None:
-        raise ConfigError("[chart] must set 'name' or 'expression'")
-    if cfg.chart_name is not None and cfg.expression_path is not None:
-        raise ConfigError("[chart] sets both 'name' and 'expression'")
-    if cfg.engine is not None and cfg.engine not in engines.ENGINES:
-        raise ConfigError(f"unknown engine {cfg.engine!r}; "
-                          f"choose from {engines.ENGINES}")
-    for r in cfg.resolution:
-        if r < MIN_RESOLUTION:
-            raise ConfigError(
-                f"resolution {r} below the minimum {MIN_RESOLUTION}")
-    if cfg.growth_resolution is not None \
-            and cfg.growth_resolution < MIN_RESOLUTION:
-        raise ConfigError(
-            f"growth resolution {cfg.growth_resolution} below the "
-            f"minimum {MIN_RESOLUTION}")
-    for k, v in cfg.tolerances.items():
-        if not 0 < v < math.inf:
-            raise ConfigError(
-                f"tolerance {k} must be finite and positive, got {v}")
-    radii = cfg.radii
-    if not radii or not all(0 < r < math.inf for r in radii) \
-            or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError(
-            "radii must be finite, positive and strictly increasing")
-    if cfg.window is not None and not cfg.window[0] < cfg.window[1]:
-        raise ConfigError("fit window must be a non-empty interval")
-    if not 0 < cfg.flow_step < math.inf:
-        raise ConfigError("flow_step must be finite and positive")
-    for lo, hi in cfg.flow_box:
-        if not -math.inf < lo < hi < math.inf:
-            raise ConfigError(
-                "each flow_box interval must be finite and non-empty")
-    if cfg.flow_resolution < MIN_FLOW_RESOLUTION:
-        raise ConfigError(
-            f"flow_resolution must be at least {MIN_FLOW_RESOLUTION}")
-    if cfg.pairs < 1:
-        raise ConfigError("pairs must be at least 1")
-    if not -math.inf < cfg.t_range[0] < cfg.t_range[1] < math.inf:
-        raise ConfigError("t_range must be a finite, non-empty interval")
+    if (cfg.chart_name is None) == (cfg.expression_path is None):
+        raise ConfigError("[chart] must set exactly one of 'name' and "
+                          "'expression'")
     if max(abs(t) for t in cfg.t_range) <= SPENT * cfg.flow_step:
         raise ConfigError(
             "t_range %g : %g lies within %g * flow_step of 0, so no flow "
             "would take a step" % (*cfg.t_range, SPENT))
+    return cfg
 
 
 def load_config(path):

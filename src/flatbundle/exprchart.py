@@ -27,7 +27,8 @@ import operator
 
 from . import dual as dm
 from .charts import ImmersionChart, euclidean, hyperbolic, sphere
-from .errors import ConfigError, read_text
+from .errors import (ConfigError, boolean, each, integer, interval, naming,
+                     none_or, read_text, real)
 
 FUNCTIONS = {name: getattr(dm, name) for name in
              ("sin", "cos", "tan", "exp", "log", "sqrt",
@@ -56,7 +57,7 @@ def _compile(node, names):
         if (not isinstance(node.func, ast.Name)
                 or node.func.id not in FUNCTIONS
                 or node.keywords or len(node.args) != 1):
-            raise ConfigError(
+            raise ValueError(
                 f"only the single-argument functions "
                 f"{sorted(FUNCTIONS)} are allowed")
         fn, arg = FUNCTIONS[node.func.id], _compile(node.args[0], names)
@@ -66,28 +67,37 @@ def _compile(node, names):
             k = names[node.id]
             return lambda u: u[k]
         if node.id not in CONSTANTS:
-            raise ConfigError(f"unknown name {node.id!r} in expression")
+            raise ValueError(f"unknown name {node.id!r}")
         value = CONSTANTS[node.id]
         return lambda u: value
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
-            raise ConfigError(f"non-numeric constant {node.value!r}")
-        value = float(node.value)
+            raise ValueError(f"non-numeric constant {node.value!r}")
+        try:
+            value = float(node.value)
+        except OverflowError:       # an integer literal past 1.8e308
+            raise ValueError("integer constant too large") from None
         return lambda u: value
-    raise ConfigError(
-        f"disallowed syntax {type(node).__name__} in expression")
+    raise ValueError(f"disallowed syntax {type(node).__name__}")
 
 
 def _parse(text):
     try:
         return ast.parse(text.strip(), mode="eval").body
     except SyntaxError as exc:
-        raise ConfigError(f"bad expression {text!r}: {exc.msg}") from None
+        raise ValueError(f"bad expression: {exc.msg}") from None
+
+
+def _components(text):
+    """The map's component expressions: one Python tuple expression."""
+    body = _parse(text)
+    return body.elts if isinstance(body, ast.Tuple) else [body]
 
 
 def parse_expression(text, n):
     """Compile one scalar expression into a closure over [u1, ..., un]."""
-    return _compile(_parse(text), {f"u{k + 1}": k for k in range(n)})
+    with naming("expression", text):
+        return _compile(_parse(text), {f"u{k + 1}": k for k in range(n)})
 
 
 def _parse_kv(text):
@@ -106,88 +116,60 @@ def _parse_kv(text):
     return out
 
 
-def _parse_ambient(text):
-    parts = text.split()
-    try:
-        if parts[0] == "euclidean" and len(parts) == 2:
-            return euclidean(int(parts[1]))
-        if parts[0] == "sphere" and len(parts) == 3:
-            return sphere(float(parts[1]), int(parts[2]))
-        if parts[0] == "hyperbolic" and len(parts) == 3:
-            return hyperbolic(float(parts[1]), int(parts[2]))
-    except ValueError as exc:
-        raise ConfigError(f"bad ambient {text!r}: {exc}") from None
-    raise ConfigError(
-        f"bad ambient {text!r}: expected 'euclidean m', 'sphere c m' or "
-        "'hyperbolic c m'")
+# ambient kind -> (model, the value types of its arguments)
+_AMBIENTS = {"euclidean": (euclidean, integer()),
+             "sphere": (sphere, real(), integer()),
+             "hyperbolic": (hyperbolic, real(), integer())}
+
+
+def _ambient(text):
+    kind, *args = text.split() or [""]
+    if len(_AMBIENTS.get(kind, ())) != 1 + len(args):
+        raise ValueError("expected 'euclidean m', 'sphere c m' or "
+                         "'hyperbolic c m'")
+    model, *types = _AMBIENTS[kind]
+    return model(*(parse(arg) for parse, arg in zip(types, args)))
+
+
+# chart-file key -> value type.  n >= 2, the domain and periodic lengths
+# and the room the ambient leaves for n are the chart's own checks.
+_CHART_KEYS = {"name": str, "n": integer(), "ambient": _ambient,
+               "c": none_or(real(finite=True)),
+               "domain": each(interval(finite=True)),
+               "periodic": each(boolean()), "map": _components}
 
 
 def parse_chart(text):
     """Parse an expression-chart description into an ImmersionChart."""
     kv = _parse_kv(text)
-    required = {"n", "ambient", "map", "domain"}
-    allowed = required | {"name", "c", "periodic"}
-    unknown = set(kv) - allowed
+    unknown = set(kv) - set(_CHART_KEYS)
     if unknown:
         raise ConfigError(f"unknown chart keys: {sorted(unknown)}")
-    missing = required - set(kv)
+    missing = {"n", "ambient", "map", "domain"} - set(kv)
     if missing:
         raise ConfigError(f"missing chart keys: {sorted(missing)}")
+    values = {}
+    for key, value in kv.items():
+        with naming(key, value):
+            values[key] = _CHART_KEYS[key](value)
 
-    try:
-        n = int(kv["n"])
-    except ValueError:
-        raise ConfigError(f"bad n {kv['n']!r}") from None
-    if n < 2:       # the chart's own check, worded as invalid input
-        raise ConfigError(f"chart dimension n = {n}; the curvature "
-                          "identities need n >= 2")
-    ambient = _parse_ambient(kv["ambient"])
-
-    body = _parse(kv["map"])
-    exprs = body.elts if isinstance(body, ast.Tuple) else [body]
-    if len(exprs) != ambient.embedding_dimension:
-        raise ConfigError(
-            f"map has {len(exprs)} components, ambient container has "
-            f"{ambient.embedding_dimension}")
-    names = {f"u{k + 1}": k for k in range(n)}
-    comps = [_compile(e, names) for e in exprs]
-
-    domain = []
-    for part in map(str.strip, kv["domain"].split(",")):
-        try:
-            lo, hi = (float(x) for x in part.split(":"))
-        except ValueError:
-            raise ConfigError(f"bad domain interval {part!r}; "
-                              "expected 'lo : hi'") from None
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"non-finite domain interval {part!r}")
-        if not lo < hi:
-            raise ConfigError(f"empty domain interval {part!r}")
-        domain.append((lo, hi))
-    if len(domain) != n:
-        raise ConfigError(f"domain has {len(domain)} intervals, n = {n}")
-
-    periodic = (False,) * n
-    if "periodic" in kv:
-        vals = [p.strip().lower() for p in kv["periodic"].split(",")]
-        if len(vals) != n or not all(v in ("true", "false") for v in vals):
-            raise ConfigError(f"bad periodic spec {kv['periodic']!r}")
-        periodic = tuple(v == "true" for v in vals)
-
-    c = None
-    if kv.get("c", "none").lower() != "none":
-        try:
-            c = float(kv["c"])
-        except ValueError:
-            c = math.nan
-        if not math.isfinite(c):
-            raise ConfigError(f"bad curvature {kv['c']!r}")
-
-    def chart_map(u):
+    def chart_map(u):       # comps is compiled below, once n is checked
         return tuple(comp(u) for comp in comps)
 
-    return ImmersionChart(kv.get("name", "expression_chart"), chart_map, n,
-                          ambient, c, tuple(domain), periodic)
+    try:
+        chart = ImmersionChart(values.get("name", "expression_chart"),
+                               chart_map, values["n"], values["ambient"],
+                               values.get("c"), values["domain"],
+                               values.get("periodic"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    exprs, names = values["map"], {f"u{k + 1}": k for k in range(chart.n)}
+    with naming("map", kv["map"]):
+        if len(exprs) != chart.ambient.embedding_dimension:
+            raise ValueError(f"{len(exprs)} components, ambient container "
+                             f"has {chart.ambient.embedding_dimension}")
+        comps = [_compile(e, names) for e in exprs]
+    return chart
 
 
 def load_chart(path):

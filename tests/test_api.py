@@ -97,9 +97,9 @@ def test_one_name_per_concept():
     one layout through the batch layer, one distance-field entry point,
     one curvature residual, one flow entry point, one time grid for the
     flow map, one stencil, on the grid, one CSV formatter, one walk over
-    an expression and one evaluator of the FD stencil points: the
-    duplicate names are gone."""
-    from flatbundle import (cli, engines, exprchart, fields, flows,
+    an expression, one evaluator of the FD stencil points and one value
+    type per input rule: the duplicate names are gone."""
+    from flatbundle import (cli, config, engines, exprchart, fields, flows,
                             fundamental, growth, principal, verifiers)
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
@@ -120,7 +120,11 @@ def test_one_name_per_concept():
                       (cli, "_text"),
                       (exprchart, "_check"),
                       (exprchart, "_split_top_level"),
-                      (engines, "_shifted")):
+                      (engines, "_shifted"),
+                      (config, "_ints"), (config, "_floats"),
+                      (config, "_interval"), (config, "_intervals"),
+                      (config, "_bool"), (config, "_validate"),
+                      (exprchart, "_parse_ambient")):
         assert not hasattr(mod, name), name
         assert not hasattr(flatbundle, name), name
     fb = fundamental.FundamentalBatch

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatbundle
-from flatbundle import catalog, cli, config, engines
+from flatbundle import catalog, cli, config, engines, exprchart
 from flatbundle import dual as dm
 from flatbundle.config import RunConfig, parse_config
 from flatbundle.errors import ConfigError
@@ -269,6 +269,131 @@ def test_chart_file_rejections(mutation):
         parse_chart(text)
 
 
+def test_readme_chart_example_is_the_pseudosphere(pseudosphere):
+    """The chart file shown under "User-defined charts" in the README parses
+    to the catalog pseudosphere."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split(
+        "### User-defined charts\n", 1)[1].split("```ini\n", 1)[1].split(
+        "```", 1)[0]
+    chart = parse_chart(block)
+    assert (chart.n, chart.c, chart.periodic) == (2, -1.0, (False, True))
+    pts = np.array([[0.9, 1.0], [2.0, 4.0]])
+    np.testing.assert_allclose(chart.jet(pts).value,
+                               pseudosphere.chart.jet(pts).value, atol=1e-15)
+    fb, fb_ref = (fundamental_batch(c, pts)
+                  for c in (chart, pseudosphere.chart))
+    np.testing.assert_allclose(fb.g, fb_ref.g, atol=1e-14)
+    np.testing.assert_allclose(fb.sff_sq, fb_ref.sff_sq, atol=1e-12)
+
+
+# one malformed value for each key a user can get wrong: every [grid] and
+# [growth] key, one catalog parameter and one [tolerances] key, and every
+# chart-file key ([output] dir and a chart's name take any text)
+MALFORMED_CONFIG = {
+    ("chart", "a"): "x",
+    ("grid", "resolution"): "33, 5",
+    ("grid", "engine"): "exact",
+    ("tolerances", "gauss"): "inf",
+    ("growth", "x0"): "1, a",
+    ("growth", "radii"): "1, 0.5",
+    ("growth", "window"): "1",
+    ("growth", "resolution"): "17.5",
+    ("growth", "exploratory"): "maybe",
+    ("growth", "flow_box"): "0 : 0",
+    ("growth", "flow_resolution"): "4",
+    ("growth", "flow_step"): "nan",
+    ("growth", "t_range"): "0.3 : -0.3",
+    ("growth", "pairs"): "0",
+}
+MALFORMED_CHART = {"n": "two", "ambient": "torus 3", "c": "nan",
+                   "domain": "0.3 : 3, 0", "periodic": "maybe, true",
+                   "map": "sech(u1"}
+
+
+def test_every_key_has_a_malformed_example():
+    assert set(MALFORMED_CONFIG) == {
+        (sec, key) for sec in ("grid", "growth") for key in config._KEYS[sec]
+    } | {("chart", "a"), ("tolerances", "gauss")}
+    assert set(MALFORMED_CHART) | {"name"} == set(exprchart._CHART_KEYS)
+
+
+def _exit_and_error(capsys, config_path, command="verify"):
+    code = cli.main([command, "--config", str(config_path),
+                     "--out", str(config_path.parent / "out")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", sorted(MALFORMED_CONFIG))
+def test_a_malformed_config_value_names_its_key(tmp_path, capsys, section,
+                                                key):
+    """A malformed [growth] or [grid] value used to exit 2 without naming
+    its key: window = 1 printed "bad config value: not enough values to
+    unpack (expected 2, got 1)"."""
+    value = MALFORMED_CONFIG[section, key]
+    head = "" if section == "chart" else f"[{section}]\n"
+    (tmp_path / "bad.ini").write_text(
+        f"[chart]\nname = dini\n{head}{key} = {value}\n")
+    code, err = _exit_and_error(capsys, tmp_path / "bad.ini")
+    assert code == 2, err
+    assert err.startswith(f"error: [{section}] {key} = {value}: expected "), err
+    assert len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED_CHART))
+def test_a_malformed_chart_value_names_its_key(tmp_path, capsys, key):
+    value = MALFORMED_CHART[key]
+    (tmp_path / "bad.chart").write_text(re.sub(
+        rf"^{key} *=.*$", f"{key} = {value}", PS_EXPR, flags=re.MULTILINE))
+    (tmp_path / "bad.ini").write_text(
+        f"[chart]\nexpression = {tmp_path / 'bad.chart'}\n")
+    code, err = _exit_and_error(capsys, tmp_path / "bad.ini")
+    assert code == 2, err
+    assert err.startswith(f"error: {key} = {value}: "), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_an_oversized_map_constant_is_invalid_input():
+    """An integer literal past the largest float used to exit 3 with
+    "internal error: OverflowError: int too large to convert to float"."""
+    with pytest.raises(ConfigError,
+                       match=r"^map = .*: integer constant too large$"):
+        parse_chart(PS_EXPR.replace("u1 - tanh(u1)", "u1 - 1" + "0" * 400))
+
+
+def test_a_multi_line_config_value_is_named_on_one_line(tmp_path, capsys):
+    (tmp_path / "bad.ini").write_text(
+        "[chart]\nname = dini\n[growth]\nradii = 0.5,\n  x\n")
+    code, err = _exit_and_error(capsys, tmp_path / "bad.ini")
+    assert (code, err) == (
+        2, "error: [growth] radii = 0.5, x: expected a finite positive "
+           "number\n")
+
+
+@pytest.mark.parametrize("ambient, chart_map", [
+    ("euclidean 1", "u1"),
+    ("sphere 1 1", "cos(u1), sin(u1)"),
+])
+def test_an_ambient_without_room_for_n_is_invalid_input(tmp_path, capsys,
+                                                        ambient, chart_map):
+    """An n = 2 chart in a 1-dimensional ambient had codimension -1:
+    verify, growth and coords all exited 3 with "first fundamental form
+    not positive definite"."""
+    text = PS_EXPR.replace("euclidean 3", ambient).replace(
+        "sech(u1)*cos(u2), sech(u1)*sin(u2), u1 - tanh(u1)", chart_map)
+    kind = ambient.split()[0]
+    message = (f"my_pseudosphere: ambient {kind} of dimension 1 has no room "
+               "for n = 2")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_chart(text)
+    (tmp_path / "small.chart").write_text(text)
+    (tmp_path / "small.ini").write_text(
+        f"[chart]\nexpression = {tmp_path / 'small.chart'}\n")
+    for command in ("verify", "growth", "coords"):
+        code, err = _exit_and_error(capsys, tmp_path / "small.ini", command)
+        assert (code, err) == (2, f"error: {message}\n"), command
+
+
 # ---------------------------------------------------------------------------
 # CLI subprocess behavior
 
@@ -414,9 +539,12 @@ def test_cli_non_finite_domain_bound_is_invalid_input(tmp_path):
     code, out, err = run_cli("verify", "--config", "inf.ini", "--out", "o",
                              cwd=tmp_path)
     assert code == 2, (out, err)
-    assert err == "error: non-finite domain interval '0.3 : inf'\n", err
+    assert err == ("error: domain = 0.3 : inf, 0 : 6.283185307179586: "
+                   "expected 'lo : hi' with finite lo < hi\n"), err
     for bad in ("-inf : 3", "0.3 : nan", "nan : nan"):
-        with pytest.raises(ConfigError, match="non-finite domain interval"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"domain = {bad}, 0 : 6.283185307179586: expected 'lo : hi' "
+                "with finite lo < hi")):
             parse_chart(PS_EXPR.replace("0.3 : 3", bad))
 
 

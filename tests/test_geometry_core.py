@@ -301,6 +301,16 @@ def test_chart_needs_two_dimensions():
                            -1.0, ((0.0, 1.0),) * n)
 
 
+def test_chart_needs_room_in_its_ambient():
+    """A surface in a 1-dimensional space form has codimension -1: the
+    chart refuses it before any pipeline runs."""
+    for ambient in (euclidean(1), sphere(1.0, 1), hyperbolic(-1.0, 1)):
+        with pytest.raises(ValueError, match=f"ambient {ambient.kind} of "
+                           "dimension 1 has no room for n = 2"):
+            ImmersionChart("small", lambda u: (u[0],), 2, ambient, None,
+                           ((0.0, 1.0),) * 2)
+
+
 def test_domain_membership(pseudosphere):
     chart = pseudosphere.chart
     with pytest.raises(DomainError):
