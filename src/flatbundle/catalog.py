@@ -67,8 +67,7 @@ def dini(a=1.0, b=0.5):
                            ((0.0, 2.0 * math.pi), (0.3, 1.2)))
     return CatalogEntry(
         chart, expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
-        notes="b = 0 degenerates to a rescaled pseudosphere",
-        params=dict(a=a, b=b))
+        notes="b = 0 degenerates to a rescaled pseudosphere")
 
 
 def product_torus_r4(r1=1.0, r2=0.5):
@@ -84,8 +83,7 @@ def product_torus_r4(r1=1.0, r2=0.5):
                            (True, True))
     return CatalogEntry(
         chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=2),
-        notes="|eta_i| = 1/r_i, factor normals orthogonal",
-        params=dict(r1=r1, r2=r2))
+        notes="|eta_i| = 1/r_i, factor normals orthogonal")
 
 
 def clifford_torus_s3(t=math.pi / 4):
@@ -101,8 +99,7 @@ def clifford_torus_s3(t=math.pi / 4):
                            (True, True))
     return CatalogEntry(
         chart, expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
-        notes="principal curvatures tan(t), -cot(t) in S^3",
-        params=dict(t=t))
+        notes="principal curvatures tan(t), -cot(t) in S^3")
 
 
 def sphere_negative_control(c=1.0):
@@ -120,8 +117,7 @@ def sphere_negative_control(c=1.0):
                            (True, False))
     return CatalogEntry(
         chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
-        notes="umbilical: single principal normal of multiplicity 2",
-        params=dict(c=c))
+        notes="umbilical: single principal normal of multiplicity 2")
 
 
 def hyperbolic_plane(extent_x=3.4, extent_y=1.48):
@@ -144,8 +140,7 @@ def hyperbolic_plane(extent_x=3.4, extent_y=1.48):
     return CatalogEntry(
         chart, expected=dict(flat_normal_bundle=True, C_positive=False, s=1),
         notes="band model; d(0,(x,y)) = arccosh(cosh x / cos y), "
-              "area(D_r) = 2 pi (cosh r - 1)",
-        params=dict(extent_x=extent_x, extent_y=extent_y))
+              "area(D_r) = 2 pi (cosh r - 1)")
 
 
 def ps3():
@@ -213,9 +208,7 @@ def sine_gordon_surface(phi=None, domain=None, resolution=161,
         surf.chart(),
         expected=dict(flat_normal_bundle=True, C_positive=True, s=2),
         notes=_SINE_GORDON[-1],
-        params=dict(surface=surf, sg_residual=surf.sg_residual,
-                    monodromy_residual=surf.monodromy_residual,
-                    resolution=resolution, substeps=substeps))
+        params=dict(surface=surf))
 
 
 _REGISTRY = {f.__name__: f for f in (

@@ -20,10 +20,9 @@ import numpy as np
 from . import catalog, engines
 from .config import load_config
 from .errors import (ConfigError, DomainError, FlatBundleError,
-                     HypothesisViolation, ModelConsistencyError,
-                     NumericalError)
+                     HypothesisViolation, ModelConsistencyError)
 from .fields import make_grid
-from .flows import (build_flow_map, commutator_residual, identity_chains,
+from .flows import (build_flow_map, check_commutator, identity_chains,
                     verify_principal_frame_property)
 from .growth import GrowthRow, default_resolution, growth_report
 from .verifiers import verify_chart
@@ -197,13 +196,18 @@ def _csv(header, columns):
             + cells.tobytes().translate(None, b"\0"))
 
 
-def _finish(out_dir, name, lines, code):
-    """Write <name>_summary.txt, echo it and return the exit code."""
+def _skipped(name, why):
+    return f"{name} SKIPPED by hypothesis ({why})"
+
+
+def _finish(out_dir, name, lines, failed):
+    """Write <name>_summary.txt, echo it and return the exit code: 1 if
+    anything failed, else 0."""
     text = "\n".join(lines)
     _write(os.path.join(out_dir, f"{name}_summary.txt"),
            (text + "\n").encode())
     print(text)
-    return code
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 def _base_point(cfg, chart):
@@ -232,11 +236,9 @@ def run_verify(cfg, out_dir):
         if rep.residual_grid.size == len(pts):     # not a vacuous n < 3 c2
             _write(os.path.join(out_dir, f"verify_{rep.identity}.csv"),
                    _csv(head, (pts_text, rep.residual_grid.reshape(-1, 1))))
-    lines.extend(f"{name} SKIPPED by hypothesis ({why})"
-                 for name, why in skipped.items())
-    failed = [r for r in reports if not r.passed]
+    lines.extend(_skipped(name, why) for name, why in skipped.items())
     return _finish(out_dir, "verify", lines,
-                   EXIT_FAILED if failed else EXIT_OK)
+                   any(not r.passed for r in reports))
 
 
 def run_growth(cfg, out_dir, strict=False):
@@ -250,8 +252,8 @@ def run_growth(cfg, out_dir, strict=False):
                             resolution=res, seed=cfg.seed,
                             exploratory=cfg.exploratory)
     except HypothesisViolation as exc:
-        lines.append(f"bound_chain SKIPPED by hypothesis ({exc})")
-        return _finish(out_dir, "growth", lines, EXIT_OK)
+        lines.append(_skipped("bound_chain", exc))
+        return _finish(out_dir, "growth", lines, False)
 
     _write(os.path.join(out_dir, "growth.csv"),
            _csv(GrowthRow._fields, (rep.rows,)))
@@ -262,9 +264,8 @@ def run_growth(cfg, out_dir, strict=False):
     lines.extend(v.summary_line() for v in rep.verdicts)
     lines.extend(f"WARN {w}" for w in rep.warnings)
     bad = {"fail"} | ({"indeterminate"} if strict else set())
-    failed = [v for v in rep.verdicts if v.verdict in bad]
     return _finish(out_dir, "growth", lines,
-                   EXIT_FAILED if failed else EXIT_OK)
+                   any(v.verdict in bad for v in rep.verdicts))
 
 
 def run_coords(cfg, out_dir):
@@ -283,38 +284,24 @@ def run_coords(cfg, out_dir):
                             cfg.flow_resolution, step=cfg.flow_step,
                             beside=[identities])
     except HypothesisViolation as exc:
-        lines.append(f"principal_coordinates SKIPPED by hypothesis ({exc})")
-        return _finish(out_dir, "coords", lines, EXIT_OK)
+        lines.append(_skipped("principal_coordinates", exc))
+        return _finish(out_dir, "coords", lines, False)
     head = [f"t{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
     _write(os.path.join(out_dir, "coords.csv"),
            _csv(head, (fm.grid.points.reshape(-1, n),
                        fm.points.reshape(-1, n))))
-    for w in fm.warnings:
-        lines.append(f"WARN {w}")
+    lines.extend(f"WARN {w}" for w in fm.warnings)
 
-    failed = False
-    comm = commutator_residual(chart, x0)
-    comm_tol = 1e-4
-    ok = comm <= comm_tol
-    failed |= not ok
-    lines.append(f"commutator {'PASS' if ok else 'FAIL'} max={comm:.3e} "
-                 f"tol={comm_tol:.1e}")
-
-    checks = identities.result()        # raises an identity flow's error
-    group, rt = checks["flow_group_law"], checks["flow_round_trip"]
-    failed |= not (group.passed and rt.passed)
-    lines.append(group.summary_line())
-    lines.append(f"{rt.identity} {'PASS' if rt.passed else 'FAIL'} "
-                 f"max={rt.max:.3e} tol={rt.tolerance:.1e}")
-
+    # identities.result() raises an identity flow's error
+    reports = [check_commutator(chart, x0), *identities.result().values()]
+    skipped = []
     try:
-        for rep in verify_principal_frame_property(fm).values():
-            failed |= not rep.passed
-            lines.append(rep.summary_line())
+        reports.extend(verify_principal_frame_property(fm).values())
     except HypothesisViolation as exc:
-        lines.append(f"principal_frame SKIPPED by hypothesis ({exc})")
-    return _finish(out_dir, "coords", lines,
-                   EXIT_FAILED if failed else EXIT_OK)
+        skipped.append(_skipped("principal_frame", exc))
+    lines.extend(rep.summary_line() for rep in reports)
+    return _finish(out_dir, "coords", lines + skipped,
+                   any(not r.passed for r in reports))
 
 
 def run_catalog_list():
@@ -398,7 +385,7 @@ def main(argv=None):
     except HypothesisViolation as exc:
         print(f"skipped by hypothesis: {exc}")
         return EXIT_OK
-    except (NumericalError, FlatBundleError, np.linalg.LinAlgError) as exc:
+    except (FlatBundleError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except Exception as exc:   # exit 1 is reserved for failed identities

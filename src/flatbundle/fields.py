@@ -67,6 +67,12 @@ class Grid:
                 sl[axis] = slice(None)
         return d
 
+    @property
+    def stencil_floor(self):
+        """100 h^4 at the largest spacing h: the error scale of
+        :meth:`deriv`, the least tolerance of a differentiated field."""
+        return 100.0 * float(np.max(self.spacing)) ** 4
+
     def gradient(self, A):
         """The derivatives of A along every grid axis, in axis order."""
         return [self.deriv(A, m) for m in range(self.ndim)]
@@ -150,18 +156,15 @@ def _signed_permutation(Q):
     """
     n = Q.shape[-1]
     absQ = np.abs(Q)
-    # rowwise ambiguity: best and runner-up candidate too close to call.
-    # Q is finite (the batch refuses a non-finite frame), and the gap is
-    # exact: |a - b| is max - min, and a partition keeps the values
-    if n == 1:
-        ambiguous = np.zeros(Q.shape[:-2], dtype=bool)
+    # rowwise ambiguity (n >= 2): best and runner-up candidate too close
+    # to call.  Q is finite (the batch refuses a non-finite frame), and the
+    # gap is exact: |a - b| is max - min, and a partition keeps the values
+    if n == 2:
+        gap = np.abs(absQ[..., 0] - absQ[..., 1])
     else:
-        if n == 2:
-            gap = np.abs(absQ[..., 0] - absQ[..., 1])
-        else:
-            top2 = np.partition(absQ, n - 2, axis=-1)[..., -2:]
-            gap = top2[..., 1] - top2[..., 0]
-        ambiguous = np.any(gap < ALIGN_AMBIGUOUS, axis=-1)
+        top2 = np.partition(absQ, n - 2, axis=-1)[..., -2:]
+        gap = top2[..., 1] - top2[..., 0]
+    ambiguous = np.any(gap < ALIGN_AMBIGUOUS, axis=-1)
     # fancy indexing, not *_along_axis: flows call this on many small batches
     flat = absQ.reshape(-1, n * n)
     Qflat = Q.reshape(flat.shape)

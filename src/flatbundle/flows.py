@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import AD, DEFAULT_TOL
+from .engines import DEFAULT_TOL
 from .errors import (CoherenceError, DomainError, DomainExitError,
                      HypothesisViolation)
 from .fields import (Grid, _alignment_matrices, _signed_permutation,
@@ -34,6 +34,7 @@ DEFAULT_STEP = 0.02
 SPENT = 1e-9        # a leg with at most SPENT steps of time left is spent
 MAX_BOX_SHRINKS = 8
 BOX_SHRINK = 0.8
+COMMUTATOR_TOL = 1e-4
 
 
 def _require_hypotheses(fb):
@@ -276,15 +277,15 @@ def identity_chains(chart, x0, t_range, rng, n_pairs=100,
         Uts, Usum, Uij, Uji, back = np.split(U, n_pairs * np.arange(1, 5))
         add = np.max(np.abs(Uts - Usum), axis=-1)
         comm = np.max(np.abs(Uij - Uji), axis=-1)
-        tol = 1e-6 if chart.engine == AD else DEFAULT_TOL[chart.engine]
-        rt_tol = 1e-8 if chart.engine == AD else DEFAULT_TOL[chart.engine]
+        tol = DEFAULT_TOL[chart.engine]
         return {
             "flow_group_law": residual_report(
-                "flow_group_law", np.concatenate([add, comm]), tol, chart,
+                "flow_group_law", np.concatenate([add, comm]),
+                max(1e-6, tol), chart,
                 notes=f"{n_pairs} random (t, s) pairs in {t_range}"),
             "flow_round_trip": residual_report(
                 "flow_round_trip", np.max(np.abs(back - x0), axis=-1),
-                rt_tol, chart, notes=f"axis 0 to t = {t1:g} and back"),
+                tol, chart, notes=f"axis 0 to t = {t1:g} and back"),
         }
 
     # flow_i(s) after flow_i(t), flow_i(t + s), flow_j(s) after flow_i(t),
@@ -358,6 +359,13 @@ def commutator_residual(chart, u0):
     return worst
 
 
+def check_commutator(chart, u0):
+    """The ``commutator`` report: :func:`commutator_residual` at u0
+    against COMMUTATOR_TOL."""
+    return residual_report("commutator", [commutator_residual(chart, u0)],
+                           COMMUTATOR_TOL, chart)
+
+
 def verify_principal_frame_property(flow_map):
     """Check that the flow map is a principal-coordinate chart.
 
@@ -368,6 +376,7 @@ def verify_principal_frame_property(flow_map):
     * alignment: each column is parallel to a principal direction
     * pullback: the columns are orthonormal for the comparison metric g0
 
+    Each is judged against max(1e-3, the time grid's stencil floor).
     Requires n distinct principal normals at the base point; raises
     :class:`HypothesisViolation` otherwise.  Returns a dict of
     ResidualReports keyed by check name.
@@ -407,14 +416,11 @@ def verify_principal_frame_property(flow_map):
     P = np.einsum("...ak,...kl,...bl->...ab", J, g0, J)
     pull = np.max(np.abs(P - np.eye(n)), axis=(-2, -1))
 
-    hmax = float(np.max(flow_map.grid.spacing))
-    tol_frame = max(1e-3, 100.0 * hmax ** 4)
-    notes = f"grid {U.shape[:-1]}, t-spacing max {hmax:.3g}"
-    return {
-        "frame_orthonormality": residual_report(
-            "frame_orthonormality", ortho, tol_frame, chart, notes=notes),
-        "frame_alignment": residual_report(
-            "frame_alignment", align, tol_frame, chart, notes=notes),
-        "pullback_identity": residual_report(
-            "pullback_identity", pull, tol_frame, chart, notes=notes),
-    }
+    grid = flow_map.grid
+    tol = max(1e-3, grid.stencil_floor)
+    notes = (f"grid {U.shape[:-1]}, t-spacing max "
+             f"{float(np.max(grid.spacing)):.3g}")
+    return {name: residual_report(name, r, tol, chart, notes=notes)
+            for name, r in (("frame_orthonormality", ortho),
+                            ("frame_alignment", align),
+                            ("pullback_identity", pull))}

@@ -137,11 +137,12 @@ def _stencil_graph(grid):
     midpoint is a node, and every refined point off the nodes is the
     midpoint of some edge.
 
-    Returns (indptr, indices, valid, rows, mids): mids (m, n) holds the
-    chart coordinates of the refined points off the nodes.  Column s of
-    the (nodes, K) tables is offset s from every node: valid marks the
-    edges on the grid, rows their midpoints in mids.  Each edge is stored
-    once, from its source, and the int32 indices are node-major: no sort.
+    Returns (indptr, indices, valid, rows, mids, offsets): mids (m, n)
+    holds the chart coordinates of the refined points off the nodes, and
+    column s of the (nodes, K) tables is offsets[s] from every node: valid
+    marks the edges on the grid, rows their midpoints in mids.  Each edge
+    is stored once, from its source, and the int32 indices are node-major:
+    no sort.
     """
     shape = grid.shape
     ndim = grid.ndim
@@ -176,7 +177,7 @@ def _stencil_graph(grid):
                                               mode=modes)]
     indptr = np.zeros(len(dst) + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
-    return indptr, dst[valid], valid, rows, mids
+    return indptr, dst[valid], valid, rows, mids, offsets
 
 
 def distance_fields(grid, metrics_fn, anchor_index):
@@ -185,8 +186,7 @@ def distance_fields(grid, metrics_fn, anchor_index):
     metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
                  evaluated once per block of at most BLOCK edge midpoints
     """
-    indptr, indices, valid, rows, mids = _stencil_graph(grid)
-    offsets = stencil_offsets(grid.ndim)
+    indptr, indices, valid, rows, mids, offsets = _stencil_graph(grid)
     overshoot = stencil_overshoot(offsets)
     metrics = {}          # filled in place: no second copy of the metrics
     for s in range(0, len(mids), BLOCK):

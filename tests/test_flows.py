@@ -471,6 +471,17 @@ def test_a_round_trip_flies_to_the_farther_endpoint(tmp_path, capsys, dini):
     assert rep.notes == "axis 0 to t = -0.2 and back"
 
 
+def test_the_commutator_line_is_its_report(tmp_path, capsys, dini):
+    """coords prints the commutator residual at x0 against its fixed
+    tolerance 1e-4, as one value: no point counts."""
+    code, _ = _run_coords(tmp_path, COORDS_DINI)
+    assert code == 0
+    want = commutator_residual(dini.chart, DINI_X0)
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("commutator ")] == [
+        f"commutator PASS max={want:.3e} tol=1.0e-04"]
+
+
 # ---------------------------------------------------------------------------
 # one shared call: coords flows the map's chains and the identities' in one
 # flow_points call, and each gets what it gets on its own
@@ -617,7 +628,7 @@ def test_an_identity_flow_error_waits_for_its_check(pseudosphere, tmp_path,
         done.append("commutator")
         return commutator_residual(*args)
 
-    monkeypatch.setattr(cli, "commutator_residual", commutator)
+    monkeypatch.setattr(flows, "commutator_residual", commutator)
     code, out = _run_coords(tmp_path, PS_COORDS.format(
         x0="2.7, 1.5", box="-0.05 : 0.05", t_range="-1.5 : 1.5"))
     assert code == cli.EXIT_NUMERICAL

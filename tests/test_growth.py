@@ -302,7 +302,7 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
     dst = np.concatenate([e[1] for e in edges])
     ref = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
                             shape=(n_nodes, n_nodes)).tocsr()
-    indptr, indices, valid, rows, mids = _stencil_graph(grid)
+    indptr, indices, valid, rows, mids, _ = _stencil_graph(grid)
     assert len(indptr) == n_nodes + 1 and indptr[0] == 0
     assert len(indices) == indptr[-1] == np.count_nonzero(valid) == ref.nnz
     pairs = np.int64(n_nodes) * _csr_rows(indptr) + indices
@@ -347,7 +347,7 @@ def test_distance_fields_memory_budget(pseudosphere):
         g[:, 1, 1] = 1.0 - t * t
         return {"g": g, "g0": 2.0 * g}
 
-    _, indices, valid, rows, mids = _stencil_graph(grid)
+    _, indices, valid, rows, mids, _ = _stencil_graph(grid)
     budget = (2 * len(mids) * 4 * 8 + rows.nbytes + valid.nbytes
               + indices.nbytes + valid.size * 8 + len(indices) * 8
               + 2 ** 20)
@@ -395,7 +395,7 @@ def test_stencil_needs_seven_points_on_a_periodic_axis(clifford):
     onto one node pair, which the shared CSR entry cannot weigh twice."""
     with pytest.raises(ValueError, match="at least 7"):
         _stencil_graph(make_grid(clifford.chart, 6))
-    indptr, indices, _, _, _ = _stencil_graph(make_grid(clifford.chart, 7))
+    indptr, indices, *_ = _stencil_graph(make_grid(clifford.chart, 7))
     pairs = _csr_rows(indptr) * 49 + indices
     assert len(np.unique(pairs)) == len(pairs)
 

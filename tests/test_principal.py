@@ -184,7 +184,7 @@ def test_signed_permutation_any_memory_layout():
     assert np.array_equal(np.abs(P).sum(axis=-1), np.ones((6, 3)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_signed_permutation_ambiguity_matches_a_full_sort(n):
     """The best-minus-runner-up gap, taken without sorting a row, flags
     the points that a sorted row flags, exact ties and gaps at the

@@ -16,7 +16,8 @@ from flatbundle.verifiers import (IDENTITIES, check_codazzi_c1,
                                   check_codazzi_c2, check_connection_formula,
                                   check_g0_flat, check_gauss,
                                   check_intrinsic_curvature,
-                                  constant_curvature_residual, verify_chart)
+                                  constant_curvature_residual,
+                                  residual_report, verify_chart)
 
 
 def test_identity_suite_pseudosphere(pseudosphere, ps_field_33):
@@ -198,6 +199,23 @@ def test_reports_record_engine_and_counts(dini_field_65):
     assert rep.skipped > 0                  # stencil margin rows are masked
     line = rep.summary_line()
     assert "codazzi_c1" in line and "PASS" in line
+
+
+@pytest.mark.parametrize("identity, residuals, line", [
+    ("commutator", [1.733e-15], "commutator PASS max=1.733e-15 tol=1.0e-04"),
+    ("codazzi_c2", [], "codazzi_c2 PASS(vacuous) max=0.000e+00 tol=1.0e-04 "
+                       "points=0 skipped=0"),
+    ("gauss", [[2e-5, np.nan], [3e-4, 1e-6]],
+     "gauss FAIL max=3.000e-04 tol=1.0e-04 points=3 skipped=1"),
+])
+def test_summary_line_counts_all_but_a_single_value(dini, identity,
+                                                     residuals, line):
+    """Every identity line is ResidualReport.summary_line: a check of one
+    value (the commutator, the flow round trip) prints no point counts,
+    an empty one (codazzi_c2 at n = 2) prints points=0 skipped=0, and a
+    grid its finite and skipped entries."""
+    rep = residual_report(identity, residuals, 1e-4, dini.chart)
+    assert rep.summary_line() == line
 
 
 def test_gauge_coherence_on_grids(ps_field_33, dini_field_65):
