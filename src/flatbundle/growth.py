@@ -6,7 +6,7 @@ Discrete geodesics are shortest paths on the parameter grid with a
 strict inequality is asserted with the stencil's worst-case directional
 overshoot subtracted as an error budget.  That overshoot is exact in every
 dimension: 1/inradius - 1 of the convex hull of the unit stencil
-directions.
+directions, tabulated for n = 2 and 3.
 
 An edge weight is the metric length of the edge at its midpoint.  Every
 edge midpoint lies on the 2x-refined half-lattice of the grid, so the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, sparse, spatial
+from scipy import sparse
 from scipy.sparse.csgraph import dijkstra
 
 from .errors import ConfigError, DomainError, HypothesisViolation
@@ -47,6 +47,12 @@ _OFFSET_RANGE = 3
 _OFFSET_MAX_SQ = 13          # admits (3,2) but not (3,3)
 LENGTH_SAMPLES = 64          # midpoint samples per polyline segment
 LENGTH_CURVES = 20           # random polylines of the length check
+# stencil_overshoot(stencil_offsets(n)) by ConvexHull, per dimension n
+_OVERSHOOT = {2: 0.013081457233190097, 3: 0.02596311932106632}
+# reference_ball_volume's Gauss-Legendre nodes and weights on [-1, 1], and
+# its most panels: past sqrt|c| r = 711, sinh(sqrt|c| r) overflows
+_GAUSS = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = math.ceil(math.asinh(np.finfo(float).max))
 
 
 # ---------------------------------------------------------------------------
@@ -75,9 +81,14 @@ def stencil_overshoot(offsets):
     """Worst relative excess of the shortest stencil path over a straight
     segment.  The stencil path length of a displacement is the gauge of the
     convex hull of the +-unit stencil directions, so the excess is at most
-    1/inradius - 1 of that hull, with equality along its nearest facet."""
+    1/inradius - 1 of that hull, with equality along its nearest facet.
+    The stencil of n = 2 and 3 reads its value from a table."""
+    n = offsets.shape[1]
+    if n in _OVERSHOOT and np.array_equal(offsets, stencil_offsets(n)):
+        return _OVERSHOOT[n]
+    from scipy.spatial import ConvexHull
     dirs = offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
-    hull = spatial.ConvexHull(np.concatenate([dirs, -dirs]))
+    hull = ConvexHull(np.concatenate([dirs, -dirs]))
     return float(1.0 / np.min(-hull.equations[:, -1]) - 1.0)
 
 
@@ -308,7 +319,8 @@ def unit_ball_volume(n):
 
 def reference_ball_volume(c, n, r):
     """Geodesic ball volume in the simply connected space form of
-    curvature c (numerical quadrature of the area of distance spheres).
+    curvature c: the area of the distance spheres, integrated by a
+    20-point Gauss-Legendre rule on max(1, ceil(sqrt|c| r)) equal panels.
     A radius beyond the diameter of the sphere (c > 0), or whose volume
     overflows a float, raises :class:`ConfigError`."""
     if r < 0:
@@ -323,12 +335,16 @@ def reference_ball_volume(c, n, r):
         raise ConfigError(f"radius {r:g} exceeds the diameter "
                           f"{math.pi / a:g} of the model sphere of "
                           f"curvature {c:g}")
-    sn = math.sinh if c < 0 else math.sin
-    try:
-        vol = area * integrate.quad(
-            lambda t: (sn(a * t) / a) ** (n - 1), 0.0, r)[0]
-    except OverflowError:      # sinh beyond the float range
-        vol = math.inf
+    sn = np.sinh if c < 0 else np.sin
+    panels = max(1, math.ceil(a * r))
+    vol = math.inf                        # unless computed finite below
+    if panels <= _MAX_PANELS:
+        x, w = _GAUSS
+        width = r / panels
+        t = (np.arange(panels)[:, None] + 0.5 * (x + 1.0)) * width
+        with np.errstate(over="ignore"):    # sinh beyond the float range
+            vol = float(area * (0.5 * width)
+                        * np.sum((sn(a * t) / a) ** (n - 1) @ w))
     if math.isinf(vol):
         raise ConfigError(f"radius {r:g}: reference ball volume overflows")
     return vol

@@ -13,8 +13,8 @@ from flatbundle.errors import DomainError, ModelConsistencyError
 from flatbundle.fields import make_grid
 from flatbundle.fundamental import flatness_violation, fundamental_batch
 from flatbundle.principal import principal_decomposition
-from flatbundle.sinegordon import (DEFAULT_DOMAIN, SampledAngle,
-                                   integrate_surface, lattice_ev,
+from flatbundle.sinegordon import (DEFAULT_DOMAIN, QuinticSpline,
+                                   SampledAngle, integrate_surface,
                                    one_soliton, sine_gordon_residual)
 from flatbundle.verifiers import check_intrinsic_curvature
 
@@ -164,7 +164,7 @@ def test_sampled_angle_matches_callable():
 
 
 # ---------------------------------------------------------------------------
-# lattice spline evaluation: the same bits as `ev`, whatever the points
+# the numpy spline: FITPACK's interpolant, the same bits in every batch
 
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
@@ -172,54 +172,114 @@ def _same_bits(a, b):
         a.tobytes() == b.tobytes()
 
 
-@pytest.fixture(scope="module")
-def quintic():
+def _random_surfaces():
+    """Two random surfaces on a 21 x 17 grid."""
     rng = np.random.default_rng(3)
     xa, ya = np.linspace(-1.6, -0.4, 21), np.linspace(0.0, 2.0, 17)
-    return RectBivariateSpline(xa, ya, rng.normal(size=(21, 17)), kx=5, ky=5)
+    return xa, ya, rng.normal(size=(2, 21, 17))
+
+
+def _smooth_surfaces():
+    """Three smooth surfaces on the 161-square grid of the default
+    sine-Gordon chart."""
+    xa = ya = np.linspace(-1.6, -0.4, 161)
+    U, V = np.meshgrid(xa, ya, indexing="ij")
+    return xa, ya, np.stack([np.sin(3 * U) * np.cos(2 * V), np.exp(U + V),
+                             U * V / (1 + U * U)])
+
+
+@pytest.fixture(scope="module")
+def quintic():
+    return QuinticSpline(*_random_surfaces())
 
 
 # the (dx, dy) orders SampledAngle.jet asks for
-ORDERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+ORDERS = sinegordon.JET_ORDERS
 
 
-def _check_like_ev(sp, x, y):
-    got = lattice_ev(x, y, [(sp, dx, dy) for dx, dy in ORDERS])
-    for (dx, dy), g in zip(ORDERS, got):
-        assert _same_bits(g, sp.ev(x, y, dx=dx, dy=dy)), (dx, dy)
+@pytest.mark.parametrize("surfaces, k, tol", [
+    (_random_surfaces, 5, (1e-13, 1e-13, 1e-13)),
+    (_random_surfaces, 4, (1e-13, 1e-13, 1e-13)),
+    (_random_surfaces, 3, (1e-13, 1e-13, 1e-13)),
+    (_smooth_surfaces, 5, (1e-13, 1e-11, 1e-9)),
+], ids=["random-k5", "random-k4", "random-k3", "smooth-161"])
+def test_quintic_spline_matches_fitpack(surfaces, k, tol):
+    """Against RectBivariateSpline, component by component: the same
+    knots, and values and derivatives within ``tol`` (values, first
+    derivatives, mixed derivative) of the largest |FITPACK value|.  Both
+    solve for the coefficients with rounding of about 1e-16 relative, and
+    each derivative order scales that by about 1 / node spacing (133 on
+    the 161-node grid): values differ by up to 2.5e-15, and on that grid
+    first derivatives by 9.4e-13 and the mixed one by 2.8e-10.  The
+    points include the domain edges and points beyond them, which both
+    clamp to the edges."""
+    xa, ya, z = surfaces()
+    sp = QuinticSpline(xa, ya, z, k=k)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.uniform(xa[0] - 0.1, xa[-1] + 0.1, 500),
+                        xa[[0, 0, -1, -1]]])
+    y = np.concatenate([rng.uniform(ya[0] - 0.1, ya[-1] + 0.1, 500),
+                        ya[[0, -1, 0, -1]]])
+    got = sp(x, y, ORDERS)
+    for c in range(len(z)):
+        ref = RectBivariateSpline(xa, ya, z[c], kx=k, ky=k)
+        assert np.array_equal(sp.tx, ref.tck[0])
+        assert np.array_equal(sp.ty, ref.tck[1])
+        for (dx, dy), g in zip(ORDERS, got[:, c]):
+            want = ref.ev(x, y, dx=dx, dy=dy)
+            assert np.max(np.abs(g - want)) <= \
+                tol[dx + dy] * np.max(np.abs(want)), (c, dx, dy)
 
 
-def test_lattice_ev_on_meshgrids_and_fd_shifts(quintic):
+def _pointwise(sp, x, y):
+    """``sp(x, y, ORDERS)`` evaluated one point at a time."""
+    x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
+    out = np.empty((len(ORDERS), len(sp.c)) + x.shape)
+    for i in np.ndindex(x.shape):
+        out[(slice(None), slice(None)) + i] = sp(x[i], y[i], ORDERS)
+    return out
+
+
+def _check_pointwise(sp, x, y):
+    assert _same_bits(sp(x, y, ORDERS), _pointwise(sp, x, y))
+
+
+def test_quintic_spline_on_meshgrids_and_fd_shifts(quintic):
     """A grid and every finite-difference stencil shift of it, as the FD
     engine sends them; the grid reaches the domain edges exactly."""
-    xa, ya = np.linspace(-1.6, -0.4, 29), np.linspace(0.0, 2.0, 23)
+    xa, ya = np.linspace(-1.6, -0.4, 13), np.linspace(0.0, 2.0, 11)
     X, Y = np.meshgrid(xa, ya, indexing="ij")
     h = (1.2e-3, 2e-3)
     for di in (-2, -1, 0, 1, 2):
         for dj in (-2, -1, 0, 1, 2):
-            _check_like_ev(quintic, X + di * h[0], Y + dj * h[1])
-    _check_like_ev(quintic, X.ravel(), Y.ravel())            # flattened
-    _check_like_ev(quintic, xa[:, None], ya[None, :])         # broadcast
+            _check_pointwise(quintic, X + di * h[0], Y + dj * h[1])
+    _check_pointwise(quintic, X.ravel(), Y.ravel())            # flattened
+    _check_pointwise(quintic, xa[:, None], ya[None, :])         # broadcast
 
 
-def test_lattice_ev_on_domain_edges(quintic):
+def test_quintic_spline_on_domain_edges(quintic):
     xs = np.array([-1.6, -1.6, -0.4, -0.4, -1.0])
     ys = np.array([0.0, 2.0, 0.0, 2.0, 2.0])
-    _check_like_ev(quintic, xs, ys)
+    _check_pointwise(quintic, xs, ys)
     X, Y = np.meshgrid([-1.6, -0.4], [0.0, 2.0], indexing="ij")
-    _check_like_ev(quintic, X, Y)
+    _check_pointwise(quintic, X, Y)
 
 
-def test_lattice_ev_scattered_and_degenerate_points(quintic):
+def test_quintic_spline_scattered_and_degenerate_points(quintic):
     rng = np.random.default_rng(7)
-    x = rng.uniform(-1.6, -0.4, 300)                        # ev fallback
+    x = rng.uniform(-1.6, -0.4, 300)
     y = rng.uniform(0.0, 2.0, 300)
-    _check_like_ev(quintic, x, y)
-    _check_like_ev(quintic, -1.0, 0.5)                      # 0-d scalar
-    _check_like_ev(quintic, np.array([-1.0]), np.array([0.5]))
-    _check_like_ev(quintic, np.zeros(0), np.zeros(0))       # empty batch
-    _check_like_ev(quintic, np.array([np.nan, -1.0]),       # non-finite
-                   np.array([0.5, np.inf]))
+    _check_pointwise(quintic, x, y)
+    _check_pointwise(quintic, -1.0, 0.5)                      # 0-d scalar
+    _check_pointwise(quintic, np.array([-1.0]), np.array([0.5]))
+    _check_pointwise(quintic, np.zeros(0), np.zeros(0))       # empty batch
+    x, y = np.array([np.nan, -1.0, -np.inf]), np.array([0.5, np.inf, 0.5])
+    _check_pointwise(quintic, x, y)                           # non-finite
+    out = quintic(x, y, ORDERS)
+    assert np.isnan(out[:, :, 0]).all()
+    # an infinite coordinate is clamped to the domain edge, as FITPACK does
+    assert _same_bits(out[:, :, 1], quintic(-1.0, 2.0, ORDERS))
+    assert _same_bits(out[:, :, 2], quintic(-1.6, 0.5, ORDERS))
 
 
 def _lattice_cases():
@@ -250,40 +310,52 @@ def _lattice_cases():
 
 @pytest.mark.parametrize("name, x, y", _lattice_cases(),
                          ids=[c[0] for c in _lattice_cases()])
-def test_lattice_ev_c_order_shortcut_keeps_the_bits(quintic, name, x, y):
-    _check_like_ev(quintic, x, y)
+def test_quintic_spline_keeps_the_bits_in_every_layout(quintic, name, x, y):
+    _check_pointwise(quintic, x, y)
 
 
-def test_lattice_ev_c_order_block_needs_no_sort(quintic, monkeypatch):
-    """A C-order grid block is one grid call on its own axes: no
-    ``np.unique`` sort; a Fortran-order one still takes the sorting path."""
-    calls = []
-    unique = np.unique
+def test_quintic_spline_c_order_block_needs_no_sort(quintic, monkeypatch):
+    """A C-order grid block is contracted on its own axes: its basis comes
+    from the axes, with no ``np.unique`` sort; a Fortran-order one takes
+    the sorting path, and scattered points go point by point."""
+    sizes, calls = [], []
+    basis, unique = sinegordon._basis, np.unique
 
-    def spy(*args, **kwargs):
+    def spy_basis(t, k, x):
+        sizes.append(x.size)
+        return basis(t, k, x)
+
+    def spy_unique(*args, **kwargs):
         calls.append(args[0].size)
         return unique(*args, **kwargs)
 
-    monkeypatch.setattr(sinegordon.np, "unique", spy)
+    monkeypatch.setattr(sinegordon, "_basis", spy_basis)
+    monkeypatch.setattr(sinegordon.np, "unique", spy_unique)
     cases = {c[0]: c[1:] for c in _lattice_cases()}
-    for name in ("c-order-block", "fd-shifted-block", "c-order-flat",
-                 "single-row", "single-point"):
-        lattice_ev(*cases[name], [(quintic, 0, 0), (quintic, 1, 1)])
-        assert calls == [], name
-    lattice_ev(*cases["fortran-meshgrid"], [(quintic, 0, 0)])
-    assert len(calls) == 2
+    for name, axes in (("c-order-block", [13, 11]),
+                       ("fd-shifted-block", [13, 11]),
+                       ("c-order-flat", [13, 11]),
+                       ("single-row", [1, 11]),
+                       ("single-point", [1, 1])):
+        sizes.clear()
+        quintic(*cases[name], ORDERS)
+        assert sizes == axes and calls == [], name
+    quintic(*cases["fortran-meshgrid"], ORDERS)
+    assert calls == [143, 143] and sizes[-2:] == [13, 11]
+    rng = np.random.default_rng(5)
+    quintic(rng.uniform(-1.6, -0.4, 50), rng.uniform(0.0, 2.0, 50), ORDERS)
+    assert sizes[-2:] == [50, 50]
 
 
 # ---------------------------------------------------------------------------
 # integrate_surface against the sequential RK4 march it replaced: one phi
-# evaluation per RK4 stage, point set by point set, with `ev` splines
+# evaluation per RK4 stage, point set by point set, a sampled phi's spline
+# evaluated point by point
 
 def _seq_jet(phi, u, v):
     u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     if isinstance(phi, SampledAngle):
-        ev = phi._spline.ev
-        return (ev(u, v), ev(u, v, dx=1), ev(u, v, dy=1),
-                ev(u, v, dx=1, dy=1))
+        return tuple(_pointwise(phi._spline, u, v)[:, 0])
     out = phi(dm.seed(u, 1.0, 0.0), dm.seed(v, 0.0, 1.0))
     return (np.asarray(out.f, float), np.asarray(out.e1, float),
             np.asarray(out.e2, float), np.asarray(out.e12, float))

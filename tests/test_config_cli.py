@@ -640,14 +640,38 @@ def test_cli_rejects_bad_sine_gordon_parameters(tmp_path, line, key):
     assert key in err
 
 
-def test_cli_import_leaves_out_the_sine_gordon_chart():
-    """The sine-Gordon integration and its spline module load only when a
-    run asks for that chart, never with the CLI itself."""
-    code, out, err = _python(
-        "-c", "import sys, flatbundle.cli; print(sorted(m for m in "
-        "('flatbundle.sinegordon', 'scipy.interpolate') if m in sys.modules))")
+# scipy modules that no run needs: the quadrature, the convex hull and the
+# spline are numpy code, and these came only with the modules that held them
+UNUSED_SCIPY = ("scipy.integrate", "scipy.spatial", "scipy.interpolate",
+                "scipy.optimize", "scipy.special")
+
+
+def _loaded(modules):
+    """Python source printing which of ``modules`` (or their submodules)
+    are loaded."""
+    return (f"print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+            f"[p.split('.') for p in {modules!r}]))")
+
+
+def test_cli_import_leaves_out_the_sine_gordon_chart(tmp_path):
+    """The sine-Gordon integration loads only when a run asks for that
+    chart, never with the CLI itself, and the CLI loads no scipy module
+    that no run uses; a sine-Gordon verify (a numpy spline) loads neither
+    scipy.interpolate nor scipy.optimize."""
+    code, out, err = _python("-c", "import sys, flatbundle.cli; " + _loaded(
+        ("flatbundle.sinegordon",) + UNUSED_SCIPY))
     assert code == 0, err
     assert out.strip() == "[]"
+    (tmp_path / "sg.ini").write_text(
+        "[chart]\nname = sine_gordon_surface\n[grid]\nresolution = 33\n")
+    code, out, err = _python(
+        "-c", "import sys, flatbundle.cli as cli; "
+        "code = cli.main(['verify', '--config', 'sg.ini', '--out', 'sg']); "
+        + _loaded(("scipy.interpolate", "scipy.optimize"))
+        + "; sys.exit(code)", cwd=tmp_path)
+    assert code == 0, err
+    assert "gauss PASS" in out
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_cli_commutator_stencil_near_the_domain_edge(tmp_path):

@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import integrate, sparse
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import ConvexHull
 
@@ -57,6 +57,23 @@ def test_stencil_overshoot_3d():
     offs = stencil_offsets(3)
     over = stencil_overshoot(offs)
     assert 0.0 < over < 0.15
+
+
+@pytest.mark.parametrize("ndim", [2, 3, 4])
+def test_stencil_overshoot_table_is_the_hull_value(ndim):
+    """The tabulated overshoot of n = 2 and 3 is ConvexHull's value bit for
+    bit; n = 4, and a stencil other than the tabulated one, are computed
+    from the hull."""
+    offs = stencil_offsets(ndim)
+    dirs = offs / np.linalg.norm(offs, axis=1, keepdims=True)
+    hull = ConvexHull(np.concatenate([dirs, -dirs]))
+    want = float(1.0 / np.min(-hull.equations[:, -1]) - 1.0)
+    assert stencil_overshoot(offs) == want
+    sub = offs[:-1]                 # one direction fewer: a wider gap
+    dirs = sub / np.linalg.norm(sub, axis=1, keepdims=True)
+    hull = ConvexHull(np.concatenate([dirs, -dirs]))
+    assert stencil_overshoot(sub) == \
+        float(1.0 / np.min(-hull.equations[:, -1]) - 1.0) >= want
 
 
 @pytest.mark.parametrize("ndim", [2, 3])
@@ -547,7 +564,32 @@ def test_reference_ball_volume_closed_forms(c, n, closed_form, r_max):
             closed_form(r), rel=1e-12), r
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("c", [-4.0, -1.0, -0.25, 0.25, 1.0])
+def test_reference_ball_volume_matches_quad(c, n):
+    """The Gauss-Legendre panels against scipy's adaptive quadrature, from
+    r = 1e-6 to 50 wherever the volume is defined (to the antipode on a
+    sphere).  Within 1e-14 relative, plus the integral's own float
+    condition: each rule samples the integrand at float nodes, a node near
+    r is off by up to half an ulp of r, and that moves the integrand by up
+    to (n - 1) sqrt|c| r eps / 2 relative, so two rules may differ by
+    twice that (6.7e-14 at c = -4, n = 4, r = 50, where both are about
+    2e-14 off the closed form).  At the rounder radii the two agree within
+    6e-15."""
+    a = math.sqrt(abs(c))
+    sn = math.sinh if c < 0 else math.sin
+    r_max = 50.0 if c < 0 else math.pi / a
+    rs = [1e-6, 1e-4, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0,
+          *np.linspace(0.05, r_max, 41)]
+    for r in (r for r in rs if r <= r_max):
+        want = n * unit_ball_volume(n) * integrate.quad(
+            lambda t: (sn(a * t) / a) ** (n - 1), 0.0, r)[0]
+        tol = 1e-14 + (n - 1) * a * r * np.finfo(float).eps
+        assert reference_ball_volume(c, n, r) == pytest.approx(
+            want, rel=tol, abs=0.0), r
+
+
+@pytest.mark.filterwarnings("error")
 def test_reference_ball_volume_overflow_is_config_error():
     """sinh(1000) raises OverflowError; at r = 710 sinh is finite but the
     volume is not.  Both are config errors naming the radius."""
