@@ -20,26 +20,6 @@ class CatalogEntry:
     notes: str = ""
     params: dict = field(default_factory=dict)
 
-    @property
-    def name(self):
-        return self.chart.name
-
-    @property
-    def c(self):
-        return self.chart.c
-
-    @property
-    def ctilde(self):
-        return self.chart.ambient.curvature
-
-    @property
-    def n(self):
-        return self.chart.n
-
-    @property
-    def p(self):
-        return self.chart.codimension
-
 
 def pseudosphere():
     """Tractrix surface of revolution in R^3: c = -1, C = 1, p = 1."""
@@ -235,4 +215,6 @@ def describe(name):
     if name == "sine_gordon_surface":
         return _SINE_GORDON
     e = get(name)
-    return e.n, e.p, e.c, e.ctilde, e.notes
+    chart = e.chart
+    return (chart.n, chart.codimension, chart.c, chart.ambient.curvature,
+            e.notes)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 from . import catalog, engines, exprchart
 from .errors import (ConfigError, boolean, choice, each, integer, interval,
                      naming, read_text, real)
+from .fields import per_axis
 from .flows import SPENT
 from .verifiers import TOLERANCE_KEYS
 
@@ -59,19 +60,10 @@ class RunConfig:
         return chart
 
     def grid_resolution(self, n):
-        return _per_axis("resolution", self.resolution, n)
+        return per_axis("resolution", self.resolution, n)
 
     def flow_box_for(self, n):
-        return _per_axis("flow_box", self.flow_box, n)
-
-
-def _per_axis(name, values, n):
-    """The values for each of n axes; one value broadcasts to all n."""
-    if len(values) == 1:
-        values = values * n
-    if len(values) != n:
-        raise ConfigError(f"{name} has {len(values)} axes, chart has {n}")
-    return values
+        return per_axis("flow_box", self.flow_box, n)
 
 
 # [section] -> {key: (RunConfig field, value type)}.  [chart] keys are

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .principal import principal_batch
 
 ALIGN_AMBIGUOUS = 1e-3   # two alignment candidates closer than this: flag
@@ -48,24 +49,21 @@ class Grid:
 
     def deriv(self, A, axis):
         """Order-4 central difference of a sampled field A (grid leading
-        dims) along one grid axis.
-
-        Non-periodic axes get NaN in the two-cell stencil margin, which
-        poisons any residual computed there; callers reduce over finite
-        entries only.
+        dims) along one grid axis, read from one copy of A padded by two
+        nodes at each end of the axis: wrapped if the axis is periodic,
+        NaN if not.  The NaN fills the two-node stencil margin and poisons
+        any residual computed there; callers reduce over finite entries.
         """
-        def r(k):
-            return np.roll(A, -k, axis=axis)
+        pad = [(2, 2) if k == axis else (0, 0) for k in range(A.ndim)]
+        P = (np.pad(A, pad, mode="wrap") if self.periodic[axis]
+             else np.pad(A, pad, constant_values=np.nan))
+        pre, m = (slice(None),) * axis, A.shape[axis]
 
-        d = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) \
+        def r(k):
+            return P[pre + (slice(2 + k, 2 + k + m),)]
+
+        return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) \
             / (12.0 * self.spacing[axis])
-        if not self.periodic[axis]:
-            sl = [slice(None)] * A.ndim
-            for bad in (slice(0, 2), slice(-2, None)):
-                sl[axis] = bad
-                d[tuple(sl)] = np.nan
-                sl[axis] = slice(None)
-        return d
 
     @property
     def stencil_floor(self):
@@ -78,13 +76,34 @@ class Grid:
         return [self.deriv(A, m) for m in range(self.ndim)]
 
 
+def per_axis(name, values, n):
+    """The values for each of n axes; one value broadcasts to all n."""
+    values = tuple(values)
+    if len(values) == 1:
+        values = values * n
+    if len(values) != n:
+        raise ConfigError(f"{name} has {len(values)} axes, chart has {n}")
+    return values
+
+
+def resolution_per_axis(resolution, n):
+    """The sample count of each of n grid axes, at least 2 each; an int
+    broadcasts to all n."""
+    if np.isscalar(resolution):
+        resolution = (int(resolution),)
+    resolution = per_axis("resolution", resolution, n)
+    if min(resolution) < 2:
+        raise ConfigError(f"resolution {resolution} needs at least 2 "
+                          f"samples per axis")
+    return resolution
+
+
 def make_grid(chart, resolution):
     """Uniform grid over the chart's usable domain.
 
     Periodic axes sample [lo, hi) without the duplicate endpoint.
     """
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * chart.n
+    resolution = resolution_per_axis(resolution, chart.n)
     axes, spacing = [], []
     for k, ((lo, hi), r) in enumerate(zip(chart.usable_domain(),
                                           resolution)):
@@ -109,10 +128,6 @@ class PrincipalField:
     coherent: np.ndarray     # bool mask of gauge-trustworthy points
     n_incoherent: int
 
-    @property
-    def n(self):
-        return self.chart.n
-
     def along(self, grad, a):
         """X_a(A) = sum_m X_a^m d_m A from the gradient of A, summed in m
         order."""
@@ -131,7 +146,7 @@ class PrincipalField:
         differentiated once."""
         X = self.pb.X_cont
         inner = self.chart.ambient.inner
-        n = self.n
+        n = self.chart.n
         table = [[None] * n for _ in range(n)]
         for b in range(n):
             grad = self.grid.gradient(X[..., b, :])

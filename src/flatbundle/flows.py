@@ -24,7 +24,7 @@ from .engines import DEFAULT_TOL
 from .errors import (CoherenceError, DomainError, DomainExitError,
                      HypothesisViolation)
 from .fields import (Grid, _alignment_matrices, _signed_permutation,
-                     principal_field)
+                     per_axis, principal_field, resolution_per_axis)
 from .fundamental import flatness_violation, fundamental_batch, gap_violation
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
@@ -66,6 +66,13 @@ def _speeds(pb):
     return pb.lambdas[..., None] * pb.X_chart
 
 
+def _check_step(step):
+    """Refuse an RK4 step that is not finite and positive: a zero step
+    never spends a leg, and a negative one flies each leg backwards."""
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step = {step!r} must be finite and > 0")
+
+
 def _groups(*columns):
     """The first row of each group of bitwise-equal rows of the columns
     (each (m, ...), None skipped), and the group of every row."""
@@ -93,10 +100,12 @@ def flow_points(chart, U0, i, t, refs=None, step=DEFAULT_STEP):
     gauge, axis and step are bitwise equal once, so each row gets the
     arithmetic of one call per leg on that row alone.  Leaving the chart's
     usable domain raises :class:`DomainExitError` with the first leaving
-    row's elapsed time on its leg and its last point.
+    row's elapsed time on its leg and its last point.  A ``step`` that is
+    not finite and > 0 raises ValueError.
 
     Returns (U1, refs1).
     """
+    _check_step(step)
     U = np.array(U0, dtype=float)
     M = U.shape[0]
     i, t = np.broadcast_arrays(i, np.asarray(t, dtype=float))
@@ -203,10 +212,6 @@ class FlowMap:
     points: np.ndarray          # (res_1, ..., res_n, n) chart coordinates
     warnings: list = field(default_factory=list)
 
-    @property
-    def n(self):
-        return self.chart.n
-
 
 def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
                    beside=()):
@@ -223,16 +228,16 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
     ``beside`` are :class:`Chains` from x0, such as
     :func:`identity_chains`, flowed in the map's first flow_points call;
     each gets its own outcome.  An x0 outside the usable domain raises
-    :class:`DomainError`.
+    :class:`DomainError`; a ``t_box`` or ``resolution`` that is not one
+    value or n, or a resolution below 2, raises :class:`ConfigError`.
     """
-    x0 = np.asarray(x0, dtype=float)
     n = chart.n
+    t_box = [tuple(b) for b in per_axis("t_box", t_box, n)]
+    resolution = resolution_per_axis(resolution, n)
+    x0 = np.asarray(x0, dtype=float)
     if not chart.contains(x0):          # no box shrink can bring it in
         raise DomainError(f"point {x0.tolist()} is outside the usable "
                           f"domain of {chart.name}")
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * n
-    t_box = [tuple(b) for b in t_box]
     warnings = []
     for _ in range(MAX_BOX_SHRINKS + 1):
         t_axes = tuple(np.linspace(lo, hi, r)
@@ -260,7 +265,8 @@ def identity_chains(chart, x0, t_range, rng, n_pairs=100,
     """The :class:`Chains` of :func:`check_flow_identities`, drawing its
     pairs from the generator ``rng``; its outcome is the reports.  A
     ``t_range`` within SPENT steps of 0 flies nowhere and raises
-    ValueError."""
+    ValueError, as does a ``step`` that is not finite and > 0."""
+    _check_step(step)
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
     if max(abs(t_range[0]), abs(t_range[1])) <= SPENT * step:

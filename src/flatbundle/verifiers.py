@@ -69,7 +69,7 @@ def _field_report(identity, pf, worst, tol):
 def _distinct_mask(pf):
     """Points where the n principal normals are pairwise distinct."""
     eta = pf.pb.eta
-    n = pf.n
+    n = pf.chart.n
     scale = np.maximum(1.0, np.sqrt(pf.fb.sff_sq))
     ok = np.ones(scale.shape, dtype=bool)
     for i in range(n):
@@ -89,7 +89,7 @@ def check_gauss(pf, tol=None):
     chart = pf.chart
     if tol is None:
         tol = engines.DEFAULT_TOL[chart.engine]
-    n = pf.n
+    n = chart.n
     target = chart.c - chart.ambient.curvature
     worst = 0.0
     for i in range(n):
@@ -102,7 +102,7 @@ def check_gauss(pf, tol=None):
 def check_codazzi_c1(pf, tol=DERIVED_TOL):
     """perp-derivative of eta_i along X_j vs <nabla_{X_i}X_i, X_j>(eta_i-eta_j)."""
     amb = pf.chart.ambient
-    n = pf.n
+    n = pf.chart.n
     eta = pf.pb.eta_cont
     worst = 0.0
     for i in range(n):
@@ -124,7 +124,7 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
     """<nabla_{X_l}X_j, X_i>(eta_i-eta_j) = <nabla_{X_j}X_l, X_i>(eta_i-eta_l)
     over distinct triples; vacuous for n = 2."""
     amb = pf.chart.ambient
-    n = pf.n
+    n = pf.chart.n
     if n < 3:
         return residual_report("codazzi_c2", [], tol, pf.chart,
                                notes="n < 3: no index triples")
@@ -148,7 +148,7 @@ def check_codazzi_c2(pf, tol=DERIVED_TOL):
 
 def check_connection_formula(pf, tol=DERIVED_TOL):
     """Gamma_ii^j = lambda_i X_j(1/lambda_i) (Lemma 1 in proof form)."""
-    n = pf.n
+    n = pf.chart.n
     if pf.pb.lambdas is None:
         raise ValueError("connection formula needs lambdas: "
                          + gap_violation(pf.chart))

@@ -101,7 +101,7 @@ def test_criterion_3_comparison_metric_flat(capfd, pseudosphere, dini, clifford)
         grid = make_grid(chart, res)
         fb = fundamental_batch(chart, grid.points)
         rep = check_g0_flat(fb, grid, tol=tol)
-        vals[entry.name] = (rep.max, tol, rep.passed)
+        vals[entry.chart.name] = (rep.max, tol, rep.passed)
     ok = all(p for _, _, p in vals.values())
     detail = ", ".join(f"{k} max={m:.2e} (tol {t:.0e})"
                        for k, (m, t, p) in vals.items())
@@ -152,7 +152,7 @@ def test_criterion_5_inequality_chain(capfd, pseudosphere, dini):
         good = (rep.chain_holds
                 and all(v.margin > v.error_budget for v in rep.verdicts))
         ok &= good
-        details.append(f"{entry.name}: {len(rep.verdicts)} verdicts, "
+        details.append(f"{entry.chart.name}: {len(rep.verdicts)} verdicts, "
                        f"min margin={min(margins):.3f} "
                        f"(budget {budget:.3f})")
     report(capfd, 5, ok, "; ".join(details))

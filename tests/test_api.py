@@ -99,8 +99,8 @@ def test_one_name_per_concept():
     flow map, one stencil, on the grid, one CSV formatter, one walk over
     an expression, one evaluator of the FD stencil points and one value
     type per input rule: the duplicate names are gone."""
-    from flatbundle import (cli, config, engines, exprchart, fields, flows,
-                            fundamental, growth, principal, verifiers)
+    from flatbundle import (catalog, cli, config, engines, exprchart, fields,
+                            flows, fundamental, growth, principal, verifiers)
     for mod, name in ((fundamental, "metric_batch"),
                       (fundamental, "MetricBatch"),
                       (fundamental, "normal_bundle_is_flat"),
@@ -138,6 +138,18 @@ def test_one_name_per_concept():
     fm = {f.name for f in dataclasses.fields(flows.FlowMap)}
     assert "t_axes" not in fm and "grid" in fm
     assert not hasattr(flows.FlowMap, "t_spacing")
+    # a catalog entry, a flow map and a principal field hold their chart,
+    # not copies of its facts: entry.chart.n, not entry.n
+    entry = catalog.CatalogEntry
+    assert [f.name for f in dataclasses.fields(entry)] \
+        == ["chart", "expected", "notes", "params"]
+    for cls in (entry, flows.FlowMap, fields.PrincipalField):
+        assert not [k for k, v in vars(cls).items()
+                    if isinstance(v, property)], cls
+    for name in ("name", "c", "ctilde", "n", "p"):
+        assert not hasattr(entry, name), name
+    assert not hasattr(flows.FlowMap, "n")
+    assert not hasattr(fields.PrincipalField, "n")
     # growth.csv's columns are GrowthRow's fields, and the report holds
     # only what its readers read
     report = {f.name for f in dataclasses.fields(growth.GrowthReport)}

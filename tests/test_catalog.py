@@ -84,7 +84,7 @@ def test_dini_b0_is_reparametrized_pseudosphere():
     """b = 0 removes the helicoidal shear: K = -1/a^2 and the surface is a
     rescaled pseudosphere (same curvature magnitudes pattern)."""
     entry = catalog.get("dini", a=2.0, b=0.0)
-    assert entry.c == pytest.approx(-0.25)
+    assert entry.chart.c == pytest.approx(-0.25)
     fb = fundamental_batch(entry.chart, np.array([1.0, 0.8]))
     dec = principal_decomposition(fb)
     k = np.sort(np.linalg.norm(dec.etas, axis=-1))

@@ -1030,10 +1030,13 @@ def test_catalog_list_rows_are_the_entries(capsys):
     for line in lines:
         name, *cols = line.split(None, 5)
         e = catalog.get(name)
-        assert catalog.describe(name) == (e.n, e.p, e.c, e.ctilde, e.notes)
-        assert cols == [str(e.n), str(e.p),
-                        "none" if e.c is None else "%g" % e.c,
-                        "%g" % e.ctilde, e.notes.split(";")[0]], name
+        ch = e.chart
+        assert catalog.describe(name) == (ch.n, ch.codimension, ch.c,
+                                          ch.ambient.curvature, e.notes)
+        assert cols == [str(ch.n), str(ch.codimension),
+                        "none" if ch.c is None else "%g" % ch.c,
+                        "%g" % ch.ambient.curvature,
+                        e.notes.split(";")[0]], name
 
 
 def test_cli_catalog_list(workdir):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog, cli, flows
-from flatbundle.errors import DomainError, DomainExitError, HypothesisViolation
+from flatbundle.errors import (ConfigError, DomainError, DomainExitError,
+                               HypothesisViolation)
 from flatbundle.exprchart import parse_chart
 from flatbundle.flows import (aligned_principal, build_flow_map,
                               check_flow_identities, commutator_residual,
@@ -78,6 +79,56 @@ def test_a_flow_map_from_outside_the_domain_is_refused(pseudosphere,
                        "the usable domain of pseudosphere$"):
         build_flow_map(pseudosphere.chart, (0.1, 1.0), ((-0.2, 0.2),) * 2, 5)
     assert calls == []
+
+
+def _no_decomposition(monkeypatch):
+    """Make any flow decomposition fail the test: a guard that is to
+    refuse first must refuse before one."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a flow was decomposed")
+    monkeypatch.setattr(flows, "aligned_principal", reached)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.02, np.nan, np.inf])
+def test_a_step_that_is_not_finite_and_positive_is_refused(dini, step,
+                                                           monkeypatch):
+    """A zero step never spent a leg, so flow_points looped forever, and
+    a negative one flew backwards into a DomainExitError.  Every entry
+    point that takes a step refuses it, naming it, before any flow."""
+    _no_decomposition(monkeypatch)
+    chart, U0 = dini.chart, np.array([DINI_X0])
+    rng = np.random.default_rng(1)
+    for call in (
+            lambda: flow_points(chart, U0, 0, 0.1, step=step),
+            lambda: build_flow_map(chart, DINI_X0, ((-0.2, 0.2),) * 2, 5,
+                                   step=step),
+            lambda: identity_chains(chart, DINI_X0, (-0.2, 0.2), rng,
+                                    n_pairs=4, step=step),
+            lambda: check_flow_identities(chart, DINI_X0, (-0.2, 0.2),
+                                          n_pairs=4, step=step)):
+        with pytest.raises(ValueError, match=r"^step = .* finite and > 0$"):
+            call()
+
+
+def test_a_flow_map_box_is_one_interval_or_one_per_axis(dini, monkeypatch):
+    """t_box and resolution follow the config file's per-axis rule: one
+    interval broadcasts to every axis.  A one-axis t_box on this n = 2
+    chart died in a reshape, a three-axis one is refused, and so is a
+    resolution below 2, which raised IndexError; both before any flow."""
+    chart = dini.chart
+    one = build_flow_map(chart, DINI_X0, [(-0.1, 0.1)], 5)
+    two = build_flow_map(chart, DINI_X0, [(-0.1, 0.1)] * 2, (5,))
+    assert one.points.shape == (5, 5, 2)
+    np.testing.assert_array_equal(one.points, two.points)
+    _no_decomposition(monkeypatch)
+    with pytest.raises(ConfigError, match="^t_box has 3 axes, chart has 2$"):
+        build_flow_map(chart, DINI_X0, [(-0.1, 0.1)] * 3, 5)
+    with pytest.raises(ConfigError,
+                       match="^resolution has 3 axes, chart has 2$"):
+        build_flow_map(chart, DINI_X0, [(-0.1, 0.1)], (5, 5, 5))
+    for bad in (1, (5, 1)):
+        with pytest.raises(ConfigError, match="^resolution .* at least 2"):
+            build_flow_map(chart, DINI_X0, [(-0.1, 0.1)], bad)
 
 
 def test_flow_map_is_principal_coordinates(dini):
@@ -577,7 +628,7 @@ def _csv_points(path):
 
 
 def _map_points(fm):
-    n = fm.n
+    n = fm.chart.n
     return np.concatenate([fm.grid.points.reshape(-1, n),
                            fm.points.reshape(-1, n)], axis=1)
 

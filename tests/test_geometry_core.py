@@ -81,9 +81,9 @@ def test_dini_curvature_matches_asserted():
         a_ * (sp.cos(v) + sp.log(sp.tan(v / 2))) + b_ * u, u, v)
     from flatbundle import catalog
     entry = catalog.get("dini", a=a_, b=b_)
-    assert entry.c == pytest.approx(-1.0 / (a_ * a_ + b_ * b_))
+    assert entry.chart.c == pytest.approx(-1.0 / (a_ * a_ + b_ * b_))
     for uu, vv in [(0.5, 0.6), (3.0, 0.9), (5.5, 0.4)]:
-        assert float(K_fn(uu, vv)) == pytest.approx(entry.c, rel=1e-9)
+        assert float(K_fn(uu, vv)) == pytest.approx(entry.chart.c, rel=1e-9)
 
 
 def test_dini_metric_against_sympy(dini):

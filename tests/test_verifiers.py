@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flatbundle import catalog
+from flatbundle.errors import ConfigError
 from flatbundle.fields import (ALIGN_MIN, Grid, _alignment_matrices,
                                _signed_permutation, make_grid,
                                principal_field)
@@ -253,6 +254,74 @@ def test_coherence_reuses_the_first_pass_overlaps(name, res):
     assert pf.n_incoherent > 0
     np.testing.assert_array_equal(pf.coherent,
                                   _recomputed_coherence(fb, grid, pf))
+
+
+# ---------------------------------------------------------------------------
+# Grid.deriv against the four-roll formula it replaced
+
+def _four_roll_deriv(grid, A, axis):
+    """The order-4 stencil from four rolled copies of A, NaN written over
+    the two-node margins of a non-periodic axis afterwards."""
+    def r(k):
+        return np.roll(A, -k, axis=axis)
+
+    d = (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) \
+        / (12.0 * grid.spacing[axis])
+    if not grid.periodic[axis]:
+        for bad in (slice(0, 2), slice(-2, None)):
+            d[(slice(None),) * axis + (bad,)] = np.nan
+    return d
+
+
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_deriv_is_the_four_roll_formula(ndim, trailing, rng):
+    """Finite entries are bit-equal to the four-roll formula, NaN lies
+    exactly on the two-node margins of a non-periodic axis and nowhere on
+    a periodic one, for every axis length from 1 to 9."""
+    for length in range(1, 10):
+        for axis in range(ndim):
+            shape = tuple(int(k) for k in rng.integers(1, 10, ndim))
+            shape = shape[:axis] + (length,) + shape[axis + 1:]
+            periodic = tuple(bool(p) for p in rng.integers(0, 2, ndim))
+            for flip in (False, True):
+                periodic = periodic[:axis] + (periodic[axis] ^ flip,) \
+                    + periodic[axis + 1:]
+                grid = Grid(tuple(np.arange(k, dtype=float) for k in shape),
+                            rng.uniform(0.01, 1.0, ndim), periodic)
+                A = rng.standard_normal(shape + trailing)
+                new = grid.deriv(A, axis)
+                old = _four_roll_deriv(grid, A, axis)
+                fin = np.isfinite(old)
+                assert new.shape == A.shape
+                np.testing.assert_array_equal(np.isfinite(new), fin)
+                assert np.array_equal(new[fin].view(np.int64),
+                                      old[fin].view(np.int64))
+                margin = np.zeros(length, dtype=bool)
+                if not periodic[axis]:
+                    margin[:2] = margin[-2:] = True
+                where = margin.reshape((1,) * axis + (length,)
+                                       + (1,) * (A.ndim - axis - 1))
+                np.testing.assert_array_equal(
+                    np.isnan(new), np.broadcast_to(where, A.shape))
+
+
+def test_grid_resolution_is_one_value_or_one_per_axis(pseudosphere):
+    """make_grid reads its resolution by the config file's per-axis rule:
+    one value broadcasts, n values are one per axis, any other count is
+    refused, and so is an axis of fewer than 2 samples.  (33,) built a 1-D
+    grid on this n = 2 chart, (33, 17, 9) dropped the 9, and 1 raised
+    ZeroDivisionError."""
+    chart = pseudosphere.chart
+    assert make_grid(chart, (33,)).shape == make_grid(chart, 33).shape \
+        == (33, 33)
+    assert make_grid(chart, (33, 17)).shape == (33, 17)
+    with pytest.raises(ConfigError,
+                       match="^resolution has 3 axes, chart has 2$"):
+        make_grid(chart, (33, 17, 9))
+    for bad in (1, (1,), (33, 1), 0):
+        with pytest.raises(ConfigError, match="^resolution .* at least 2"):
+            make_grid(chart, bad)
 
 
 # ---------------------------------------------------------------------------
