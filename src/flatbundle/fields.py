@@ -87,11 +87,21 @@ def per_axis(name, values, n):
 
 
 def resolution_per_axis(resolution, n):
-    """The sample count of each of n grid axes, at least 2 each; an int
-    broadcasts to all n."""
+    """The sample count of each of n grid axes, at least 2 each; one value
+    broadcasts to all n.  A float counts only where it is integral, as
+    that integer."""
     if np.isscalar(resolution):
-        resolution = (int(resolution),)
-    resolution = per_axis("resolution", resolution, n)
+        resolution = (resolution,)
+    counts = []
+    for value in per_axis("resolution", resolution, n):
+        try:
+            count = int(value)
+        except (TypeError, ValueError, OverflowError):
+            count = None
+        if count is None or count != value:
+            raise ConfigError(f"resolution {value!r} is not an integer")
+        counts.append(count)
+    resolution = tuple(counts)
     if min(resolution) < 2:
         raise ConfigError(f"resolution {resolution} needs at least 2 "
                           f"samples per axis")

@@ -249,10 +249,6 @@ class FundamentalBatch:
     def n(self):
         return self.g.shape[-1]
 
-    @property
-    def p(self):
-        return self.chart.codimension
-
     @functools.cached_property
     def frame(self):
         frame = _normal_frame(self.chart, self.obasis, self.obasis_sq)
@@ -277,7 +273,7 @@ class FundamentalBatch:
     def flatness_residual(self):
         """Max commutator norm of the shape operators A_a = g^{-1} B_a
         relative to max(1, |alpha|^2); zero for p <= 1."""
-        p = self.p
+        p = self.chart.codimension
         res = np.zeros(self.sff_sq.size)
         if p > 1:
             A = _matmul(self.ginv, self.alpha)             # (n, n, p, m)

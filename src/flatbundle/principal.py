@@ -15,6 +15,7 @@ DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
 JACOBI_TOL = 1e-12           # rotation sine below which a pair is diagonal
 JACOBI_MAX_SWEEPS = 100
+_EPS = np.finfo(float).eps
 
 
 @functools.lru_cache(maxsize=None)
@@ -23,7 +24,7 @@ def _diag_weights(p):
     drawn once from DEFAULT_SEED (cached, hence read-only); the run seed
     only draws samples and does not reach it."""
     w = np.random.default_rng(DEFAULT_SEED).standard_normal(p)
-    w = w / np.linalg.norm(w)
+    w = w / np.sqrt(w.dot(w))
     w.flags.writeable = False
     return w
 
@@ -62,6 +63,90 @@ def joint_diagonalize(mats):
         if not rotated:
             return V
     raise NumericalError("joint diagonalization did not converge")
+
+
+def _eigenvectors(A):
+    """Orthonormal eigenvectors of component-major symmetric matrices A
+    (n, n, m): V (n, n, m) whose columns hold them in ascending eigenvalue
+    order, by the cyclic Jacobi method (Golub and Van Loan, Matrix
+    Computations, 8.5).
+
+    A sweep rotates each pair (p, q) in turn at the points where |A_pq|
+    exceeds eps times the point's largest entry, and only there: the
+    other points are masked out and keep their bits.  So a point's
+    rotations depend on that point alone, and it gets the same bits in
+    any batch.  For n = 2 one rotation diagonalizes; of the two that do,
+    it takes the one that leaves the smaller eigenvalue first, so no sort
+    follows.
+    """
+    n = len(A)
+    if n == 2:
+        return _eigenvectors2(A)
+    V = np.zeros_like(A)
+    for k in range(n):
+        V[k, k] = 1.0
+    A = A.copy()
+    tol = _EPS * np.max(np.abs(A), axis=(0, 1))
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                at = np.flatnonzero(np.abs(A[p, q]) > tol)
+                if at.size:
+                    rotated = True
+                    A[..., at], V[..., at] = _rotate(A[..., at], V[..., at],
+                                                     p, q)
+        if not rotated:
+            diag = A[np.arange(n), np.arange(n)]
+            order = np.argsort(diag, axis=0, kind="stable")
+            return np.take_along_axis(V, order[None], axis=1)
+    raise NumericalError("Jacobi eigenvector iteration did not converge")
+
+
+def _rotate(A, V, p, q):
+    """Apply to gathered A and V (n, n, k) the Jacobi rotation J of angle
+    at most pi/4 that zeroes A_pq: A <- J^T A J, V <- V J."""
+    app, aqq, apq = A[p, p].copy(), A[q, q].copy(), A[p, q].copy()
+    x = aqq - app
+    y = np.where(x < 0, -apq, apq)            # sign(x) A_pq, sign(0) = +1
+    u = np.abs(x) + np.hypot(x, apq + apq)
+    t = 2.0 * y / u                           # tan of the angle
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    A[:, p], A[:, q] = c * A[:, p] - s * A[:, q], s * A[:, p] + c * A[:, q]
+    A[p], A[q] = c * A[p] - s * A[q], s * A[p] + c * A[q]
+    A[p, q] = A[q, p] = 0.0
+    A[p, p], A[q, q] = app - t * apq, aqq + t * apq
+    V[:, p], V[:, q] = c * V[:, p] - s * V[:, q], s * V[:, p] + c * V[:, q]
+    return A, V
+
+
+def _eigenvectors2(A):
+    """The n = 2 case of _eigenvectors.
+
+    The eigenvector of the smaller eigenvalue of [[a, b], [b, d]] is
+    (u, -y) with x = d - a, y = 2b and u = |x| + |(x, y)| where x >= 0,
+    and (y, -u) where x < 0, each free of cancellation; V is the rotation
+    with it as its first column.  Since |y| <= u, the ratio r = y / u
+    gives its entries as c = 1 / sqrt(1 + r^2) and s = r c without
+    overflow.  A point already diagonal in ascending order (b = 0,
+    a <= d) is masked to r = 0, so it gets the identity, +0 included.
+    """
+    a, b, d = A[0, 0], A[0, 1], A[1, 1]
+    x = d - a
+    y = b + b
+    u = np.hypot(x, y)
+    u += np.abs(x)
+    first = x >= 0
+    turn = (y != 0) | ~first
+    r = np.where(turn, y, 0.0) / np.where(turn, u, 1.0)
+    c = 1.0 / np.sqrt(1.0 + r * r)
+    s = r * c
+    V = np.empty_like(A)
+    V[0, 0] = V[1, 1] = np.where(first, c, s)
+    V[0, 1] = np.where(first, s, c)
+    np.subtract(0.0, V[0, 1], out=V[1, 0])        # -V[0, 1], with +0 for 0
+    return V
 
 
 @dataclass
@@ -129,24 +214,27 @@ def principal_batch(fb):
     The batch's inverse Cholesky factor L^{-1} (g = L L^T) takes each
     alpha_a to its symmetric representative Atil_a = L^{-1} B_a L^{-T} in a
     g-orthonormal gauge.  The eigenvectors V of a generic combination of
-    the Atil_a (a joint diagonalization where that combination fails to
-    diagonalize them all) give the directions X = V^T L^{-1}, and
-    D_a = V^T Atil_a V holds alpha_a(X_k, X_l): eta on its diagonal, the
-    residual off it.  Computed component-major on the batch's own
-    alpha, tangent and frame, like the fundamental kernel; only the
-    PrincipalBatch fields are handed back point-major.
+    the Atil_a, from the component-major Jacobi kernel _eigenvectors (a
+    joint diagonalization where that combination fails to diagonalize
+    them all), give the directions X = V^T L^{-1}, and D_a = V^T Atil_a V
+    holds alpha_a(X_k, X_l): eta on its diagonal, the residual off it.
+    Computed component-major on the batch's own alpha, tangent and frame,
+    like the fundamental kernel, with no per-point matrix routine; only
+    the PrincipalBatch fields are handed back point-major.  Each point's
+    data depends on that point alone, so it has the same bits in any
+    batch.
 
     Directions come in the canonical pointwise gauge: sorted by |eta|
     descending (stable), each signed so its largest-magnitude chart
     component is positive.  Field sweeps and flows regauge on top.
     """
-    n, p = fb.n, fb.p
+    n, p = fb.n, fb.chart.codimension
     batch = fb.sff_sq.shape
     Linv = fb.chol_inv                                   # (n, n, m)
     S = _congruence(Linv, fb.alpha)                      # (n, n, p, m)
     Atil = 0.5 * (S + S.swapaxes(0, 1))
     Aw = (_diag_weights(p)[:, None] * Atil).sum(axis=2)
-    V = np.linalg.eigh(Aw.transpose(2, 0, 1))[1].transpose(1, 2, 0)
+    V = _eigenvectors(Aw)
     D, offdiag = _rotated(V, Atil)
 
     # refine points where the generic combination failed to diagonalize all
@@ -197,7 +285,7 @@ class PrincipalDecomposition:
 def principal_decomposition(fb):
     """Spec operation: principal normals with clustering at one point."""
     pb = principal_batch(fb)
-    eta = np.asarray(pb.eta, dtype=float).reshape(fb.n, fb.p)
+    eta = np.asarray(pb.eta, dtype=float).reshape(fb.n, fb.chart.codimension)
     eta_cont = np.asarray(pb.eta_cont, dtype=float).reshape(fb.n, -1)
     X = np.asarray(pb.X_chart, dtype=float).reshape(fb.n, fb.n)
     n = fb.n
@@ -216,7 +304,7 @@ def principal_decomposition(fb):
     s = len(reps)
     mult = np.bincount(labels, minlength=s)
     etas = np.stack([eta[labels == ci].mean(axis=0) for ci in range(s)]) \
-        if fb.p > 0 else np.zeros((s, 0))
+        if fb.chart.codimension > 0 else np.zeros((s, 0))
     etas_cont = np.stack([eta_cont[labels == ci].mean(axis=0)
                           for ci in range(s)])
     lambdas = _lambdas(fb.chart, np.sum(etas * etas, axis=-1))

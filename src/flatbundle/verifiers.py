@@ -11,7 +11,10 @@ import numpy as np
 
 from . import engines
 from .fields import principal_field
-from .fundamental import flatness_violation, fundamental_batch, gap_violation
+from .errors import DegenerateMetricError
+from .fundamental import (_cholesky, _components, _inverse, _lower_inverse,
+                          flatness_violation, fundamental_batch,
+                          gap_violation)
 from .principal import CLUSTER_REL_TOL, comparison_metric
 
 G0_FLAT_TOL = 1e-3
@@ -167,12 +170,14 @@ def check_connection_formula(pf, tol=DERIVED_TOL):
 # ---------------------------------------------------------------------------
 # curvature of sampled metric fields
 
-def constant_curvature_residual(G, grid, c):
+def constant_curvature_residual(G, Ginv, grid, c):
     """Max |R_{ijkl} - c (g_jk g_il - g_ik g_jl)| / (1 + |g|^2) per point,
-    where R_{ijkl} = <R(d_i,d_j)d_k, d_l> of the sampled metric field G;
-    NaN in the double stencil margin.  Every component of g, its
-    derivatives and the Christoffel symbols is one grid array, and each
-    sum runs in index order."""
+    where R_{ijkl} = <R(d_i,d_j)d_k, d_l> of the sampled metric field G
+    with inverse Ginv, both point-major (grid shape + (n, n)); NaN in the
+    double stencil margin.  Every component of g, its derivatives and the
+    Christoffel symbols is one grid array, and each sum runs in index
+    order.  Ginv is read only for the Christoffel symbols, so a view of
+    a component-major inverse serves without a copy."""
     N = range(grid.ndim)
 
     def dot(a, b):
@@ -189,7 +194,6 @@ def constant_curvature_residual(G, grid, c):
             for j in N] for i in N]
     del dg
     # Gamma^k_{ij} = sum_l g^{kl} Gamma_{ij,l}, stored at gam[i][j][k]
-    Ginv = np.linalg.inv(G)
     gam = [[[dot([Ginv[..., k, l] for l in N], low[i][j]) for k in N]
             for j in N] for i in N]
     del low, Ginv
@@ -225,15 +229,36 @@ def check_intrinsic_curvature(fb, grid, tol=None):
         tol = max(engines.DEFAULT_TOL[chart.engine], grid.stencil_floor)
     if chart.c is None:
         raise ValueError(f"{chart.name} asserts no intrinsic curvature")
-    res = constant_curvature_residual(fb.g, grid, chart.c)
+    res = constant_curvature_residual(
+        fb.g, _point_major_view(fb.ginv, fb.g.shape), grid, chart.c)
     return residual_report("intrinsic_curvature", res, tol, chart)
 
 
 def check_g0_flat(fb, grid, tol=G0_FLAT_TOL):
     """Lemma: g0 = C g + III (fb over the grid points) is flat.  Residual =
     max normalized |R0_{ijkl}|."""
-    res = constant_curvature_residual(comparison_metric(fb), grid, 0.0)
+    g0 = comparison_metric(fb)
+    # the inverse is handed over, not held here, so the residual frees it
+    # with its Christoffel symbols, before its peak
+    res = constant_curvature_residual(g0, _g0_inverse(fb.chart, g0), grid,
+                                      0.0)
     return residual_report("g0_flat", res, tol, fb.chart)
+
+
+def _g0_inverse(chart, g0):
+    """g0^{-1} through the batch layer's Cholesky kernels, point-major like
+    g0; a g0 that is not positive definite somewhere is refused."""
+    L = _cholesky(_components(g0, 2))
+    if L is None:
+        raise DegenerateMetricError(
+            f"{chart.name}: comparison metric g0 not positive definite")
+    return _point_major_view(_inverse(_lower_inverse(L)), g0.shape)
+
+
+def _point_major_view(a, shape):
+    """A component-major (n, n, m) array as a point-major view of the given
+    shape, batch + (n, n), without a copy."""
+    return np.moveaxis(a, -1, 0).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

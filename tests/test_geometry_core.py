@@ -381,8 +381,8 @@ def test_metric_kernel_matches_frame_formulas(name):
     # the flatness residual against the point-major shape operators
     A = ginv[..., None, :, :] @ np.moveaxis(alpha, -1, -3)
     res = np.zeros(batch)
-    for a in range(fb.p):
-        for b in range(a + 1, fb.p):
+    for a in range(fb.chart.codimension):
+        for b in range(a + 1, fb.chart.codimension):
             comm = A[..., a, :, :] @ A[..., b, :, :] \
                 - A[..., b, :, :] @ A[..., a, :, :]
             res = np.maximum(res, np.sqrt(np.sum(comm * comm,

@@ -208,7 +208,7 @@ def test_signed_permutation_ambiguity_matches_a_full_sort(n):
 def _principal_oracle(fb):
     """Principal data from a fresh Cholesky factor of g, triangular solves
     and einsum contractions, point by point."""
-    n, p = fb.n, fb.p
+    n, p = fb.n, fb.chart.codimension
     batch = fb.sff_sq.shape
     g, alpha = fb.g, _point_major(fb.alpha, batch)
     L = np.linalg.cholesky(g)
@@ -312,3 +312,80 @@ def test_principal_batch_joint_diagonalize_fallback(monkeypatch):
     assert calls, "the generic combination diagonalized every point"
     assert float(np.max(pb.offdiag)) < 1e-12
     _assert_matches_oracle(pb, _principal_oracle(fb))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi eigenvector kernel
+
+def _symmetric_family(n, rng):
+    """Point-major symmetric matrices: random at scales 1e-3 to 1e3,
+    repeated, near-repeated, already diagonal (either order) and
+    scalar."""
+    mats = []
+    for _ in range(200):
+        B = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+        mats.append(B + B.T)
+    for gap in (0.0, 1e-14, 1e-10, 1e-6):
+        for _ in range(20):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            lam = np.sort(rng.standard_normal(n))
+            lam[1] = lam[0] + gap
+            mats.append(Q @ np.diag(lam) @ Q.T)
+    for _ in range(20):
+        mats.append(np.diag(rng.standard_normal(n)))
+    mats += [np.diag(np.arange(n, 0.0, -1.0)), np.diag(np.arange(1.0, n + 1))]
+    mats += [s * np.eye(n) for s in (0.0, -0.0, 1.0, -2.5, 1e-300)]
+    tiny = np.full((n, n), 1e-170)                 # squares underflow
+    mats += [tiny, tiny - np.diag(np.diag(tiny))]
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigenvectors_against_eigh(n, rng):
+    """Columns orthonormal to 1e-14, V^T A V diagonal to 1e-14 |A| with
+    eigh's eigenvalues on its diagonal in ascending order; where the
+    eigenvalues are well apart, eigh's eigenvectors up to sign.  A matrix
+    already diagonal in ascending order keeps the identity exactly."""
+    A = _symmetric_family(n, rng)
+    V = principal._eigenvectors(
+        np.ascontiguousarray(A.transpose(1, 2, 0))).transpose(2, 0, 1)
+    norm = np.max(np.abs(A), axis=(1, 2))          # at most the 2-norm
+    eye = np.eye(n)
+    orth = np.max(np.abs(np.swapaxes(V, 1, 2) @ V - eye), axis=(1, 2))
+    assert np.max(orth) <= 1e-14
+    D = np.swapaxes(V, 1, 2) @ A @ V
+    off = np.max(np.abs(D * (1 - eye)), axis=(1, 2))
+    assert np.all(off <= 1e-14 * norm)
+    vals, W = np.linalg.eigh(A)
+    diag = np.diagonal(D, axis1=1, axis2=2)
+    assert np.all(np.abs(diag - vals) <= 1e-14 * norm[:, None])
+    assert np.all(np.diff(diag, axis=1) >= -1e-14 * norm[:, None])
+    apart = np.min(np.diff(vals, axis=1), axis=1) > 1e-3 * norm
+    assert apart.sum() > 200
+    overlap = np.abs(np.diagonal(np.swapaxes(V, 1, 2) @ W, axis1=1, axis2=2))
+    np.testing.assert_allclose(overlap[apart], 1.0, rtol=0, atol=1e-12)
+    ascending = np.all(A == diag[:, None, :] * eye, axis=(1, 2)) \
+        & np.all(np.diff(np.diagonal(A, axis1=1, axis2=2), axis=1) >= 0,
+                 axis=1)
+    assert ascending.sum() >= 6
+    assert np.array_equal(V[ascending].view(np.int64),
+                          np.broadcast_to(eye, V[ascending].shape)
+                          .view(np.int64))
+
+
+@pytest.mark.parametrize("name, res", [("pseudosphere", 33), ("ps3", 9)])
+def test_principal_batch_is_the_same_bits_in_any_batch(name, res):
+    """Every grid node gets the principal data it gets evaluated alone,
+    bit for bit: each point's rotations depend on that point only."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    pb = principal_batch(fundamental_batch(chart, grid.points))
+    fields = ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "offdiag")
+    if pb.lambdas is not None:
+        fields += ("lambdas",)
+    for idx in np.ndindex(grid.shape):
+        one = principal_batch(fundamental_batch(chart, grid.points[idx]))
+        for f in fields:
+            got, want = np.asarray(getattr(one, f)), getattr(pb, f)[idx]
+            assert np.array_equal(got.view(np.int64),
+                                  np.asarray(want).view(np.int64)), (idx, f)

@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatbundle import catalog
-from flatbundle.errors import ConfigError
+from flatbundle import catalog, verifiers
+from flatbundle.errors import ConfigError, DegenerateMetricError
 from flatbundle.fields import (ALIGN_MIN, Grid, _alignment_matrices,
                                _signed_permutation, make_grid,
                                principal_field)
 from flatbundle.fundamental import fundamental_batch
-from flatbundle.principal import principal_batch
+from flatbundle.principal import comparison_metric, principal_batch
 from flatbundle.verifiers import (IDENTITIES, check_codazzi_c1,
                                   check_codazzi_c2, check_connection_formula,
                                   check_g0_flat, check_gauss,
@@ -324,17 +324,29 @@ def test_grid_resolution_is_one_value_or_one_per_axis(pseudosphere):
             make_grid(chart, bad)
 
 
+def test_grid_resolution_float_must_be_integral(pseudosphere):
+    """A float resolution reads as its integer only where it is integral,
+    scalar or per axis: 33.9 built a 33^2 grid and (33.9, 17) raised
+    TypeError."""
+    chart = pseudosphere.chart
+    assert make_grid(chart, 33.0).shape == (33, 33)
+    assert make_grid(chart, (33.0, np.int64(17))).shape == (33, 17)
+    for bad in (33.9, (33.9, 17), (33, 17.5), float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="^resolution .* not an integer"):
+            make_grid(chart, bad)
+
+
 # ---------------------------------------------------------------------------
 # curvature kernel against the einsum formulas it replaced
 
-def _einsum_residual(G, grid, c):
+def _einsum_residual(G, Ginv, grid, c):
     def d(A, k):
         return np.stack([grid.deriv(A, m) for m in range(grid.ndim)],
                         axis=-k)
     dG = d(G, 3)
     low = 0.5 * (dG + np.einsum("...jil->...ijl", dG)
                  - np.einsum("...lij->...ijl", dG))
-    Gam = np.einsum("...kl,...ijl->...ijk", np.linalg.inv(G), low)
+    Gam = np.einsum("...kl,...ijl->...ijk", Ginv, low)
     dGam = d(Gam, 4)
     Rup = (dGam - np.swapaxes(dGam, -4, -3)
            + np.einsum("...iml,...jkm->...ijkl", Gam, Gam)
@@ -355,9 +367,10 @@ def test_curvature_residual_matches_einsum_oracle(name, res, exact):
     chart = catalog.get(name).chart
     grid = make_grid(chart, res)
     G = fundamental_batch(chart, grid.points).g
+    Ginv = np.linalg.inv(G)
     for c in (-1.0, 0.0, 1.0):
-        new = constant_curvature_residual(G, grid, c)
-        old = _einsum_residual(G, grid, c)
+        new = constant_curvature_residual(G, Ginv, grid, c)
+        old = _einsum_residual(G, Ginv, grid, c)
         assert np.array_equal(np.isnan(new), np.isnan(old))
         assert np.isfinite(new).any()
         if exact:
@@ -378,13 +391,75 @@ def test_curvature_residual_memory_budget(name, res):
     chart = catalog.get(name).chart
     grid = make_grid(chart, res)
     G = fundamental_batch(chart, grid.points).g
+    Ginv = np.linalg.inv(G)
     n = grid.ndim
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        constant_curvature_residual(G, grid, -1.0)
+        constant_curvature_residual(G, Ginv, grid, -1.0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     budget = (n ** 3 + n ** 4 + 4 * n + 4) * G[..., 0, 0].nbytes
     assert peak <= budget, (peak / 2 ** 20, budget / 2 ** 20)
+
+
+@pytest.mark.parametrize("name, res", [
+    ("pseudosphere", 65), ("clifford_torus_s3", 33), ("dini", 33),
+    ("ps3", 17)])
+def test_curvature_residual_with_the_batch_inverse(name, res):
+    """The residual from the batch's own g^{-1}, read as a point-major
+    view, and from g0^{-1} built by the Cholesky kernels (where the chart
+    has a gap C > 0), agrees with the residual from LAPACK inverses; NaN
+    lies at the same points."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    fb = fundamental_batch(chart, grid.points)
+    ginv = np.moveaxis(fb.ginv, -1, 0).reshape(fb.g.shape)
+    assert np.shares_memory(ginv, fb.ginv)
+    metrics = [(fb.g, ginv)]
+    if chart.C is not None:
+        g0 = comparison_metric(fb)
+        metrics.append((g0, verifiers._g0_inverse(chart, g0)))
+    for G, Ginv in metrics:
+        for c in (-1.0, 0.0):
+            new = constant_curvature_residual(G, Ginv, grid, c)
+            old = constant_curvature_residual(G, np.linalg.inv(G), grid, c)
+            assert np.array_equal(np.isnan(new), np.isnan(old))
+            assert np.isfinite(new).any()
+            np.testing.assert_allclose(new, old, rtol=0, atol=1e-13)
+
+
+def test_g0_not_positive_definite_is_refused(pseudosphere):
+    """check_g0_flat refuses a g0 whose Cholesky factor fails, rather than
+    handing on no inverse."""
+    chart = pseudosphere.chart
+    grid = make_grid(chart, 9)
+    fb = fundamental_batch(chart, grid.points)
+    bad = dataclasses.replace(fb, III=-(chart.C + 1.0) * fb.g)   # g0 = -g
+    with pytest.raises(DegenerateMetricError,
+                       match="g0 not positive definite"):
+        check_g0_flat(bad, grid)
+
+
+@pytest.mark.parametrize("name, res", [("pseudosphere", 33), ("ps3", 17)])
+def test_verify_path_runs_no_per_point_lapack(name, res, monkeypatch):
+    """verify_chart inverts g and g0 and diagonalizes the shape operators
+    with the batch layer's own kernels: with np.linalg.inv and eigh made
+    to raise, every report comes back as it does without."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    want, skipped = verify_chart(chart, grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point LAPACK call in the verify path")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    got, got_skipped = verify_chart(chart, grid)
+    assert got_skipped == skipped
+    assert [r.identity for r in got] == [r.identity for r in want]
+    assert len(got) == 6 - len(skipped)
+    for a, b in zip(got, want):
+        assert a.summary_line() == b.summary_line()
+        np.testing.assert_array_equal(a.residual_grid, b.residual_grid)
