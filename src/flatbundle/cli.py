@@ -278,7 +278,7 @@ def run_coords(cfg, out_dir):
     # the identity flows share the map's flow_points call
     identities = identity_chains(chart, x0, cfg.t_range,
                                  np.random.default_rng(cfg.seed),
-                                 n_pairs=cfg.pairs, step=cfg.flow_step)
+                                 n_pairs=cfg.pairs)
     try:
         fm = build_flow_map(chart, x0, cfg.flow_box_for(n),
                             cfg.flow_resolution, step=cfg.flow_step,

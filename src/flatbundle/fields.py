@@ -4,10 +4,12 @@ Derived per-point quantities (principal normals, directions, lambdas, the
 comparison metric) only exist after a pointwise eigen-decomposition, so
 their derivatives are always taken by order-4 finite differences on the
 grid, regardless of the chart engine.  This module also fixes the discrete
-gauge: directions start from the canonical pointwise gauge of
-``principal_batch`` and are relabelled and signed coherently along a
-spanning raster path from the grid origin, so the origin keeps its
-canonical labels; points where the alignment is ambiguous are masked and
+gauge, component-major in the batch layer's layout: from the canonical
+pointwise gauge of ``principal_batch``, int8 signed codes relabel and sign
+the directions coherently along a spanning raster path from the grid
+origin, so the origin keeps its canonical labels, and ``principal_batch``
+applies them in its one gather.  Overlaps are multiply-adds over the
+container index.  Points where the alignment is ambiguous are masked and
 counted.
 """
 
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fundamental import _signs
 from .principal import principal_batch
 
 ALIGN_AMBIGUOUS = 1e-3   # two alignment candidates closer than this: flag
@@ -166,94 +169,108 @@ class PrincipalField:
         return table
 
 
-def _alignment_matrices(X, Y, signature):
-    """Q[..., k, l] = <X_k, Y_l>, the container overlaps of two direction
-    frames (..., n, N)."""
-    return np.einsum("...kN,...lN->...kl", X * signature, Y)
+def _overlaps(X, Y, signs):
+    """Q[k, l] = <X_k, Y_l> (n, n, m), accumulated in N order: the
+    container overlaps of two component-major direction frames (n, N, m)."""
+    if signs is not None:
+        X = X * signs
+    Q = X[:, None, 0] * Y[None, :, 0]
+    term = np.empty_like(Q)
+    for c in range(1, X.shape[1]):
+        Q += np.multiply(X[:, None, c], Y[None, :, c], out=term)
+    return Q
 
 
-def _signed_permutation(Q):
-    """Greedy signed-permutation approximation of alignment matrices Q.
-
-    Returns (P, ambiguous): X_aligned(next) = P @ X_raw(next) matches the
-    current point's labels; ambiguous flags points where the best and
-    second-best candidate for some direction are too close to call.
-    """
-    n = Q.shape[-1]
-    absQ = np.abs(Q)
-    # rowwise ambiguity (n >= 2): best and runner-up candidate too close
-    # to call.  Q is finite (the batch refuses a non-finite frame), and the
-    # gap is exact: |a - b| is max - min, and a partition keeps the values
-    if n == 2:
-        gap = np.abs(absQ[..., 0] - absQ[..., 1])
-    else:
-        top2 = np.partition(absQ, n - 2, axis=-1)[..., -2:]
-        gap = top2[..., 1] - top2[..., 0]
-    ambiguous = np.any(gap < ALIGN_AMBIGUOUS, axis=-1)
-    # fancy indexing, not *_along_axis: flows call this on many small batches
-    flat = absQ.reshape(-1, n * n)
-    Qflat = Q.reshape(flat.shape)
-    P = np.zeros(flat.shape, dtype=Q.dtype)
-    pts = np.arange(flat.shape[0])
-    lane = np.arange(n)
+def _greedy_codes(Q):
+    """The greedy signed permutation of overlaps Q (n, n, m) as signed
+    codes (n, m): the largest |Q[k, l]| left, the first in row-major
+    order on a tie, gives slot k direction l, signed as Q[k, l] (+ for
+    0), and takes row k and column l out."""
+    n = len(Q)
+    flat = np.abs(Q).reshape(n * n, -1)
+    codes = np.empty((n, flat.shape[1]), dtype=np.int8)
+    pts, lane = np.arange(flat.shape[1]), np.arange(n)[:, None]
     for _ in range(n):
-        idx = np.argmax(flat, axis=-1)
-        sgn = np.sign(Qflat[pts, idx])
-        P[pts, idx] = np.where(sgn == 0, 1.0, sgn)
-        k, l = idx // n, idx % n
-        flat[pts[:, None], k[:, None] * n + lane] = -np.inf
-        flat[pts[:, None], lane * n + l[:, None]] = -np.inf
-    return P.reshape(Q.shape), ambiguous
+        at = np.argmax(flat, axis=0)
+        k, l = np.divmod(at, n)
+        codes[k, pts] = np.where(Q.reshape(n * n, -1)[at, pts] < 0,
+                                 -1 - l, 1 + l)
+        flat[k * n + lane, pts] = -np.inf
+        flat[lane * n + l, pts] = -np.inf
+    return codes
+
+
+def _signed_codes(Q):
+    """The greedy codes of overlaps Q (n, n, m), and where they are
+    ambiguous: some slot's best and runner-up candidates lie closer than
+    ALIGN_AMBIGUOUS.  For n = 2 in closed form: the greedy keeps the
+    labels iff |Q00| >= max(|Q01|, |Q10|) or |Q11| exceeds that max."""
+    n = len(Q)
+    absQ = np.abs(Q)
+    # Q is finite (the batch refuses a non-finite frame), and the gap is
+    # exact: |a - b| is max - min, and a partition keeps the values
+    if n == 2:
+        gap = np.abs(absQ[:, 0] - absQ[:, 1])
+        cross = np.maximum(absQ[0, 1], absQ[1, 0])
+        keep = (absQ[0, 0] >= cross) | (absQ[1, 1] > cross)
+        codes = np.where(keep, [[1], [2]], [[2], [1]]).astype(np.int8)
+        codes[np.where(keep, Q[[0, 1], [0, 1]], Q[[0, 1], [1, 0]]) < 0] *= -1
+    else:
+        top2 = np.partition(absQ, n - 2, axis=1)[:, -2:]
+        gap = top2[:, 1] - top2[:, 0]
+        codes = _greedy_codes(Q)
+    return codes, np.any(gap < ALIGN_AMBIGUOUS, axis=0)
 
 
 def principal_field(fb, grid):
     """Principal data of the fundamental batch fb over the grid's points,
     in a coherent gauge."""
-    chart = fb.chart
-    pb = principal_batch(fb)
+    shape, ndim, n = grid.shape, grid.ndim, fb.n
+    signs = _signs(fb.chart.ambient)
+    codes = np.empty((n,) + shape, dtype=np.int8)
+    overlaps = []           # per axis: Q and its ambiguity, canonical gauge
 
-    sig = chart.ambient.signature
-    n = chart.n
-    shape = grid.shape
-    ndim = grid.ndim
+    def gauge(X):
+        # codes composed edge by edge along the raster spanning path from
+        # the grid origin (axis 0 first with later axes at 0, then axis 1
+        # at fixed axis-0 index, and so on): a step from code c by greedy
+        # codes p ends at sign(c) p[|c| - 1], entry c + n of [-p[::-1], 0, p]
+        codes[...] = np.arange(1, n + 1).reshape((n,) + (1,) * ndim)
+        on_grid = X.reshape(X.shape[:2] + shape)
+        for ax in range(ndim):
+            Q = _overlaps(X, np.roll(on_grid, -1, axis=2 + ax)
+                          .reshape(X.shape), signs)
+            p, amb = _signed_codes(Q)
+            overlaps.append((Q.reshape((-1,) + shape), amb.reshape(shape)))
+            p = p.reshape((n,) + shape)
+            run = (slice(None),) * (ax + 2) + (0,) * (ndim - ax - 1)
+            c = np.moveaxis(codes, ax + 1, 0)[run]
+            table = np.moveaxis(np.concatenate([-p[::-1], 0 * p[:1], p]),
+                                ax + 1, 0)[run].reshape(len(c), -1)
+            lanes = np.intp(c[0, 0].size)
+            at = np.arange(lanes).reshape(c.shape[2:]) + n * lanes
+            for i in range(1, len(c)):
+                c[i] = table[i - 1][c[i - 1] * lanes + at]
+        return codes.reshape(n, -1)
 
-    # gauge transform M per point, accumulated edge by edge along the raster
-    # spanning path from the grid origin (axis 0 first with later axes at 0,
-    # then axis 1 at fixed axis-0 index, and so on)
-    M = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
-    overlaps, ambiguous = [], []
-    for ax in range(ndim):
-        Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
-                                sig)
-        P, amb = _signed_permutation(Q)
-        overlaps.append(Q)
-        ambiguous.append(amb)
-        pin = (0,) * (ndim - ax - 1)
-        for i in range(1, shape[ax]):
-            pre = (slice(None),) * ax
-            cur = pre + (i,) + pin
-            prv = pre + (i - 1,) + pin
-            M[cur] = M[prv] @ P[prv]
-
-    pb.regauge(M)
+    pb = principal_batch(fb, gauge)
 
     # verify the gauge: neighbors must overlap strongly and positively on
     # the diagonal; points adjacent to a seam or an ambiguous alignment are
-    # masked and counted.  The regauge is a signed permutation per point, so
-    # the regauged overlaps are M Q M_next^T exactly, and it permutes the
-    # rows of |Q| and the entries within each row, so the ambiguity found
-    # before it still holds
+    # masked and counted.  For codes (pi, s) at a point and (pi', s') at
+    # its neighbor, slot k's gauged overlap is s_k s'_k Q[pi(k), pi'(k)];
+    # the gauge permutes the rows of |Q| and the entries within each row,
+    # so the ambiguity found in the canonical gauge still holds
+    slot, neg = np.abs(codes) - 1, codes < 0
     coherent = np.ones(shape, dtype=bool)
-    for ax in range(ndim):
-        Q = M @ overlaps[ax] @ np.swapaxes(np.roll(M, -1, axis=ax), -1, -2)
-        diag = np.einsum("...kk->...k", Q)
-        bad = np.any(diag < ALIGN_MIN, axis=-1) | ambiguous[ax]
+    for ax, (Q, amb) in enumerate(overlaps):
+        d = np.take_along_axis(Q, slot * n + np.roll(slot, -1, axis=1 + ax),
+                               0)
+        bad = np.any(np.where(neg != np.roll(neg, -1, axis=1 + ax), -d, d)
+                     < ALIGN_MIN, axis=0) | amb
         if not grid.periodic[ax]:
-            sl = [slice(None)] * ndim
-            sl[ax] = slice(-1, None)
-            bad[tuple(sl)] = False
-        coherent &= ~bad
-        coherent &= ~np.roll(bad, 1, axis=ax)
+            bad[(slice(None),) * ax + (-1,)] = False
+        coherent &= ~bad & ~np.roll(bad, 1, axis=ax)
 
-    return PrincipalField(chart, grid, fb, pb, coherent,
+    return PrincipalField(fb.chart, grid, fb, pb, coherent,
                           int(np.sum(~coherent)))

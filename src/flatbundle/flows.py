@@ -23,9 +23,10 @@ import numpy as np
 from .engines import DEFAULT_TOL
 from .errors import (CoherenceError, DomainError, DomainExitError,
                      HypothesisViolation)
-from .fields import (Grid, _alignment_matrices, _signed_permutation,
-                     per_axis, principal_field, resolution_per_axis)
-from .fundamental import flatness_violation, fundamental_batch, gap_violation
+from .fields import (Grid, _overlaps, _signed_codes, per_axis,
+                     principal_field, resolution_per_axis)
+from .fundamental import (_components, _signs, flatness_violation,
+                          fundamental_batch, gap_violation)
 from .principal import (DEFAULT_SEED, comparison_metric, principal_batch,
                         principal_decomposition)
 from .verifiers import residual_report
@@ -54,11 +55,11 @@ def aligned_principal(chart, U, refs=None):
     """
     fb = fundamental_batch(chart, U)
     _require_hypotheses(fb)
-    pb = principal_batch(fb)
-    if refs is not None:
-        Q = _alignment_matrices(refs, pb.X_cont, chart.ambient.signature)
-        pb.regauge(_signed_permutation(Q)[0])
-    return pb
+    if refs is None:
+        return principal_batch(fb)
+    R, signs = _components(refs, 2), _signs(chart.ambient)
+    return principal_batch(fb, lambda X: _signed_codes(
+        _overlaps(R, X, signs))[0])
 
 
 def _speeds(pb):
@@ -160,11 +161,13 @@ class Chains:
     """Rows of flow legs from a base point: row r flows along axes[r, 0]
     for time times[r, 0], then along axes[r, 1], and so on.  :func:`_flow`
     sets ``outcome`` to what ``finish`` makes of the end points, or to what
-    flowing the rows on their own raised, which ``result()`` raises."""
+    flowing the rows on their own raised, which ``result()`` raises, and
+    refuses a ``t_range`` the rows were drawn from within SPENT steps of 0."""
 
     axes: np.ndarray
     times: np.ndarray
     finish: object
+    t_range: tuple = None
     outcome: object = None
 
     def result(self):
@@ -179,6 +182,12 @@ def _flow(chart, x0, chains, step):
     padded with zero-time legs, and set each one's outcome.  If that call
     raises, each one's rows are flowed again on their own, one call per
     leg, so each gets the error it raises alone."""
+    _check_step(step)
+    for c in chains:
+        if c.t_range is not None \
+                and max(map(abs, c.t_range)) <= SPENT * step:
+            raise ValueError(f"t_range {tuple(c.t_range)} lies within "
+                             f"{SPENT:g} * step of 0: no flow takes a step")
     L = max(c.times.shape[1] for c in chains)
     axes, times = (np.concatenate([
         np.pad(getattr(c, f), ((0, 0), (0, L - c.times.shape[1])))
@@ -227,9 +236,11 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
 
     ``beside`` are :class:`Chains` from x0, such as
     :func:`identity_chains`, flowed in the map's first flow_points call;
-    each gets its own outcome.  An x0 outside the usable domain raises
-    :class:`DomainError`; a ``t_box`` or ``resolution`` that is not one
-    value or n, or a resolution below 2, raises :class:`ConfigError`.
+    each gets its own outcome, and one whose ``t_range`` lies within SPENT
+    steps of 0 raises ValueError before any flow.  An x0 outside the
+    usable domain raises :class:`DomainError`; a ``t_box`` or
+    ``resolution`` that is not one value or n, or a resolution below 2,
+    raises :class:`ConfigError`.
     """
     n = chart.n
     t_box = [tuple(b) for b in per_axis("t_box", t_box, n)]
@@ -260,18 +271,11 @@ def build_flow_map(chart, x0, t_box, resolution, step=DEFAULT_STEP,
         f"{MAX_BOX_SHRINKS} shrinks", exit_time=None, last_point=None)
 
 
-def identity_chains(chart, x0, t_range, rng, n_pairs=100,
-                    step=DEFAULT_STEP):
+def identity_chains(chart, x0, t_range, rng, n_pairs=100):
     """The :class:`Chains` of :func:`check_flow_identities`, drawing its
-    pairs from the generator ``rng``; its outcome is the reports.  A
-    ``t_range`` within SPENT steps of 0 flies nowhere and raises
-    ValueError, as does a ``step`` that is not finite and > 0."""
-    _check_step(step)
+    pairs from the generator ``rng``; its outcome is the reports."""
     x0 = np.asarray(x0, dtype=float)
     n = chart.n
-    if max(abs(t_range[0]), abs(t_range[1])) <= SPENT * step:
-        raise ValueError(f"t_range {tuple(t_range)} lies within "
-                         f"{SPENT:g} * step of 0: no flow takes a step")
     t = rng.uniform(t_range[0], t_range[1], n_pairs)
     s = rng.uniform(t_range[0], t_range[1], n_pairs)
     i = rng.integers(0, n, n_pairs)
@@ -299,7 +303,7 @@ def identity_chains(chart, x0, t_range, rng, n_pairs=100,
     z = np.zeros(n_pairs, dtype=int)
     return Chains(np.array([np.r_[i, i, i, j, 0], np.r_[i, z, j, i, 0]]).T,
                   np.array([np.r_[t, t + s, t, s, t1],
-                            np.r_[s, z, s, t, -t1]]).T, finish)
+                            np.r_[s, z, s, t, -t1]]).T, finish, t_range)
 
 
 def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
@@ -322,7 +326,7 @@ def check_flow_identities(chart, x0, t_range, n_pairs=100, step=DEFAULT_STEP,
     ``flow_group_law`` over both families and ``flow_round_trip``.
     """
     checks = identity_chains(chart, x0, t_range, np.random.default_rng(seed),
-                             n_pairs, step)
+                             n_pairs)
     _flow(chart, np.asarray(x0, dtype=float), [checks], step)
     return checks.result()
 

@@ -62,13 +62,18 @@ def _point_major(a, batch):
     return np.ascontiguousarray(a.transpose(axes)).reshape(batch + a.shape[:-1])
 
 
-def _matmul(A, B):
+def _matmul(A, B, lower=False):
     """Component-major matrix product C[i, j...] = sum_k A[i, k] B[k, j...]
-    of A (r, s, m) and B (s, ..., m), accumulated in k order."""
-    shape = (A.shape[0],) + (1,) * (B.ndim - 2) + A.shape[-1:]
+    of A (r, s, m) and B (s, ..., m), accumulated in k order from +0 in
+    one product buffer.  A ``lower`` triangular A skips the zeros above its
+    diagonal: with B finite their terms are +-0, which leave C's bits."""
+    shape = (1,) * (B.ndim - 2) + A.shape[-1:]
     C = np.zeros((A.shape[0],) + B.shape[1:])
+    tmp = np.empty_like(C)
     for k in range(A.shape[1]):
-        C += A[:, k].reshape(shape) * B[k]
+        r = k if lower else 0
+        C[r:] += np.multiply(A[r:, k].reshape((len(A) - r,) + shape), B[k],
+                             out=tmp[r:])
     return C
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolation, NumericalError
-from .fundamental import _matmul, _point_major, gap_violation
+from .fundamental import _matmul, gap_violation
 
 DEFAULT_SEED = 12345
 CLUSTER_REL_TOL = 1e-6
@@ -172,20 +172,6 @@ class PrincipalBatch:
     lambdas: object
     offdiag: np.ndarray
 
-    def regauge(self, M):
-        """Apply per-point signed permutations M (..., n, n) in place:
-        directions take M, the label data (eta, eta_cont, eta_sq, lambdas)
-        take the permutation |M|.  Returns self."""
-        self.X_chart = M @ self.X_chart
-        self.X_cont = M @ self.X_cont
-        perm = np.abs(M)
-        self.eta = perm @ self.eta
-        self.eta_cont = perm @ self.eta_cont
-        self.eta_sq = (perm @ self.eta_sq[..., None])[..., 0]
-        if self.lambdas is not None:
-            self.lambdas = (perm @ self.lambdas[..., None])[..., 0]
-        return self
-
 
 def _lambdas(chart, eta_sq):
     """(|eta|^2 + C)^(-1/2) where the chart's gap passes C > 0, else None."""
@@ -194,10 +180,10 @@ def _lambdas(chart, eta_sq):
     return 1.0 / np.sqrt(eta_sq + chart.C)
 
 
-def _congruence(A, B):
+def _congruence(A, B, lower=False):
     """Component-major A B A^T for B (n, n, ..., m) symmetric in its first
-    two axes."""
-    return _matmul(A, _matmul(A, B).swapaxes(0, 1))
+    two axes; ``lower`` as in :func:`_matmul`."""
+    return _matmul(A, _matmul(A, B, lower).swapaxes(0, 1), lower)
 
 
 def _rotated(V, Atil):
@@ -208,7 +194,7 @@ def _rotated(V, Atil):
     return D, np.max(off, axis=(0, 1, 2), initial=0.0)
 
 
-def principal_batch(fb):
+def principal_batch(fb, gauge=None):
     """Diagonalize the commuting shape operators of a FundamentalBatch.
 
     The batch's inverse Cholesky factor L^{-1} (g = L L^T) takes each
@@ -226,12 +212,14 @@ def principal_batch(fb):
 
     Directions come in the canonical pointwise gauge: sorted by |eta|
     descending (stable), each signed so its largest-magnitude chart
-    component is positive.  Field sweeps and flows regauge on top.
+    component is positive.  Field sweeps and flows pass a ``gauge`` on top:
+    it maps the canonical container directions (n, N, m) to int8 signed
+    codes (n, m), and slot k takes direction |c_k| - 1, negated if c_k < 0.
     """
     n, p = fb.n, fb.chart.codimension
     batch = fb.sff_sq.shape
     Linv = fb.chol_inv                                   # (n, n, m)
-    S = _congruence(Linv, fb.alpha)                      # (n, n, p, m)
+    S = _congruence(Linv, fb.alpha, lower=True)         # (n, n, p, m)
     Atil = 0.5 * (S + S.swapaxes(0, 1))
     Aw = (_diag_weights(p)[:, None] * Atil).sum(axis=2)
     V = _eigenvectors(Aw)
@@ -250,21 +238,31 @@ def principal_batch(fb):
     eta_sq = (eta * eta).sum(axis=1)                     # (n, m)
     X = _matmul(V.swapaxes(0, 1), Linv)                  # rows: directions
 
-    # canonical gauge: a gather by |eta| descending, then the signs
-    key = np.argsort(-eta_sq, axis=0, kind="stable")
-    X = np.take_along_axis(X, key[:, None], axis=0)
-    eta = np.take_along_axis(eta, key[:, None], axis=0)
-    eta_sq = np.take_along_axis(eta_sq, key, axis=0)
+    # canonical gauge: each direction signed so its largest-magnitude chart
+    # component is positive, then sorted by |eta| descending (stable)
     lead = np.take_along_axis(X, np.argmax(np.abs(X), axis=1)[:, None],
                               axis=1)
-    X = np.where(lead < 0, -X, X)
-
+    X *= np.where(lead < 0, -1.0, 1.0)
     X_cont = _matmul(X, fb.tangent)
-    eta_cont = _matmul(eta, fb.frame)
-    eta_sq = _point_major(eta_sq, batch)
+    key = np.argsort(-eta_sq, axis=0, kind="stable")
+    if gauge is not None:
+        codes = gauge(np.take_along_axis(X_cont, key[:, None], axis=0))
+        key = np.take_along_axis(key, np.abs(codes) - 1, axis=0)
+    at = (np.arange(key.shape[1])[:, None], key.T)
+
+    def gather(A, directions=False):
+        # one gather into the point-major layout; gauged directions take
+        # the codes' signs, "+ 0.0" reading -0 as +0 as a matrix product does
+        A = A.transpose((A.ndim - 1,) + tuple(range(A.ndim - 1)))[at]
+        if directions and gauge is not None:
+            A *= np.sign(codes).T[..., None]
+            A += 0.0
+        return A.reshape(batch + A.shape[1:])
+
+    eta_sq = gather(eta_sq)
     return PrincipalBatch(
-        fb, _point_major(X, batch), _point_major(X_cont, batch),
-        _point_major(eta, batch), _point_major(eta_cont, batch), eta_sq,
+        fb, gather(X, True), gather(X_cont, True), gather(eta),
+        gather(_matmul(eta, fb.frame)), eta_sq,
         _lambdas(fb.chart, eta_sq), (offdiag / scale).reshape(batch))
 
 

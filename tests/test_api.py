@@ -43,7 +43,7 @@ def test_the_walk_sees_functions_and_methods():
     names = dict(_functions())
     for name in ("flows.build_flow_map", "growth._polyline_samples",
                  "principal._diag_weights", "charts.ImmersionChart.jet",
-                 "principal.PrincipalBatch.regauge", "engines.jet"):
+                 "fields.PrincipalField.along", "engines.jet"):
         assert name in names, name
 
 
@@ -131,6 +131,12 @@ def test_one_name_per_concept():
     assert "position" not in {f.name for f in dataclasses.fields(fb)}
     assert not hasattr(fb, "shape_operators")
     assert principal._matmul is fundamental._matmul
+    # one signed-permutation gauge: codes applied by principal_batch
+    assert not hasattr(principal.PrincipalBatch, "regauge")
+    for name in ("_alignment_matrices", "_signed_permutation"):
+        assert not hasattr(fields, name), name
+    assert flows._overlaps is fields._overlaps
+    assert flows._signed_codes is fields._signed_codes
     # every grid derivative goes through Grid.deriv
     assert not hasattr(fields.PrincipalField, "dfield")
     assert not hasattr(fields.PrincipalField, "directional")

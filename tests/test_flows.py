@@ -102,8 +102,10 @@ def test_a_step_that_is_not_finite_and_positive_is_refused(dini, step,
             lambda: flow_points(chart, U0, 0, 0.1, step=step),
             lambda: build_flow_map(chart, DINI_X0, ((-0.2, 0.2),) * 2, 5,
                                    step=step),
-            lambda: identity_chains(chart, DINI_X0, (-0.2, 0.2), rng,
-                                    n_pairs=4, step=step),
+            lambda: build_flow_map(chart, DINI_X0, ((-0.2, 0.2),) * 2, 5,
+                                   step=step, beside=[identity_chains(
+                                       chart, DINI_X0, (-0.2, 0.2), rng,
+                                       n_pairs=4)]),
             lambda: check_flow_identities(chart, DINI_X0, (-0.2, 0.2),
                                           n_pairs=4, step=step)):
         with pytest.raises(ValueError, match=r"^step = .* finite and > 0$"):
@@ -327,6 +329,21 @@ def test_a_t_range_that_takes_no_step_is_refused(dini):
     rep = check_flow_identities(dini.chart, DINI_X0, (-1e-12, 1e-10),
                                 n_pairs=4)["flow_round_trip"]
     assert rep.notes == "axis 0 to t = 1e-10 and back"
+
+
+def test_chains_flown_at_a_step_their_t_range_misses_are_refused(
+        dini, monkeypatch):
+    """identity_chains checked its t_range against a step of its own, not
+    the one they fly at: chains built at the default step and flown with
+    step = 1e7 took no step and printed flow_group_law PASS
+    max=0.000e+00.  The call that flies them refuses them, before any
+    flow."""
+    _no_decomposition(monkeypatch)
+    chains = identity_chains(dini.chart, DINI_X0, (-1e-3, 1e-3),
+                             np.random.default_rng(1), n_pairs=4)
+    with pytest.raises(ValueError, match="t_range"):
+        build_flow_map(dini.chart, DINI_X0, ((-0.2, 0.2),) * 2, 5,
+                       step=1e7, beside=[chains])
 
 
 def _six_flow_group_law(chart, x0, t_range, n_pairs, seed):

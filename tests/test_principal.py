@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from flatbundle import catalog, principal
+from flatbundle import catalog, fundamental, principal
 from flatbundle.errors import HypothesisViolation
-from flatbundle.fields import make_grid
-from flatbundle.fundamental import _point_major, fundamental_batch
+from flatbundle.fields import (ALIGN_AMBIGUOUS, ALIGN_MIN, _greedy_codes,
+                               _signed_codes, make_grid, principal_field)
+from flatbundle.fundamental import (_components, _point_major,
+                                    fundamental_batch)
 from flatbundle.principal import (PrincipalBatch, _diag_weights, _lambdas,
                                   comparison_metric, joint_diagonalize,
                                   principal_batch, principal_decomposition)
@@ -49,29 +51,59 @@ def test_principal_batch_canonical_gauge(pseudosphere):
     assert np.all(lead > 0)
 
 
-def test_regauge_round_trip(pseudosphere, rng):
-    """regauge(M) moves direction perm[k] to slot k with sign s[k] and only
-    permutes the label data; regauge(M^T) restores every field exactly."""
-    pb = _ps_grid_batch(pseudosphere)
-    fields = ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas")
-    before = {f: getattr(pb, f).copy() for f in fields}
-    shape, n = pb.eta_sq.shape[:-1], pb.eta_sq.shape[-1]
-    perm = np.argsort(rng.random(shape + (n,)), axis=-1)
-    sign = rng.choice([-1.0, 1.0], shape + (n,))
-    M = np.where(perm[..., None] == np.arange(n), sign[..., None], 0.0)
+def _regauge(pb, M):
+    """The per-point signed permutation matrices M (..., n, n) applied by
+    matrix products: directions take M, the label data take |M|."""
+    pb.X_chart = M @ pb.X_chart
+    pb.X_cont = M @ pb.X_cont
+    perm = np.abs(M)
+    pb.eta = perm @ pb.eta
+    pb.eta_cont = perm @ pb.eta_cont
+    pb.eta_sq = (perm @ pb.eta_sq[..., None])[..., 0]
+    if pb.lambdas is not None:
+        pb.lambdas = (perm @ pb.lambdas[..., None])[..., 0]
+    return pb
 
-    pb.regauge(M)
+
+def test_regauge_round_trip(pseudosphere, rng):
+    """Signed codes move direction perm[k] to slot k with sign s[k] and
+    only permute the label data; the gauge sees the canonical container
+    directions, component-major, and the codes composed with their
+    inverse give every field back."""
+    fb = fundamental_batch(pseudosphere.chart,
+                           make_grid(pseudosphere.chart, 9).points)
+    pb0 = principal_batch(fb)
+    fields = ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas")
+    shape, n = pb0.eta_sq.shape[:-1], pb0.eta_sq.shape[-1]
+    perm = np.argsort(rng.random(shape + (n,)), axis=-1)
+    sign = rng.choice([-1, 1], shape + (n,))
+    codes = _components(sign * (perm + 1), 1).astype(np.int8)
+    seen = []
+
+    def gauge(X):
+        seen.append(X.copy())
+        return codes
+
+    pb = principal_batch(fb, gauge)
+    np.testing.assert_array_equal(seen[0], _components(pb0.X_cont, 2))
     np.testing.assert_array_equal(
         pb.X_chart, sign[..., None] * np.take_along_axis(
-            before["X_chart"], perm[..., None], axis=-2))
+            pb0.X_chart, perm[..., None], axis=-2))
     np.testing.assert_array_equal(
-        pb.eta, np.take_along_axis(before["eta"], perm[..., None], axis=-2))
+        pb.eta, np.take_along_axis(pb0.eta, perm[..., None], axis=-2))
     np.testing.assert_array_equal(
-        pb.lambdas, np.take_along_axis(before["lambdas"], perm, axis=-1))
+        pb.lambdas, np.take_along_axis(pb0.lambdas, perm, axis=-1))
 
-    pb.regauge(np.swapaxes(M, -1, -2))
+    # the inverse: slot perm[k] takes direction k with sign s[k]; composed
+    # after the codes as the field sweep composes, sign(c) inv[|c| - 1]
+    inv = np.empty_like(codes)
+    np.put_along_axis(inv, np.abs(codes).astype(int) - 1,
+                      np.sign(codes) * (np.arange(n)[:, None] + 1), axis=0)
+    back = principal_batch(fb, lambda X: np.sign(codes) * np.take_along_axis(
+        inv, np.abs(codes).astype(int) - 1, axis=0))
     for f in fields:
-        np.testing.assert_array_equal(getattr(pb, f), before[f], err_msg=f)
+        np.testing.assert_array_equal(getattr(back, f), getattr(pb0, f),
+                                      err_msg=f)
 
 
 def test_sphere_umbilic_cluster(sphere_control):
@@ -173,15 +205,15 @@ def test_plane_zero_alpha():
 
 
 def test_signed_permutation_any_memory_layout():
-    """A transposed (non-contiguous) stack of alignment matrices gets the
-    signed permutations of its contiguous copy: one +-1 per row."""
-    from flatbundle.fields import _signed_permutation
-    Q = np.random.default_rng(2).standard_normal((6, 3, 3)).swapaxes(-1, -2)
-    P, ambiguous = _signed_permutation(Q)
-    P_c, ambiguous_c = _signed_permutation(np.ascontiguousarray(Q))
-    assert np.array_equal(P, P_c)
+    """A transposed (non-contiguous) stack of overlaps gets the signed
+    codes of its contiguous copy: a signed permutation at every point."""
+    Q = np.random.default_rng(2).standard_normal((3, 3, 6)).swapaxes(0, 1)
+    codes, ambiguous = _signed_codes(Q)
+    codes_c, ambiguous_c = _signed_codes(np.ascontiguousarray(Q))
+    assert np.array_equal(codes, codes_c)
     assert np.array_equal(ambiguous, ambiguous_c)
-    assert np.array_equal(np.abs(P).sum(axis=-1), np.ones((6, 3)))
+    assert np.array_equal(np.sort(np.abs(codes), axis=0),
+                          np.broadcast_to([[1], [2], [3]], (3, 6)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -189,17 +221,180 @@ def test_signed_permutation_ambiguity_matches_a_full_sort(n):
     """The best-minus-runner-up gap, taken without sorting a row, flags
     the points that a sorted row flags, exact ties and gaps at the
     threshold included."""
-    from flatbundle.fields import ALIGN_AMBIGUOUS, _signed_permutation
-    Q = np.random.default_rng(n).standard_normal((2000, n, n)) * 0.2
-    Q[:1000] = np.round(Q[:1000], 1)
-    _, ambiguous = _signed_permutation(Q)
-    expected = np.zeros(len(Q), dtype=bool)
-    if n > 1:
-        top2 = -np.sort(-np.abs(Q), axis=-1)[..., :2]
-        expected = np.any(top2[..., 0] - top2[..., 1] < ALIGN_AMBIGUOUS,
-                          axis=-1)
-        assert 0 < expected.sum() < len(Q)
+    Q = np.random.default_rng(n).standard_normal((n, n, 2000)) * 0.2
+    Q[..., :1000] = np.round(Q[..., :1000], 1)
+    _, ambiguous = _signed_codes(Q)
+    top2 = -np.sort(-np.abs(Q), axis=1)[:, :2]
+    expected = np.any(top2[:, 0] - top2[:, 1] < ALIGN_AMBIGUOUS, axis=0)
+    assert 0 < expected.sum() < Q.shape[-1]
     assert np.array_equal(ambiguous, expected)
+
+
+def _alignment_matrices(X, Y, signature):
+    """Q[..., k, l] = <X_k, Y_l> of point-major frames (..., n, N)."""
+    return np.einsum("...kN,...lN->...kl", X * signature, Y)
+
+
+def _signed_permutation(Q):
+    """The greedy signed permutation matrices P (..., n, n) of point-major
+    overlaps Q: the largest |Q_kl| left (the first in row-major order on a
+    tie) sets P_kl = sign(Q_kl) (+1 for 0) and takes row k and column l
+    out."""
+    n = Q.shape[-1]
+    flat = np.abs(Q).reshape(-1, n * n)
+    Qflat = Q.reshape(flat.shape)
+    P = np.zeros(flat.shape, dtype=Q.dtype)
+    pts, lane = np.arange(flat.shape[0]), np.arange(n)
+    for _ in range(n):
+        idx = np.argmax(flat, axis=-1)
+        sgn = np.sign(Qflat[pts, idx])
+        P[pts, idx] = np.where(sgn == 0, 1.0, sgn)
+        k, l = idx // n, idx % n
+        flat[pts[:, None], k[:, None] * n + lane] = -np.inf
+        flat[pts[:, None], lane * n + l[:, None]] = -np.inf
+    return P.reshape(Q.shape)
+
+
+def _codes_of(P):
+    """The signed codes (n, m) of point-major signed permutation matrices
+    P (m, n, n)."""
+    slot = np.argmax(np.abs(P), axis=-1)
+    sign = np.take_along_axis(P, slot[..., None], axis=-1)[..., 0]
+    return (sign * (slot + 1)).astype(np.int8).T
+
+
+def _ties_zeros_and_signs(n, count, rng):
+    """Overlaps (n, n, count) with exact ties, zeros and negative
+    entries: random normal, rounded to one digit, and drawn from
+    {-1, -0.5, -0, 0, 0.5, 1}."""
+    Q = rng.standard_normal((n, n, 3 * count))
+    Q[..., count:2 * count] = np.round(Q[..., count:2 * count], 1)
+    Q[..., 2 * count:] = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0],
+                                    (n, n, count))
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_signed_codes_are_the_greedy_permutation(n, rng):
+    """The codes (the closed form at n = 2, the greedy loop otherwise) are
+    those of the greedy signed permutation matrices, ties, zeros and
+    negative entries included."""
+    Q = _ties_zeros_and_signs(n, 2000, rng)
+    want = _codes_of(_signed_permutation(np.moveaxis(Q, -1, 0)))
+    codes, _ = _signed_codes(Q)
+    assert codes.dtype == np.int8
+    np.testing.assert_array_equal(codes, want)
+    np.testing.assert_array_equal(_greedy_codes(Q), want)
+
+
+# ---------------------------------------------------------------------------
+# the field sweep against the point-major matrix sweep
+
+def _matrix_sweep(fb, grid):
+    """The coherent gauge by per-point signed permutation matrices:
+    alignment matrices, greedy matrices composed along the raster path
+    (M_next = M P), a matrix regauge of the canonical batch, and the
+    coherence mask from M Q M_next^T.  Returns (pb, coherent)."""
+    pb = principal_batch(fb)
+    sig = fb.chart.ambient.signature
+    n, shape, ndim = fb.n, grid.shape, grid.ndim
+    M = np.broadcast_to(np.eye(n), shape + (n, n)).copy()
+    overlaps = []
+    for ax in range(ndim):
+        Q = _alignment_matrices(pb.X_cont, np.roll(pb.X_cont, -1, axis=ax),
+                                sig)
+        P = _signed_permutation(Q)
+        overlaps.append(Q)
+        pin = (0,) * (ndim - ax - 1)
+        for i in range(1, shape[ax]):
+            pre = (slice(None),) * ax
+            M[pre + (i,) + pin] = M[pre + (i - 1,) + pin] @ P[
+                pre + (i - 1,) + pin]
+    _regauge(pb, M)
+    coherent = np.ones(shape, dtype=bool)
+    for ax in range(ndim):
+        Q = overlaps[ax]
+        absQ = np.abs(Q)
+        top2 = -np.sort(-absQ, axis=-1)[..., :2]
+        ambiguous = np.any(top2[..., 0] - top2[..., 1] < ALIGN_AMBIGUOUS,
+                           axis=-1)
+        Q = M @ Q @ np.swapaxes(np.roll(M, -1, axis=ax), -1, -2)
+        bad = np.any(np.einsum("...kk->...k", Q) < ALIGN_MIN, axis=-1) \
+            | ambiguous
+        if not grid.periodic[ax]:
+            bad[(slice(None),) * ax + (-1,)] = False
+        coherent &= ~bad & ~np.roll(bad, 1, axis=ax)
+    return pb, coherent
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("name, res", [
+    ("pseudosphere", 33), ("dini", 65), ("sine_gordon_surface", 33),
+    ("hyperbolic_plane", 33), ("ps3", 9)])
+def test_field_sweep_is_the_matrix_sweep(name, res):
+    """Every PrincipalBatch field of principal_field and its coherence
+    mask are bit-equal to the matrix sweep's, -0 included: on charts with
+    and without incoherent points, n = 2 and 3, periodic axes and a
+    Minkowski container."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, res)
+    fb = fundamental_batch(chart, grid.points)
+    pf = principal_field(fb, grid)
+    want, coherent = _matrix_sweep(fb, grid)
+    for f in ("X_chart", "X_cont", "eta", "eta_cont", "eta_sq", "lambdas",
+              "offdiag"):
+        got, ref = getattr(pf.pb, f), getattr(want, f)
+        if ref is None:
+            assert got is None, f
+            continue
+        assert got.shape == ref.shape, f
+        np.testing.assert_array_equal(_bits(got), _bits(ref), err_msg=f)
+    np.testing.assert_array_equal(pf.coherent, coherent)
+    assert pf.n_incoherent == int(np.sum(~coherent))
+    if name == "hyperbolic_plane":
+        assert pf.n_incoherent > 0
+
+
+# ---------------------------------------------------------------------------
+# the component-major matrix product against the loop it replaced
+
+def _matmul_loop(A, B):
+    """C[i, j...] = sum_k A[i, k] B[k, j...], from a zero C with one
+    broadcast temporary per k."""
+    shape = (A.shape[0],) + (1,) * (B.ndim - 2) + A.shape[-1:]
+    C = np.zeros((A.shape[0],) + B.shape[1:])
+    for k in range(A.shape[1]):
+        C += A[:, k].reshape(shape) * B[k]
+    return C
+
+
+@pytest.mark.parametrize("name", ["pseudosphere", "ps3", "product_torus_r4",
+                                  "clifford_torus_s3"])
+def test_matmul_and_congruence_are_the_loop(name, rng):
+    """_matmul in one product buffer, and the congruence that skips the
+    zeros above the diagonal of L^{-1}, are bit-equal to the loop: on the
+    batch's own L^{-1} and alpha, and on random factors with exact zeros,
+    negative entries and -0."""
+    chart = catalog.get(name).chart
+    fb = fundamental_batch(chart, _points(chart, 50, 7))
+    n, m = fb.n, 50
+    L = np.where(np.tri(n, dtype=bool)[..., None],
+                 rng.choice([-2.0, -0.0, 0.0, 0.5, 3.0], (n, n, m))
+                 * rng.standard_normal((n, n, m)).round(1), 0.0)
+    B = rng.choice([-1.0, -0.0, 0.0, 1.0], (n, n, 2, m)) \
+        * rng.standard_normal((n, n, 2, m)).round(1)
+    B = B + B.swapaxes(0, 1)
+    for Linv, alpha in ((fb.chol_inv, fb.alpha), (L, B)):
+        want = _matmul_loop(Linv, _matmul_loop(Linv, alpha).swapaxes(0, 1))
+        got = principal._congruence(Linv, alpha, lower=True)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+        for A, C in ((Linv, alpha), (Linv, alpha[:, 0]),
+                     (Linv.swapaxes(0, 1), fb.tangent)):
+            np.testing.assert_array_equal(_bits(fundamental._matmul(A, C)),
+                                          _bits(_matmul_loop(A, C)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +443,8 @@ def _principal_oracle(fb):
         X_chart, np.argmax(np.abs(X_chart), axis=-1)[..., None], axis=-1)
     sign = np.where(lead[..., 0] < 0, -1.0, 1.0)
     M = np.where(key[..., None] == np.arange(n), sign[..., None, :], 0.0)
-    return PrincipalBatch(fb, X_chart, X_cont, eta, eta_cont, eta_sq,
-                          _lambdas(fb.chart, eta_sq), offdiag).regauge(M)
+    return _regauge(PrincipalBatch(fb, X_chart, X_cont, eta, eta_cont, eta_sq,
+                                   _lambdas(fb.chart, eta_sq), offdiag), M)
 
 
 def _assert_matches_oracle(pb, want):

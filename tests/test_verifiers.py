@@ -8,8 +8,7 @@ import pytest
 
 from flatbundle import catalog, verifiers
 from flatbundle.errors import ConfigError, DegenerateMetricError
-from flatbundle.fields import (ALIGN_MIN, Grid, _alignment_matrices,
-                               _signed_permutation, make_grid,
+from flatbundle.fields import (ALIGN_AMBIGUOUS, ALIGN_MIN, Grid, make_grid,
                                principal_field)
 from flatbundle.fundamental import fundamental_batch
 from flatbundle.principal import comparison_metric, principal_batch
@@ -225,15 +224,17 @@ def test_gauge_coherence_on_grids(ps_field_33, dini_field_65):
 
 
 def _recomputed_coherence(fb, grid, pf):
-    """The coherence mask with the overlaps recomputed from the regauged
-    frames, and the ambiguity from the canonical ones."""
+    """The coherence mask with the overlaps recomputed by einsum from the
+    gauged frames, and the ambiguity from the canonical ones."""
     sig = fb.chart.ambient.signature
     X0, X = principal_batch(fb).X_cont, pf.pb.X_cont
     coherent = np.ones(grid.shape, dtype=bool)
     for ax in range(grid.ndim):
-        _, amb = _signed_permutation(
-            _alignment_matrices(X0, np.roll(X0, -1, axis=ax), sig))
-        Q = _alignment_matrices(X, np.roll(X, -1, axis=ax), sig)
+        top2 = -np.sort(-np.abs(np.einsum(
+            "...kN,...lN->...kl", X0 * sig, np.roll(X0, -1, axis=ax))),
+            axis=-1)[..., :2]
+        amb = np.any(top2[..., 0] - top2[..., 1] < ALIGN_AMBIGUOUS, axis=-1)
+        Q = np.einsum("...kN,...lN->...kl", X * sig, np.roll(X, -1, axis=ax))
         bad = np.any(np.einsum("...kk->...k", Q) < ALIGN_MIN, axis=-1) | amb
         if not grid.periodic[ax]:
             bad[(slice(None),) * ax + (-1,)] = False
@@ -244,9 +245,10 @@ def _recomputed_coherence(fb, grid, pf):
 @pytest.mark.parametrize("res", [9, 17, 33])
 @pytest.mark.parametrize("name", ["veronese_r5", "hyperbolic_plane"])
 def test_coherence_reuses_the_first_pass_overlaps(name, res):
-    """The regauged overlaps are M Q M_next^T of the first pass's Q, which
-    is exact for signed permutations M: the mask equals one from overlaps
-    recomputed on the regauged frames, on charts with incoherent points."""
+    """The gauged overlaps s_k s'_k Q[pi(k), pi'(k)] are read from the
+    first pass's Q, which is exact for signed codes: the mask equals one
+    from overlaps recomputed on the gauged frames, on charts with
+    incoherent points."""
     chart = catalog.get(name).chart
     grid = make_grid(chart, res)
     fb = fundamental_batch(chart, grid.points)
