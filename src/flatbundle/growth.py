@@ -8,11 +8,15 @@ overshoot subtracted as an error budget.  That overshoot is exact in every
 dimension: 1/inradius - 1 of the convex hull of the unit stencil
 directions, tabulated for n = 2 and 3.
 
-An edge weight is the metric length of the edge at its midpoint.  Every
-edge midpoint lies on the 2x-refined half-lattice of the grid, so the
-metrics are evaluated once on the half-lattice points off the nodes, in
-blocks of ``fundamental.BLOCK`` points (so each batch is a single kernel
-block), and each edge indexes its weight out of that one evaluation.  A
+An edge weight is the metric length of the edge at its midpoint.  The
+midpoint of the edge k -> k + o lies on the 2x-refined half-lattice of
+the grid, at half-index 2k + o.  The half-lattice points off the nodes
+fall into parity classes c in {0,1}^n other than 0, each a lattice of
+its own, and the midpoints of one offset o are a shifted window of the
+lattice of c = o mod 2.  So the metrics are evaluated once on the class
+lattices, in blocks of ``fundamental.BLOCK`` points (so each batch is a
+single kernel block), and each offset's weights are multiply-adds over a
+window of its class lattice, with no midpoint table and no gather.  A
 block needs only the induced metric g and the comparison metric
 g0 = C g + III: it reads them from a ``fundamental_batch`` (which refuses
 a degenerate g or a non-finite normal projection) without building its
@@ -28,6 +32,8 @@ at a time, each fills a weight table and runs Dijkstra without it.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -49,6 +55,7 @@ LENGTH_SAMPLES = 64          # midpoint samples per polyline segment
 LENGTH_CURVES = 20           # random polylines of the length check
 # stencil_overshoot(stencil_offsets(n)) by ConvexHull, per dimension n
 _OVERSHOOT = {2: 0.013081457233190097, 3: 0.02596311932106632}
+_GROUP = 8            # stencil offsets (64 bytes) per write to a weight row
 # reference_ball_volume's Gauss-Legendre nodes and weights on [-1, 1], and
 # its most panels: past sqrt|c| r = 711, sinh(sqrt|c| r) overflows
 _GAUSS = np.polynomial.legendre.leggauss(20)
@@ -139,56 +146,90 @@ def nearest_node(grid, x0):
     return tuple(index)
 
 
+def _windows(grid, o, d):
+    """Pairs (at, to) of index boxes for the edges k -> k + o: over the
+    nodes k of box ``at`` the edge stays on the grid, and k + d (wrapped
+    on a periodic axis) runs over box ``to`` of a lattice that shares the
+    grid's periodic axes.  A periodic axis splits where k + d wraps.  On
+    a non-periodic axis shorter than the offset the box's stop is at or
+    below its start (a negative stop, which a slice would wrap): dropped,
+    as is every other empty box."""
+    axes = []
+    for r, per, oa, da in zip(grid.shape, grid.periodic, o, d):
+        if per:
+            t = da % r
+            pairs = [(slice(0, r - t), slice(t, r)),
+                     (slice(r - t, r), slice(0, t))]
+        else:
+            lo, hi = max(0, -oa), min(r, r - oa)
+            pairs = [(slice(lo, hi), slice(lo + da, hi + da))]
+        axes.append([p for p in pairs if p[0].stop > p[0].start])
+    for boxes in itertools.product(*axes):
+        yield tuple(at for at, _ in boxes), tuple(to for _, to in boxes)
+
+
 def _stencil_graph(grid):
-    """The stencil's CSR structure and its edge midpoints on the half-lattice.
+    """The stencil's CSR structure, read off (nodes, K) tables over the K
+    stencil offsets.
 
-    The half-lattice is the 2x-refined grid: node k sits at refined index
-    2k, and the midpoint of the edge k -> k + o at 2k + o (wrapped mod 2r
-    on a periodic axis of resolution r).  Offsets are primitive, so no
-    midpoint is a node, and every refined point off the nodes is the
-    midpoint of some edge.
-
-    Returns (indptr, indices, valid, rows, mids, offsets): mids (m, n)
-    holds the chart coordinates of the refined points off the nodes, and
-    column s of the (nodes, K) tables is offsets[s] from every node: valid
-    marks the edges on the grid, rows their midpoints in mids.  Each edge
-    is stored once, from its source, and the int32 indices are node-major:
-    no sort.
+    Returns (indptr, indices, valid, offsets): column s of the tables is
+    offsets[s] from every node, and valid marks the edges on the grid.
+    Both tables are sums and products of per-axis (r, K) tables of k + o.
+    Each edge is stored once, from its source, and the int32 indices are
+    node-major: no sort.
     """
-    shape = grid.shape
-    ndim = grid.ndim
+    shape, ndim = grid.shape, grid.ndim
     if any(per and r <= 2 * _OFFSET_RANGE
            for r, per in zip(shape, grid.periodic)):
         # two offsets would wrap onto one node pair, or an edge onto a loop
         raise ValueError(f"the stencil needs at least {2 * _OFFSET_RANGE + 1}"
                          " grid points on a periodic axis")
-    half_shape = tuple(2 * r if per else 2 * r - 1
-                       for r, per in zip(shape, grid.periodic))
-    hidx = np.indices(half_shape, dtype=np.int32).reshape(ndim, -1)
-    off_node = np.any(hidx % 2 == 1, axis=0)
-    mids = np.stack([ax[0] + 0.5 * h * i for ax, h, i
-                     in zip(grid.axes, grid.spacing, hidx[:, off_node])],
-                    axis=-1)
-    row = np.cumsum(off_node, dtype=np.int32) - 1     # at the nodes: unused
-
-    node = np.indices(shape, dtype=np.int32).reshape(ndim, -1)
-    size = np.array(shape)[:, None]
-    per = np.array(grid.periodic)[:, None]
-    # clipped indices only land on edges that leave the grid
-    modes = ["wrap" if p else "clip" for p in grid.periodic]
     offsets = stencil_offsets(ndim)
-    dst = np.empty((node.shape[1], len(offsets)), dtype=np.int32)
-    rows = np.empty_like(dst)
-    valid = np.empty(dst.shape, dtype=bool)
-    for s, o in enumerate(offsets):
-        to = node + o[:, None]          # its midpoint is at 2 node + o
-        valid[:, s] = np.all(per | ((to >= 0) & (to < size)), axis=0)
-        dst[:, s] = np.ravel_multi_index(to, shape, mode=modes)
-        rows[:, s] = row[np.ravel_multi_index(to + node, half_shape,
-                                              mode=modes)]
-    indptr = np.zeros(len(dst) + 1, dtype=np.int32)
+    K = len(offsets)
+    valid = np.ones(shape + (K,), dtype=bool)
+    steps, stride = [], math.prod(shape)
+    for a, (r, per) in enumerate(zip(shape, grid.periodic)):
+        stride //= r
+        to = np.arange(r)[:, None] + offsets[:, a]      # (r, K): k + o
+        along = (1,) * a + (r,) + (1,) * (ndim - 1 - a) + (K,)
+        steps.append(((to % r) * stride).astype(np.int32).reshape(along))
+        if not per:
+            valid &= ((to >= 0) & (to < r)).reshape(along)
+    dst = functools.reduce(np.add, steps)       # read where valid only
+    valid = valid.reshape(-1, K)
+    indptr = np.zeros(len(valid) + 1, dtype=np.int32)
     np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
-    return indptr, dst[valid], valid, rows, mids, offsets
+    return indptr, dst.reshape(valid.shape)[valid], valid, offsets
+
+
+def _parity_classes(grid):
+    """The parity classes c in {0,1}^n other than 0 of the half-lattice,
+    each with the shape of its lattice and where that lattice starts in
+    their concatenation, and the concatenation's length.  Point k of
+    class c sits at half-index 2k + c, so an axis has one point fewer
+    than the grid where c is odd and the axis is not periodic."""
+    classes, total = [], 0
+    for c in itertools.product((0, 1), repeat=grid.ndim):
+        if any(c):
+            shape = tuple(r - 1 if ca and not per else r
+                          for r, ca, per in zip(grid.shape, c, grid.periodic))
+            classes.append((c, shape, total))
+            total += math.prod(shape)
+    return classes, total
+
+
+def _midpoints(grid, classes, start, stop):
+    """Chart points start:stop of the concatenated class lattices, each
+    in C order."""
+    points = []
+    for c, shape, base in classes:
+        lo, hi = max(start - base, 0), min(stop - base, math.prod(shape))
+        if lo < hi:
+            k = np.unravel_index(np.arange(lo, hi), shape)
+            points.append(np.stack(
+                [ax[0] + 0.5 * h * (2 * ka + ca) for ax, h, ka, ca
+                 in zip(grid.axes, grid.spacing, k, c)], axis=-1))
+    return np.concatenate(points)
 
 
 def distance_fields(grid, metrics_fn, anchor_index):
@@ -196,28 +237,55 @@ def distance_fields(grid, metrics_fn, anchor_index):
 
     metrics_fn : callable(points (m, n)) -> dict label -> (m, n, n),
                  evaluated once per block of at most BLOCK edge midpoints
+
+    The points are the parity-class lattices of the half-lattice, one
+    after another, and each label's metrics are kept per class,
+    component-major.  The midpoint of the edge k -> k + o is point k + d
+    of class c = o mod 2, d = (o - c) / 2 (mod r on a periodic axis), so
+    over the box of nodes where offset o stays on the grid its weights
+    are x_i G_ij x_j, x = o h, summed in _quadratic_form's order over a
+    window of that class lattice.  _GROUP offsets at a time pass through
+    a scratch into the node-major (nodes, K) weight table, whose valid
+    entries, square-rooted, are the CSR data.  One label at a time is
+    weighed, released and run through Dijkstra.
     """
-    indptr, indices, valid, rows, mids, offsets = _stencil_graph(grid)
+    indptr, indices, valid, offsets = _stencil_graph(grid)
     overshoot = stencil_overshoot(offsets)
+    classes, total = _parity_classes(grid)
     metrics = {}          # filled in place: no second copy of the metrics
-    for s in range(0, len(mids), BLOCK):
-        for label, g in metrics_fn(mids[s:s + BLOCK]).items():
+    for s in range(0, total, BLOCK):
+        U = _midpoints(grid, classes, s, s + BLOCK)
+        for label, g in metrics_fn(U).items():
             if label not in metrics:
-                metrics[label] = np.empty((len(mids),) + g.shape[1:])
-            metrics[label][s:s + len(g)] = g
-    del mids
+                metrics[label] = np.empty(g.shape[1:] + (total,))
+            metrics[label][..., s:s + len(g)] = np.moveaxis(g, 0, -1)
     a = int(np.ravel_multi_index(anchor_index, grid.shape))
     fields = {}
     for label in list(metrics):
         G = metrics.pop(label)
-        w = np.empty(valid.shape)
-        for s, o in enumerate(offsets):
-            w[:, s] = _quadratic_form(G[rows[:, s]], o * grid.spacing)
-        del G
-        np.sqrt(w, out=w)
-        graph = sparse.csr_matrix((w[valid], indices, indptr),
-                                  shape=(len(valid),) * 2)
+        lattices = {c: np.moveaxis(           # (shape..., n, n) views
+            G[..., b:b + math.prod(shape)].reshape(G.shape[:-1] + shape),
+            (0, 1), (-2, -1)) for c, shape, b in classes}
+        # _GROUP offsets at a time through a (_GROUP, nodes) scratch: one
+        # offset's column alone writes a single entry per cache line of w
+        scratch = np.empty((_GROUP,) + grid.shape)
+        w = np.empty(grid.shape + (len(offsets),))  # read where valid only
+        for s in range(0, len(offsets), _GROUP):
+            group = offsets[s:s + _GROUP]
+            for j, o in enumerate(group):
+                c = o % 2
+                for at, to in _windows(grid, o, (o - c) // 2):
+                    scratch[(j,) + at] = _quadratic_form(
+                        lattices[tuple(c)][to], o * grid.spacing)
+            w[..., s:s + len(group)] = np.moveaxis(scratch[:len(group)], 0,
+                                                   -1)
+        del G, lattices, scratch
+        data = w.reshape(valid.shape)[valid]
         del w
+        np.sqrt(data, out=data)
+        graph = sparse.csr_matrix((data, indices, indptr),
+                                  shape=(len(valid),) * 2)
+        del data
         d, pred = dijkstra(graph, directed=False, indices=a,
                            return_predecessors=True)
         del graph
@@ -540,7 +608,11 @@ def growth_report(chart, x0, radii, window=None, resolution=None,
         raise HypothesisViolation(
             f"{chart.name}: {reason}"
             + (" (pass exploratory=True for C = 0)" if C == 0 else ""))
-    radii = sorted(float(r) for r in radii)
+    radii = [float(r) for r in radii]
+    for r in radii:
+        if not math.isfinite(r):
+            raise ValueError(f"radius {r} is not finite")
+    radii = sorted(radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
     x0 = np.asarray(x0, dtype=float)

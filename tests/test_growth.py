@@ -17,9 +17,10 @@ from flatbundle import catalog, growth
 from flatbundle.errors import (ConfigError, DomainError,
                                HypothesisViolation)
 from flatbundle.fields import make_grid
-from flatbundle.fundamental import fundamental_batch
-from flatbundle.growth import (DistanceField, _stencil_graph,
-                               _strict_verdict, ball_max_sff, ball_volume,
+from flatbundle.fundamental import BLOCK, fundamental_batch
+from flatbundle.growth import (_GROUP, DistanceField, _quadratic_form,
+                               _stencil_graph, _strict_verdict,
+                               ball_max_sff, ball_volume,
                                check_ball_containment,
                                check_distance_inequality,
                                check_length_inequality, curve_length,
@@ -226,7 +227,7 @@ def test_curve_length_keeps_the_fd_stencil_in_the_domain(pseudosphere):
 
 
 # ---------------------------------------------------------------------------
-# half-lattice edge weights against the per-offset reference
+# class-window edge weights against the per-offset and gather references
 
 def _per_offset_edges(grid):
     """Reference stencil edges: per offset, the (src, dst) node pairs that
@@ -319,7 +320,7 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
     dst = np.concatenate([e[1] for e in edges])
     ref = sparse.coo_matrix((np.ones(len(src)), (src, dst)),
                             shape=(n_nodes, n_nodes)).tocsr()
-    indptr, indices, valid, rows, mids, _ = _stencil_graph(grid)
+    indptr, indices, valid, _ = _stencil_graph(grid)
     assert len(indptr) == n_nodes + 1 and indptr[0] == 0
     assert len(indices) == indptr[-1] == np.count_nonzero(valid) == ref.nnz
     pairs = np.int64(n_nodes) * _csr_rows(indptr) + indices
@@ -327,33 +328,195 @@ def test_half_lattice_matches_per_offset(name, resolution, x0, with_g0):
     assert np.array_equal(np.sort(pairs), np.sort(
         np.int64(n_nodes) * _csr_rows(ref.indptr) + ref.indices))
 
+    assert valid.shape == (n_nodes, len(edges))
+    assert indices.dtype == indptr.dtype == np.int32
+
+
+def _half_lattice(grid):
+    """The gather path's half-lattice: the (nodes, K) table of midpoint
+    rows, the midpoints off the nodes, the CSR structure and the offsets,
+    with node k at half-index 2k and the midpoint of k -> k + o at 2k + o
+    (wrapped mod 2r on a periodic axis)."""
+    shape, ndim = grid.shape, grid.ndim
+    half_shape = tuple(2 * r if per else 2 * r - 1
+                       for r, per in zip(shape, grid.periodic))
+    hidx = np.indices(half_shape, dtype=np.int32).reshape(ndim, -1)
+    off_node = np.any(hidx % 2 == 1, axis=0)
+    mids = np.stack([ax[0] + 0.5 * h * i for ax, h, i
+                     in zip(grid.axes, grid.spacing, hidx[:, off_node])],
+                    axis=-1)
+    row = np.cumsum(off_node, dtype=np.int32) - 1
+    node = np.indices(shape, dtype=np.int32).reshape(ndim, -1)
+    size = np.array(shape)[:, None]
+    per = np.array(grid.periodic)[:, None]
+    modes = ["wrap" if p else "clip" for p in grid.periodic]
+    offsets = stencil_offsets(ndim)
+    dst = np.empty((node.shape[1], len(offsets)), dtype=np.int32)
+    rows = np.empty_like(dst)
+    valid = np.empty(dst.shape, dtype=bool)
+    for s, o in enumerate(offsets):
+        to = node + o[:, None]
+        valid[:, s] = np.all(per | ((to >= 0) & (to < size)), axis=0)
+        dst[:, s] = np.ravel_multi_index(to, shape, mode=modes)
+        rows[:, s] = row[np.ravel_multi_index(to + node, half_shape,
+                                              mode=modes)]
+    indptr = np.zeros(len(dst) + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(valid, axis=1), out=indptr[1:])
+    return indptr, dst[valid], valid, rows, mids, offsets
+
+
+def _gather_path(grid, metrics_fn, anchor_index):
+    """Reference: metrics on the half-lattice midpoints in BLOCK-point
+    blocks, and per offset _quadratic_form(G[rows[:, s]], o h).  Returns
+    indptr, indices and per label (CSR data, d, predecessors)."""
+    indptr, indices, valid, rows, mids, offsets = _half_lattice(grid)
+    metrics = {}
+    for s in range(0, len(mids), BLOCK):
+        for label, g in metrics_fn(mids[s:s + BLOCK]).items():
+            metrics.setdefault(label, []).append(g)
+    a = int(np.ravel_multi_index(anchor_index, grid.shape))
+    out = {}
+    for label, blocks in metrics.items():
+        G = np.concatenate(blocks)
+        w = np.empty(valid.shape)
+        for s, o in enumerate(offsets):
+            w[:, s] = _quadratic_form(G[rows[:, s]], o * grid.spacing)
+        data = np.sqrt(w)[valid]
+        graph = sparse.csr_matrix((data, indices, indptr),
+                                  shape=(len(valid),) * 2)
+        d, pred = dijkstra(graph, directed=False, indices=a,
+                           return_predecessors=True)
+        out[label] = (data, d.reshape(grid.shape), pred)
+    return indptr, indices, out
+
+
+def _graphs_seen(monkeypatch):
+    """Copies of (indptr, indices, data) of every graph distance_fields
+    hands to the module's dijkstra."""
+    seen = []
+
+    def spy(graph, **kwargs):
+        seen.append((graph.indptr.copy(), graph.indices.copy(),
+                     graph.data.copy()))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(growth, "dijkstra", spy)
+    return seen
+
+
+def _assert_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@pytest.mark.parametrize("name, resolution, x0, with_g0", [
+    ("pseudosphere", 65, (0.88, 3.14), True),
+    ("clifford_torus_s3", 33, (1.0, 2.0), False),
+    ("dini", 33, (3.1, 0.75), False),
+    ("ps3", 17, (1.0, 1.0, 0.0), False),
+])
+def test_class_windows_match_the_gather_path(name, resolution, x0, with_g0,
+                                             monkeypatch):
+    """The weights read off class-lattice windows are the gather path's
+    bit for bit: the CSR structure, every label's CSR data, the
+    distances and the predecessors."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, resolution)
+    anchor = nearest_node(grid, x0)
+
+    def both(U):
+        fb = fundamental_batch(chart, U)
+        return ({"g": fb.g, "g0": comparison_metric(fb)} if with_g0
+                else {"g": fb.g})
+
+    indptr, indices, ref = _gather_path(grid, both, anchor)
+    seen = _graphs_seen(monkeypatch)
+    got = distance_fields(grid, both, anchor)
+    assert list(got) == list(ref) and len(seen) == len(ref)
+    for (p, i, data), (label, (want, d, pred)) in zip(seen, ref.items()):
+        _assert_bits(p, indptr)
+        _assert_bits(i, indices)
+        _assert_bits(data, want)
+        _assert_bits(got[label].d, d)
+        _assert_bits(got[label].predecessors, pred)
+
+
+@pytest.mark.parametrize("name, resolution, x0", [
+    ("dini", 2, (3.1, 0.75)),
+    ("dini", 3, (3.1, 0.75)),
+    ("dini", (4, 9), (3.1, 0.75)),
+    ("pseudosphere", (3, 7), (0.88, 3.14)),
+    ("clifford_torus_s3", 7, (1.0, 2.0)),
+])
+def test_offsets_longer_than_an_axis(name, resolution, x0):
+    """On grids of at most 7 points on an axis, a stencil offset can be
+    longer than a non-periodic axis: it has no edges there (its box is
+    empty, not wrapped by a negative slice stop).  A periodic axis of 7
+    points is the shortest the stencil takes; 6 is refused."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, resolution)
+    assert min(grid.shape) <= 7
+    anchor = nearest_node(grid, x0)
+
+    def g(U):
+        return {"g": fundamental_batch(chart, U).g}
+
+    ref = _per_offset_distances(grid, {"g": lambda U: g(U)["g"]}, anchor)
+    got = distance_fields(grid, g, anchor)["g"]
+    assert np.all(np.isfinite(ref["g"]))
+    np.testing.assert_allclose(got.d, ref["g"], rtol=1e-12, atol=0.0)
+    if all(grid.periodic):
+        with pytest.raises(ValueError, match="at least 7"):
+            distance_fields(make_grid(chart, 6), g, (0, 0))
+
+
+@pytest.mark.parametrize("name, resolution", [
+    ("pseudosphere", 129), ("clifford_torus_s3", 33), ("dini", 33),
+    ("ps3", 9),
+])
+def test_metrics_see_every_midpoint_once(name, resolution):
+    """metrics_fn sees the half-lattice points off the nodes, each once,
+    with the gather path's coordinates bit for bit, in blocks of at most
+    BLOCK points."""
+    chart = catalog.get(name).chart
+    grid = make_grid(chart, resolution)
+    blocks = []
+
+    def metrics(U):
+        blocks.append(U.copy())
+        return {"g": np.broadcast_to(np.eye(grid.ndim),
+                                     (len(U), grid.ndim, grid.ndim))}
+
+    distance_fields(grid, metrics, (0,) * grid.ndim)
     half_shape = [2 * r if per else 2 * r - 1
                   for r, per in zip(grid.shape, grid.periodic)]
-    assert len(mids) == np.prod(half_shape) - n_nodes
-    assert valid.shape == rows.shape == (n_nodes, len(edges))
-    assert rows.dtype == indices.dtype == indptr.dtype == np.int32
-    assert np.array_equal(np.unique(rows[valid]), np.arange(len(mids)))
-    # every valid edge's midpoint row holds U + o h / 2, up to a period
-    per = np.array(grid.periodic)
-    period = np.where(per, np.array(grid.shape) * grid.spacing, 1.0)
-    for s, (src, _, mid, _) in enumerate(edges):
-        diff = mids[rows[src, s]] - mid
-        diff -= per * period * np.round(diff / period)
-        np.testing.assert_allclose(diff, 0.0, rtol=0.0, atol=1e-12)
+    assert all(len(U) <= BLOCK for U in blocks)
+    assert len(blocks) == -(-sum(map(len, blocks)) // BLOCK)
+    seen = np.concatenate(blocks)
+    assert len(seen) == np.prod(half_shape) - np.prod(grid.shape)
+    mids = _half_lattice(grid)[4]
+    assert np.array_equal(np.unique(seen, axis=0), np.unique(mids, axis=0))
+    assert len(np.unique(seen, axis=0)) == len(seen)
 
 
 def test_distance_fields_memory_budget(pseudosphere):
     """The tracemalloc peak of distance_fields at 129^2 stays within the
-    arrays it holds: both labels' midpoint metric arrays, the int32
-    midpoint-row table, the valid mask, the int32 CSR indices, the float
-    (nodes, K) weight table and the CSR data, plus 1 MiB for one block's
-    output (0.25 MiB a label) or the per-offset gather.  Not all of them
-    are live at once: the peak is 9.2 MiB against a bound of 10.3 MiB.
-    The metrics are the pseudosphere's g in closed form (and 2 g as the
-    second label), so no fundamental batch of one block of BLOCK points
-    (7.3 MiB) hides the graph's own arrays.  Per-offset intp edge lists
-    (24 bytes an edge, 5.8 MiB here) or a COO -> CSR sort break the
-    bound: built that way, the graph peaked at 21 MiB.
+    arrays it holds.  Throughout: the valid mask, the int32 CSR indices
+    and the metrics of the labels still to weigh.  While the first label
+    is weighed: both labels' class-lattice metrics, the float (nodes, K)
+    weight table and a (_GROUP, nodes) write scratch.  When its CSR data
+    is read off: one label's metrics, the weight table and the float CSR
+    data.  In its Dijkstra run: one label's metrics, the CSR data,
+    scipy's transposed copy of the graph (12 bytes an edge and 4 a node)
+    and the distances and predecessors (12 bytes a node).  Plus 1 MiB
+    for one block's output (0.25 MiB a label) and the quadratic form's
+    temporaries.  The bound, 9.0 MiB, is under the 10.3 MiB of the
+    half-lattice row table and the per-offset gathers.  The metrics are
+    the pseudosphere's g in closed form (and 2 g as the second label),
+    so no fundamental batch of one block of BLOCK points (7.3 MiB) hides
+    the graph's own arrays.  Per-offset intp edge lists (24 bytes an
+    edge, 5.8 MiB here) or a COO -> CSR sort break the bound: built that
+    way, the graph peaked at 21 MiB.
     """
     grid = make_grid(pseudosphere.chart, 129)
 
@@ -364,11 +527,16 @@ def test_distance_fields_memory_budget(pseudosphere):
         g[:, 1, 1] = 1.0 - t * t
         return {"g": g, "g0": 2.0 * g}
 
-    _, indices, valid, rows, mids, _ = _stencil_graph(grid)
-    budget = (2 * len(mids) * 4 * 8 + rows.nbytes + valid.nbytes
-              + indices.nbytes + valid.size * 8 + len(indices) * 8
-              + 2 ** 20)
-    del indices, valid, rows, mids
+    indptr, indices, valid, _ = _stencil_graph(grid)
+    nodes, edges = len(valid), len(indices)
+    label = (np.prod([2 * r if per else 2 * r - 1 for r, per
+                      in zip(grid.shape, grid.periodic)]) - nodes) * 4 * 8
+    held = valid.nbytes + indices.nbytes + label
+    budget = max(held + label + valid.size * 8 + _GROUP * nodes * 8,
+                 held + valid.size * 8 + edges * 8,
+                 held + edges * (8 + 12) + nodes * (4 + 12)) + 2 ** 20
+    assert budget <= 10.3 * 2 ** 20
+    del indptr, indices, valid
     anchor = nearest_node(grid, (0.88, 3.14))
     tracemalloc.start()
     try:
@@ -670,6 +838,21 @@ def test_growth_guards():
         # asserting c = -1 gives it the gap C = 1, so flatness is reached
         growth_report(dataclasses.replace(veronese.chart, c=-1.0),
                       (1.0, 0.0), (0.3,), resolution=33)
+
+
+@pytest.mark.parametrize("radii, name", [([math.nan], "nan"),
+                                         ([0.5, math.inf], "inf")])
+def test_growth_report_refuses_a_nonfinite_radius(pseudosphere, monkeypatch,
+                                                  radii, name):
+    """A NaN radius passed the positivity check and died converting NaN
+    to an integer in reference_ball_volume; an infinite one died with a
+    bare OverflowError.  Both are named before any grid work."""
+    def no_grid(*args):
+        raise AssertionError("grid built for a non-finite radius")
+
+    monkeypatch.setattr(growth, "make_grid", no_grid)
+    with pytest.raises(ValueError, match=f"radius {name} is not finite"):
+        growth_report(pseudosphere.chart, (0.88, 3.14), radii)
 
 
 @pytest.mark.parametrize("name, x0, frames", [
